@@ -121,27 +121,37 @@ let opt_skip pass = pass = "inline_hot"
 let any_enabled_inliner ~skip plan =
   List.exists (fun n -> (not (skip n)) && Plan.has_enabled n plan) Pass.inliner_names
 
-(* Exact walk signature: hash of the concatenated per-method decision-plan
-   bit strings of [policy_of] over the constprop'd methods. *)
-let walk_signature info prog policy_of =
+(* The exact walk: per-method decision-plan bit strings of [policy_of] over
+   the constprop'd methods, indexed by method id. *)
+let walks info prog policy_of =
+  Array.map (fun cpm -> Inline.plan_policy ~program:prog ~policy:(policy_of cpm) cpm) info.p_cp
+
+(* Exact walk signature: hash of the concatenated walks. *)
+let walk_digest walks =
   let buf = Buffer.create 256 in
   Array.iter
-    (fun cpm ->
-      Buffer.add_string buf (Inline.plan_policy ~program:prog ~policy:(policy_of cpm) cpm);
+    (fun w ->
+      Buffer.add_string buf w;
       Buffer.add_char buf '|')
-    info.p_cp;
+    walks;
   "w:" ^ Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let signature ~scenario ~heuristic ~inline_enabled ~plan prog =
+let walk_signature info prog policy_of = walk_digest (walks info prog policy_of)
+
+(* The signature, plus the per-method walks when it is the decider-driven
+   inline item's exact walk under [Opt] — the one case in which each
+   method's walk alone determines its optimized code (below). *)
+let signature_and_walks ~scenario ~heuristic ~inline_enabled ~plan prog =
   let plan = effective_plan ~inline_enabled plan in
   let heuristic_params () =
     Printf.sprintf "h:%s"
       (String.concat ","
          (Array.to_list (Array.map string_of_int (Heuristic.to_array heuristic))))
   in
+  let inexact sg = (sg, None) in
   match scenario with
   | Machine.Opt -> (
-    if not (any_enabled_inliner ~skip:opt_skip plan) then "off"
+    if not (any_enabled_inliner ~skip:opt_skip plan) then inexact "off"
     else
       let heuristic_used = Plan.has_enabled "inline" plan in
       let info () = pinfo_of prog in
@@ -150,8 +160,9 @@ let signature ~scenario ~heuristic ~inline_enabled ~plan prog =
         (* Exact: the walk replays the decider's verdict sequence.  Strategy
            items scheduled after inline are decider-independent functions of
            its output, so equal walks still imply identical compilation. *)
-        walk_signature (info ()) prog (fun _ -> Policy.of_heuristic heuristic)
-      | Some it when not heuristic_used -> (
+        let w = walks (info ()) prog (fun _ -> Policy.of_heuristic heuristic) in
+        (walk_digest w, Some w)
+      | Some it when not heuristic_used -> inexact (
         (* The leading inliner is a strategy and the decider-driven inline
            item is off: decisions read nothing the heuristic controls, so
            the strategy's own walk is exact — and distinct strategies with
@@ -166,42 +177,46 @@ let signature ~scenario ~heuristic ~inline_enabled ~plan prog =
            exact parameters — still sound (no merging beyond identical
            heuristics under the same plan, which the key's plan tag already
            isolates), just maximally conservative. *)
-        heuristic_params ()
+        inexact (heuristic_params ())
       | None ->
         (* Pre-inline schedule diverges from the single constprop the
            [p_cp] walk assumes: same fallbacks, by heuristic relevance. *)
-        if heuristic_used then heuristic_params () else "n:static")
+        inexact (if heuristic_used then heuristic_params () else "n:static"))
   | Machine.Adapt | Machine.Ladder ->
-    if not (any_enabled_inliner ~skip:(fun _ -> false) plan) then "off"
-    else if not (Plan.has_enabled "inline" plan) then
-      (* Only strategy inliners run.  Their decisions read the program, the
-         site record, and the profile — never the heuristic — and the
-         profile trajectory is deterministic given the plan, so under a
-         fixed plan tag every heuristic produces the same execution. *)
-      "n:static"
-    else begin
-      (* Sound projection under profile feedback: threshold bits per distinct
-         callee size + clamped depth limit + caller limit.  Strategy items
-         stay heuristic-independent, so the induction (equal projections ⇒
-         identical decisions ⇒ identical profile ⇒ identical execution)
-         carries over unchanged. *)
-      let info = pinfo_of prog in
-      let buf = Buffer.create 64 in
-      Buffer.add_string buf "p:";
-      Array.iter
-        (fun s ->
-          let b = ref 0 in
-          if s > heuristic.Heuristic.callee_max_size then b := !b lor 4;
-          if s < heuristic.Heuristic.always_inline_size then b := !b lor 2;
-          if s <= heuristic.Heuristic.hot_callee_max_size then b := !b lor 1;
-          Buffer.add_char buf (Char.chr (Char.code '0' + !b)))
-        info.p_sizes;
-      Buffer.add_string buf
-        (Printf.sprintf "/d%d/c%d"
-           (min heuristic.Heuristic.max_inline_depth info.p_nmethods)
-           heuristic.Heuristic.caller_max_size);
-      Buffer.contents buf
-    end
+    inexact
+      (if not (any_enabled_inliner ~skip:(fun _ -> false) plan) then "off"
+       else if not (Plan.has_enabled "inline" plan) then
+         (* Only strategy inliners run.  Their decisions read the program, the
+            site record, and the profile — never the heuristic — and the
+            profile trajectory is deterministic given the plan, so under a
+            fixed plan tag every heuristic produces the same execution. *)
+         "n:static"
+       else begin
+         (* Sound projection under profile feedback: threshold bits per distinct
+            callee size + clamped depth limit + caller limit.  Strategy items
+            stay heuristic-independent, so the induction (equal projections ⇒
+            identical decisions ⇒ identical profile ⇒ identical execution)
+            carries over unchanged. *)
+         let info = pinfo_of prog in
+         let buf = Buffer.create 64 in
+         Buffer.add_string buf "p:";
+         Array.iter
+           (fun s ->
+             let b = ref 0 in
+             if s > heuristic.Heuristic.callee_max_size then b := !b lor 4;
+             if s < heuristic.Heuristic.always_inline_size then b := !b lor 2;
+             if s <= heuristic.Heuristic.hot_callee_max_size then b := !b lor 1;
+             Buffer.add_char buf (Char.chr (Char.code '0' + !b)))
+           info.p_sizes;
+         Buffer.add_string buf
+           (Printf.sprintf "/d%d/c%d"
+              (min heuristic.Heuristic.max_inline_depth info.p_nmethods)
+              heuristic.Heuristic.caller_max_size);
+         Buffer.contents buf
+       end)
+
+let signature ~scenario ~heuristic ~inline_enabled ~plan prog =
+  fst (signature_and_walks ~scenario ~heuristic ~inline_enabled ~plan prog)
 
 (* First-class policy queries (lib/policy stores, GP trees).  Under [Opt]
    with a walk-compatible plan and a *static* policy — one whose decisions
@@ -237,10 +252,33 @@ let policy_signature ~scenario ~policy ~digest ~static ~inline_enabled ~plan pro
    "default" for the default plan, the plan's content digest otherwise. *)
 let plan_tag plan = if Plan.is_default plan then "default" else "plan:" ^ Plan.digest plan
 
-let key ~scenario ~platform ~heuristic ~inline_enabled ~plan ~iterations prog =
+let key_of_signature ~scenario ~platform ~plan ~iterations prog signature =
   Printf.sprintf "%s/%s/%s/%s/%d/%s" (program_digest prog)
     (Machine.scenario_name scenario) platform.Platform.pname (plan_tag plan) iterations
+    signature
+
+let key ~scenario ~platform ~heuristic ~inline_enabled ~plan ~iterations prog =
+  key_of_signature ~scenario ~platform ~plan ~iterations prog
     (signature ~scenario ~heuristic ~inline_enabled ~plan prog)
+
+(* --- compile-cache keys --------------------------------------------------- *)
+
+(* The "w:" argument applied per method.  In the exact-walk case each method
+   is optimized once, from its constprop'd form, with no profile input, and
+   its walk records every verdict its inline item makes — inlined callee
+   bodies included — so the method's post-pipeline code is a function of the
+   program, the plan, that walk and (for register allocation) the platform.
+   One walk serves both uses: its digest is the signature, its strands are
+   the per-method keys of [Codecache]. *)
+let code_keys_of_walks ~platform ~plan prog walks =
+  let prefix =
+    Printf.sprintf "%s/%s/%s/" (program_digest prog) platform.Platform.pname (plan_tag plan)
+  in
+  Array.mapi (fun mid w -> prefix ^ string_of_int mid ^ "/" ^ w) walks
+
+let code_keys ~scenario ~platform ~heuristic ~inline_enabled ~plan prog =
+  snd (signature_and_walks ~scenario ~heuristic ~inline_enabled ~plan prog)
+  |> Option.map (code_keys_of_walks ~platform ~plan prog)
 
 (* --- the cache proper --------------------------------------------------- *)
 
@@ -269,7 +307,8 @@ let clear () =
   Mutex.lock mu;
   Hashtbl.reset table;
   Hashtbl.reset owners;
-  Mutex.unlock mu
+  Mutex.unlock mu;
+  Codecache.clear Codecache.global
 
 let size () =
   Mutex.lock mu;
@@ -429,27 +468,38 @@ let mem ~scenario ~platform ~heuristic ~inline_enabled ~plan ~iterations prog =
 (* Two domains racing on the same fresh key both simulate (the simulation
    runs outside the lock and is deterministic, so both arrive at the same
    measurement); the first store wins and the counters are best-effort. *)
+let cached k simulate =
+  match find_measurement k with
+  | Some m ->
+    bump "fitness.sig_hits";
+    count_tenant_hit k;
+    m
+  | None ->
+    bump "fitness.sig_misses";
+    let m = simulate () in
+    store_measurement k m;
+    m
+
+let lookup_or_simulate ~scenario ~platform ~heuristic ~inline_enabled ~plan ~iterations
+    ~program simulate =
+  if not !on then simulate ~code_keys:None
+  else begin
+    let signature, walks =
+      signature_and_walks ~scenario ~heuristic ~inline_enabled ~plan program
+    in
+    cached (key_of_signature ~scenario ~platform ~plan ~iterations program signature)
+      (fun () ->
+        simulate ~code_keys:(Option.map (code_keys_of_walks ~platform ~plan program) walks))
+  end
+
 let lookup_or_measure ~scenario ~platform ~heuristic ~inline_enabled ~plan ~iterations
     ~program simulate =
   if not !on then simulate ()
-  else begin
-    let k = key ~scenario ~platform ~heuristic ~inline_enabled ~plan ~iterations program in
-    match find_measurement k with
-    | Some m ->
-      bump "fitness.sig_hits";
-      count_tenant_hit k;
-      m
-    | None ->
-      bump "fitness.sig_misses";
-      let m = simulate () in
-      store_measurement k m;
-      m
-  end
+  else cached (key ~scenario ~platform ~heuristic ~inline_enabled ~plan ~iterations program) simulate
 
 let policy_key ~scenario ~platform ~policy ~digest ~static ~inline_enabled ~plan ~iterations
     prog =
-  Printf.sprintf "%s/%s/%s/%s/%d/%s" (program_digest prog)
-    (Machine.scenario_name scenario) platform.Platform.pname (plan_tag plan) iterations
+  key_of_signature ~scenario ~platform ~plan ~iterations prog
     (policy_signature ~scenario ~policy ~digest ~static ~inline_enabled ~plan prog)
 
 (* The policy twin of [lookup_or_measure]: same table, same counters, same
@@ -457,19 +507,8 @@ let policy_key ~scenario ~platform ~policy ~digest ~static ~inline_enabled ~plan
 let lookup_or_measure_policy ~scenario ~platform ~policy ~digest ~static ~inline_enabled
     ~plan ~iterations ~program simulate =
   if not !on then simulate ()
-  else begin
-    let k =
-      policy_key ~scenario ~platform ~policy ~digest ~static ~inline_enabled ~plan ~iterations
-        program
-    in
-    match find_measurement k with
-    | Some m ->
-      bump "fitness.sig_hits";
-      count_tenant_hit k;
-      m
-    | None ->
-      bump "fitness.sig_misses";
-      let m = simulate () in
-      store_measurement k m;
-      m
-  end
+  else
+    cached
+      (policy_key ~scenario ~platform ~policy ~digest ~static ~inline_enabled ~plan ~iterations
+         program)
+      simulate

@@ -24,7 +24,10 @@ open Inltune_vm
     optional append-only JSONL file ({!set_file}; CLI [--fitness-cache])
     whose entries are content-keyed — program digest × scenario × platform ×
     iterations × signature — so they survive restarts and compose with GA
-    checkpoint/resume.  Counters: ["fitness.sig_hits"],
+    checkpoint/resume.  Under the exact [Opt] walk, a miss also reuses
+    individual optimizing compiles through {!Inltune_vm.Codecache}
+    ({!lookup_or_simulate}); that in-process tier follows this module's
+    {!set_enabled} and {!clear}.  Counters: ["fitness.sig_hits"],
     ["fitness.sig_misses"], ["fitness.unique_plans"],
     ["fitness.cache_corrupt"] (skipped JSONL lines on load) and — with a
     tenant hook installed — ["fitness.cross_tenant_hits"]. *)
@@ -62,15 +65,34 @@ val key :
   Ir.program ->
   string
 
+(** Per-method {!Inltune_vm.Codecache} keys for the query's optimizing
+    compiles, indexed by method id, or [None] outside the exact-walk case.
+    The exact-walk case is the [Opt] scenario with the decider-driven
+    [inline] item as the plan's first walkable inliner, i.e. exactly when
+    {!signature} is the ["w:"] walk.  Each key is program digest × platform
+    × plan tag × method id × that method's {!Inline.plan} walk, which
+    determines the method's optimized code (the ["w:"] argument applied per
+    method). *)
+val code_keys :
+  scenario:Machine.scenario ->
+  platform:Platform.t ->
+  heuristic:Heuristic.t ->
+  inline_enabled:bool ->
+  plan:Plan.t ->
+  Ir.program ->
+  string array option
+
 val enabled : unit -> bool
 
 (** Toggle the cache (default on).  Disabled, {!lookup_or_measure} always
-    simulates and the table is neither consulted nor extended. *)
+    simulates and the table is neither consulted nor extended, and
+    {!lookup_or_simulate} passes no compile-cache keys. *)
 val set_enabled : bool -> unit
 
-(** Forget every in-memory measurement and tenant-ownership record
-    (per-program signature data and the attached file are kept).  Tests and
-    the off/on benchmark use this. *)
+(** Forget every in-memory measurement and tenant-ownership record, and
+    empty {!Inltune_vm.Codecache.global} (per-program signature data and
+    the attached file are kept).  Tests and the off/on benchmark use
+    this. *)
 val clear : unit -> unit
 
 (** Number of measurements currently in the in-memory table. *)
@@ -117,6 +139,22 @@ val lookup_or_measure :
   iterations:int ->
   program:Ir.program ->
   (unit -> Runner.measurement) ->
+  Runner.measurement
+
+(** {!lookup_or_measure} whose simulation receives the query's
+    {!code_keys} ([None] when the cache is disabled or outside the
+    exact-walk case), so a miss can reuse the optimizing compiles earlier
+    queries left in {!Inltune_vm.Codecache.global}.  The keys are derived
+    from the same walk as the signature. *)
+val lookup_or_simulate :
+  scenario:Machine.scenario ->
+  platform:Platform.t ->
+  heuristic:Heuristic.t ->
+  inline_enabled:bool ->
+  plan:Plan.t ->
+  iterations:int ->
+  program:Ir.program ->
+  (code_keys:string array option -> Runner.measurement) ->
   Runner.measurement
 
 (** Decision signature of a first-class policy.  [static] asserts the policy

@@ -7,8 +7,10 @@ module Workloads = Inltune_workloads
 
    Every measurement flows through [Fitcache]: a query whose decision
    signature was measured before reuses that result instead of simulating
-   again.  "measure.simulations" counts the full VM simulations actually
-   performed — the number the tuner bench reports caching savings against. *)
+   again, and a simulation it does run gets the compile-cache keys that let
+   its optimizing compiles reuse earlier ones.  "measure.simulations" counts
+   the full VM simulations actually performed — the number the tuner bench
+   reports caching savings against. *)
 
 type times = {
   running : float;  (* cycles, as float for the fitness arithmetic *)
@@ -29,38 +31,33 @@ let of_measurement m =
    stay attached to the registry across [Metric.reset_all]. *)
 let bump name = Inltune_obs.Metric.incr (Inltune_obs.Metric.counter name)
 
+(* One path whether or not the profiler is on ([Prof.span]'s disabled path
+   is one atomic load).  Profiled, the "fitness.eval" span's self time is
+   exactly the Fitcache overhead (simulation time lands in the nested
+   "vm.execute"), and a per-evaluation breakdown event splits wall time into
+   simulate vs. cache bookkeeping. *)
 let run ?(iterations = 3) ?(inline_enabled = true) ?(plan = Plan.default) ~scenario ~platform
     ~heuristic bm =
+  let module Prof = Inltune_obs.Prof in
+  let module Trace = Inltune_obs.Trace in
+  let module Event = Inltune_obs.Event in
   let prog = Workloads.Suites.program bm in
-  let simulate () =
+  let profiled = Prof.enabled () in
+  let sim_wall = ref 0.0 and wall = ref 0.0 in
+  let simulate ~code_keys =
     bump "measure.simulations";
+    let t0 = if profiled then Trace.now () else 0.0 in
     let cfg = Machine.config ~inline_enabled ~plan scenario heuristic in
-    Runner.measure ~iterations cfg platform prog
+    let m = Runner.measure ~iterations ?code_keys cfg platform prog in
+    if profiled then sim_wall := Trace.now () -. t0;
+    m
   in
-  if not (Inltune_obs.Prof.enabled ()) then
-    of_measurement
-      (Fitcache.lookup_or_measure ~scenario ~platform ~heuristic ~inline_enabled ~plan ~iterations
-         ~program:prog simulate)
-  else begin
-    (* Profiled path: same calls, plus a "fitness.eval" span whose self time
-       is exactly the Fitcache lookup overhead (simulation time lands in the
-       nested "vm.execute"), and a per-evaluation breakdown event splitting
-       wall time into simulate vs. cache bookkeeping. *)
-    let module Trace = Inltune_obs.Trace in
-    let module Event = Inltune_obs.Event in
-    let sim_wall = ref 0.0 in
-    let simulate () =
-      let t0 = Trace.now () in
-      let m = simulate () in
-      sim_wall := Trace.now () -. t0;
-      m
-    in
-    let wall = ref 0.0 in
-    let m =
-      Inltune_obs.Prof.span "fitness.eval" ~on_time:(fun dt -> wall := dt) (fun () ->
-          Fitcache.lookup_or_measure ~scenario ~platform ~heuristic ~inline_enabled ~plan
-            ~iterations ~program:prog simulate)
-    in
+  let m =
+    Prof.span "fitness.eval" ~on_time:(fun dt -> wall := dt) (fun () ->
+        Fitcache.lookup_or_simulate ~scenario ~platform ~heuristic ~inline_enabled ~plan
+          ~iterations ~program:prog simulate)
+  in
+  if profiled then begin
     Inltune_obs.Metric.observe (Inltune_obs.Metric.histogram "fitness.eval_us") (!wall *. 1e6);
     if Trace.enabled () then
       Trace.emit "fitness.breakdown"
@@ -72,9 +69,9 @@ let run ?(iterations = 3) ?(inline_enabled = true) ?(plan = Plan.default) ~scena
             ("wall_us", Event.Float (!wall *. 1e6));
             ("sim_us", Event.Float (!sim_wall *. 1e6));
             ("cache_us", Event.Float (Float.max 0.0 (!wall -. !sim_wall) *. 1e6));
-          ];
-    of_measurement m
-  end
+          ]
+  end;
+  of_measurement m
 
 (* Measurements with the default (Jikes) heuristic are requested constantly —
    every normalized bar divides by one — so memoize the [times] value itself

@@ -20,8 +20,9 @@ val of_measurement : Runner.measurement -> times
     [plan] (default {!Inltune_opt.Plan.default}) selects the optimizing
     tier's pass schedule.  Results are shared through {!Fitcache}: a query
     whose decision signature was already measured reuses that measurement
-    instead of simulating; the "measure.simulations" counter reports full
-    simulations actually run. *)
+    instead of simulating, and a simulation reuses earlier optimizing
+    compiles through {!Fitcache.lookup_or_simulate}'s keys; the
+    "measure.simulations" counter reports full simulations actually run. *)
 val run :
   ?iterations:int ->
   ?inline_enabled:bool ->

@@ -1,8 +1,10 @@
 open Inltune_jir
 open Inltune_opt
 
-(** The two compiler tiers: the fast non-optimizing baseline compiler and the
-    optimizing compiler that runs the full {!Inltune_opt.Pipeline}. *)
+(** The compiler tiers: the fast non-optimizing baseline compiler, the
+    inlining-free mid tier, and the optimizing compiler that runs the full
+    {!Inltune_opt.Pipeline}.  Every tier ends in one shared emit tail
+    (code-space allocation, then {!Lower.lower}). *)
 
 type tier = Baseline | O1 | Optimized
 
@@ -29,7 +31,30 @@ val o1 : Platform.t -> Codespace.t -> Ir.program -> profile:Profile.t -> Ir.meth
 
 (** Compile with the optimizing tier: runs the pipeline under [config] and
     charges compile cycles superlinear in the post-inlining size.  Returns
-    the compiled method, compile cycles, and the pipeline statistics. *)
+    the compiled method, compile cycles, and the pipeline statistics.
+    Exactly [optimizing_emit] of [optimizing_front]. *)
 val optimizing :
   Platform.t -> Codespace.t -> Ir.program -> Pipeline.config -> profile:Profile.t ->
   Ir.methd -> compiled * int * Pipeline.stats
+
+(** The optimizing tier's VM-independent half: the post-pipeline code, the
+    pipeline statistics, and the register allocator's spill figures.  A
+    function of the method, the pipeline config and the platform alone, so
+    it can be cached across VMs ({!Codecache}). *)
+type opt_front = {
+  o_code : Ir.methd;
+  o_stats : Pipeline.stats;
+  o_block_spill_cost : int;  (** cycles per executed block (spill traffic) *)
+  o_spills : int;            (** intervals spilled by the register allocator *)
+}
+
+(** Pipeline plus register allocation. *)
+val optimizing_front : Platform.t -> Ir.program -> Pipeline.config -> Ir.methd -> opt_front
+
+(** The emit tail: allocates the front's code in the code space and lowers
+    it against [profile], attributing call sites to method [owner].
+    Returns what {!optimizing} returns; the compile cycles derive from the
+    front's statistics. *)
+val optimizing_emit :
+  Platform.t -> Codespace.t -> profile:Profile.t -> owner:Ir.mid -> opt_front ->
+  compiled * int * Pipeline.stats

@@ -107,12 +107,19 @@ type t = {
   (* Wall-clock seconds spent inside the compilers, accumulated only while
      Prof is enabled.  Profiler bookkeeping, never part of cycle accounting. *)
   mutable compile_wall_s : float;
+  code_keys : string array option;
+      (* per-method Codecache keys, indexed by mid; consulted by the Opt
+         scenario's compiles only *)
 }
 
 let max_call_depth = 8_000
 
-let create cfg (plat : Platform.t) prog =
+let create ?code_keys cfg (plat : Platform.t) prog =
   Validate.check_exn prog;
+  (match code_keys with
+  | Some keys when Array.length keys <> Array.length prog.Ir.methods ->
+    invalid_arg "Machine.create: one code key per method"
+  | Some _ | None -> ());
   {
     prog;
     plat;
@@ -137,6 +144,7 @@ let create cfg (plat : Platform.t) prog =
     frames = Inltune_support.Frames.create ~dummy:Lower.dummy ();
     frames_reused = 0;
     compile_wall_s = 0.0;
+    code_keys;
   }
 
 (* --- compilation ------------------------------------------------------- *)
@@ -211,12 +219,27 @@ let trace_compile vm mid ~tier ~cycles ~recompile extra (c : Compile.compiled) =
 
 let note_compile_wall vm dt = vm.compile_wall_s <- vm.compile_wall_s +. dt
 
+(* Under [Opt] every method is optimized exactly once, with no profile
+   input, so given a per-method content key the VM-independent front can
+   come from the process-wide [Codecache].  A hit skips the pipeline and
+   register allocation; the emit tail still runs against this VM's code
+   space and profile, so addresses, I-cache tags and profile site ids come
+   out exactly as from a fresh compile.  The reference interpreter always
+   compiles fresh. *)
+let opt_front vm m =
+  let compile () = Compile.optimizing_front vm.plat vm.prog (pipeline_config vm) m in
+  match vm.code_keys with
+  | Some keys when vm.cfg.scenario = Opt && not !reference_mode ->
+    Codecache.find_or_compile Codecache.global keys.(m.Ir.mid) compile
+  | Some _ | None -> compile ()
+
 let compile_opt vm mid =
   let m = vm.prog.Ir.methods.(mid) in
   let recompile = vm.compiled.(mid) <> None in
   let c, cycles, stats =
     Prof.span "vm.compile" ~on_time:(note_compile_wall vm) (fun () ->
-        Compile.optimizing vm.plat vm.codespace vm.prog (pipeline_config vm) ~profile:vm.profile m)
+        Compile.optimizing_emit vm.plat vm.codespace ~profile:vm.profile ~owner:m.Ir.mid
+          (opt_front vm m))
   in
   vm.compile_cycles <- vm.compile_cycles + cycles;
   vm.opt_compiles <- vm.opt_compiles + 1;

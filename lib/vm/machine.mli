@@ -92,13 +92,20 @@ type t = {
       (** wall seconds inside the compilers, accumulated only while
           {!Inltune_obs.Prof} is enabled; profiler bookkeeping, never part
           of cycle accounting *)
+  code_keys : string array option;
+      (** per-method {!Codecache} keys, indexed by method id *)
 }
 
 (** Simulated call-stack depth limit (exceeding it is a {!Trap}). *)
 val max_call_depth : int
 
-(** Fresh VM over a validated program; raises on an ill-formed program. *)
-val create : config -> Platform.t -> Ir.program -> t
+(** Fresh VM over a validated program; raises on an ill-formed program.
+    [code_keys] (one per method, indexed by method id) lets the [Opt]
+    scenario's compiles reuse fronts from {!Codecache.global}: the caller
+    vouches that each key determines its method's {!Compile.opt_front} under
+    this config and platform.  Ignored by the other scenarios and by the
+    reference interpreter; raises [Invalid_argument] on a length mismatch. *)
+val create : ?code_keys:string array -> config -> Platform.t -> Ir.program -> t
 
 (** Run [callee] with the given arguments inside the VM (compiling lazily as
     the scenario dictates).  Exposed for tests; normal use is

@@ -18,11 +18,11 @@ type measurement = {
   out_hash : int;
 }
 
-let measure ?(iterations = 2) cfg plat prog =
+let measure ?(iterations = 2) ?code_keys cfg plat prog =
   if iterations < 2 then invalid_arg "Runner.measure: need at least 2 iterations";
   let module Prof = Inltune_obs.Prof in
   let sim_start = if Prof.enabled () then Inltune_obs.Trace.now () else 0.0 in
-  let vm = Machine.create cfg plat prog in
+  let vm = Machine.create ?code_keys cfg plat prog in
   (* Each iteration under a "vm.execute" span; lazy compiles inside it show
      up as nested "vm.compile" spans, so execute self-time is interpretation
      proper. *)

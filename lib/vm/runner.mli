@@ -20,9 +20,12 @@ type measurement = {
 
 (** [measure cfg plat prog] runs [iterations] VM iterations (default 2, the
     paper's minimum; the library-wide default used by {!Inltune_core.Measure}
-    is 3 so the adaptive system reaches steady state).  Raises
+    is 3 so the adaptive system reaches steady state).  [code_keys] is
+    passed to {!Machine.create}; without it every compile is fresh.  Raises
     [Invalid_argument] if [iterations < 2]. *)
-val measure : ?iterations:int -> Machine.config -> Platform.t -> Ir.program -> measurement
+val measure :
+  ?iterations:int -> ?code_keys:string array -> Machine.config -> Platform.t -> Ir.program ->
+  measurement
 
 (** [observe plat prog] interprets the program once (Opt scenario, the given
     heuristic — default: no inlining) and returns its result and the list of

@@ -123,9 +123,10 @@ for field in '"best_tree"' '"prefilter"' '"avoidance"' '"gp"' '"cart"' '"ga"'; d
 done
 
 echo "== tuner-bench smoke =="
-# The decision-signature cache must avoid simulations without changing the
-# search: bench tuner runs the same fixed-seed GA cache-off then cache-on and
-# itself exits nonzero if the two searches differ.  Double-check the JSON.
+# The decision-signature cache must avoid simulations, and the compile cache
+# must reuse optimizing compiles, without changing the search: bench tuner
+# runs the same fixed-seed GA cache-off then cache-on and itself exits
+# nonzero if the two searches differ.  Double-check the JSON.
 INLTUNE_POP=6 INLTUNE_GENS=3 dune exec --no-build bench/main.exe tuner > /dev/null
 grep -q '"identical_best":true' BENCH_tuner.json \
   || { echo "cache changed the best genome"; exit 1; }
@@ -133,6 +134,17 @@ grep -q '"identical_history":true' BENCH_tuner.json \
   || { echo "cache changed the per-generation history"; exit 1; }
 sig_hits=$(sed -n 's/.*"sig_hits":\([0-9]*\).*/\1/p' BENCH_tuner.json)
 [ "${sig_hits:-0}" -gt 0 ] || { echo "expected sig_hits > 0, got ${sig_hits:-none}"; exit 1; }
+code_hits=$(sed -n 's/.*"code_cache_hits":\([0-9]*\).*/\1/p' BENCH_tuner.json)
+[ "${code_hits:-0}" -gt 0 ] \
+  || { echo "expected code_cache_hits > 0, got ${code_hits:-none}"; exit 1; }
+
+echo "== perfbench smoke =="
+# One short run of the repo benchmark's compile-bound workload.  Its checks
+# include the cache-free verification: the search's best fitness recomputed
+# bit for bit from fresh compiles, every simulation checked against the
+# tree-walking reference interpreter.
+python3 perfbench/run.py --workload tune-opt-spec --seed 1 --seconds 1 --trace 0 \
+  | tail -n 1 | grep -q '"correct":true' || { echo "perfbench tune-opt-spec not correct"; exit 1; }
 
 echo "== plan smoke =="
 # The pass-manager layer: the canonical plan text is a serialization

@@ -9,6 +9,7 @@ let () =
       ("plan", Test_plan.suite);
       ("vm", Test_vm.suite);
       ("flat", Test_flat.suite);
+      ("codecache", Test_codecache.suite);
       ("workloads", Test_workloads.suite);
       ("shapes", Test_shapes.suite);
       ("ga", Test_ga.suite);
