@@ -545,7 +545,8 @@ let gp_bench () =
    best genome and the same per-generation history; the win is the count of
    full VM simulations avoided, plus the optimizing compiles the cache-on
    run's simulations reused (the compile cache follows the fitness cache's
-   switch, so the cache-off run compiles everything fresh).  Numbers land in
+   switch, so the cache-off run compiles everything fresh), and the Opt
+   iterations each run derived instead of executing.  Numbers land in
    BENCH_tuner.json so CI can diff runs without scraping tables. *)
 let tuner_bench () =
   print_endline "==== Tuner bench: decision-signature fitness caching ====\n";
@@ -561,13 +562,13 @@ let tuner_bench () =
     (fun bm -> ignore (Measure.run_default ~scenario:Machine.Opt ~platform:Platform.x86 bm))
     suite;
   let timed_run () =
-    let s0 = value "measure.simulations" in
+    let s0 = value "measure.simulations" and d0 = value "vm.iterations_derived" in
     let t0 = Inltune_support.Pool.now () in
     let o = Tuner.tune ~budget ~suite Tuner.Opt_tot_x86 in
     let wall = Inltune_support.Pool.now () -. t0 in
-    (o, value "measure.simulations" - s0, wall)
+    (o, value "measure.simulations" - s0, wall, value "vm.iterations_derived" - d0)
   in
-  let off, sims_off, wall_off = timed_run () in
+  let off, sims_off, wall_off, derived_off = timed_run () in
   Fitcache.clear ();
   Fitcache.set_enabled true;
   let h0 = value "fitness.sig_hits"
@@ -575,7 +576,7 @@ let tuner_bench () =
   and u0 = value "fitness.unique_plans"
   and ch0 = value "vm.code_cache.hits"
   and cm0 = value "vm.code_cache.misses" in
-  let on, sims_on, wall_on = timed_run () in
+  let on, sims_on, wall_on, derived_on = timed_run () in
   let sig_hits = value "fitness.sig_hits" - h0
   and sig_misses = value "fitness.sig_misses" - m0
   and unique_plans = value "fitness.unique_plans" - u0
@@ -607,19 +608,21 @@ let tuner_bench () =
   Table.print t;
   Printf.printf "compile cache (cache on): %d hits, %d misses\n" code_cache_hits
     code_cache_misses;
+  Printf.printf "derived iterations: %d (cache off), %d (cache on)\n" derived_off derived_on;
   Printf.printf "best genome identical: %b   per-generation history identical: %b\n"
     identical_best identical_history;
   let oc = open_out "BENCH_tuner.json" in
   Printf.fprintf oc
     "{\"suite\":[%s],\"scenario\":\"opt:tot\",\"pop\":%d,\"gens\":%d,\"seed\":%d,\
-     \"cache_off\":{\"wall_s\":%.3f,\"simulations\":%d},\
-     \"cache_on\":{\"wall_s\":%.3f,\"simulations\":%d,\"sig_hits\":%d,\"sig_misses\":%d,\
+     \"cache_off\":{\"wall_s\":%.3f,\"simulations\":%d,\"iterations_derived\":%d},\
+     \"cache_on\":{\"wall_s\":%.3f,\"simulations\":%d,\"iterations_derived\":%d,\
+     \"sig_hits\":%d,\"sig_misses\":%d,\
      \"unique_plans\":%d,\"code_cache_hits\":%d,\"code_cache_misses\":%d},\
      \"simulations_avoided\":%d,\"avoided_fraction\":%.4f,\
      \"identical_best\":%b,\"identical_history\":%b}\n"
     (String.concat "," (List.map (fun bm -> "\"" ^ bm.W.Suites.bname ^ "\"") suite))
-    budget.Tuner.pop budget.Tuner.gens budget.Tuner.seed wall_off sims_off wall_on sims_on
-    sig_hits sig_misses unique_plans code_cache_hits code_cache_misses avoided frac
+    budget.Tuner.pop budget.Tuner.gens budget.Tuner.seed wall_off sims_off derived_off wall_on
+    sims_on derived_on sig_hits sig_misses unique_plans code_cache_hits code_cache_misses avoided frac
     identical_best identical_history;
   close_out oc;
   print_endline "wrote BENCH_tuner.json\n";

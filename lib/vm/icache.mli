@@ -7,6 +7,9 @@
 
 type t = {
   tags : int array;  (** -1 = invalid *)
+  first : int array;
+      (** the line of each index's first fill; -1 = never filled.  A
+          miss that replaces an invalid tag must record its line here. *)
   line_bits : int;
   index_mask : int;
   mutable accesses : int;
@@ -24,6 +27,13 @@ val miss_rate : t -> float
 val reset_counters : t -> unit
 val accesses : t -> int
 val misses : t -> int
+
+(** [repeat_misses t] is how many misses a second pass over the same address
+    trace would take, for a cache whose accesses so far are exactly one pass
+    over that trace from a cold cache.  Such a pass ends in the state the
+    first one left, so every further pass misses the same number of times:
+    [misses t - |touched indices| + |{i : first.(i) <> tags.(i)}|]. *)
+val repeat_misses : t -> int
 
 (** Calibrated host wall-clock cost of one {!access} call in nanoseconds
     (lazily measured once on a scratch cache).  Used by the profiler to

@@ -470,8 +470,10 @@ let exec_flat vm mid (args : int array) =
   let icache = vm.icache in
   (* The cache geometry is immutable; hoisting it lets the per-instruction
      tag probe run inline (no call, no bounds check: [idx] is masked into
-     range by construction). *)
+     range by construction).  Each probe mirrors [Icache.access], first-fill
+     record included. *)
   let itags = icache.Icache.tags
+  and ifirst = icache.Icache.first
   and iline_bits = icache.Icache.line_bits
   and iindex_mask = icache.Icache.index_mask in
   let profile = vm.profile in
@@ -542,7 +544,9 @@ let exec_flat vm mid (args : int array) =
           iacc := !iacc + 1;
           let line = Array.unsafe_get iaddrs s lsr iline_bits in
           let idx = line land iindex_mask in
-          if Array.unsafe_get itags idx <> line then begin
+          let tag = Array.unsafe_get itags idx in
+          if tag <> line then begin
+            if tag < 0 then Array.unsafe_set ifirst idx line;
             Array.unsafe_set itags idx line;
             imiss := !imiss + 1;
             cycles := !cycles + miss_penalty
@@ -702,7 +706,9 @@ let exec_flat vm mid (args : int array) =
           iacc := !iacc + 1;
           let line = Array.unsafe_get iaddrs s lsr iline_bits in
           let idx = line land iindex_mask in
-          if Array.unsafe_get itags idx <> line then begin
+          let tag = Array.unsafe_get itags idx in
+          if tag <> line then begin
+            if tag < 0 then Array.unsafe_set ifirst idx line;
             Array.unsafe_set itags idx line;
             imiss := !imiss + 1;
             cycles := !cycles + miss_penalty
@@ -716,7 +722,9 @@ let exec_flat vm mid (args : int array) =
           iacc := !iacc + 1;
           let line = Array.unsafe_get iaddrs s lsr iline_bits in
           let idx = line land iindex_mask in
-          if Array.unsafe_get itags idx <> line then begin
+          let tag = Array.unsafe_get itags idx in
+          if tag <> line then begin
+            if tag < 0 then Array.unsafe_set ifirst idx line;
             Array.unsafe_set itags idx line;
             imiss := !imiss + 1;
             cycles := !cycles + miss_penalty
@@ -734,7 +742,9 @@ let exec_flat vm mid (args : int array) =
           iacc := !iacc + 1;
           let line = Array.unsafe_get iaddrs s lsr iline_bits in
           let idx = line land iindex_mask in
-          if Array.unsafe_get itags idx <> line then begin
+          let tag = Array.unsafe_get itags idx in
+          if tag <> line then begin
+            if tag < 0 then Array.unsafe_set ifirst idx line;
             Array.unsafe_set itags idx line;
             imiss := !imiss + 1;
             cycles := !cycles + miss_penalty
@@ -773,7 +783,9 @@ let exec_flat vm mid (args : int array) =
           iacc := !iacc + 1;
           let line = Array.unsafe_get iaddrs s lsr iline_bits in
           let idx = line land iindex_mask in
-          if Array.unsafe_get itags idx <> line then begin
+          let tag = Array.unsafe_get itags idx in
+          if tag <> line then begin
+            if tag < 0 then Array.unsafe_set ifirst idx line;
             Array.unsafe_set itags idx line;
             imiss := !imiss + 1;
             cycles := !cycles + miss_penalty
@@ -886,6 +898,18 @@ type iteration = {
   it_outputs : int array;
 }
 
+let trace_iteration ?(derived = false) vm ~exec_cycles ~compile_cycles ~steps =
+  Trace.emit "vm.iteration"
+    ~fields:
+      ([
+         ("prog", Event.Str vm.prog.Ir.pname);
+         ("scenario", Event.Str (scenario_name vm.cfg.scenario));
+         ("exec_cycles", Event.Int exec_cycles);
+         ("compile_cycles", Event.Int compile_cycles);
+         ("steps", Event.Int steps);
+       ]
+      @ if derived then [ ("derived", Event.Bool true) ] else [])
+
 (* One run of [main].  Compiled-code state, profile, and the I-cache persist
    across iterations (the warmed VM); the heap and output log are fresh per
    iteration so results are comparable. *)
@@ -903,15 +927,8 @@ let run_iteration vm =
     vm.frames_reused <- 0
   end;
   if Trace.enabled () then
-    Trace.emit "vm.iteration"
-      ~fields:
-        [
-          ("prog", Event.Str vm.prog.Ir.pname);
-          ("scenario", Event.Str (scenario_name vm.cfg.scenario));
-          ("exec_cycles", Event.Int (vm.exec_cycles - exec0));
-          ("compile_cycles", Event.Int (vm.compile_cycles - comp0));
-          ("steps", Event.Int (vm.steps - steps0));
-        ];
+    trace_iteration vm ~exec_cycles:(vm.exec_cycles - exec0)
+      ~compile_cycles:(vm.compile_cycles - comp0) ~steps:(vm.steps - steps0);
   {
     ret;
     it_exec_cycles = vm.exec_cycles - exec0;

@@ -126,6 +126,12 @@ type iteration = {
     fresh per iteration. *)
 val run_iteration : t -> iteration
 
+(** Emit the ["vm.iteration"] trace event {!run_iteration} emits, for an
+    iteration with these figures; [derived] (default false) marks one whose
+    figures were derived rather than executed and adds ["derived": true]. *)
+val trace_iteration :
+  ?derived:bool -> t -> exec_cycles:int -> compile_cycles:int -> steps:int -> unit
+
 val opt_compiles : t -> int
 val o1_compiles : t -> int
 val baseline_compiles : t -> int

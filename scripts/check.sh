@@ -137,6 +137,10 @@ sig_hits=$(sed -n 's/.*"sig_hits":\([0-9]*\).*/\1/p' BENCH_tuner.json)
 code_hits=$(sed -n 's/.*"code_cache_hits":\([0-9]*\).*/\1/p' BENCH_tuner.json)
 [ "${code_hits:-0}" -gt 0 ] \
   || { echo "expected code_cache_hits > 0, got ${code_hits:-none}"; exit 1; }
+# Opt measurements execute one iteration and derive the rest.
+derived=$(sed -n 's/.*"iterations_derived":\([0-9]*\).*/\1/p' BENCH_tuner.json)
+[ "${derived:-0}" -gt 0 ] \
+  || { echo "expected iterations_derived > 0, got ${derived:-none}"; exit 1; }
 
 echo "== perfbench smoke =="
 # One short run of the repo benchmark's compile-bound workload.  Its checks
@@ -265,16 +269,19 @@ echo "== flat-interpreter identity smoke =="
 # The flat threaded-dispatch interpreter and the tree-walking reference
 # (INLTUNE_VM_REFERENCE=1) must be bit-identical on every observable the
 # CLI prints: cycles, steps, output hash, compile counts, per-iteration
-# breakdowns.  The built binary is invoked directly — dune's build lock
-# writes to stderr under concurrent process substitution and would show up
-# as spurious diffs.
+# breakdowns.  Under Opt the flat side executes one iteration and derives
+# the rest, while the reference executes every one, so the 5-iteration
+# Opt runs diff four derived iterations against executed ones.  The built
+# binary is invoked directly — dune's build lock writes to stderr under
+# concurrent process substitution and would show up as spurious diffs.
 BIN=./_build/default/bin/main.exe
 for prog in jess compress db; do
-  for scen in opt adapt ladder; do
-    flat=$("$BIN" run "$prog" -s "$scen")
-    tree=$(INLTUNE_VM_REFERENCE=1 "$BIN" run "$prog" -s "$scen")
+  for run in "opt" "adapt" "ladder" "opt --iterations 5"; do
+    # $run is split on purpose: scenario, then any extra flags.
+    flat=$("$BIN" run "$prog" -s $run)
+    tree=$(INLTUNE_VM_REFERENCE=1 "$BIN" run "$prog" -s $run)
     [ "$flat" = "$tree" ] || {
-      echo "flat vs reference interpreter differ on $prog/$scen:"
+      echo "flat vs reference interpreter differ on $prog/$run:"
       echo "--- flat ---"; echo "$flat"
       echo "--- reference ---"; echo "$tree"
       exit 1
@@ -292,11 +299,16 @@ tune_tree=$(INLTUNE_VM_REFERENCE=1 "$BIN" tune -s opt:tot --pop 4 -g 2 2> /dev/n
   exit 1
 }
 # And the tuner bench's own cache-transparency contract must hold on the
-# reference interpreter too.
-INLTUNE_VM_REFERENCE=1 INLTUNE_POP=6 INLTUNE_GENS=2 \
-  dune exec --no-build bench/main.exe tuner > /dev/null
+# reference interpreter too.  It runs in a scratch directory so its
+# BENCH_tuner.json does not replace the flat-interpreter one above.
+root=$(pwd)
+reftuner=$(mktemp -d -t inltune_reftuner.XXXXXX)
+trap 'rm -f "$trace" "$faults" "$ckpt" "$ds" "$pol" "$pol2" "$plan" "$plan2" "$obs";
+      rm -rf "$reftuner"' EXIT
+(cd "$reftuner" && INLTUNE_VM_REFERENCE=1 INLTUNE_POP=6 INLTUNE_GENS=2 \
+  "$root/_build/default/bench/main.exe" tuner > /dev/null)
 for flag in identical_best identical_history; do
-  grep -q "\"$flag\":true" BENCH_tuner.json \
+  grep -q "\"$flag\":true" "$reftuner/BENCH_tuner.json" \
     || { echo "reference-mode tuner bench: $flag is not true"; exit 1; }
 done
 
@@ -308,6 +320,7 @@ echo "== serve smoke =="
 sock=$(mktemp -t inltune_serve.XXXXXX.sock)
 rm -f "$sock"
 trap 'rm -f "$trace" "$faults" "$ckpt" "$ds" "$pol" "$pol2" "$plan" "$plan2" "$obs" "$sock";
+      rm -rf "$reftuner";
       [ -n "${serve_pid:-}" ] && kill -9 "$serve_pid" 2> /dev/null || true' EXIT
 INLTUNE_FAULTS="serve:raise@1,serve:raise@2" \
   ./_build/default/bin/main.exe serve --socket "$sock" --permits 2 \
