@@ -20,11 +20,12 @@ module Json = Inltune_obs.Json
 
    - [Opt]: every method is optimized exactly once, on its
      constant-propagated form, with no profile input ([hot_site] and the
-     devirt oracle are [None]).  [Inline.plan] over the constprop'd methods
-     therefore reproduces the *exact* verdict sequence the real compile
-     performs, so the signature is the hash of those plans — two heuristics
-     with equal plans compile every method identically and the measurement
-     carries over bit-for-bit.  This is the maximal sound merge.
+     devirt oracle are [None]).  [Engine.walk] with the constprop'd methods
+     as roots and the original methods as callee bodies therefore
+     reproduces the *exact* verdict sequence the real compile performs, so
+     the signature is the hash of those plans — two heuristics with equal
+     plans compile every method identically and the measurement carries
+     over bit-for-bit.  This is the maximal sound merge.
 
    - [Adapt]/[Ladder]: which sites are decided (and their hot flags) depends
      on the runtime profile, which itself depends on earlier decisions, so a
@@ -67,7 +68,9 @@ module Json = Inltune_obs.Json
 
 type pinfo = {
   p_digest : string;            (* hex MD5 of the canonical text form *)
-  p_cp : Ir.methd array;        (* constant-propagated methods (Opt walks) *)
+  p_cp : Ir.methd array;        (* constant-propagated methods (Opt walk roots) *)
+  p_roots : Engine.call_sites;  (* call-site tables of [p_cp] *)
+  p_bodies : Engine.call_sites; (* call-site tables of the original methods *)
   p_sizes : int array;          (* distinct static method sizes, sorted *)
   p_nmethods : int;
 }
@@ -85,15 +88,14 @@ let pinfo_of prog =
     | None ->
       let digest = Digest.to_hex (Digest.string (Text.to_string prog)) in
       let cp = Array.map (fun m -> fst (Constprop.run prog m)) prog.Ir.methods in
-      let sizes =
-        Array.to_list prog.Ir.methods
-        |> List.map Size.of_method
-        |> List.sort_uniq compare |> Array.of_list
-      in
+      let bodies = Engine.call_sites prog.Ir.methods in
+      let sizes = Array.to_list bodies.Engine.sizes |> List.sort_uniq compare |> Array.of_list in
       let i =
         {
           p_digest = digest;
           p_cp = cp;
+          p_roots = Engine.call_sites cp;
+          p_bodies = bodies;
           p_sizes = sizes;
           p_nmethods = Array.length prog.Ir.methods;
         }
@@ -121,10 +123,13 @@ let opt_skip pass = pass = "inline_hot"
 let any_enabled_inliner ~skip plan =
   List.exists (fun n -> (not (skip n)) && Plan.has_enabled n plan) Pass.inliner_names
 
-(* The exact walk: per-method decision-plan bit strings of [policy_of] over
-   the constprop'd methods, indexed by method id. *)
-let walks info prog policy_of =
-  Array.map (fun cpm -> Inline.plan_policy ~program:prog ~policy:(policy_of cpm) cpm) info.p_cp
+(* The exact walk: per-method decision-plan bit strings of [policy_of] with
+   the constprop'd methods as roots, indexed by method id. *)
+let walks info policy_of =
+  Array.mapi
+    (fun mid cpm ->
+      Engine.walk ~bodies:info.p_bodies ~roots:info.p_roots ~policy:(policy_of cpm) mid)
+    info.p_cp
 
 (* Exact walk signature: hash of the concatenated walks. *)
 let walk_digest walks =
@@ -136,7 +141,7 @@ let walk_digest walks =
     walks;
   "w:" ^ Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let walk_signature info prog policy_of = walk_digest (walks info prog policy_of)
+let walk_signature info policy_of = walk_digest (walks info policy_of)
 
 (* The signature, plus the per-method walks when it is the decider-driven
    inline item's exact walk under [Opt] — the one case in which each
@@ -160,7 +165,8 @@ let signature_and_walks ~scenario ~heuristic ~inline_enabled ~plan prog =
         (* Exact: the walk replays the decider's verdict sequence.  Strategy
            items scheduled after inline are decider-independent functions of
            its output, so equal walks still imply identical compilation. *)
-        let w = walks (info ()) prog (fun _ -> Policy.of_heuristic heuristic) in
+        let policy = Policy.of_heuristic heuristic in
+        let w = walks (info ()) (fun _ -> policy) in
         (walk_digest w, Some w)
       | Some it when not heuristic_used -> inexact (
         (* The leading inliner is a strategy and the decider-driven inline
@@ -169,7 +175,7 @@ let signature_and_walks ~scenario ~heuristic ~inline_enabled ~plan prog =
            different verdict vectors hash apart, which keeps their
            measurements apart even before the key's plan tag does. *)
         match Option.bind (Pass.find it.Plan.pass) (fun p -> p.Pass.static_policy) with
-        | Some mk -> walk_signature (info ()) prog (mk (Plan.item_knob it) prog)
+        | Some mk -> walk_signature (info ()) (mk (Plan.item_knob it) prog)
         | None -> "n:static" (* non-static strategy: plan tag isolates *))
       | Some _ ->
         (* A strategy leads but the heuristic-driven inline item still runs
@@ -221,10 +227,10 @@ let signature ~scenario ~heuristic ~inline_enabled ~plan prog =
 (* First-class policy queries (lib/policy stores, GP trees).  Under [Opt]
    with a walk-compatible plan and a *static* policy — one whose decisions
    read nothing but the program and the site record, never the live profile —
-   [Inline.plan_policy] over the constprop'd methods reproduces the exact
+   [Engine.walk] over the constprop'd roots reproduces the exact
    compile-time verdict sequence, the same argument as the heuristic walk.
    The resulting signature lives in the same "w:" namespace as the heuristic
-   one, and [Inline.plan] *is* [plan_policy] over [Policy.of_heuristic], so
+   one, and the heuristic walk *is* that walk over [Policy.of_heuristic], so
    a policy whose decisions equal some heuristic's shares that heuristic's
    measurements: cache hits transfer across structurally different policies
    (and across the policy/heuristic divide) whenever the decisions agree.
@@ -244,7 +250,7 @@ let policy_signature ~scenario ~policy ~digest ~static ~inline_enabled ~plan pro
   else
     match scenario with
     | Machine.Opt when static && Plan.walk_compatible plan ->
-      walk_signature (pinfo_of prog) prog (fun _ -> policy)
+      walk_signature (pinfo_of prog) (fun _ -> policy)
     | Machine.Opt | Machine.Adapt | Machine.Ladder -> "g:" ^ digest
 
 (* Non-default plans change what every compile does, so their measurements
@@ -480,12 +486,17 @@ let cached k simulate =
     store_measurement k m;
     m
 
+(* Signature time gets its own profiler span, apart from the lookup and
+   the simulation's VM set-up. *)
+let profiled_signature f = Inltune_obs.Prof.span "fitness.signature" f
+
 let lookup_or_simulate ~scenario ~platform ~heuristic ~inline_enabled ~plan ~iterations
     ~program simulate =
   if not !on then simulate ~code_keys:None
   else begin
     let signature, walks =
-      signature_and_walks ~scenario ~heuristic ~inline_enabled ~plan program
+      profiled_signature (fun () ->
+          signature_and_walks ~scenario ~heuristic ~inline_enabled ~plan program)
     in
     cached (key_of_signature ~scenario ~platform ~plan ~iterations program signature)
       (fun () ->
@@ -495,7 +506,11 @@ let lookup_or_simulate ~scenario ~platform ~heuristic ~inline_enabled ~plan ~ite
 let lookup_or_measure ~scenario ~platform ~heuristic ~inline_enabled ~plan ~iterations
     ~program simulate =
   if not !on then simulate ()
-  else cached (key ~scenario ~platform ~heuristic ~inline_enabled ~plan ~iterations program) simulate
+  else
+    cached
+      (profiled_signature (fun () ->
+           key ~scenario ~platform ~heuristic ~inline_enabled ~plan ~iterations program))
+      simulate
 
 let policy_key ~scenario ~platform ~policy ~digest ~static ~inline_enabled ~plan ~iterations
     prog =

@@ -14,8 +14,9 @@ open Inltune_vm
     vector alone.
 
     Under [Opt] the signature hashes the exact per-method decision plans
-    ({!Inltune_opt.Inline.plan} over the constant-propagated methods — the
-    maximal sound merge); under [Adapt]/[Ladder], where decisions depend on
+    ({!Inltune_opt.Engine.walk} over call-site tables built once per
+    program, the constant-propagated methods as roots — the maximal sound
+    merge); under [Adapt]/[Ladder], where decisions depend on
     the runtime profile, it projects the heuristic's thresholds onto the
     program's distinct method sizes, which is sufficient for identical
     verdicts at every reachable query.
@@ -27,7 +28,9 @@ open Inltune_vm
     checkpoint/resume.  Under the exact [Opt] walk, a miss also reuses
     individual optimizing compiles through {!Inltune_vm.Codecache}
     ({!lookup_or_simulate}); that in-process tier follows this module's
-    {!set_enabled} and {!clear}.  Counters: ["fitness.sig_hits"],
+    {!set_enabled} and {!clear}.  With the profiler on, {!lookup_or_measure}
+    and {!lookup_or_simulate} time the signature in a
+    ["fitness.signature"] span.  Counters: ["fitness.sig_hits"],
     ["fitness.sig_misses"], ["fitness.unique_plans"],
     ["fitness.cache_corrupt"] (skipped JSONL lines on load) and — with a
     tenant hook installed — ["fitness.cross_tenant_hits"]. *)
@@ -70,7 +73,7 @@ val key :
     The exact-walk case is the [Opt] scenario with the decider-driven
     [inline] item as the plan's first walkable inliner, i.e. exactly when
     {!signature} is the ["w:"] walk.  Each key is program digest × platform
-    × plan tag × method id × that method's {!Inline.plan} walk, which
+    × plan tag × method id × that method's {!Inltune_opt.Engine.walk}, which
     determines the method's optimized code (the ["w:"] argument applied per
     method). *)
 val code_keys :
@@ -160,7 +163,7 @@ val lookup_or_simulate :
 (** Decision signature of a first-class policy.  [static] asserts the policy
     reads nothing but the program and the site record — never the VM's live
     profile; under [Opt] with a walk-compatible plan that makes
-    {!Inltune_opt.Inline.plan_policy} over the constprop'd methods exact, so
+    {!Inltune_opt.Engine.walk} over the constprop'd methods exact, so
     the signature shares the heuristic walk's "w:" namespace and cache hits
     transfer across structurally different policies (and heuristics) that
     make identical decisions.  Everywhere else the signature is ["g:"]

@@ -32,10 +32,11 @@ let of_measurement m =
 let bump name = Inltune_obs.Metric.incr (Inltune_obs.Metric.counter name)
 
 (* One path whether or not the profiler is on ([Prof.span]'s disabled path
-   is one atomic load).  Profiled, the "fitness.eval" span's self time is
-   exactly the Fitcache overhead (simulation time lands in the nested
-   "vm.execute"), and a per-evaluation breakdown event splits wall time into
-   simulate vs. cache bookkeeping. *)
+   is one atomic load).  Profiled, the decision signature lands in the
+   nested "fitness.signature" span and simulation time in the nested
+   "vm.*" spans, so the "fitness.eval" span's self time is the rest of the
+   Fitcache overhead (lookup, store) plus VM set-up, and a per-evaluation
+   breakdown event splits wall time into simulate vs. cache bookkeeping. *)
 let run ?(iterations = 3) ?(inline_enabled = true) ?(plan = Plan.default) ~scenario ~platform
     ~heuristic bm =
   let module Prof = Inltune_obs.Prof in

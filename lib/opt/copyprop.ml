@@ -17,14 +17,22 @@ let run m =
      copiers.(s) over-approximates the registers copying s (it may hold
      stale entries from registers since redefined; [invalidate] re-checks),
      so killing the copies of a redefined source is proportional to the
-     copies made, not to nregs. *)
+     copies made, not to nregs.  [touched] lists the registers whose
+     [copy_of] or [copiers] entries the current block set — the only entries
+     that can be off their defaults — so the per-block reset is
+     proportional to the block's copies too, not to nregs. *)
   let copy_of = Array.make nregs (-1) in
   let copiers = Array.make nregs [] in
+  let touched = ref [] in
   let blocks =
     Array.map
       (fun blk ->
-        Array.fill copy_of 0 nregs (-1);
-        Array.fill copiers 0 nregs [];
+        List.iter
+          (fun r ->
+            copy_of.(r) <- -1;
+            copiers.(r) <- [])
+          !touched;
+        touched := [];
         let resolve r =
           let s = copy_of.(r) in
           if s >= 0 then begin
@@ -119,7 +127,8 @@ let run m =
             match i' with
             | Ir.Move (d, s) when d <> s ->
               copy_of.(d) <- s;
-              copiers.(s) <- d :: copiers.(s)
+              copiers.(s) <- d :: copiers.(s);
+              touched := d :: s :: !touched
             | _ -> ()
           end
         done;

@@ -22,9 +22,10 @@ open Inltune_jir
    callee entry, callee returns become a move to the call's destination plus a
    jump to a fresh continuation block, and filling resumes there.
 
-   [walk] is the decision-procedure-only twin of [run]: it visits call sites
-   in exactly the order [run] decides them and records the effective accept
-   bits without building any IR — the semantic cache key Fitcache relies on. *)
+   [walk] is the decision-procedure-only twin of [run]: over per-program
+   call-site tables it visits call sites in exactly the order [run] decides
+   them and records the effective accept bits without building any IR — the
+   semantic cache key Fitcache relies on. *)
 
 module Vec = Inltune_support.Vec
 module Trace = Inltune_obs.Trace
@@ -283,63 +284,73 @@ let run ?hot_site ?decisions ~program ~policy m =
   in
   ({ m with Ir.nregs = ctx.nregs; blocks }, ctx.stats)
 
-(* Decision-procedure-only walk: visit call sites in exactly the order
-   [run] would and record each policy-decided site's effective accept bit
-   ('1'/'0'), without building any output IR.  The traversal mirrors the
-   transformation precisely — accepted callees are descended into depth-first
-   with the original body from [program], the expanded-size accumulator grows
-   on acceptance, the recursion guard skips chained callees (their outcome is
+(* The call sites the decision walk visits, as flat per-method tables:
+   [sizes.(mid)] is the method's static size estimate and [callees.(mid)]
+   the callee ids of its [Call] instructions in block-then-instruction
+   order — the order [fill_blocks] meets them.  Virtual calls are never
+   inlined, so they have no entry. *)
+type call_sites = {
+  sizes : int array;
+  callees : int array array;
+}
+
+let call_sites methods =
+  let calls m =
+    let v = Vec.create () in
+    Array.iter
+      (fun blk ->
+        Array.iter (function Ir.Call (_, callee, _) -> Vec.push v callee | _ -> ()) blk.Ir.instrs)
+      m.Ir.blocks;
+    Vec.to_array v
+  in
+  { sizes = Array.map Size.of_method methods; callees = Array.map calls methods }
+
+(* Decision-procedure-only walk over call-site tables: visit call sites in
+   exactly the order [run] would and record each policy-decided site's
+   effective accept bit ('1'/'0'), without building any output IR.  The
+   traversal mirrors the transformation precisely — the root's sites come
+   from [roots], accepted callees are descended into depth-first with their
+   original bodies' sites from [bodies], the expanded-size accumulator
+   starts at the root's size and grows by the callee's [bodies] size on
+   acceptance, the recursion guard skips chained callees (their outcome is
    policy-independent, so they contribute no bit), and [max_expanded_size]
    turns policy acceptances into rejections the same way [decide] does.
+   Sites are never hot: no walk models a profile.
 
    The resulting bit string fully determines the transformed method: the
    emitted code depends only on which sites are expanded, so two policies
    with equal plans over a program compile it identically.  That makes the
-   plan a sound semantic key for fitness caching (Fitcache). *)
-let walk ?hot_site ~program ~policy m =
-  let size_cache = Hashtbl.create 64 in
-  let callee_size mid =
-    match Hashtbl.find_opt size_cache mid with
-    | Some s -> s
-    | None ->
-      let s = Size.of_method program.Ir.methods.(mid) in
-      Hashtbl.add size_cache mid s;
-      s
-  in
-  let buf = Buffer.create 64 in
-  let size = ref (Size.of_method m) in
-  let rec walk_blocks ~owner ~depth ~chain blocks =
+   plan a sound semantic key for fitness caching (Fitcache).  The tables
+   are built once per program, so a walk costs one policy query per
+   visited site and nothing per instruction. *)
+let walk ~bodies ~roots ~policy mid =
+  let buf = Buffer.create 16 in
+  let size = ref roots.sizes.(mid) in
+  let rec visit ~owner ~depth ~chain calls =
     Array.iter
-      (fun blk ->
-        Array.iter
-          (fun i ->
-            match i with
-            | Ir.Call (_, callee, _) when not (List.mem callee chain) ->
-              let cs = callee_size callee in
-              let hot =
-                match hot_site with Some f -> f ~site_owner:owner ~callee | None -> false
-              in
-              let verdict =
-                policy.Policy.decide
-                  {
-                    Policy.owner;
-                    callee;
-                    callee_size = cs;
-                    inline_depth = depth + 1;
-                    caller_size = !size;
-                    hot;
-                  }
-              in
-              let accept = verdict.Policy.accept && !size + cs <= max_expanded_size in
-              Buffer.add_char buf (if accept then '1' else '0');
-              if accept then begin
-                size := !size + cs;
-                walk_blocks ~owner:callee ~depth:(depth + 1) ~chain:(callee :: chain)
-                  program.Ir.methods.(callee).Ir.blocks
-              end
-            | _ -> ())
-          blk.Ir.instrs)
-      blocks
+      (fun callee ->
+        if not (List.mem callee chain) then begin
+          let cs = bodies.sizes.(callee) in
+          let verdict =
+            policy.Policy.decide
+              {
+                Policy.owner;
+                callee;
+                callee_size = cs;
+                inline_depth = depth + 1;
+                caller_size = !size;
+                hot = false;
+              }
+          in
+          let accept = verdict.Policy.accept && !size + cs <= max_expanded_size in
+          Buffer.add_char buf (if accept then '1' else '0');
+          if accept then begin
+            size := !size + cs;
+            visit ~owner:callee ~depth:(depth + 1) ~chain:(callee :: chain)
+              bodies.callees.(callee)
+          end
+        end)
+      calls
   in
-  walk_blocks ~owner:m.Ir.mid ~depth:0 ~chain:[ m.Ir.mid ] m.Ir.blocks;
+  visit ~owner:mid ~depth:0 ~chain:[ mid ] roots.callees.(mid);
   Buffer.contents buf

@@ -60,17 +60,27 @@ val run :
   Ir.methd ->
   Ir.methd * stats
 
-(** [walk ~program ~policy m] runs only the decision procedure — no code is
-    built, nothing is executed — and returns the method's inlining plan: one
-    '1'/'0' per policy-decided call site, in the exact order {!run} decides
-    them (accepted callees are descended into depth-first; recursion-guarded
-    sites are policy-independent and contribute no bit;
-    {!max_expanded_size} overrides acceptances the same way).  The plan
-    fully determines the transformed code, so equal plans imply identical
+(** A program's call sites as flat per-method tables, indexed by method
+    id: [sizes] holds each method's static size estimate ({!Size.of_method})
+    and [callees] the callee ids of its [Call] instructions in block, then
+    instruction, order — the order {!run} decides them. *)
+type call_sites = {
+  sizes : int array;
+  callees : int array array;
+}
+
+(** [call_sites methods] tabulates [methods] (indexed by method id). *)
+val call_sites : Ir.methd array -> call_sites
+
+(** [walk ~bodies ~roots ~policy mid] runs only the decision procedure for
+    method [mid] — no code is built, nothing is executed — and returns its
+    inlining plan: one '1'/'0' per policy-decided call site, in the exact
+    order {!run} decides them when it transforms the method [roots]
+    describes against a program whose original methods [bodies] describes
+    (the root's sites and starting size come from [roots]; accepted callees
+    are descended into depth-first through [bodies]; recursion-guarded sites
+    are policy-independent and contribute no bit; {!max_expanded_size}
+    overrides acceptances the same way).  No site is hot.  The plan fully
+    determines the transformed code, so equal plans imply identical
     compilation — the semantic cache key fitness caching relies on. *)
-val walk :
-  ?hot_site:(site_owner:Ir.mid -> callee:Ir.mid -> bool) ->
-  program:Ir.program ->
-  policy:Policy.t ->
-  Ir.methd ->
-  string
+val walk : bodies:call_sites -> roots:call_sites -> policy:Policy.t -> Ir.mid -> string

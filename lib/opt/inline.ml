@@ -4,9 +4,9 @@ open Inltune_jir
    splice machinery now lives in [engine.ml] so alternative strategies
    (small-leaf, hot-path, region — see [leaves.ml] / [hotpath.ml] /
    [region.ml]) drive the identical code path through their own policies.
-   The public API is unchanged: [run]/[plan] close over the paper's Fig. 3/4
-   heuristic procedure, [run_policy]/[plan_policy] accept any first-class
-   {!Policy.t}, and [run_custom] wraps a bare decision closure. *)
+   [run] closes over the paper's Fig. 3/4 heuristic procedure, [run_policy]
+   accepts any first-class {!Policy.t}, and [run_custom] wraps a bare
+   decision closure.  The decision-only walk is {!Engine.walk}. *)
 
 type stats = Engine.stats = {
   mutable sites_seen : int;
@@ -42,11 +42,6 @@ let run_policy ?hot_site ?decisions ~program ~policy m =
 
 let run ?hot_site ?decisions ~program ~heuristic m =
   Engine.run ?hot_site ?decisions ~program ~policy:(Policy.of_heuristic heuristic) m
-
-let plan_policy ?hot_site ~program ~policy m = Engine.walk ?hot_site ~program ~policy m
-
-let plan ?hot_site ~program ~heuristic m =
-  Engine.walk ?hot_site ~program ~policy:(Policy.of_heuristic heuristic) m
 
 let run_custom ?decisions ~decide ~program m =
   Engine.run ?decisions ~program ~policy:(Policy.of_custom decide) m

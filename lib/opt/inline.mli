@@ -66,30 +66,6 @@ val run :
   Ir.methd ->
   Ir.methd * stats
 
-(** [plan_policy ~program ~policy m] runs only the decision procedure — no
-    code is built, nothing is executed — and returns the method's inlining
-    plan: one '1'/'0' per policy-decided call site, in the exact order
-    {!run_policy} decides them (accepted callees are descended into
-    depth-first; recursion-guarded sites are policy-independent and
-    contribute no bit; {!max_expanded_size} overrides acceptances the same
-    way).  The plan fully determines the transformed code, so equal plans
-    imply identical compilation — the semantic cache key fitness caching
-    relies on. *)
-val plan_policy :
-  ?hot_site:(site_owner:Ir.mid -> callee:Ir.mid -> bool) ->
-  program:Ir.program ->
-  policy:Policy.t ->
-  Ir.methd ->
-  string
-
-(** {!plan_policy} with [Policy.of_heuristic heuristic]. *)
-val plan :
-  ?hot_site:(site_owner:Ir.mid -> callee:Ir.mid -> bool) ->
-  program:Ir.program ->
-  heuristic:Heuristic.t ->
-  Ir.methd ->
-  string
-
 (** Same transformation driven by an arbitrary per-site decision procedure
     (used by alternative inlining strategies such as the knapsack baseline).
     The hard size cap still applies on top of [decide]. *)

@@ -17,9 +17,9 @@ open Inltune_jir
    callees are unknown statically), never become leaves at any level.
 
    The decision reads nothing but the program text and the site record, so
-   the strategy is *static*: {!Engine.walk} over its policy reproduces the
-   exact compile-time verdict sequence, which Fitcache uses for exact
-   decision signatures. *)
+   the strategy is *static*: the call-site table walk ({!Engine.walk}) over
+   its policy reproduces the exact compile-time verdict sequence, which
+   Fitcache uses for exact decision signatures. *)
 
 (* Level assigned to methods that never become leaves (cycles, virtual
    calls): above any reachable round cap. *)

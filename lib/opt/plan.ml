@@ -258,7 +258,7 @@ let first_walkable_inliner ?(skip = fun _ -> false) t =
   in
   scan 0 false
 
-(* Whether [Inline.plan] over once-constprop'd methods reproduces this
+(* Whether [Engine.walk] over once-constprop'd methods reproduces this
    plan's exact inline-decision sequence under the Opt scenario (no profile
    inputs): the first walkable inliner is the decider-driven "inline" item.
    Strategy items scheduled after it are decider-independent functions of

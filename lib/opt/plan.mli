@@ -68,7 +68,7 @@ val digest : t -> string
     enabled.  The decision-signature cache's plan-shape analysis. *)
 val first_walkable_inliner : ?skip:(string -> bool) -> t -> item option
 
-(** Whether [Inline.plan] over once-constprop'd methods reproduces this
+(** Whether [Engine.walk] over once-constprop'd methods reproduces this
     plan's exact inline decisions under Opt (no profile inputs): the first
     walkable inliner is the decider-driven ["inline"] item.  The
     decision-signature cache uses the exact heuristic/policy walk signature

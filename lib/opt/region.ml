@@ -13,8 +13,9 @@ open Inltune_jir
    size against the limit.
 
    The decision reads nothing but the site record and the root's static
-   size, so the strategy is *static*: {!Engine.walk} over its policy
-   reproduces the exact compile-time verdict sequence (Fitcache exactness). *)
+   size, so the strategy is *static*: the call-site table walk
+   ({!Engine.walk}) over its policy reproduces the exact compile-time
+   verdict sequence (Fitcache exactness). *)
 
 (* [policy ~budget ~depth root] accepts a site iff the inline chain is
    within [depth] and expanding the callee keeps the region within

@@ -143,12 +143,16 @@ derived=$(sed -n 's/.*"iterations_derived":\([0-9]*\).*/\1/p' BENCH_tuner.json)
   || { echo "expected iterations_derived > 0, got ${derived:-none}"; exit 1; }
 
 echo "== perfbench smoke =="
-# One short run of the repo benchmark's compile-bound workload.  Its checks
+# One short run of each of the repo benchmark's workloads.  Their checks
 # include the cache-free verification: the search's best fitness recomputed
 # bit for bit from fresh compiles, every simulation checked against the
-# tree-walking reference interpreter.
-python3 perfbench/run.py --workload tune-opt-spec --seed 1 --seconds 1 --trace 0 \
-  | tail -n 1 | grep -q '"correct":true' || { echo "perfbench tune-opt-spec not correct"; exit 1; }
+# tree-walking reference interpreter.  The Adapt workload covers what the
+# Opt one does not: baseline compiles, strategy inliners and guarded
+# devirtualization feeding the dataflow passes.
+for workload in tune-opt-spec tune-adapt-corpus; do
+  python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 0 \
+    | tail -n 1 | grep -q '"correct":true' || { echo "perfbench $workload not correct"; exit 1; }
+done
 
 echo "== plan smoke =="
 # The pass-manager layer: the canonical plan text is a serialization

@@ -104,8 +104,12 @@ let rec emit_stmt mb rng pools ~callees ~has_class ~depth =
     pools.data <- acc :: saved_data
   | _ -> data (B.const mb (Rng.range rng 0 7))
 
-let fill_body mb rng ~nargs ~callees ~has_class =
-  let pools = { data = List.init nargs (fun i -> i); objects = [] } in
+(* [receiver]: the method is the class's virtual target, so register 0 is
+   the receiver — a heap address on virtual calls — and stays out of the
+   data pool (static calls pass data there, which is then never read). *)
+let fill_body mb rng ~nargs ~callees ~has_class ~receiver =
+  let first_data = if receiver then 1 else 0 in
+  let pools = { data = List.init (nargs - first_data) (fun i -> first_data + i); objects = [] } in
   (* Ensure the data pool is never empty. *)
   pools.data <- B.const mb (Rng.range rng 1 9) :: pools.data;
   let n = 4 + Rng.int rng 18 in
@@ -129,8 +133,10 @@ let program ?(max_methods = 6) seed =
   for i = nmethods - 1 downto 0 do
     let callees = List.init (nmethods - 1 - i) (fun j -> mids.(i + 1 + j)) in
     (* Virtual dispatch targets the leaf, which takes 2 args (self + 1). *)
+    let receiver = has_class && i = nmethods - 1 in
     let has_class = has_class && nmethods - 1 > i in
-    B.define b mids.(i) (fun mb -> fill_body mb rng ~nargs:(if i = 0 then 0 else 2) ~callees ~has_class)
+    B.define b mids.(i) (fun mb ->
+        fill_body mb rng ~nargs:(if i = 0 then 0 else 2) ~callees ~has_class ~receiver)
   done;
   B.set_main b mids.(0);
   B.finish b

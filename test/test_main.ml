@@ -10,6 +10,7 @@ let () =
       ("vm", Test_vm.suite);
       ("flat", Test_flat.suite);
       ("codecache", Test_codecache.suite);
+      ("equiv", Test_equiv.suite);
       ("runner", Test_runner.suite);
       ("workloads", Test_workloads.suite);
       ("shapes", Test_shapes.suite);

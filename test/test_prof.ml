@@ -193,6 +193,34 @@ let test_profiling_does_not_change_results () =
           Alcotest.(check bool) "tuned heuristic identical" true
             (Heuristic.equal o_off.Tuner.heuristic o_on.Tuner.heuristic)))
 
+(* The decision signature is timed in its own span under the evaluation,
+   on hits and misses alike, and timing it changes no measurement. *)
+let test_signature_span () =
+  with_prof (fun () ->
+      let measure () =
+        Fitcache.clear ();
+        let h = Heuristic.of_array [| 30; 12; 6; 1500; 150 |] in
+        let run () = Measure.run ~scenario:Machine.Opt ~platform:Platform.x86 ~heuristic:h bm_compress in
+        let miss = run () in
+        let hit = run () in
+        Fitcache.clear ();
+        (miss.Measure.raw, hit.Measure.raw)
+      in
+      Prof.disable ();
+      let off = measure () in
+      Prof.reset ();
+      Prof.enable ();
+      let on = measure () in
+      Prof.disable ();
+      Alcotest.(check bool) "measurements bit-identical" true (off = on);
+      let calls =
+        List.filter_map
+          (fun n ->
+            if n.Prof.n_path = "fitness.eval;fitness.signature" then Some n.Prof.n_calls else None)
+          (Prof.snapshot ())
+      in
+      Alcotest.(check (list int)) "one signature span per evaluation" [ 2 ] calls)
+
 let suite =
   [
     Alcotest.test_case "span nesting and tree order" `Quick test_span_nesting_and_order;
@@ -205,4 +233,5 @@ let suite =
       test_profile_deterministic_across_domains;
     Alcotest.test_case "profiling does not change results" `Slow
       test_profiling_does_not_change_results;
+    Alcotest.test_case "signature has its own span" `Quick test_signature_span;
   ]

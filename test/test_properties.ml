@@ -7,8 +7,8 @@ module Rng = Inltune_support.Rng
    The central property is the compiler's soundness: whatever the heuristic,
    optimizing a program must not change what it computes or prints. *)
 
-let observe ?(fuel = 400_000) ~heuristic ~inline_enabled p =
-  let cfg = Machine.config ~fuel ~inline_enabled Machine.Opt heuristic in
+let observe ?(fuel = 400_000) ?plan ~heuristic ~inline_enabled p =
+  let cfg = Machine.config ~fuel ~inline_enabled ?plan Machine.Opt heuristic in
   let vm = Machine.create cfg Platform.x86 p in
   match Machine.run_iteration vm with
   | it -> Some (it.Machine.ret, Array.to_list it.Machine.it_outputs)
@@ -22,17 +22,49 @@ let seed_gen = QCheck.make ~print:string_of_int (QCheck.Gen.int_bound 100_000)
 
 (* 1. The optimizer pipeline preserves observable semantics for arbitrary
    heuristics. *)
+let semantics_preserved seed =
+  let p = Gen_random.program seed in
+  match observe ~heuristic:Heuristic.never ~inline_enabled:false p with
+  | None -> QCheck.assume_fail ()  (* program too slow: discard *)
+  | Some reference ->
+    let h = random_heuristic (seed + 1) in
+    (match observe ~fuel:2_000_000 ~heuristic:h ~inline_enabled:true p with
+    | None -> false  (* optimized code must not run unboundedly longer *)
+    | Some result -> result = reference)
+
 let prop_semantics_preserved =
   QCheck.Test.make ~count:60 ~name:"pipeline preserves semantics (random programs/heuristics)"
-    seed_gen (fun seed ->
+    seed_gen semantics_preserved
+
+(* Seeds whose programs once passed the virtual leaf's receiver — a heap
+   address — into arithmetic and prints, so deleting a dead allocation
+   shifted later addresses and changed the printed values. *)
+let address_seeds = [ 21336; 32818; 48060; 48319; 70123; 92461 ]
+
+let test_semantics_address_seeds () =
+  List.iter
+    (fun seed ->
+      Alcotest.(check bool) (Printf.sprintf "seed %d" seed) true (semantics_preserved seed))
+    address_seeds
+
+(* The generator's promise, checked directly: no address reaches a print,
+   so a plan that only deletes dead code (dead allocations included) prints
+   exactly what the unoptimized program prints. *)
+let only_pass name =
+  List.fold_left
+    (fun plan (p : Pass.t) -> if p.Pass.name = name then plan else Plan.disable p.Pass.name plan)
+    Plan.default Pass.all
+
+let pass_free = Plan.disable "dce" (only_pass "dce")
+
+let test_dce_only_prints_unchanged () =
+  List.iter
+    (fun seed ->
       let p = Gen_random.program seed in
-      match observe ~heuristic:Heuristic.never ~inline_enabled:false p with
-      | None -> QCheck.assume_fail ()  (* program too slow: discard *)
-      | Some reference ->
-        let h = random_heuristic (seed + 1) in
-        (match observe ~fuel:2_000_000 ~heuristic:h ~inline_enabled:true p with
-        | None -> false  (* optimized code must not run unboundedly longer *)
-        | Some result -> result = reference))
+      let observe plan = observe ~plan ~heuristic:Heuristic.default ~inline_enabled:true p in
+      Alcotest.(check bool) (Printf.sprintf "seed %d" seed) true
+        (observe (only_pass "dce") = observe pass_free))
+    (List.init 200 (fun i -> i) @ address_seeds)
 
 (* 2. Optimized methods remain structurally valid. *)
 let prop_pipeline_validates =
@@ -171,7 +203,15 @@ let prop_defuse_preserved =
         Defuse.check_program { p with Ir.methods } = []
       end)
 
-let suite = suite @ [ QCheck_alcotest.to_alcotest prop_defuse_preserved ]
+let suite =
+  suite
+  @ [
+      QCheck_alcotest.to_alcotest prop_defuse_preserved;
+      Alcotest.test_case "semantics on former address seeds" `Quick
+        test_semantics_address_seeds;
+      Alcotest.test_case "dce-only plan prints like no passes" `Quick
+        test_dce_only_prints_unchanged;
+    ]
 
 (* 12. The text format round-trips random programs exactly. *)
 let prop_text_roundtrip =
