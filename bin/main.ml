@@ -117,9 +117,9 @@ let trace_arg =
 
 let domains_arg =
   let doc =
-    "Bound parallel fitness evaluation to $(docv) domains (>= 1); 1 runs strictly \
-     sequentially on the calling domain.  Default: the machine's recommended domain \
-     count, capped at 8."
+    "Bound parallel fitness evaluation to $(docv) participating domains (>= 1): the \
+     calling domain plus $(docv)-1 pool workers; 1 runs strictly sequentially on the \
+     calling domain.  Default: the machine's recommended domain count, capped at 8."
   in
   Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
 

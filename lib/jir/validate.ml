@@ -6,57 +6,71 @@ type error = { where : string; what : string }
 
 let err where fmt = Printf.ksprintf (fun what -> { where; what }) fmt
 
+(* Strings are formatted only for an error, and operands are read without
+   building lists: every VM validates its program at creation, and a
+   well-formed one costs a few words per method. *)
 let check_method p m errors =
-  let where = Printf.sprintf "method %d (%s)" m.Ir.mid m.Ir.mname in
-  let nblocks = Array.length m.Ir.blocks in
-  let push e = errors := e :: !errors in
-  if nblocks = 0 then push (err where "no blocks");
-  if m.Ir.nargs > m.Ir.nregs then push (err where "nargs %d > nregs %d" m.Ir.nargs m.Ir.nregs);
-  let check_reg ctx r =
-    if r < 0 || r >= m.Ir.nregs then push (err where "%s: register %d out of range [0,%d)" ctx r m.Ir.nregs)
+  let nblocks = Array.length m.Ir.blocks and nregs = m.Ir.nregs in
+  let fail fmt =
+    Printf.ksprintf
+      (fun what ->
+        let where = Printf.sprintf "method %d (%s)" m.Ir.mid m.Ir.mname in
+        errors := { where; what } :: !errors)
+      fmt
   in
-  let check_label ctx l =
-    if l < 0 || l >= nblocks then push (err where "%s: label %d out of range [0,%d)" ctx l nblocks)
+  if nblocks = 0 then fail "no blocks";
+  if m.Ir.nargs > nregs then fail "nargs %d > nregs %d" m.Ir.nargs nregs;
+  let bi = ref 0 in
+  let check_reg r =
+    if r < 0 || r >= nregs then fail "block %d: register %d out of range [0,%d)" !bi r nregs
   in
-  let check_target ctx callee nargs_given =
+  let check_label l =
+    if l < 0 || l >= nblocks then fail "block %d: label %d out of range [0,%d)" !bi l nblocks
+  in
+  let check_target callee nargs_given =
     if callee < 0 || callee >= Array.length p.Ir.methods then
-      push (err where "%s: method id %d out of range" ctx callee)
+      fail "block %d: method id %d out of range" !bi callee
     else begin
       let callee_m = p.Ir.methods.(callee) in
       if callee_m.Ir.nargs <> nargs_given then
-        push
-          (err where "%s: arity mismatch calling %s (%d given, %d expected)" ctx callee_m.Ir.mname
-             nargs_given callee_m.Ir.nargs)
+        fail "block %d: arity mismatch calling %s (%d given, %d expected)" !bi callee_m.Ir.mname
+          nargs_given callee_m.Ir.nargs
     end
   in
-  Array.iteri
-    (fun bi blk ->
-      let ctx = Printf.sprintf "block %d" bi in
-      Array.iter
-        (fun i ->
-          (match Ir.def_of i with Some d -> check_reg ctx d | None -> ());
-          List.iter (check_reg ctx) (Ir.uses_of i);
-          begin match i with
-          | Ir.Call (_, callee, args) -> check_target ctx callee (Array.length args)
-          | Ir.CallVirt (_, slot, _, args) ->
-            if slot < 0 then push (err where "%s: negative vtable slot" ctx);
-            Array.iter
-              (fun k ->
-                if slot < Array.length k.Ir.vtable then
-                  check_target ctx k.Ir.vtable.(slot) (1 + Array.length args))
-              p.Ir.classes
-          | Ir.Alloc (_, kid, slots) ->
-            if kid < 0 || kid >= Array.length p.Ir.classes then
-              push (err where "%s: class id %d out of range" ctx kid);
-            if slots < 0 then push (err where "%s: negative slot count" ctx)
-          | Ir.Load (_, _, off) | Ir.Store (_, off, _) ->
-            if off < 1 then push (err where "%s: field offset %d < 1 (slot 0 is the header)" ctx off)
-          | _ -> ()
-          end)
-        blk.Ir.instrs;
-      List.iter (check_reg ctx) (Ir.term_uses blk.Ir.term);
-      List.iter (check_label ctx) (Ir.successors blk.Ir.term))
-    m.Ir.blocks
+  for b = 0 to nblocks - 1 do
+    bi := b;
+    let blk = m.Ir.blocks.(b) in
+    for k = 0 to Array.length blk.Ir.instrs - 1 do
+      let i = blk.Ir.instrs.(k) in
+      (* [def_reg] returns a destination as it is, out of range too; only
+         these three have none. *)
+      (match i with Ir.Store _ | Ir.StoreIdx _ | Ir.Print _ -> () | _ -> check_reg (Ir.def_reg i));
+      Ir.iter_uses check_reg i;
+      match i with
+      | Ir.Call (_, callee, args) -> check_target callee (Array.length args)
+      | Ir.CallVirt (_, slot, _, args) ->
+        if slot < 0 then fail "block %d: negative vtable slot" !bi
+        else
+          for c = 0 to Array.length p.Ir.classes - 1 do
+            let vtable = p.Ir.classes.(c).Ir.vtable in
+            if slot < Array.length vtable then check_target vtable.(slot) (1 + Array.length args)
+          done
+      | Ir.Alloc (_, kid, slots) ->
+        if kid < 0 || kid >= Array.length p.Ir.classes then
+          fail "block %d: class id %d out of range" !bi kid;
+        if slots < 0 then fail "block %d: negative slot count" !bi
+      | Ir.Load (_, _, off) | Ir.Store (_, off, _) ->
+        if off < 1 then fail "block %d: field offset %d < 1 (slot 0 is the header)" !bi off
+      | _ -> ()
+    done;
+    match blk.Ir.term with
+    | Ir.Jump l -> check_label l
+    | Ir.Branch (c, t, f) ->
+      check_reg c;
+      check_label t;
+      check_label f
+    | Ir.Ret r -> check_reg r
+  done
 
 let check p =
   let errors = ref [] in

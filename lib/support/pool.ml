@@ -261,6 +261,8 @@ let submit pool ?chunk ?max_workers ?deadline_s ?(priority = false)
   end;
   { t_pool = pool; t_batch = b; t_results = results }
 
+let workers pool = pool.size
+
 let cancel task = Atomic.set task.t_batch.b_cancelled true
 
 let await task =
@@ -286,7 +288,9 @@ let get_default () =
     match !default_pool with
     | Some p -> p
     | None ->
-      let p = create ~domains:(default_domains ()) () in
+      (* The submitter takes part in every batch it awaits, so
+         [default_domains ()] participants need one worker fewer. *)
+      let p = create ~domains:(max 1 (default_domains () - 1)) () in
       default_pool := Some p;
       at_exit (fun () -> shutdown p);
       p

@@ -26,7 +26,8 @@ exception Deadline_exceeded of float
     finish normally; items not yet claimed are skipped without executing. *)
 exception Cancelled
 
-(** Number of worker domains used by default (bounded, >= 1). *)
+(** Number of participating domains used by default (bounded, >= 1): the
+    submitting caller plus the default pool's workers. *)
 val default_domains : unit -> int
 
 (** [set_default_domains n] overrides {!default_domains} process-wide
@@ -54,6 +55,9 @@ type 'a task
     participates in every batch it {!await}s, so total parallelism is
     [domains + 1]. *)
 val create : ?domains:int -> unit -> t
+
+(** Number of worker domains the pool spawned. *)
+val workers : t -> int
 
 (** [submit pool f input] publishes a batch; workers start on it
     immediately.  [chunk] is the number of indices claimed per steal
@@ -100,7 +104,9 @@ val await : 'a task -> 'a array
 val shutdown : t -> unit
 
 (** The lazily created process-wide pool used by {!map}/{!map_result}
-    (shut down automatically at exit). *)
+    (shut down automatically at exit).  It holds
+    [max 1 (default_domains () - 1)] workers, so with the submitting caller
+    a batch has {!default_domains} participating domains. *)
 val get_default : unit -> t
 
 (** [set_counter_hook f] routes the pool's observability counters through

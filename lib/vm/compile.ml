@@ -6,6 +6,9 @@ open Inltune_opt
    Baseline: no transformation at all (bytecode is executed as-is) but the
    code runs with a quality penalty and occupies more space — fast to
    compile, slow to run, exactly Jikes RVM's non-optimizing compiler.
+   Since its code is the method itself, a baseline compile's whole
+   VM-independent half (a [template]) is built once per program and
+   platform and instantiated by every VM ([baseline_table]).
 
    Optimizing: runs the full [Pipeline] (devirtualize, inline under the
    heuristic, fold, DCE) and charges compile cycles that grow superlinearly
@@ -13,7 +16,8 @@ open Inltune_opt
    "overly aggressive" on compile-heavy workloads, as the paper observes.
    It is split in two: a front (pipeline + register allocation) that
    depends on nothing but the method, the config and the platform, and the
-   shared [emit] tail that binds the result to one VM. *)
+   emit tail every tier shares: a [template], then [instantiate], which
+   binds it to one VM. *)
 
 type tier = Baseline | O1 | Optimized
 
@@ -40,54 +44,119 @@ let block_offsets m =
   done;
   offsets
 
-(* The emit tail every tier shares: reserve code space, then lower against
-   the VM's profile.  Everything that depends on the VM instance (the
-   code-space address, hence the I-cache tags, and the interned profile site
-   ids) happens here and only here, which is what lets the optimizing tier's
-   front half be cached across VMs. *)
-let emit (plat : Platform.t) codespace ~profile ~owner ~tier ~expansion ~quality
-    ~block_spill_cost ~spills code =
+(* Everything a compile produces that does not depend on the VM: the
+   compiled record but for its address and lowered stream, the stream as a
+   template, and the compile cycles. *)
+type template = {
+  proto : compiled;  (* [addr] 0, [flat] a placeholder *)
+  lowered : Lower.template;
+  cycles : int;      (* compile cycles charged per instantiation *)
+}
+
+let template (plat : Platform.t) ~tier ~expansion ~quality ~block_spill_cost ~spills ~cycles code
+    =
   let code_bytes = Size.code_bytes ~expansion code in
-  let addr = Codespace.alloc codespace code_bytes in
   let instrs = max 1 (Ir.instr_count code) in
   let bytes_per_instr = max 1 (code_bytes / instrs) in
   {
-    tier;
-    code;
-    flat =
-      Lower.lower ~plat ~profile ~owner ~quality ~addr ~bytes_per_instr ~spill:block_spill_cost
+    proto =
+      {
+        tier;
         code;
-    addr;
-    code_bytes;
-    bytes_per_instr;
-    block_offsets = block_offsets code;
-    quality;
-    block_spill_cost;
-    spills;
+        flat = Lower.dummy;
+        addr = 0;
+        code_bytes;
+        bytes_per_instr;
+        block_offsets = block_offsets code;
+        quality;
+        block_spill_cost;
+        spills;
+      };
+    lowered = Lower.template ~plat ~quality ~bytes_per_instr ~spill:block_spill_cost code;
+    cycles;
   }
 
+(* The emit tail every tier shares: reserve code space, then bind the
+   lowered template to the VM's profile.  Everything that depends on the VM
+   instance (the code-space address, hence the I-cache tags, and the
+   interned profile site ids) happens here and only here, which is what
+   lets the optimizing tier's front half be cached across VMs and the
+   baseline tier's whole template be shared by them. *)
+let instantiate codespace ~profile ~owner t =
+  let addr = Codespace.alloc codespace t.proto.code_bytes in
+  ({ t.proto with addr; flat = Lower.instantiate t.lowered ~profile ~owner ~addr }, t.cycles)
+
 (* Baseline code keeps everything in memory anyway (its quality multiplier
-   already reflects that), so no extra spill surcharge. *)
-let baseline (plat : Platform.t) codespace ~profile m =
-  let c =
-    emit plat codespace ~profile ~owner:m.Ir.mid ~tier:Baseline
-      ~expansion:plat.Platform.baseline_expansion ~quality:plat.Platform.baseline_quality
-      ~block_spill_cost:0 ~spills:0 m
-  in
-  (c, Platform.baseline_compile_cycles plat ~size:(Size.of_method m))
+   already reflects that), so no extra spill surcharge.  The baseline tier
+   installs the method itself, so its template is a function of the method
+   and the platform alone. *)
+let baseline_template (plat : Platform.t) m =
+  template plat ~tier:Baseline ~expansion:plat.Platform.baseline_expansion
+    ~quality:plat.Platform.baseline_quality ~block_spill_cost:0 ~spills:0
+    ~cycles:(Platform.baseline_compile_cycles plat ~size:(Size.of_method m))
+    m
+
+let baseline_of_template codespace ~profile t =
+  instantiate codespace ~profile ~owner:t.proto.code.Ir.mid t
+
+let baseline plat codespace ~profile m =
+  baseline_of_template codespace ~profile (baseline_template plat m)
+
+(* The per-program baseline table.  An entry is held through an ephemeron
+   keyed by the program value, compared physically, so it lives exactly as
+   long as its program: a process that regenerates programs (the
+   benchmark's set-up does, 15 times per suite program) does not keep dead
+   programs' templates.  Each entry holds one slot array per platform,
+   matched by the platform record itself (the templates bake its costs
+   in).
+
+   There is one entry per program hash, the last program looked up with
+   that hash, so a lookup reads no other entry's key.  Reading a key keeps
+   it alive for the current major cycle, and regenerated copies of a
+   program all hash alike: in a table that kept every copy and compared
+   them on each lookup, as [Ephemeron.K1.Make] does, dead copies stayed
+   reachable, and a set-up loop that regenerated five programs per round
+   stopped completing major cycles (0.05 per round instead of 1.1) while
+   its heap grew 25-fold.  A dead program leaves an emptied ephemeron of a
+   few words behind, so the table is reset when it reaches [max_programs]
+   entries; VMs keep the slot arrays they already hold. *)
+type baseline_slots = { plat : Platform.t; slots : template option array }
+
+let max_programs = 4096
+
+let programs : (int, (Ir.program, baseline_slots list) Ephemeron.K1.t) Hashtbl.t =
+  Hashtbl.create 64
+
+let programs_mu = Mutex.create ()
+
+let baseline_table (plat : Platform.t) program =
+  let h = Hashtbl.hash program in
+  Mutex.protect programs_mu (fun () ->
+      let per =
+        match Hashtbl.find_opt programs h with
+        | Some e -> Option.value (Ephemeron.K1.query e program) ~default:[]
+        | None -> []
+      in
+      match List.find_opt (fun b -> b.plat == plat || b.plat = plat) per with
+      | Some b -> b.slots
+      | None ->
+        let slots = Array.make (Array.length program.Ir.methods) None in
+        if Hashtbl.length programs >= max_programs then Hashtbl.reset programs;
+        Hashtbl.replace programs h (Ephemeron.K1.make program ({ plat; slots } :: per));
+        slots)
 
 (* The mid tier: dataflow optimizations without inlining — cheap linear
    compile time, decent code.  Used by the multi-level ladder scenario. *)
 let o1 (plat : Platform.t) codespace program ~profile m =
   let code, _stats = Pipeline.run program Pipeline.no_inline_config m in
   let ra = Regalloc.run ~phys_regs:plat.Platform.phys_regs code in
-  let c =
-    emit plat codespace ~profile ~owner:m.Ir.mid ~tier:O1 ~expansion:plat.Platform.o1_expansion
-      ~quality:plat.Platform.o1_quality
-      ~block_spill_cost:(Regalloc.block_spill_cost plat code ra)
-      ~spills:ra.Regalloc.spilled code
-  in
-  (c, Platform.o1_compile_cycles plat ~size:(Size.of_method m))
+  instantiate codespace ~profile ~owner:m.Ir.mid
+    (template plat ~tier:O1 ~expansion:plat.Platform.o1_expansion
+       ~quality:plat.Platform.o1_quality
+       ~block_spill_cost:(Regalloc.block_spill_cost plat code ra)
+       ~spills:ra.Regalloc.spilled
+       ~cycles:(Platform.o1_compile_cycles plat ~size:(Size.of_method m))
+       code)
 
 type opt_front = {
   o_code : Ir.methd;
@@ -107,11 +176,14 @@ let optimizing_front (plat : Platform.t) program config m =
   }
 
 let optimizing_emit (plat : Platform.t) codespace ~profile ~owner f =
-  let c =
-    emit plat codespace ~profile ~owner ~tier:Optimized ~expansion:plat.Platform.opt_expansion
-      ~quality:1 ~block_spill_cost:f.o_block_spill_cost ~spills:f.o_spills f.o_code
+  let c, cycles =
+    instantiate codespace ~profile ~owner
+      (template plat ~tier:Optimized ~expansion:plat.Platform.opt_expansion ~quality:1
+         ~block_spill_cost:f.o_block_spill_cost ~spills:f.o_spills
+         ~cycles:(Platform.opt_compile_cycles plat ~size_peak:f.o_stats.Pipeline.size_peak)
+         f.o_code)
   in
-  (c, Platform.opt_compile_cycles plat ~size_peak:f.o_stats.Pipeline.size_peak, f.o_stats)
+  (c, cycles, f.o_stats)
 
 let optimizing plat codespace program config ~profile m =
   optimizing_emit plat codespace ~profile ~owner:m.Ir.mid (optimizing_front plat program config m)

@@ -3,8 +3,12 @@ open Inltune_opt
 
 (** The compiler tiers: the fast non-optimizing baseline compiler, the
     inlining-free mid tier, and the optimizing compiler that runs the full
-    {!Inltune_opt.Pipeline}.  Every tier ends in one shared emit tail
-    (code-space allocation, then {!Lower.lower}). *)
+    {!Inltune_opt.Pipeline}.  Every tier ends in one shared emit tail: a
+    VM-independent {!template} (code size and layout, {!Lower.template}),
+    then its instantiation in one VM (code-space allocation, then
+    {!Lower.instantiate}).  The baseline tier's code is the method itself,
+    so its template is built once per program and platform
+    ({!baseline_table}) and shared by every VM. *)
 
 type tier = Baseline | O1 | Optimized
 
@@ -22,8 +26,34 @@ type compiled = {
 }
 
 (** Compile with the baseline tier: no transformation, cheap compile cycles,
-    slow bulky code.  Returns the compiled method and compile cycles. *)
+    slow bulky code.  Returns the compiled method and compile cycles.
+    Exactly [baseline_of_template] of [baseline_template]. *)
 val baseline : Platform.t -> Codespace.t -> profile:Profile.t -> Ir.methd -> compiled * int
+
+(** A compile's VM-independent half: the installed code, its code size,
+    bytes per instruction and block offsets, the lowered {!Lower.template},
+    and the compile cycles it charges.  Immutable; shareable across VMs and
+    domains. *)
+type template
+
+(** The baseline tier's template for a method: a function of the method
+    and the platform alone. *)
+val baseline_template : Platform.t -> Ir.methd -> template
+
+(** [baseline_of_template cs ~profile t] allocates [t]'s code in [cs] and
+    instantiates its lowered stream against [profile], attributing call
+    sites to the method itself.  Returns what {!baseline} returns. *)
+val baseline_of_template : Codespace.t -> profile:Profile.t -> template -> compiled * int
+
+(** [baseline_table plat program] is the per-program baseline template
+    table for [plat]: one slot per method id, [None] until some VM fills it
+    with [Some (baseline_template plat m)].  Programs are compared
+    physically and held weakly (an ephemeron), so an entry lives as long as
+    its program; platforms are compared structurally.  The table keeps one
+    program per hash, so two live, structurally equal programs looked up
+    in turn each rebuild their templates.  Two domains may race to fill a
+    slot; they build equal templates, and either write wins. *)
+val baseline_table : Platform.t -> Ir.program -> template option array
 
 (** Compile with the mid tier: dataflow passes, no inlining; linear compile
     cost, intermediate code quality.  Used by the ladder scenario. *)

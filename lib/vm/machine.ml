@@ -110,6 +110,13 @@ type t = {
   code_keys : string array option;
       (* per-method Codecache keys, indexed by mid; consulted by the Opt
          scenario's compiles only *)
+  baseline_slots : Compile.template option array;
+      (* this program's per-platform baseline templates, looked up once in
+         [create] (empty under Opt, which never baseline-compiles) *)
+  mutable templates_built : int;
+  mutable templates_reused : int;
+      (* baseline compiles that built their template / found it in the
+         table, flushed to vm.baseline_templates.* once per iteration *)
 }
 
 let max_call_depth = 8_000
@@ -145,6 +152,12 @@ let create ?code_keys cfg (plat : Platform.t) prog =
     frames_reused = 0;
     compile_wall_s = 0.0;
     code_keys;
+    baseline_slots =
+      (match cfg.scenario with
+      | Opt -> [||]
+      | Adapt | Ladder -> Compile.baseline_table plat prog);
+    templates_built = 0;
+    templates_reused = 0;
   }
 
 (* --- compilation ------------------------------------------------------- *)
@@ -267,11 +280,29 @@ let compile_o1 vm mid =
   if Trace.enabled () then trace_compile vm mid ~tier:"o1" ~cycles ~recompile [] c;
   c
 
+(* The baseline tier's code is the method itself, so its template comes
+   from the program's shared table, built by the first VM to need it; only
+   the instantiation (code-space address, profile site ids) is per VM.  The
+   reference interpreter always compiles fresh. *)
+let baseline_template vm mid =
+  let build () = Compile.baseline_template vm.plat vm.prog.Ir.methods.(mid) in
+  if !reference_mode then build ()
+  else
+    match vm.baseline_slots.(mid) with
+    | Some t ->
+      vm.templates_reused <- vm.templates_reused + 1;
+      t
+    | None ->
+      let t = build () in
+      vm.baseline_slots.(mid) <- Some t;
+      vm.templates_built <- vm.templates_built + 1;
+      t
+
 let compile_baseline vm mid =
   let recompile = vm.compiled.(mid) <> None in
   let c, cycles =
     Prof.span "vm.compile" ~on_time:(note_compile_wall vm) (fun () ->
-        Compile.baseline vm.plat vm.codespace ~profile:vm.profile vm.prog.Ir.methods.(mid))
+        Compile.baseline_of_template vm.codespace ~profile:vm.profile (baseline_template vm mid))
   in
   vm.compile_cycles <- vm.compile_cycles + cycles;
   vm.baseline_compiles <- vm.baseline_compiles + 1;
@@ -435,7 +466,8 @@ let () =
     && Lower.op_alloc = 23 && Lower.op_print = 24 && Lower.op_last_plain = 24
     && Lower.op_call = 25 && Lower.op_callvirt = 26 && Lower.op_enter = 27
     && Lower.op_jump = 28 && Lower.op_branch = 29 && Lower.op_ret = 30
-    && Lower.field_bits = 21 && Lower.field_mask = 0x1FFFFF)
+    && Lower.field_bits = 21 && Lower.field_mask = 0x1FFFFF
+    && Lower.cost_shift = 8 && Lower.cost_mask = 0xFFFFFF && Lower.offset_shift = 32)
 
 module Frames = Inltune_support.Frames
 
@@ -516,18 +548,18 @@ let exec_flat vm mid (args : int array) =
     let f = !code in
     let opc = f.Lower.opc
     and argv = f.Lower.args
-    and iaddrs = f.Lower.iaddrs
-    and extra = f.Lower.extra in
+    and extra = f.Lower.extra
+    and cbase = f.Lower.base in
     let spill = f.Lower.spill in
     let regs = fr.Frames.regs in
     let base = !fp in
     let i = ref !pc in
     let switched = ref false in
-    (* One packed word [w] = opcode | cost << 8, one packed word [av] =
-       x | y << 21 | z << 42 (field layout asserted against [Lower] at
-       module init); decoding is register arithmetic, so an executed step
-       streams three array slots (opc, args, iaddrs) where the previous
-       layout streamed six parallel arrays. *)
+    (* One packed word [w] = opcode | cost << 8 | byte offset << 32, one
+       packed word [av] = x | y << 21 | z << 42 (layout asserted against
+       [Lower] at module init); decoding is register arithmetic, so an
+       executed step streams two array slots (opc, args), and an icache
+       probe's address is the frame's [cbase] plus the offset. *)
     while not !switched do
       let s = !i in
       let w = Array.unsafe_get opc s in
@@ -542,7 +574,7 @@ let exec_flat vm mid (args : int array) =
         end;
         if icache_on then begin
           iacc := !iacc + 1;
-          let line = Array.unsafe_get iaddrs s lsr iline_bits in
+          let line = (cbase + (w lsr 32)) lsr iline_bits in
           let idx = line land iindex_mask in
           let tag = Array.unsafe_get itags idx in
           if tag <> line then begin
@@ -557,7 +589,7 @@ let exec_flat vm mid (args : int array) =
           maybe_sample vm !cmid;
           sample_at := vm.next_sample_at
         end;
-        cycles := !cycles + (w lsr 8);
+        cycles := !cycles + ((w lsr 8) land 0xFFFFFF);
         let av = Array.unsafe_get argv s in
         let x = av land 0x1FFFFF in
         (match op with
@@ -704,7 +736,7 @@ let exec_flat vm mid (args : int array) =
       else if op = 28 (* jump *) then begin
         if icache_on then begin
           iacc := !iacc + 1;
-          let line = Array.unsafe_get iaddrs s lsr iline_bits in
+          let line = (cbase + (w lsr 32)) lsr iline_bits in
           let idx = line land iindex_mask in
           let tag = Array.unsafe_get itags idx in
           if tag <> line then begin
@@ -714,13 +746,13 @@ let exec_flat vm mid (args : int array) =
             cycles := !cycles + miss_penalty
           end
         end;
-        cycles := !cycles + (w lsr 8);
+        cycles := !cycles + ((w lsr 8) land 0xFFFFFF);
         i := Array.unsafe_get argv s land 0x1FFFFF
       end
       else if op = 29 (* branch *) then begin
         if icache_on then begin
           iacc := !iacc + 1;
-          let line = Array.unsafe_get iaddrs s lsr iline_bits in
+          let line = (cbase + (w lsr 32)) lsr iline_bits in
           let idx = line land iindex_mask in
           let tag = Array.unsafe_get itags idx in
           if tag <> line then begin
@@ -730,7 +762,7 @@ let exec_flat vm mid (args : int array) =
             cycles := !cycles + miss_penalty
           end
         end;
-        cycles := !cycles + (w lsr 8);
+        cycles := !cycles + ((w lsr 8) land 0xFFFFFF);
         let av = Array.unsafe_get argv s in
         i :=
           (if Array.unsafe_get regs (base + (av land 0x1FFFFF)) <> 0 then
@@ -740,7 +772,7 @@ let exec_flat vm mid (args : int array) =
       else if op = 30 (* ret *) then begin
         if icache_on then begin
           iacc := !iacc + 1;
-          let line = Array.unsafe_get iaddrs s lsr iline_bits in
+          let line = (cbase + (w lsr 32)) lsr iline_bits in
           let idx = line land iindex_mask in
           let tag = Array.unsafe_get itags idx in
           if tag <> line then begin
@@ -750,7 +782,7 @@ let exec_flat vm mid (args : int array) =
             cycles := !cycles + miss_penalty
           end
         end;
-        cycles := !cycles + (w lsr 8);
+        cycles := !cycles + ((w lsr 8) land 0xFFFFFF);
         let rv = Array.unsafe_get regs (base + (Array.unsafe_get argv s land 0x1FFFFF)) in
         vm.call_depth <- vm.call_depth - 1;
         if fr.Frames.depth = 0 then begin
@@ -781,7 +813,7 @@ let exec_flat vm mid (args : int array) =
         end;
         if icache_on then begin
           iacc := !iacc + 1;
-          let line = Array.unsafe_get iaddrs s lsr iline_bits in
+          let line = (cbase + (w lsr 32)) lsr iline_bits in
           let idx = line land iindex_mask in
           let tag = Array.unsafe_get itags idx in
           if tag <> line then begin
@@ -796,7 +828,7 @@ let exec_flat vm mid (args : int array) =
           maybe_sample vm !cmid;
           sample_at := vm.next_sample_at
         end;
-        cycles := !cycles + (w lsr 8);
+        cycles := !cycles + ((w lsr 8) land 0xFFFFFF);
         let av = Array.unsafe_get argv s in
         let x = av land 0x1FFFFF in
         let o = av lsr 42 in
@@ -920,12 +952,16 @@ let run_iteration vm =
   vm.fuel_left <- vm.cfg.fuel;
   let exec0 = vm.exec_cycles and comp0 = vm.compile_cycles and steps0 = vm.steps in
   let ret = exec vm vm.prog.Ir.main [||] in
-  (* Flush the frame-pool reuse tally once per iteration; looked up at use
-     time so Metric.reset_all cannot orphan the counter. *)
-  if vm.frames_reused > 0 then begin
-    Inltune_obs.Metric.add (Inltune_obs.Metric.counter "vm.frames_reused") vm.frames_reused;
-    vm.frames_reused <- 0
-  end;
+  (* Flush the frame-pool reuse and baseline-template tallies once per
+     iteration; looked up at use time so Metric.reset_all cannot orphan the
+     counters. *)
+  let flush name n = if n > 0 then Inltune_obs.Metric.add (Inltune_obs.Metric.counter name) n in
+  flush "vm.frames_reused" vm.frames_reused;
+  flush "vm.baseline_templates.built" vm.templates_built;
+  flush "vm.baseline_templates.reused" vm.templates_reused;
+  vm.frames_reused <- 0;
+  vm.templates_built <- 0;
+  vm.templates_reused <- 0;
   if Trace.enabled () then
     trace_iteration vm ~exec_cycles:(vm.exec_cycles - exec0)
       ~compile_cycles:(vm.compile_cycles - comp0) ~steps:(vm.steps - steps0);

@@ -94,6 +94,14 @@ type t = {
           of cycle accounting *)
   code_keys : string array option;
       (** per-method {!Codecache} keys, indexed by method id *)
+  baseline_slots : Compile.template option array;
+      (** the program's {!Compile.baseline_table} for this platform, looked
+          up once at {!create} (empty under [Opt]) *)
+  mutable templates_built : int;
+  mutable templates_reused : int;
+      (** baseline compiles that built their template, and that found it
+          in the table; flushed to the [vm.baseline_templates.built] and
+          [.reused] counters once per iteration *)
 }
 
 (** Simulated call-stack depth limit (exceeding it is a {!Trap}). *)

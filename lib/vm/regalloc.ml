@@ -24,12 +24,46 @@ type result = {
   spill_ops : int;        (* occurrences of spilled registers (memory ops) *)
 }
 
-let occurrences m =
-  (* first.(r), last.(r), count.(r) over a linear numbering; -1 = absent *)
+(* Working arrays, indexed by register ([first]/[last]/[count], and
+   [order], the present registers by interval start), by position
+   ([bucket], the counting sort) and by active slot ([active]). *)
+type scratch = {
+  first : int array;
+  last : int array;
+  count : int array;
+  order : int array;
+  bucket : int array;
+  active : int array;
+}
+
+let scratch n =
+  let a () = Array.make n 0 in
+  { first = a (); last = a (); count = a (); order = a (); bucket = a (); active = a () }
+
+let no_scratch = scratch 0
+
+(* Each domain keeps one scratch of [cap] entries, so a run allocates
+   only its result and the closure that records occurrences.  A method
+   with more registers or positions than [cap] allocates its own arrays,
+   so no domain keeps more than a few thousand words whatever it has
+   compiled.  The systhreads of a domain share its slot and may switch in
+   the middle of a run, so a run takes the scratch out of the slot until
+   it returns, and a run that finds the slot empty works in fresh
+   arrays. *)
+let cap = 1024
+
+let slot_key = Domain.DLS.new_key (fun () -> Atomic.make (Some (scratch cap)))
+
+let buf a n = if n <= Array.length a then a else Array.make n 0
+
+(* first.(r), last.(r), count.(r) over a linear numbering (-1 = absent):
+   arguments at position 0, then one position per instruction and one per
+   terminator, [Ir.instr_count m] in all. *)
+let occurrences first last count m =
   let n = m.Ir.nregs in
-  let first = Array.make n (-1) in
-  let last = Array.make n (-1) in
-  let count = Array.make n 0 in
+  Array.fill first 0 n (-1);
+  Array.fill last 0 n (-1);
+  Array.fill count 0 n 0;
   let pos = ref 0 in
   let touch r =
     if first.(r) < 0 then first.(r) <- !pos;
@@ -40,78 +74,109 @@ let occurrences m =
   for r = 0 to m.Ir.nargs - 1 do
     touch r
   done;
-  Array.iter
-    (fun blk ->
-      Array.iter
-        (fun i ->
-          incr pos;
-          Ir.iter_uses touch i;
-          let d = Ir.def_reg i in
-          if d >= 0 then touch d)
-        blk.Ir.instrs;
+  let blocks = m.Ir.blocks in
+  for bi = 0 to Array.length blocks - 1 do
+    let blk = blocks.(bi) in
+    let instrs = blk.Ir.instrs in
+    for k = 0 to Array.length instrs - 1 do
       incr pos;
-      match blk.Ir.term with
-      | Ir.Branch (c, _, _) -> touch c
-      | Ir.Ret r -> touch r
-      | Ir.Jump _ -> ())
-    m.Ir.blocks;
-  (first, last, count)
+      let i = instrs.(k) in
+      Ir.iter_uses touch i;
+      let d = Ir.def_reg i in
+      if d >= 0 then touch d
+    done;
+    incr pos;
+    match blk.Ir.term with
+    | Ir.Branch (c, _, _) -> touch c
+    | Ir.Ret r -> touch r
+    | Ir.Jump _ -> ()
+  done
+
+(* Insert [r] into the [n] active intervals after every one ending no
+   later than it; returns the new count. *)
+let insert_by_end last active n r =
+  let e = last.(r) in
+  let i = ref n in
+  while !i > 0 && last.(active.(!i - 1)) > e do
+    active.(!i) <- active.(!i - 1);
+    decr i
+  done;
+  active.(!i) <- r;
+  n + 1
+
+let scan ~phys_regs s m =
+  let nregs = m.Ir.nregs and npos = Ir.instr_count m + 1 in
+  let first = buf s.first nregs and last = buf s.last nregs and count = buf s.count nregs in
+  let order = buf s.order nregs and bucket = buf s.bucket (npos + 1) in
+  let active = buf s.active phys_regs in
+  occurrences first last count m;
+  (* Present registers sorted by interval start: a counting sort over
+     positions, stable, so ties stay in register order.  Tie order is
+     observable: it decides which of two same-start intervals the scan
+     considers first, and hence what spills. *)
+  Array.fill bucket 0 (npos + 1) 0;
+  let vregs = ref 0 in
+  for r = 0 to nregs - 1 do
+    let f = first.(r) in
+    if f >= 0 then begin
+      bucket.(f + 1) <- bucket.(f + 1) + 1;
+      incr vregs
+    end
+  done;
+  for p = 1 to npos do
+    bucket.(p) <- bucket.(p) + bucket.(p - 1)
+  done;
+  for r = 0 to nregs - 1 do
+    let f = first.(r) in
+    if f >= 0 then begin
+      order.(bucket.(f)) <- r;
+      bucket.(f) <- bucket.(f) + 1
+    end
+  done;
+  let vregs = !vregs in
+  (* The active set, ordered by interval end (ties in insertion order), in
+     [active.(0 .. nactive - 1)]; it never holds more than [phys_regs]. *)
+  let nactive = ref 0 in
+  let max_pressure = ref 0 and spilled = ref 0 and spill_ops = ref 0 in
+  for k = 0 to vregs - 1 do
+    let r = order.(k) in
+    (* Expire intervals that ended before this one starts: a prefix. *)
+    let start = first.(r) in
+    let e = ref 0 in
+    while !e < !nactive && last.(active.(!e)) < start do
+      incr e
+    done;
+    if !e > 0 then begin
+      Array.blit active !e active 0 (!nactive - !e);
+      nactive := !nactive - !e
+    end;
+    if !nactive >= phys_regs then begin
+      (* Spill the interval with the furthest end (it blocks the longest). *)
+      let victim = active.(!nactive - 1) in
+      incr spilled;
+      if last.(victim) > last.(r) then begin
+        nactive := insert_by_end last active (!nactive - 1) r;
+        spill_ops := !spill_ops + count.(victim)
+      end
+      else spill_ops := !spill_ops + count.(r)
+    end
+    else nactive := insert_by_end last active !nactive r;
+    max_pressure := max !max_pressure (!nactive + !spilled)
+  done;
+  {
+    vregs;
+    max_pressure = (if vregs = 0 then 0 else max !max_pressure 1);
+    spilled = !spilled;
+    spill_ops = !spill_ops;
+  }
 
 let run ~phys_regs m =
   if phys_regs < 2 then invalid_arg "Regalloc.run: need at least 2 physical registers";
-  let first, last, count = occurrences m in
-  (* Present registers sorted by interval start, in place.  Ties broken by
-     register index — the previous stable [List.sort] over an index-ordered
-     list produced exactly that order, and tie order is observable (it decides
-     which of two same-start intervals the scan considers first, and hence
-     what spills). *)
-  let intervals = Array.make m.Ir.nregs 0 in
-  let nint = ref 0 in
-  for r = 0 to m.Ir.nregs - 1 do
-    if first.(r) >= 0 then begin
-      intervals.(!nint) <- r;
-      incr nint
-    end
-  done;
-  let intervals = Array.sub intervals 0 !nint in
-  Array.sort
-    (fun a b ->
-      let c = Int.compare first.(a) first.(b) in
-      if c <> 0 then c else Int.compare a b)
-    intervals;
-  let vregs = Array.length intervals in
-  (* Active list ordered by interval end (kept as a sorted list; methods have
-     at most tens of simultaneously live values in practice). *)
-  let active = ref [] in
-  let max_pressure = ref 0 in
-  let spilled = ref 0 in
-  let spill_ops = ref 0 in
-  let insert_by_end r l =
-    let rec go = function
-      | x :: rest when last.(x) <= last.(r) -> x :: go rest
-      | rest -> r :: rest
-    in
-    go l
-  in
-  Array.iter
-    (fun r ->
-      (* Expire intervals that ended before this one starts. *)
-      active := List.filter (fun x -> last.(x) >= first.(r)) !active;
-      if List.length !active >= phys_regs then begin
-        (* Spill the interval with the furthest end (it blocks the longest). *)
-        match List.rev !active with
-        | victim :: _ when last.(victim) > last.(r) ->
-          active := insert_by_end r (List.filter (fun x -> x <> victim) !active);
-          incr spilled;
-          spill_ops := !spill_ops + count.(victim)
-        | _ ->
-          incr spilled;
-          spill_ops := !spill_ops + count.(r)
-      end
-      else active := insert_by_end r !active;
-      max_pressure := max !max_pressure (List.length !active + !spilled))
-    intervals;
-  { vregs; max_pressure = (if vregs = 0 then 0 else max !max_pressure 1); spilled = !spilled; spill_ops = !spill_ops }
+  let slot = Domain.DLS.get slot_key in
+  let held = Atomic.exchange slot None in
+  let result = scan ~phys_regs (Option.value held ~default:no_scratch) m in
+  if Option.is_some held then Atomic.set slot held;
+  result
 
 (* Per-block-execution spill surcharge for the interpreter: total spill
    traffic spread across the method's blocks, scaled by the platform's

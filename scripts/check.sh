@@ -279,29 +279,40 @@ echo "== flat-interpreter identity smoke =="
 # binary is invoked directly — dune's build lock writes to stderr under
 # concurrent process substitution and would show up as spurious diffs.
 BIN=./_build/default/bin/main.exe
-for prog in jess compress db; do
-  for run in "opt" "adapt" "ladder" "opt --iterations 5"; do
-    # $run is split on purpose: scenario, then any extra flags.
-    flat=$("$BIN" run "$prog" -s $run)
-    tree=$(INLTUNE_VM_REFERENCE=1 "$BIN" run "$prog" -s $run)
-    [ "$flat" = "$tree" ] || {
-      echo "flat vs reference interpreter differ on $prog/$run:"
-      echo "--- flat ---"; echo "$flat"
-      echo "--- reference ---"; echo "$tree"
-      exit 1
-    }
-  done
+# The flat side instantiates baseline code from per-program templates; the
+# reference compiles every baseline fresh.  corpus_sweep10 has the corpus's
+# most baseline-compiled methods (118).
+for case in "jess opt" "jess adapt" "jess ladder" "jess opt --iterations 5" \
+    "compress opt" "compress adapt" "compress ladder" "compress opt --iterations 5" \
+    "db opt" "db adapt" "db ladder" "db opt --iterations 5" \
+    "corpus_sweep10 adapt" "corpus_sweep10 ladder"; do
+  # $case is split on purpose: program, scenario, then any extra flags.
+  set -- $case
+  prog=$1; shift
+  flat=$("$BIN" run "$prog" -s "$@")
+  tree=$(INLTUNE_VM_REFERENCE=1 "$BIN" run "$prog" -s "$@")
+  [ "$flat" = "$tree" ] || {
+    echo "flat vs reference interpreter differ on $case:"
+    echo "--- flat ---"; echo "$flat"
+    echo "--- reference ---"; echo "$tree"
+    exit 1
+  }
 done
 # A fixed-seed GA search must also be interpreter-independent end to end:
 # same best genome, same per-generation history, same printed fitness.
-tune_flat=$("$BIN" tune -s opt:tot --pop 4 -g 2 2> /dev/null)
-tune_tree=$(INLTUNE_VM_REFERENCE=1 "$BIN" tune -s opt:tot --pop 4 -g 2 2> /dev/null)
-[ "$tune_flat" = "$tune_tree" ] || {
-  echo "fixed-seed tune differs between interpreters:"
-  echo "--- flat ---"; echo "$tune_flat"
-  echo "--- reference ---"; echo "$tune_tree"
-  exit 1
-}
+# The Opt tune exercises the compile cache, the plan-genome Adapt tune the
+# baseline templates and the strategy inliners.
+for tune in "-s opt:tot --pop 4 -g 2" "-s adapt --tune-passes --pop 4 -g 2"; do
+  # $tune is split on purpose: it is a list of flags.
+  tune_flat=$("$BIN" tune $tune 2> /dev/null)
+  tune_tree=$(INLTUNE_VM_REFERENCE=1 "$BIN" tune $tune 2> /dev/null)
+  [ "$tune_flat" = "$tune_tree" ] || {
+    echo "fixed-seed tune $tune differs between interpreters:"
+    echo "--- flat ---"; echo "$tune_flat"
+    echo "--- reference ---"; echo "$tune_tree"
+    exit 1
+  }
+done
 # And the tuner bench's own cache-transparency contract must hold on the
 # reference interpreter too.  It runs in a scratch directory so its
 # BENCH_tuner.json does not replace the flat-interpreter one above.

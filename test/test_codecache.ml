@@ -89,7 +89,8 @@ let keys heuristic plat prog =
   | None -> Alcotest.fail "default plan under Opt must be the exact-walk case"
 
 (* Field for field: code address, code bytes, spills, the lowered stream
-   (opc/args/iaddrs/extra) and everything else the record holds. *)
+   (opc/args/extra and its base address) and everything else the record
+   holds. *)
 let same_compiled (a : Compile.compiled) (b : Compile.compiled) = a = b
 
 let random_heuristic rng =

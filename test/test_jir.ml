@@ -439,6 +439,43 @@ let test_text_parse_validates () =
   | Error e -> Alcotest.failf "expected validation error, got line %d: %s" e.Text.line e.Text.msg
   | Ok _ -> Alcotest.fail "invalid program accepted"
 
+(* A negative callvirt slot in a program with classes is a validation
+   error, not an exception out of the parser. *)
+let test_text_parse_negative_vtable_slot () =
+  let b = B.create "negslot" in
+  let impl = B.method_ b ~name:"impl" ~nargs:1 (fun mb -> B.ret mb 0) in
+  let k = B.new_class b ~name:"k" ~vtable:[| impl |] in
+  let main =
+    B.method_ b ~name:"main" ~nargs:0 (fun mb ->
+        let o = B.alloc mb k ~slots:1 in
+        B.ret mb (B.call_virt mb ~slot:0 o []))
+  in
+  B.set_main b main;
+  let p = B.finish b in
+  let negate = function Ir.CallVirt (d, _, r, a) -> Ir.CallVirt (d, -1, r, a) | i -> i in
+  let p =
+    {
+      p with
+      Ir.methods =
+        Array.map
+          (fun m ->
+            {
+              m with
+              Ir.blocks =
+                Array.map
+                  (fun blk -> { blk with Ir.instrs = Array.map negate blk.Ir.instrs })
+                  m.Ir.blocks;
+            })
+          p.Ir.methods;
+    }
+  in
+  match Text.parse (Text.to_string p) with
+  | Error { Text.line = 0; msg } ->
+    Alcotest.(check bool) ("names the slot: " ^ msg) true
+      (String.ends_with ~suffix:"negative vtable slot" msg)
+  | Error e -> Alcotest.failf "expected validation error, got line %d: %s" e.Text.line e.Text.msg
+  | Ok _ -> Alcotest.fail "negative vtable slot accepted"
+
 let text_suite =
   [
     ("text roundtrip tiny", `Quick, test_text_roundtrip_tiny);
@@ -447,6 +484,7 @@ let text_suite =
     ("text parse rejects garbage with location", `Quick, test_text_parse_rejects_garbage);
     ("text parse rejects unterminated block", `Quick, test_text_parse_rejects_unterminated_block);
     ("text parse validates", `Quick, test_text_parse_validates);
+    ("text parse rejects a negative vtable slot", `Quick, test_text_parse_negative_vtable_slot);
   ]
 
 let suite = suite @ text_suite

@@ -332,6 +332,26 @@ let test_pool_max_workers_one () =
     out;
   Pool.shutdown pool
 
+(* The default pool holds one worker fewer than [default_domains]: the
+   submitting caller is the other participant.  A two-domain batch whose
+   items wait for each other therefore runs on exactly two domains. *)
+let test_pool_default_participants () =
+  Alcotest.(check int) "default workers"
+    (max 1 (Pool.default_domains () - 1))
+    (Pool.workers (Pool.get_default ()));
+  let started = Atomic.make 0 in
+  let item () =
+    Atomic.incr started;
+    let t0 = Unix.gettimeofday () in
+    while Atomic.get started < 2 && Unix.gettimeofday () -. t0 < 5.0 do
+      Domain.cpu_relax ()
+    done;
+    (Domain.self () :> int)
+  in
+  let domains = Pool.map ~domains:2 item (Array.make 6 ()) in
+  Alcotest.(check int) "participating domains" 2
+    (List.length (List.sort_uniq compare (Array.to_list domains)))
+
 let test_pool_shutdown_idempotent () =
   let pool = Pool.create ~domains:2 () in
   ignore (Pool.await (Pool.submit pool (fun x -> x + 1) [| 1; 2 |]));
@@ -466,6 +486,7 @@ let suite =
     ("pool drains after worker failure", `Quick, test_pool_drains_after_failure);
     ("pool submit after shutdown", `Quick, test_pool_submit_after_shutdown);
     ("pool max_workers one", `Quick, test_pool_max_workers_one);
+    ("pool default participants", `Quick, test_pool_default_participants);
     ("pool shutdown idempotent", `Quick, test_pool_shutdown_idempotent);
     ("pool shutdown concurrent domains", `Quick, test_pool_shutdown_concurrent_domains);
     ("pool cancel skips unstarted", `Quick, test_pool_cancel_skips_unstarted);
