@@ -1,6 +1,7 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation, runs the ablation benches called out in DESIGN.md, and
-   finishes with Bechamel micro-benchmarks of the core primitives.
+   evaluation and runs the ablation, extension and identity protocols called
+   out in DESIGN.md and EXPERIMENTS.md.  Timing the simulator is the repo
+   benchmark's job (perfbench/), not this harness's.
 
        dune exec bench/main.exe                 # everything
        dune exec bench/main.exe fig5            # one experiment
@@ -10,14 +11,11 @@
        dune exec bench/main.exe tuner           # fitness-cache off/on protocol
        dune exec bench/main.exe passes          # plan-interpreter identity + plan GA
        dune exec bench/main.exe inliners        # strategy plans vs default -> BENCH_inliners.json
-       dune exec bench/main.exe vm              # VM throughput trajectory -> BENCH_vm.json
        dune exec bench/main.exe serve           # daemon under load -> BENCH_serve.json
-       dune exec bench/main.exe micro           # just the micro-benchmarks
 
    Environment knobs (for bigger GA budgets):
        INLTUNE_POP (default 16), INLTUNE_GENS (default 12),
-       INLTUNE_SEED (default 42); for the vm bench,
-       INLTUNE_VM_REPEATS (default 3), INLTUNE_VM_ITERS (default 3). *)
+       INLTUNE_SEED (default 42). *)
 
 open Inltune_core
 open Inltune_vm
@@ -554,21 +552,19 @@ let tuner_bench () =
   let budget = budget () in
   let value name = Inltune_obs.Metric.value (Inltune_obs.Metric.counter name) in
   (* Default-heuristic baselines are memoized process-wide by
-     [Measure.run_default]; pay for them once before either timed run so
-     neither side gets them for free. *)
+     [Measure.run_default]; pay for them once before either run so neither
+     side's counts include them. *)
   Fitcache.set_enabled false;
   Fitcache.clear ();
   List.iter
     (fun bm -> ignore (Measure.run_default ~scenario:Machine.Opt ~platform:Platform.x86 bm))
     suite;
-  let timed_run () =
+  let counted_run () =
     let s0 = value "measure.simulations" and d0 = value "vm.iterations_derived" in
-    let t0 = Inltune_support.Pool.now () in
     let o = Tuner.tune ~budget ~suite Tuner.Opt_tot_x86 in
-    let wall = Inltune_support.Pool.now () -. t0 in
-    (o, value "measure.simulations" - s0, wall, value "vm.iterations_derived" - d0)
+    (o, value "measure.simulations" - s0, value "vm.iterations_derived" - d0)
   in
-  let off, sims_off, wall_off, derived_off = timed_run () in
+  let off, sims_off, derived_off = counted_run () in
   Fitcache.clear ();
   Fitcache.set_enabled true;
   let h0 = value "fitness.sig_hits"
@@ -576,7 +572,7 @@ let tuner_bench () =
   and u0 = value "fitness.unique_plans"
   and ch0 = value "vm.code_cache.hits"
   and cm0 = value "vm.code_cache.misses" in
-  let on, sims_on, wall_on, derived_on = timed_run () in
+  let on, sims_on, derived_on = counted_run () in
   let sig_hits = value "fitness.sig_hits" - h0
   and sig_misses = value "fitness.sig_misses" - m0
   and unique_plans = value "fitness.unique_plans" - u0
@@ -590,21 +586,17 @@ let tuner_bench () =
   let frac = Float.of_int avoided /. Float.of_int (max 1 sims_off) in
   let t =
     Table.create ~title:"Fixed-seed GA, cache off vs on (Opt:Tot, 3 benchmarks)"
-      ~header:[| "run"; "wall (s)"; "simulations"; "sig hits"; "sig misses"; "unique plans" |]
-      ~aligns:[| Table.Left; Table.Right; Table.Right; Table.Right; Table.Right; Table.Right |]
+      ~header:[| "run"; "simulations"; "sig hits"; "sig misses"; "unique plans" |]
+      ~aligns:[| Table.Left; Table.Right; Table.Right; Table.Right; Table.Right |]
   in
-  Table.add_row t
-    [| "cache off"; Printf.sprintf "%.2f" wall_off; string_of_int sims_off; "-"; "-"; "-" |];
+  Table.add_row t [| "cache off"; string_of_int sims_off; "-"; "-"; "-" |];
   Table.add_row t
     [|
-      "cache on"; Printf.sprintf "%.2f" wall_on; string_of_int sims_on;
-      string_of_int sig_hits; string_of_int sig_misses; string_of_int unique_plans;
+      "cache on"; string_of_int sims_on; string_of_int sig_hits; string_of_int sig_misses;
+      string_of_int unique_plans;
     |];
   Table.add_rule t;
-  Table.add_row t
-    [|
-      "avoided"; ""; Printf.sprintf "%d (%.0f%%)" avoided (100.0 *. frac); ""; ""; "";
-    |];
+  Table.add_row t [| "avoided"; Printf.sprintf "%d (%.0f%%)" avoided (100.0 *. frac); ""; ""; "" |];
   Table.print t;
   Printf.printf "compile cache (cache on): %d hits, %d misses\n" code_cache_hits
     code_cache_misses;
@@ -614,15 +606,15 @@ let tuner_bench () =
   let oc = open_out "BENCH_tuner.json" in
   Printf.fprintf oc
     "{\"suite\":[%s],\"scenario\":\"opt:tot\",\"pop\":%d,\"gens\":%d,\"seed\":%d,\
-     \"cache_off\":{\"wall_s\":%.3f,\"simulations\":%d,\"iterations_derived\":%d},\
-     \"cache_on\":{\"wall_s\":%.3f,\"simulations\":%d,\"iterations_derived\":%d,\
+     \"cache_off\":{\"simulations\":%d,\"iterations_derived\":%d},\
+     \"cache_on\":{\"simulations\":%d,\"iterations_derived\":%d,\
      \"sig_hits\":%d,\"sig_misses\":%d,\
      \"unique_plans\":%d,\"code_cache_hits\":%d,\"code_cache_misses\":%d},\
      \"simulations_avoided\":%d,\"avoided_fraction\":%.4f,\
      \"identical_best\":%b,\"identical_history\":%b}\n"
     (String.concat "," (List.map (fun bm -> "\"" ^ bm.W.Suites.bname ^ "\"") suite))
-    budget.Tuner.pop budget.Tuner.gens budget.Tuner.seed wall_off sims_off derived_off wall_on
-    sims_on derived_on sig_hits sig_misses unique_plans code_cache_hits code_cache_misses avoided frac
+    budget.Tuner.pop budget.Tuner.gens budget.Tuner.seed sims_off derived_off sims_on derived_on
+    sig_hits sig_misses unique_plans code_cache_hits code_cache_misses avoided frac
     identical_best identical_history;
   close_out oc;
   print_endline "wrote BENCH_tuner.json\n";
@@ -929,179 +921,6 @@ let inliners_bench () =
     exit 1
   end
 
-(* ---- VM throughput trajectory bench -------------------------------------- *)
-
-(* ROADMAP item 5's trajectory: interpreter throughput (simulated cycles per
-   host second) and per-simulation latency percentiles on a fixed workload
-   (the generated SPECjvm98 suite is internally seeded, so every run
-   simulates exactly the same programs).  Direct [Machine] runs — no
-   Fitcache, no memo — so the numbers are pure simulator cost.  Results land
-   in BENCH_vm.json so every future hot-path speedup shows up as a
-   trajectory across runs rather than being claimed once.
-
-   Environment knobs: INLTUNE_VM_REPEATS (timed simulations per benchmark x
-   scenario, default 3), INLTUNE_VM_ITERS (VM iterations per simulation,
-   default 3). *)
-let vm_bench () =
-  print_endline "==== VM bench: interpreter throughput trajectory ====\n";
-  let repeats = max 1 (env_int "INLTUNE_VM_REPEATS" 3) in
-  let iterations = max 2 (env_int "INLTUNE_VM_ITERS" 3) in
-  let scenarios =
-    [ ("opt", Machine.Opt); ("adapt", Machine.Adapt); ("ladder", Machine.Ladder) ]
-  in
-  let suite = W.Suites.spec in
-  let now = Inltune_support.Pool.now in
-  (* The previous run's headline number, read before this run overwrites the
-     file, turns BENCH_vm.json into a trajectory: every hot-path change
-     reports its own speedup instead of claiming it once in a commit
-     message. *)
-  let previous_sps =
-    match In_channel.with_open_text "BENCH_vm.json" In_channel.input_all with
-    | exception _ -> None
-    | text -> (
-      match Inltune_obs.Json.parse text with
-      | Error _ -> None
-      | Ok j ->
-        Option.bind (Inltune_obs.Json.member "overall" j) (fun o ->
-            Option.bind (Inltune_obs.Json.member "steps_per_second" o)
-              Inltune_obs.Json.to_float))
-  in
-  (* One simulation: fresh VM, [iterations] runs of main.  Returns (wall
-     seconds, simulated cycles, interpreter steps, minor words allocated) —
-     the GC column catches allocation regressions in the dispatch loop that
-     wall-clock noise can hide. *)
-  let simulate scen p =
-    let t0 = now () in
-    let g0 = Gc.minor_words () in
-    let vm = Machine.create (Machine.config scen Heuristic.default) Platform.x86 p in
-    for _ = 1 to iterations do
-      ignore (Machine.run_iteration vm : Machine.iteration)
-    done;
-    ( now () -. t0,
-      vm.Machine.exec_cycles + vm.Machine.compile_cycles,
-      vm.Machine.steps,
-      Gc.minor_words () -. g0 )
-  in
-  let t =
-    Table.create ~title:"VM throughput (simulated cycles and steps per host second)"
-      ~header:
-        [|
-          "scenario"; "sims"; "cycles/s"; "steps/s"; "gc w/step"; "p50 ms"; "p90 ms";
-          "p99 ms"; "max ms";
-        |]
-      ~aligns:
-        [|
-          Table.Left;
-          Table.Right;
-          Table.Right;
-          Table.Right;
-          Table.Right;
-          Table.Right;
-          Table.Right;
-          Table.Right;
-          Table.Right;
-        |]
-  in
-  let all_lat = ref [] in
-  let all_wall = ref 0.0 and all_cycles = ref 0 and all_steps = ref 0 in
-  let all_words = ref 0.0 in
-  let per_scenario =
-    List.map
-      (fun (sname, scen) ->
-        let lats = ref [] in
-        let wall = ref 0.0 and cycles = ref 0 and steps = ref 0 in
-        let words = ref 0.0 in
-        List.iter
-          (fun bm ->
-            let p = W.Suites.program bm in
-            (* Warmup untimed: first touch pays generation/validation costs
-               that are not interpreter throughput. *)
-            ignore (simulate scen p);
-            for _ = 1 to repeats do
-              let w, c, s, g = simulate scen p in
-              lats := w :: !lats;
-              wall := !wall +. w;
-              cycles := !cycles + c;
-              steps := !steps + s;
-              words := !words +. g
-            done)
-          suite;
-        let lat = Array.of_list !lats in
-        let pct p = Stats.percentile lat p *. 1e3 in
-        let per_s v = Float.of_int v /. Float.max 1e-9 !wall in
-        let wps = !words /. Float.max 1.0 (Float.of_int !steps) in
-        Table.add_row t
-          [|
-            sname;
-            string_of_int (Array.length lat);
-            Printf.sprintf "%.3e" (per_s !cycles);
-            Printf.sprintf "%.3e" (per_s !steps);
-            Printf.sprintf "%.4f" wps;
-            Table.fmt_float (pct 50.0);
-            Table.fmt_float (pct 90.0);
-            Table.fmt_float (pct 99.0);
-            Table.fmt_float (Stats.max_of lat *. 1e3);
-          |];
-        all_lat := !lats @ !all_lat;
-        all_wall := !all_wall +. !wall;
-        all_cycles := !all_cycles + !cycles;
-        all_steps := !all_steps + !steps;
-        all_words := !all_words +. !words;
-        (sname, per_s !cycles, per_s !steps, wps, pct 50.0, pct 90.0, pct 99.0))
-      scenarios
-  in
-  let lat = Array.of_list !all_lat in
-  let pct p = Stats.percentile lat p *. 1e3 in
-  let per_s v = Float.of_int v /. Float.max 1e-9 !all_wall in
-  let overall_sps = per_s !all_steps in
-  let overall_wps = !all_words /. Float.max 1.0 (Float.of_int !all_steps) in
-  Table.add_rule t;
-  Table.add_row t
-    [|
-      "overall";
-      string_of_int (Array.length lat);
-      Printf.sprintf "%.3e" (per_s !all_cycles);
-      Printf.sprintf "%.3e" overall_sps;
-      Printf.sprintf "%.4f" overall_wps;
-      Table.fmt_float (pct 50.0);
-      Table.fmt_float (pct 90.0);
-      Table.fmt_float (pct 99.0);
-      Table.fmt_float (Stats.max_of lat *. 1e3);
-    |];
-  Table.print t;
-  (match previous_sps with
-  | Some prev when prev > 0.0 ->
-    Printf.printf "speedup vs previous BENCH_vm.json: %.2fx (%.3e -> %.3e steps/s)\n" (overall_sps /. prev)
-      prev overall_sps
-  | _ -> ());
-  print_newline ();
-  let oc = open_out "BENCH_vm.json" in
-  let scenario_json (sname, cps, sps, wps, p50, p90, p99) =
-    Printf.sprintf
-      "\"%s\":{\"cycles_per_second\":%.1f,\"steps_per_second\":%.1f,\
-       \"gc_minor_words_per_step\":%.6f,\
-       \"sim_latency_ms\":{\"p50\":%.4f,\"p90\":%.4f,\"p99\":%.4f}}"
-      sname cps sps wps p50 p90 p99
-  in
-  let trajectory_json =
-    match previous_sps with
-    | Some prev when prev > 0.0 ->
-      Printf.sprintf ",\"previous_steps_per_second\":%.1f,\"speedup_vs_previous\":%.4f" prev
-        (overall_sps /. prev)
-    | _ -> ""
-  in
-  Printf.fprintf oc
-    "{\"benchmarks\":%d,\"repeats\":%d,\"iterations\":%d,\
-     \"overall\":{\"cycles_per_second\":%.1f,\"steps_per_second\":%.1f,\
-     \"gc_minor_words_per_step\":%.6f,\
-     \"sim_latency_ms\":{\"p50\":%.4f,\"p90\":%.4f,\"p99\":%.4f}}%s,\
-     \"scenarios\":{%s}}\n"
-    (List.length suite) repeats iterations (per_s !all_cycles) overall_sps overall_wps
-    (pct 50.0) (pct 90.0) (pct 99.0) trajectory_json
-    (String.concat "," (List.map scenario_json per_scenario));
-  close_out oc;
-  print_endline "wrote BENCH_vm.json\n"
-
 (* ---- Serve bench: concurrent clients vs a saturated daemon -------------- *)
 
 (* The robustness protocol for the tuning daemon: N concurrent clients hammer
@@ -1326,102 +1145,6 @@ let serve_bench () =
     exit 1
   end
 
-(* ---- Bechamel micro-benchmarks ------------------------------------------ *)
-
-let micro () =
-  let open Bechamel in
-  print_endline "==== Bechamel micro-benchmarks (ns per run) ====\n";
-  let compress = W.Suites.program (W.Suites.find "compress") in
-  let jess = W.Suites.program (W.Suites.find "jess") in
-  let jess_main = jess.Inltune_jir.Ir.methods.(jess.Inltune_jir.Ir.main) in
-  (* Pre-inline a jess rule body so the dataflow benches see a big method. *)
-  let rule =
-    Array.to_list jess.Inltune_jir.Ir.methods
-    |> List.find (fun m -> m.Inltune_jir.Ir.mname = "rule_match0")
-  in
-  let inlined_rule, _ =
-    Inline.run ~program:jess ~heuristic:Heuristic.default rule
-  in
-  let sphere g =
-    Array.fold_left (fun acc v -> acc +. (Float.of_int (v - 5) ** 2.0)) 0.0 g
-  in
-  let tests =
-    Test.make_grouped ~name:"inltune"
-      [
-        Test.make ~name:"interp: compress iteration"
-          (Staged.stage (fun () ->
-               let vm =
-                 Machine.create (Machine.config Machine.Opt Heuristic.default) Platform.x86
-                   compress
-               in
-               ignore (Machine.run_iteration vm)));
-        Test.make ~name:"pipeline: optimize jess main"
-          (Staged.stage (fun () ->
-               ignore
-                 (Pipeline.run jess (Pipeline.opt_config Heuristic.default) jess_main)));
-        Test.make ~name:"inline: jess rule body"
-          (Staged.stage (fun () ->
-               ignore (Inline.run ~program:jess ~heuristic:Heuristic.default rule)));
-        Test.make ~name:"constprop: inlined rule body"
-          (Staged.stage (fun () -> ignore (Constprop.run jess inlined_rule)));
-        Test.make ~name:"dce: inlined rule body"
-          (Staged.stage (fun () -> ignore (Dce.run inlined_rule)));
-        Test.make ~name:"ga: 20 generations on sphere"
-          (Staged.stage (fun () ->
-               ignore
-                 (Inltune_ga.Evolve.run
-                    ~spec:(Inltune_ga.Genome.spec [| (0, 10); (0, 10); (0, 10) |])
-                    ~params:
-                      {
-                        Inltune_ga.Evolve.default_params with
-                        Inltune_ga.Evolve.generations = 20;
-                        domains = Some 1;
-                      }
-                    ~fitness:sphere ())));
-        Test.make ~name:"icache: 4k accesses"
-          (Staged.stage
-             (let c = Icache.create ~bytes:16384 ~line_bytes:64 in
-              fun () ->
-                for i = 0 to 4095 do
-                  ignore (Icache.access c (i * 48))
-                done));
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let t =
-    Table.create ~title:"micro-benchmarks"
-      ~header:[| "benchmark"; "time per run" |]
-      ~aligns:[| Table.Left; Table.Right |]
-  in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let ns =
-          match Analyze.OLS.estimates ols with Some (e :: _) -> e | _ -> Float.nan
-        in
-        (name, ns) :: acc)
-      results []
-    |> List.sort compare
-  in
-  List.iter
-    (fun (name, ns) ->
-      let cell =
-        if Float.is_nan ns then "n/a"
-        else if ns > 1.0e9 then Printf.sprintf "%.2f s" (ns /. 1.0e9)
-        else if ns > 1.0e6 then Printf.sprintf "%.2f ms" (ns /. 1.0e6)
-        else if ns > 1.0e3 then Printf.sprintf "%.2f us" (ns /. 1.0e3)
-        else Printf.sprintf "%.0f ns" ns
-      in
-      Table.add_row t [| name; cell |])
-    rows;
-  Table.print t;
-  print_newline ()
-
 (* ---- main ----------------------------------------------------------------- *)
 
 let () =
@@ -1440,9 +1163,7 @@ let () =
     tuner_bench ();
     passes_bench ();
     inliners_bench ();
-    vm_bench ();
-    serve_bench ();
-    micro ()
+    serve_bench ()
   | "ablations" -> ablations ()
   | "extensions" -> extensions ()
   | "policy" -> policy_comparison ()
@@ -1450,7 +1171,5 @@ let () =
   | "tuner" -> tuner_bench ()
   | "passes" -> passes_bench ()
   | "inliners" -> inliners_bench ()
-  | "vm" -> vm_bench ()
   | "serve" -> serve_bench ()
-  | "micro" -> micro ()
   | id -> Experiments.run_one ctx id

@@ -268,6 +268,10 @@ let resume_arg =
   in
   Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"FILE" ~doc)
 
+(* A refused resume or an unwritable checkpoint is reported like a bad flag:
+   one line, exit 2. *)
+let checkpointed f = try f () with Inltune_ga.Evolve.Checkpoint_error msg -> die "%s" msg
+
 let max_retries_arg =
   let doc =
     "How many times to retry a transiently failing fitness evaluation before the genome is \
@@ -375,9 +379,10 @@ let tune_cmd =
       in
       let guard = { Gp.Evolve.default_guard with Inltune_ga.Evolve.max_retries } in
       let r =
-        Gp.Evolve.run ?on_generation ?on_stats ~guard ?checkpoint ?resume ?dataset
-          ~suite:W.Suites.spec ~scenario:spec.Tuner.scenario ~platform:spec.Tuner.platform
-          ~goal:spec.Tuner.goal ~params ()
+        checkpointed (fun () ->
+            Gp.Evolve.run ?on_generation ?on_stats ~guard ?checkpoint ?resume ?dataset
+              ~suite:W.Suites.spec ~scenario:spec.Tuner.scenario ~platform:spec.Tuner.platform
+              ~goal:spec.Tuner.goal ~params ())
       in
       Printf.printf "scenario: %s\n" spec.Tuner.label;
       (match r.Gp.Evolve.stopped with
@@ -406,8 +411,9 @@ let tune_cmd =
     end
     else if tune_passes then begin
       let o =
-        Tuner.tune_plan ~budget ?on_generation ?on_stats ?checkpoint ?resume ~max_retries
-          ?domains id
+        checkpointed (fun () ->
+            Tuner.tune_plan ~budget ?on_generation ?on_stats ?checkpoint ?resume ~max_retries
+              ?domains id)
       in
       Printf.printf "scenario: %s\n" o.Tuner.p_spec.Tuner.label;
       (match o.Tuner.p_degraded with
@@ -420,8 +426,9 @@ let tune_cmd =
     end
     else begin
       let o =
-        Tuner.tune ~budget ?on_generation ?on_stats ?checkpoint ?resume ~max_retries ?domains
-          ?plan id
+        checkpointed (fun () ->
+            Tuner.tune ~budget ?on_generation ?on_stats ?checkpoint ?resume ~max_retries
+              ?domains ?plan id)
       in
       Printf.printf "scenario: %s\n" o.Tuner.spec.Tuner.label;
       (match o.Tuner.degraded with
@@ -992,7 +999,7 @@ let experiment_cmd =
         Experiments.make_ctx ~verbose:(not quiet) ~budget ?checkpoint ?resume ~max_retries
           ?domains ()
       in
-      Experiments.run_one ctx id
+      checkpointed (fun () -> Experiments.run_one ctx id)
     end
   in
   let id =

@@ -60,10 +60,6 @@ let transient_failure = function
   | Inltune_resilience.Faultinject.Injected _ -> true
   | _ -> false
 
-(* Genome-level fitness for the GA.  This is the evaluation stack's fault
-   boundary: each call checks the "eval" fault-injection site, so CI can make
-   the k-th evaluation raise, burn its fuel budget, or return corrupt output
-   and exercise the retry/penalty/quarantine paths end to end. *)
 (* The "eval" fault-injection gate shared by the scalar and grid evaluation
    paths, so CI can make the k-th evaluation raise, burn its fuel budget, or
    return corrupt output and exercise retry/penalty/quarantine end to end. *)

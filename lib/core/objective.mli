@@ -41,7 +41,8 @@ val transient_failure : exn -> bool
     (the GP policy search) share one fault boundary with the GA. *)
 val eval_fault_gate : unit -> bool
 
-(** {!fitness} composed with the genome decoding, for the GA.  Each call
+(** {!fitness} composed with the genome decoding, for scalar searches over
+    genomes (local search, random search, the bench ablations).  Each call
     checks the ["eval"] fault-injection site (see
     {!Inltune_resilience.Faultinject}), so failure paths are testable. *)
 val genome_fitness :

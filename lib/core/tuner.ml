@@ -78,17 +78,20 @@ let best_or_default gu (ga : Ga.Evolve.result) =
   then Heuristic.of_array ga.Ga.Evolve.best
   else Heuristic.default
 
+(* The search name checkpoint lines carry, so a resume under another
+   scenario, suite or plan is refused instead of reusing the wrong fitness
+   values from the memo cache. *)
+let search_id id suite what =
+  Printf.sprintf "ga %s [%s] %s" (scenario_slug id)
+    (String.concat "," (List.map (fun bm -> bm.Workloads.Suites.bname) suite))
+    what
+
 (* Tune the heuristic for one scenario over the training suite.  Evaluation
    goes through the flat genome × benchmark grid ([Evolve.run ?grid]) so
-   fresh simulations saturate the domain pool; the scalar [fitness] is still
-   supplied for interface compatibility and produces bit-identical values. *)
+   fresh simulations saturate the domain pool. *)
 let tune ?(budget = default_budget) ?on_generation ?on_stats ?(suite = Workloads.Suites.spec)
     ?checkpoint ?resume ?(max_retries = 1) ?domains ?plan id =
   let spec = spec_of id in
-  let fitness =
-    Objective.genome_fitness ?plan ~suite ~scenario:spec.scenario ~platform:spec.platform
-      ~goal:spec.goal
-  in
   let grid =
     Objective.genome_grid ?plan ~suite ~scenario:spec.scenario ~platform:spec.platform
       ~goal:spec.goal ()
@@ -103,9 +106,12 @@ let tune ?(budget = default_budget) ?on_generation ?on_stats ?(suite = Workloads
     }
   in
   let gu = guard ~max_retries in
+  let search =
+    search_id id suite ("plan " ^ Plan.digest (Option.value plan ~default:Plan.default))
+  in
   let ga =
-    Ga.Evolve.run ?on_generation ?on_stats ?checkpoint ?resume ~guard:gu ~grid
-      ~spec:Params.genome_spec ~params ~fitness ()
+    Ga.Evolve.run ?on_generation ?on_stats ?checkpoint ?resume ~search ~guard:gu ~grid
+      ~spec:Params.genome_spec ~params ()
   in
   {
     spec;
@@ -140,10 +146,6 @@ let plan_best_or_default gu (ga : Ga.Evolve.result) =
 let tune_plan ?(budget = default_budget) ?on_generation ?on_stats
     ?(suite = Workloads.Suites.spec) ?checkpoint ?resume ?(max_retries = 1) ?domains id =
   let spec = spec_of id in
-  let fitness =
-    Objective.plan_genome_fitness ~suite ~scenario:spec.scenario ~platform:spec.platform
-      ~goal:spec.goal
-  in
   let grid =
     Objective.plan_genome_grid ~suite ~scenario:spec.scenario ~platform:spec.platform
       ~goal:spec.goal
@@ -159,8 +161,9 @@ let tune_plan ?(budget = default_budget) ?on_generation ?on_stats
   in
   let gu = guard ~max_retries in
   let ga =
-    Ga.Evolve.run ?on_generation ?on_stats ?checkpoint ?resume ~guard:gu ~grid
-      ~spec:Params.plan_genome_spec ~params ~fitness ()
+    Ga.Evolve.run ?on_generation ?on_stats ?checkpoint ?resume
+      ~search:(search_id id suite "plan-genome") ~guard:gu ~grid ~spec:Params.plan_genome_spec
+      ~params ()
   in
   let heuristic, plan = plan_best_or_default gu ga in
   {
@@ -175,10 +178,6 @@ let tune_plan ?(budget = default_budget) ?on_generation ?on_stats
 (* Per-program tuning for running time (paper Fig. 10). *)
 let tune_per_program ?(budget = default_budget) ?(max_retries = 1) ?domains ?plan bm =
   let suite = [ bm ] in
-  let fitness =
-    Objective.genome_fitness ?plan ~suite ~scenario:Machine.Opt ~platform:Platform.x86
-      ~goal:Objective.Running
-  in
   let grid =
     Objective.genome_grid ?plan ~suite ~scenario:Machine.Opt ~platform:Platform.x86
       ~goal:Objective.Running ()
@@ -193,5 +192,5 @@ let tune_per_program ?(budget = default_budget) ?(max_retries = 1) ?domains ?pla
     }
   in
   let gu = guard ~max_retries in
-  let ga = Ga.Evolve.run ~guard:gu ~grid ~spec:Params.genome_spec ~params ~fitness () in
+  let ga = Ga.Evolve.run ~guard:gu ~grid ~spec:Params.genome_spec ~params () in
   (best_or_default gu ga, ga.Ga.Evolve.best_fitness)

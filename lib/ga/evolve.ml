@@ -4,17 +4,18 @@ module Stats = Inltune_support.Stats
 module Trace = Inltune_obs.Trace
 module Event = Inltune_obs.Event
 module Metric = Inltune_obs.Metric
+module Json = Inltune_obs.Json
 module Sandbox = Inltune_resilience.Sandbox
-module Checkpoint = Inltune_resilience.Checkpoint
 
 (* Generational genetic algorithm, minimizing a fitness function — the role
    ECJ plays in the paper.
 
    The search loop itself is representation-agnostic: [run_repr] works over
    an abstract genome type through a [repr] record (key, random, crossover,
-   mutate, copy) and is what both the paper's integer-vector GA ([run], one
-   gene per inlining parameter) and the genetic-programming policy search
-   (lib/gp, expression-tree genomes) instantiate.
+   mutate, copy, and a JSON codec for one genome) and is what both the
+   paper's integer-vector GA ([run], one gene per inlining parameter) and
+   the genetic-programming policy search (lib/gp, expression-tree genomes)
+   instantiate.
 
    One generation: keep the [elites] best individuals, then fill the
    population with offspring produced by tournament selection, crossover and
@@ -24,18 +25,20 @@ module Checkpoint = Inltune_resilience.Checkpoint
 
    The paper's searches run for days; two mechanisms keep them alive:
 
-   - A [guard] makes evaluation fault-tolerant: each cache miss runs inside
-     [Sandbox.protect] (bounded retry, deterministic backoff), a genome whose
-     every attempt fails gets the penalty fitness and is quarantined so it is
-     never evaluated again, and a generation whose fresh-evaluation failure
-     rate exceeds the threshold stops the search gracefully — best-known
-     result, recorded reason — instead of crashing it.
+   - Evaluation is fault-tolerant: each cell runs inside [Sandbox.run]
+     (bounded retry, deterministic backoff, non-finite results rejected as
+     corrupt), a genome whose every attempt fails gets the [guard]'s penalty
+     fitness and is quarantined so it is never evaluated again, and a
+     generation whose fresh-evaluation failure rate exceeds the threshold
+     stops the search gracefully — best-known result, recorded reason —
+     instead of crashing it.
 
-   - [save] appends one complete snapshot per generation (population,
-     RNG state, memo cache, quarantine, history, counters); [resume] restores
-     the snapshot and continues bit-identically to an uninterrupted run,
-     because every stochastic choice flows through the restored RNG and no
-     fitness is ever recomputed. *)
+   - [?checkpoint] appends one complete snapshot per generation (population,
+     RNG state, memo cache, quarantine, history, counters) to a JSONL file;
+     [?resume] restores the newest one and continues bit-identically to an
+     uninterrupted run, because every stochastic choice flows through the
+     restored RNG and no fitness is ever recomputed.  Both representations
+     share the one codec below. *)
 
 type params = {
   pop_size : int;
@@ -79,16 +82,15 @@ let default_guard =
     classify = (fun _ -> true);
   }
 
-(* Flat-grid evaluation: instead of one opaque [fitness] call per genome
-   (inside which the suite is walked serially), the GA can be handed the
-   benchmark axis explicitly and submit the whole genome × benchmark grid to
-   the pool as independent cells.  Unique simulations then saturate every
-   domain even when the fresh-genome count of a generation is smaller than
-   the domain count.  [grid_combine] folds one genome's per-benchmark cell
-   values (in [grid_axis] order) into its fitness — with the same float
-   operations as the scalar path, so switching modes is bit-transparent.
-   The genome is passed to the combine so representations can apply
-   genome-shape terms (the GP's parsimony pressure) on top of the fold. *)
+(* Flat-grid evaluation: the GA is handed the benchmark axis explicitly and
+   submits the whole genome × benchmark grid to the pool as independent
+   cells, so unique simulations saturate every domain even when the
+   fresh-genome count of a generation is smaller than the domain count.
+   [grid_combine] folds one genome's per-benchmark cell values (in
+   [grid_axis] order) into its fitness.  The genome is passed to the combine
+   so representations can apply genome-shape terms (the GP's parsimony
+   pressure) on top of the fold.  A scalar [~fitness] is the one-column
+   grid: one cell per genome, combined by taking it. *)
 type ('g, 'bm) grid = {
   grid_axis : 'bm array;
   grid_cell : 'g -> 'bm -> float;
@@ -144,13 +146,14 @@ type 'g repr = {
   r_crossover : Rng.t -> 'g -> 'g -> 'g * 'g;
   r_mutate : Rng.t -> 'g -> 'g;
   r_copy : 'g -> 'g;                         (* [Fun.id] for immutable genomes *)
+  r_encode : 'g -> Json.t;                   (* one genome in a checkpoint line *)
+  r_decode : Json.t -> ('g, string) Stdlib.result;  (* inverse; validates it *)
+  r_no_best : Json.t;                        (* the line's "best" before one exists *)
 }
 
-(* One self-contained snapshot of the search, the unit of checkpointing.
-   [run_repr] hands these to the [save] hook after every generation and
-   restores one from the [resume] hook; persistence formats are the
-   instantiation's business (int-array GA: {!Inltune_resilience.Checkpoint};
-   GP trees: lib/gp's own JSONL). *)
+(* One self-contained snapshot of the search, the unit of checkpointing:
+   [run_repr] appends one after every generation and restores one on
+   resume. *)
 type 'g snapshot = {
   s_gen : int;                     (* last completed generation *)
   s_rng : int64;                   (* raw RNG state after this generation *)
@@ -197,21 +200,200 @@ let mutate spec params rng g =
       else v)
     g
 
-let progress_entry p =
-  {
-    Checkpoint.e_gen = p.generation;
-    e_best = p.best_fitness;
-    e_mean = p.mean_fitness;
-    e_evals = p.evaluations;
-  }
+(* --- checkpoints ---------------------------------------------------------- *)
 
-let entry_progress (e : Checkpoint.entry) =
-  {
-    generation = e.Checkpoint.e_gen;
-    best_fitness = e.Checkpoint.e_best;
-    mean_fitness = e.Checkpoint.e_mean;
-    evaluations = e.Checkpoint.e_evals;
-  }
+(* Raised by [run_repr] when a checkpoint cannot be written or a resume is
+   refused; the message is one line naming the file and the problem. *)
+exception Checkpoint_error of string
+
+let ckpt_fail fmt = Printf.ksprintf (fun s -> raise (Checkpoint_error s)) fmt
+
+(* The one checkpoint codec: append-only JSONL, one [snapshot] per completed
+   generation, written with [Json.encode] and read with [Json.parse].
+   Format v1, in this key order:
+
+     {"v":1,"gen":G,"rng":"<int64>","pop_size":P,"seed":S,"search":"<id>",
+      "pop":[<genome>,...],"best":<genome>,"best_fitness":F,
+      "cache":{"<key>":F,...},"quarantine":["<key>",...],
+      "history":[{"gen":G,"best":F,"mean":F,"evals":N},...],
+      "evaluations":N,"cache_hits":N,"failures":N,"retries":N}
+
+   Genomes are whatever the repr encodes (int arrays, tree texts); "best" is
+   [r_no_best] until a genome has been evaluated.  Finite floats print as
+   %.17g and reload bit for bit; non-finite ones, which JSON cannot hold,
+   travel as "inf"/"-inf"/"nan".  The RNG state is a decimal string because
+   JSON numbers are doubles and would round an int64.  pop_size, seed and
+   search echo the run that wrote the line; "search" is present only when
+   the run was named one, and lines written before searches were named load
+   unchecked. *)
+
+let json_int n = Json.Num (Float.of_int n)
+
+let json_float f =
+  if Float.is_finite f then Json.Num f
+  else Json.Str (if f > 0.0 then "inf" else if f < 0.0 then "-inf" else "nan")
+
+let snapshot_to_line ~repr ~params ?search s =
+  let strs l = Json.List (List.map (fun k -> Json.Str k) l) in
+  let entry p =
+    Json.Obj
+      [
+        ("gen", json_int p.generation);
+        ("best", json_float p.best_fitness);
+        ("mean", json_float p.mean_fitness);
+        ("evals", json_int p.evaluations);
+      ]
+  in
+  Json.encode
+    (Json.Obj
+       ([
+          ("v", json_int 1);
+          ("gen", json_int s.s_gen);
+          ("rng", Json.Str (Int64.to_string s.s_rng));
+          ("pop_size", json_int params.pop_size);
+          ("seed", json_int params.seed);
+        ]
+       @ Option.fold ~none:[] ~some:(fun id -> [ ("search", Json.Str id) ]) search
+       @ [
+           ("pop", Json.List (Array.to_list (Array.map repr.r_encode s.s_pop)));
+           ("best", Option.fold ~none:repr.r_no_best ~some:repr.r_encode s.s_best);
+           ("best_fitness", json_float s.s_best_fitness);
+           ("cache", Json.Obj (List.map (fun (k, v) -> (k, json_float v)) s.s_cache));
+           ("quarantine", strs s.s_quarantine);
+           ("history", Json.List (List.map entry s.s_history));
+           ("evaluations", json_int s.s_evaluations);
+           ("cache_hits", json_int s.s_cache_hits);
+           ("failures", json_int s.s_failures);
+           ("retries", json_int s.s_retries);
+         ]))
+
+(* Decode one parsed line and check it against the run resuming from it:
+   the echo must match, and the state must be one the engine could have
+   written (a full population, every member in the memo cache).  [Error]
+   names the first problem found. *)
+let snapshot_of_json ~repr ~params ?search j =
+  let member name j =
+    match Json.member name j with Some v -> v | None -> ckpt_fail "missing %S" name
+  in
+  let int name j =
+    match member name j with
+    | Json.Num f when Float.is_integer f -> Float.to_int f
+    | _ -> ckpt_fail "non-integer %S" name
+  in
+  let float name v =
+    match v with
+    | Json.Num f -> f
+    | Json.Str s when float_of_string_opt s <> None -> float_of_string s
+    | _ -> ckpt_fail "non-number in %S" name
+  in
+  let str name = function Json.Str s -> s | _ -> ckpt_fail "non-string in %S" name in
+  let list name =
+    match member name j with Json.List l -> l | _ -> ckpt_fail "non-array %S" name
+  in
+  let genome name v =
+    match repr.r_decode v with Ok g -> g | Error m -> ckpt_fail "bad genome in %S: %s" name m
+  in
+  try
+    let v = int "v" j in
+    if v <> 1 then ckpt_fail "unsupported checkpoint version %d" v;
+    let pop_size = int "pop_size" j and seed = int "seed" j in
+    if pop_size <> params.pop_size || seed <> params.seed then
+      ckpt_fail "written with pop_size %d seed %d, this run has pop_size %d seed %d" pop_size seed
+        params.pop_size params.seed;
+    (match Json.member "search" j with
+    | None -> ()
+    | Some w ->
+      let id = str "search" w in
+      if Some id <> search then
+        ckpt_fail "written by search %S, this run is %s" id
+          (Option.fold ~none:"unnamed" ~some:(Printf.sprintf "%S") search));
+    let rng =
+      let r = str "rng" (member "rng" j) in
+      match Int64.of_string_opt r with Some r -> r | None -> ckpt_fail "bad rng state %S" r
+    in
+    let pop = Array.of_list (List.map (genome "pop") (list "pop")) in
+    let best =
+      match member "best" j with b when b = repr.r_no_best -> None | b -> Some (genome "best" b)
+    in
+    let cache =
+      match member "cache" j with
+      | Json.Obj kvs -> List.map (fun (k, v) -> (k, float "cache" v)) kvs
+      | _ -> ckpt_fail "non-object \"cache\""
+    in
+    if Array.length pop <> pop_size then
+      ckpt_fail "population holds %d genomes, pop_size is %d" (Array.length pop) pop_size;
+    Array.iter
+      (fun g ->
+        let k = repr.r_key g in
+        if not (List.mem_assoc k cache) then ckpt_fail "population genome %s is not in the cache" k)
+      pop;
+    let history =
+      List.map
+        (fun e ->
+          let generation = int "gen" e and evaluations = int "evals" e in
+          let best_fitness = float "best" (member "best" e) in
+          { generation; best_fitness; mean_fitness = float "mean" (member "mean" e); evaluations })
+        (list "history")
+    in
+    Ok
+      {
+        s_gen = int "gen" j;
+        s_rng = rng;
+        s_pop = pop;
+        s_best = best;
+        s_best_fitness = float "best_fitness" (member "best_fitness" j);
+        s_cache = cache;
+        s_quarantine = List.map (str "quarantine") (list "quarantine");
+        s_history = history;
+        s_evaluations = int "evaluations" j;
+        s_cache_hits = int "cache_hits" j;
+        s_failures = int "failures" j;
+        s_retries = int "retries" j;
+      }
+  with Checkpoint_error m -> Error m
+
+let snapshot_of_line ~repr ~params ?search line =
+  Result.bind (Json.parse line) (snapshot_of_json ~repr ~params ?search)
+
+(* The newest complete line wins.  A run killed mid-append leaves at most one
+   truncated final line, which does not parse and is skipped; a line that
+   parses but fails [snapshot_of_json] is refused, not skipped. *)
+let load_snapshot ~repr ~params ?search path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error m -> Error m
+  | text ->
+    let rec newest = function
+      | [] -> Error (Printf.sprintf "%s: no complete checkpoint record" path)
+      | line :: older -> (
+        match Json.parse line with
+        | Error _ -> newest older
+        | Ok j ->
+          Result.map_error (Printf.sprintf "%s: %s" path) (snapshot_of_json ~repr ~params ?search j))
+    in
+    newest (List.rev (String.split_on_char '\n' text))
+
+let append_to path f =
+  try Out_channel.with_open_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path f
+  with Sys_error m -> ckpt_fail "cannot write checkpoint: %s" m
+
+(* Append one snapshot line; bumps ["ckpt.writes"] and emits a ["ckpt.write"]
+   event whose [kind] is the engine's label. *)
+let write_snapshot ~label ~repr ~params ?search path s =
+  let line = snapshot_to_line ~repr ~params ?search s in
+  append_to path (fun oc ->
+      output_string oc line;
+      output_char oc '\n');
+  Metric.incr (Metric.counter "ckpt.writes");
+  if Trace.enabled () then
+    Trace.emit "ckpt.write"
+      ~fields:
+        [
+          ("kind", Event.Str label);
+          ("gen", Event.Int s.s_gen);
+          ("cache", Event.Int (List.length s.s_cache));
+        ]
+
+(* --- the search loop ------------------------------------------------------ *)
 
 (* [prefilter], when given, is consulted for every fresh (uncached) genome
    before its simulations are submitted: [Some surrogate] records that value
@@ -224,12 +406,36 @@ let entry_progress (e : Checkpoint.entry) =
    [best_view], when given, adds a ["best_genome"] field (the rendered best
    individual) to the per-generation trace event — the GP's best-tree trace.
 
-   [label] names the trace events ("ga" -> "ga.generation" etc.). *)
-let run_repr ?on_generation ?on_stats ?guard ?save ?resume ?grid ?prefilter ?best_view
-    ~label ~repr ~params ~fitness () =
+   [label] names the trace events ("ga" -> "ga.generation" etc.).
+
+   [checkpoint]/[resume] name the JSONL snapshot file; [search] names the
+   search in every line written and must match the line resumed from.  A
+   refused resume or an unwritable checkpoint raises [Checkpoint_error],
+   the latter before generation 0 is evaluated.  Evaluation needs a [grid]
+   or a scalar [fitness]; given both, the grid is used. *)
+let run_repr ?on_generation ?on_stats ?(guard = default_guard) ?checkpoint ?resume ?search
+    ?grid ?fitness ?prefilter ?best_view ~label ~repr ~params () =
   if params.pop_size < 2 then invalid_arg "Evolve.run: population too small";
   if params.elites >= params.pop_size then invalid_arg "Evolve.run: too many elites";
   if params.tournament < 1 then invalid_arg "Evolve.run: tournament size must be >= 1";
+  (* The axis type is erased to cell indices, so a grid and a scalar fitness
+     (the one-column grid) share one evaluation path. *)
+  let nb, cell, combine =
+    match (grid, fitness) with
+    | Some gr, _ ->
+      (Array.length gr.grid_axis, (fun g j -> gr.grid_cell g gr.grid_axis.(j)), gr.grid_combine)
+    | None, Some f -> (1, (fun g _ -> f g), fun _ vals -> vals.(0))
+    | None, None -> invalid_arg "Evolve.run: needs ~fitness or ~grid"
+  in
+  let restored =
+    Option.map
+      (fun path ->
+        match load_snapshot ~repr ~params ?search path with
+        | Ok s -> s
+        | Error m -> ckpt_fail "cannot resume: %s" m)
+      resume
+  in
+  Option.iter (fun path -> append_to path ignore) checkpoint;
   let t_start = Trace.now () in
   let c_quarantined = Metric.counter "eval.quarantined" in
   let c_quarantine_hits = Metric.counter "eval.quarantine_hits" in
@@ -289,137 +495,81 @@ let run_repr ?on_generation ?on_stats ?guard ?save ?resume ?grid ?prefilter ?bes
         Inltune_support.Vec.to_array keep
     in
     last_fresh := Array.length todo;
-    (* Grid mode flattens fresh genomes × benchmarks into independent pool
-       cells; [flat] builds that cell array in genome-major, axis order. *)
-    let flat gr =
-      let nb = Array.length gr.grid_axis in
-      ( nb,
-        Array.init (Array.length todo * nb) (fun i ->
-            (todo.(i / nb), gr.grid_axis.(i mod nb))) )
+    (* Fresh genomes × cells are independent pool items, genome-major.  A
+       genome fails if any of its cells failed: the first failing cell names
+       the attempts and reason, and retries spent on its other cells still
+       count.  An exception [guard.classify] rejects escapes the sandbox; the
+       pool still isolates it to its item. *)
+    let couts =
+      Pool.map_result ?domains:params.domains
+        (fun (g, j) ->
+          Sandbox.run ~max_retries:guard.max_retries ~classify:guard.classify
+            ~corrupt:Sandbox.corrupt ~site:"eval" (fun () -> cell g j))
+        (Array.init (Array.length todo * nb) (fun i -> (todo.(i / nb), i mod nb)))
     in
-    (match guard with
-    | None ->
-      (* Legacy semantics: any failure escapes as Pool.Worker_failure,
-         carrying the index of the genome in evaluation order. *)
-      let scores =
-        match grid with
-        | None -> Pool.map ?domains:params.domains fitness todo
-        | Some gr ->
-          let nb, cells = flat gr in
-          let vals =
-            try Pool.map ?domains:params.domains (fun (g, bm) -> gr.grid_cell g bm) cells
-            with Pool.Worker_failure (i, e) -> raise (Pool.Worker_failure (i / nb, e))
-          in
-          Array.mapi (fun i g -> gr.grid_combine g (Array.sub vals (i * nb) nb)) todo
-      in
-      Array.iteri
+    let outcomes =
+      Array.mapi
         (fun i g ->
-          Hashtbl.replace cache (repr.r_key g) scores.(i);
-          incr evaluations)
-        todo
-    | Some gu ->
-      let protect f x =
-        Sandbox.protect ~max_retries:gu.max_retries ~classify:gu.classify ~site:"eval"
-          (fun () -> f x)
-      in
-      (* Per-genome outcome: fitness with the extra (retry) attempts spent, a
-         sandboxed failure, or a non-sandboxable exception.  In grid mode a
-         genome fails if any of its cells failed; the first failing cell (in
-         axis order) names the attempts/reason, and retries spent on its
-         other cells still count. *)
-      let outcomes =
-        match grid with
-        | None ->
-          Array.map
-            (function
-              | Ok (Ok ok) -> `Value (ok.Sandbox.value, ok.Sandbox.attempts - 1)
-              | Ok (Error fl) ->
-                (* Sandboxed failure: every attempt raised or returned garbage. *)
-                `Sandboxed (fl.Sandbox.f_attempts, fl.Sandbox.f_reason, fl.Sandbox.f_attempts - 1)
-              | Error e -> `Raw e)
-            (Pool.map_result ?domains:params.domains (protect fitness) todo)
-        | Some gr ->
-          let nb, cells = flat gr in
-          let couts =
-            Pool.map_result ?domains:params.domains
-              (protect (fun (g, bm) -> gr.grid_cell g bm))
-              cells
-          in
-          Array.mapi
-            (fun i g ->
-              let vals = Array.make nb 0.0 in
-              let extra = ref 0 in
-              let fail = ref None in
-              for j = 0 to nb - 1 do
-                match couts.((i * nb) + j) with
-                | Ok (Ok ok) ->
-                  extra := !extra + (ok.Sandbox.attempts - 1);
-                  vals.(j) <- ok.Sandbox.value
-                | Ok (Error fl) ->
-                  extra := !extra + (fl.Sandbox.f_attempts - 1);
-                  if !fail = None then
-                    fail := Some (`Cell (fl.Sandbox.f_attempts, fl.Sandbox.f_reason))
-                | Error e -> if !fail = None then fail := Some (`Exn e)
-              done;
-              match !fail with
-              | Some (`Cell (attempts, reason)) -> `Sandboxed (attempts, reason, !extra)
-              | Some (`Exn e) -> `Raw e
-              | None -> `Value (gr.grid_combine g vals, !extra))
-            todo
-      in
-      let failed_here = ref 0 in
-      Array.iteri
-        (fun i g ->
-          let k = repr.r_key g in
-          (match outcomes.(i) with
-          | `Value (v, extra) ->
-            retries := !retries + extra;
-            Hashtbl.replace cache k v
-          | `Sandboxed (attempts, reason, extra) ->
-            incr failed_here;
-            retries := !retries + extra;
-            Hashtbl.replace cache k gu.penalty;
-            Hashtbl.replace quarantine k ();
-            Metric.incr c_quarantined;
-            if Trace.enabled () then
-              Trace.emit "eval.quarantine"
-                ~fields:
-                  [
-                    ("genome", Event.Str k);
-                    ("attempts", Event.Int attempts);
-                    ("reason", Event.Str reason);
-                  ]
-          | `Raw e ->
-            (* Non-sandboxable exception (guard.classify rejected it): the
-               pool still isolated it, so penalize without retry. *)
-            incr failed_here;
+          let vals = Array.make nb 0.0 in
+          let extra = ref 0 in
+          let fail = ref None in
+          for j = 0 to nb - 1 do
+            match couts.((i * nb) + j) with
+            | Ok (Ok o) ->
+              extra := !extra + (o.Sandbox.o_attempts - 1);
+              vals.(j) <- o.Sandbox.result
+            | Ok (Error fl) ->
+              extra := !extra + (fl.Sandbox.f_attempts - 1);
+              if !fail = None then
+                fail := Some (`Cell (fl.Sandbox.f_attempts, fl.Sandbox.f_reason))
+            | Error e -> if !fail = None then fail := Some (`Exn e)
+          done;
+          match !fail with
+          | Some (`Cell (attempts, reason)) -> `Failed (attempts, reason, !extra)
+          | Some (`Exn e) ->
+            (* Not sandboxable: penalized without retry. *)
             Metric.incr (Metric.counter "eval.failures");
-            Hashtbl.replace cache k gu.penalty;
-            Hashtbl.replace quarantine k ();
-            Metric.incr c_quarantined;
-            if Trace.enabled () then
-              Trace.emit "eval.quarantine"
-                ~fields:
-                  [
-                    ("genome", Event.Str k);
-                    ("attempts", Event.Int 1);
-                    ("reason", Event.Str (Printexc.to_string e));
-                  ]);
-          incr evaluations)
-        todo;
-      failures := !failures + !failed_here;
-      last_failed := !failed_here;
-      last_attempted := Array.length todo);
+            `Failed (1, Printexc.to_string e, 0)
+          | None -> `Value (combine g vals, !extra))
+        todo
+    in
+    let failed_here = ref 0 in
+    Array.iteri
+      (fun i g ->
+        let k = repr.r_key g in
+        (match outcomes.(i) with
+        | `Value (v, extra) ->
+          retries := !retries + extra;
+          Hashtbl.replace cache k v
+        | `Failed (attempts, reason, extra) ->
+          incr failed_here;
+          retries := !retries + extra;
+          Hashtbl.replace cache k guard.penalty;
+          Hashtbl.replace quarantine k ();
+          Metric.incr c_quarantined;
+          if Trace.enabled () then
+            Trace.emit "eval.quarantine"
+              ~fields:
+                [
+                  ("genome", Event.Str k);
+                  ("attempts", Event.Int attempts);
+                  ("reason", Event.Str reason);
+                ]);
+        incr evaluations)
+      todo;
+    failures := !failures + !failed_here;
+    last_failed := !failed_here;
+    last_attempted := Array.length todo;
     Array.map (fun g -> Hashtbl.find cache (repr.r_key g)) pop
   in
   let degraded gen =
-    match guard with
-    | Some gu
-      when !last_attempted > 0
-           && Float.of_int !last_failed /. Float.of_int !last_attempted > gu.failure_threshold ->
+    if
+      !last_attempted > 0
+      && Float.of_int !last_failed /. Float.of_int !last_attempted > guard.failure_threshold
+    then begin
       let reason =
         Printf.sprintf "generation %d: %d of %d fresh evaluations failed (threshold %.2f)" gen
-          !last_failed !last_attempted gu.failure_threshold
+          !last_failed !last_attempted guard.failure_threshold
       in
       if Trace.enabled () then
         Trace.emit (label ^ ".degraded")
@@ -428,19 +578,11 @@ let run_repr ?on_generation ?on_stats ?guard ?save ?resume ?grid ?prefilter ?bes
               ("gen", Event.Int gen);
               ("failed", Event.Int !last_failed);
               ("attempted", Event.Int !last_attempted);
-              ("threshold", Event.Float gu.failure_threshold);
+              ("threshold", Event.Float guard.failure_threshold);
             ];
       Some reason
-    | _ -> None
-  in
-  (* Restore a snapshot, or build generation 0 from scratch. *)
-  let restored =
-    match resume with
-    | None -> None
-    | Some load -> (
-      match load () with
-      | Error msg -> invalid_arg (Printf.sprintf "Evolve.run: cannot resume: %s" msg)
-      | Ok (s : 'g snapshot) -> Some s)
+    end
+    else None
   in
   let rng =
     match restored with
@@ -529,31 +671,31 @@ let run_repr ?on_generation ?on_stats ?guard ?save ?resume ?grid ?prefilter ?bes
     match on_generation with Some f -> f p | None -> ()
   in
   let write_ckpt gen =
-    match save with
-    | None -> ()
-    | Some sv ->
-      let cache_assoc =
-        Hashtbl.fold (fun k v acc -> (k, v) :: acc) cache []
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
-      in
-      let quarantine_keys =
-        Hashtbl.fold (fun k () acc -> k :: acc) quarantine [] |> List.sort compare
-      in
-      sv
-        {
-          s_gen = gen;
-          s_rng = Rng.state rng;
-          s_pop = !pop;
-          s_best = !best;
-          s_best_fitness = !best_fit;
-          s_cache = cache_assoc;
-          s_quarantine = quarantine_keys;
-          s_history = List.rev !history;
-          s_evaluations = !evaluations;
-          s_cache_hits = !cache_hits;
-          s_failures = !failures;
-          s_retries = !retries;
-        }
+    Option.iter
+      (fun path ->
+        let cache_assoc =
+          Hashtbl.fold (fun k v acc -> (k, v) :: acc) cache []
+          |> List.sort (fun (a, _) (b, _) -> compare a b)
+        in
+        let quarantine_keys =
+          Hashtbl.fold (fun k () acc -> k :: acc) quarantine [] |> List.sort compare
+        in
+        write_snapshot ~label ~repr ~params ?search path
+          {
+            s_gen = gen;
+            s_rng = Rng.state rng;
+            s_pop = !pop;
+            s_best = !best;
+            s_best_fitness = !best_fit;
+            s_cache = cache_assoc;
+            s_quarantine = quarantine_keys;
+            s_history = List.rev !history;
+            s_evaluations = !evaluations;
+            s_cache_hits = !cache_hits;
+            s_failures = !failures;
+            s_retries = !retries;
+          })
+      checkpoint
   in
   let start_gen =
     match restored with
@@ -641,76 +783,35 @@ let run_repr ?on_generation ?on_stats ?guard ?save ?resume ?grid ?prefilter ?bes
 
 (* --- the paper's integer-vector GA --------------------------------------- *)
 
-(* [run] is [run_repr] instantiated at int-array genomes with [Checkpoint]
-   persistence; every stochastic operator flows through the same RNG calls in
-   the same order as it always did, so seeds, checkpoints, and resumes stay
-   bit-compatible with runs recorded before the engine was generalized. *)
-let run ?on_generation ?on_stats ?guard ?checkpoint ?resume ?grid ~spec ~params ~fitness () =
-  let repr =
-    {
-      r_key = Genome.key;
-      r_random = Genome.random spec;
-      r_crossover = crossover;
-      r_mutate = mutate spec params;
-      r_copy = Array.copy;
-    }
-  in
-  let save =
-    Option.map
-      (fun path (s : int array snapshot) ->
-        Checkpoint.write ~path
-          {
-            Checkpoint.gen = s.s_gen;
-            rng = s.s_rng;
-            pop = s.s_pop;
-            best = Option.value ~default:[||] s.s_best;
-            best_fitness = s.s_best_fitness;
-            cache = s.s_cache;
-            quarantine = s.s_quarantine;
-            history = List.map progress_entry s.s_history;
-            evaluations = s.s_evaluations;
-            cache_hits = s.s_cache_hits;
-            failures = s.s_failures;
-            retries = s.s_retries;
-            pop_size = params.pop_size;
-            seed = params.seed;
-          })
-      checkpoint
-  in
-  let resume =
-    Option.map
-      (fun path () ->
-        match Checkpoint.load ~path with
-        | Error msg -> Error msg
-        | Ok s ->
-          if s.Checkpoint.pop_size <> params.pop_size || s.Checkpoint.seed <> params.seed then
-            invalid_arg
-              (Printf.sprintf
-                 "Evolve.run: checkpoint was written with pop_size %d seed %d, params say %d/%d"
-                 s.Checkpoint.pop_size s.Checkpoint.seed params.pop_size params.seed);
-          if not (Array.for_all (Genome.valid spec) s.Checkpoint.pop) then
-            invalid_arg "Evolve.run: checkpoint population does not fit the genome spec";
-          Ok
-            {
-              s_gen = s.Checkpoint.gen;
-              s_rng = s.Checkpoint.rng;
-              s_pop = s.Checkpoint.pop;
-              s_best =
-                (if Array.length s.Checkpoint.best = 0 then None else Some s.Checkpoint.best);
-              s_best_fitness = s.Checkpoint.best_fitness;
-              s_cache = s.Checkpoint.cache;
-              s_quarantine = s.Checkpoint.quarantine;
-              s_history = List.map entry_progress s.Checkpoint.history;
-              s_evaluations = s.Checkpoint.evaluations;
-              s_cache_hits = s.Checkpoint.cache_hits;
-              s_failures = s.Checkpoint.failures;
-              s_retries = s.Checkpoint.retries;
-            })
-      resume
-  in
+(* Int-array genomes: one gene per inlining parameter.  Every stochastic
+   operator makes the same RNG calls in the same order as it always did, so
+   seeds, checkpoints and resumes stay bit-compatible with runs recorded
+   before the engine was generalized.  Checkpoints carry genomes as JSON
+   arrays, validated against [spec] on load; "best" is [] before one
+   exists. *)
+let int_repr ~spec ~params =
+  {
+    r_key = Genome.key;
+    r_random = Genome.random spec;
+    r_crossover = crossover;
+    r_mutate = mutate spec params;
+    r_copy = Array.copy;
+    r_encode = (fun g -> Json.List (Array.to_list (Array.map json_int g)));
+    r_decode =
+      (function
+      | Json.List items when List.for_all (fun v -> Json.to_int v <> None) items ->
+        let g = Array.of_list (List.filter_map Json.to_int items) in
+        if Genome.valid spec g then Ok g
+        else Error (Printf.sprintf "genome %s does not fit the genome spec" (Genome.key g))
+      | _ -> Error "not an array of integers");
+    r_no_best = Json.List [];
+  }
+
+let run ?on_generation ?on_stats ?guard ?checkpoint ?resume ?search ?grid ?fitness ~spec
+    ~params () =
   let r =
-    run_repr ?on_generation ?on_stats ?guard ?save ?resume ?grid ~label:"ga" ~repr ~params
-      ~fitness ()
+    run_repr ?on_generation ?on_stats ?guard ?checkpoint ?resume ?search ?grid ?fitness
+      ~label:"ga" ~repr:(int_repr ~spec ~params) ~params ()
   in
   {
     best = Option.value ~default:[||] r.s_best_genome;

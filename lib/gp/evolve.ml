@@ -4,7 +4,8 @@
    everything else (sandboxed fitness with quarantine, per-generation
    checkpoints with bit-identical resume, the flat genome × benchmark pool
    grid, the decision-signature fitness cache) is the same machinery, reused
-   through [Evolve.run_repr].
+   through [Evolve.run_repr].  A tree's checkpoint form is its canonical
+   text, so a checkpoint is human-inspectable with nothing but `jq`.
 
    The one GP-specific evaluation trick: when a flip-oracle dataset is
    supplied, agreement with its labels is a cheap surrogate fitness, and any
@@ -15,8 +16,11 @@
 
 module E = Inltune_ga.Evolve
 module W = Inltune_workloads
+module Json = Inltune_obs.Json
 module Metric = Inltune_obs.Metric
 module Objective = Inltune_core.Objective
+module Features = Inltune_policy.Features
+open Inltune_vm
 
 type params = {
   pop_size : int;
@@ -82,40 +86,10 @@ let repr (p : params) =
     r_crossover = Genetic.crossover;
     r_mutate = Genetic.mutate ~prob:p.mutation_prob;
     r_copy = Fun.id;
-  }
-
-let snapshot_of_state (st : Ckpt.state) =
-  {
-    E.s_gen = st.gen;
-    s_rng = st.rng;
-    s_pop = st.pop;
-    s_best = st.best;
-    s_best_fitness = st.best_fitness;
-    s_cache = st.cache;
-    s_quarantine = st.quarantine;
-    s_history = st.history;
-    s_evaluations = st.evaluations;
-    s_cache_hits = st.cache_hits;
-    s_failures = st.failures;
-    s_retries = st.retries;
-  }
-
-let state_of_snapshot (p : params) (s : Tree.t E.snapshot) =
-  {
-    Ckpt.gen = s.E.s_gen;
-    rng = s.s_rng;
-    pop = s.s_pop;
-    best = s.s_best;
-    best_fitness = s.s_best_fitness;
-    cache = s.s_cache;
-    quarantine = s.s_quarantine;
-    history = s.s_history;
-    evaluations = s.s_evaluations;
-    cache_hits = s.s_cache_hits;
-    failures = s.s_failures;
-    retries = s.s_retries;
-    pop_size = p.pop_size;
-    seed = p.seed;
+    r_encode = (fun t -> Json.Str (Tree.to_text t));
+    r_decode =
+      (function Json.Str s -> Tree.of_text ~dim:Features.dim s | _ -> Error "not a tree text");
+    r_no_best = Json.Str "";
   }
 
 let run ?on_generation ?on_stats ?(guard = default_guard) ?checkpoint ?resume ?dataset
@@ -150,37 +124,19 @@ let run ?on_generation ?on_stats ?(guard = default_guard) ?checkpoint ?resume ?d
               None
             end)
   in
-  let save =
-    Option.map
-      (fun path s -> Ckpt.write ~path (state_of_snapshot params s))
-      checkpoint
-  in
-  let resume =
-    Option.map
-      (fun path () ->
-        match Ckpt.load ~path with
-        | Error m -> Error m
-        | Ok st ->
-          if st.Ckpt.pop_size <> params.pop_size || st.Ckpt.seed <> params.seed then
-            Error
-              (Printf.sprintf
-                 "checkpoint was written with pop_size %d seed %d, params say pop_size %d seed %d"
-                 st.Ckpt.pop_size st.Ckpt.seed params.pop_size params.seed)
-          else Ok (snapshot_of_state st))
-      resume
-  in
   let grid =
     Fitness.grid ~iterations:params.iterations ~suite ~scenario ~platform ~goal
       ~parsimony:params.parsimony ()
   in
-  let fitness =
-    Fitness.fitness ~iterations:params.iterations ~suite ~scenario ~platform ~goal
-      ~parsimony:params.parsimony ()
+  let search =
+    Printf.sprintf "gp %s %s %s [%s] parsimony=%.17g iterations=%d"
+      (Machine.scenario_name scenario) platform.Platform.pname (Objective.goal_name goal)
+      (String.concat "," (List.map (fun bm -> bm.W.Suites.bname) suite))
+      params.parsimony params.iterations
   in
   let r =
-    E.run_repr ?on_generation ?on_stats ~guard ?save ?resume ~grid ?prefilter
-      ~best_view:Tree.to_text ~label:"gp" ~repr:(repr params) ~params:(engine_params params)
-      ~fitness ()
+    E.run_repr ?on_generation ?on_stats ~guard ?checkpoint ?resume ~search ~grid ?prefilter
+      ~best_view:Tree.to_text ~label:"gp" ~repr:(repr params) ~params:(engine_params params) ()
   in
   {
     best = Option.value ~default:Tree.False r.E.s_best_genome;

@@ -2,11 +2,11 @@
 
     The tree instantiation of {!Inltune_ga.Evolve.run_repr}: same sandboxed
     fitness with quarantine, per-generation checkpoints with bit-identical
-    resume ({!Ckpt}), flat genome × benchmark pool grid, and
-    decision-signature fitness cache as the parameter GA — only the
-    representation differs.  Trace events are ["gp.generation"] (with a
-    ["best_genome"] field carrying the best tree's canonical text),
-    ["gp.resume"], ["gp.degraded"], ["gp.result"]. *)
+    resume (the engine's codec, trees as canonical texts), flat genome ×
+    benchmark pool grid, and decision-signature fitness cache as the
+    parameter GA — only the representation differs.  Trace events are
+    ["gp.generation"] (with a ["best_genome"] field carrying the best tree's
+    canonical text), ["gp.resume"], ["gp.degraded"], ["gp.result"]. *)
 
 open Inltune_vm
 module E = Inltune_ga.Evolve
@@ -48,9 +48,16 @@ type result = {
     classification. *)
 val default_guard : E.guard
 
-(** Run the evolution.  [checkpoint]/[resume] name the JSONL snapshot file
-    ({!Ckpt}); resume validates the stored [pop_size]/[seed] echo and then
-    continues bit-identically.  [dataset] (flip-oracle training pairs,
+(** The tree representation: {!Genetic}'s operators, {!Tree.digest} keys,
+    and checkpoint genomes as {!Tree.to_text} strings (the empty string
+    before a best tree exists). *)
+val repr : params -> Tree.t E.repr
+
+(** Run the evolution.  [checkpoint]/[resume] name the JSONL snapshot file;
+    resume checks the stored [pop_size]/[seed] echo and a search name built
+    from scenario, platform, goal, suite, parsimony and iterations, raising
+    {!Inltune_ga.Evolve.Checkpoint_error} on a mismatch, and then continues
+    bit-identically.  [dataset] (flip-oracle training pairs,
     {!Inltune_policy.Dataset.to_training}) enables the agreement pre-filter:
     fresh trees whose label agreement trails the current elite's by more
     than [prefilter_margin] receive a pessimistic surrogate fitness and skip

@@ -69,17 +69,3 @@ let grid ?(iterations = 3) ~suite ~scenario ~platform ~goal ~parsimony () =
         else Objective.perf goal ~t:(measure ~iterations ~scenario ~platform tree bm) ~default);
     grid_combine = (fun tree cells -> score ~parsimony tree cells);
   }
-
-let fitness ?(iterations = 3) ~suite ~scenario ~platform ~goal ~parsimony () =
-  let base = baselines ~iterations ~scenario ~platform suite in
-  fun tree ->
-    if Objective.eval_fault_gate () then Float.nan
-    else begin
-      let cells =
-        List.map
-          (fun (bm, default) ->
-            Objective.perf goal ~t:(measure ~iterations ~scenario ~platform tree bm) ~default)
-          base
-      in
-      score ~parsimony tree (Array.of_list cells)
-    end

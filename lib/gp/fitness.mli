@@ -35,16 +35,3 @@ val grid :
   parsimony:float ->
   unit ->
   (Tree.t, W.Suites.benchmark * Measure.times) Inltune_ga.Evolve.grid
-
-(** Scalar fitness computing the same float operations as {!grid} (used
-    when no work pool is wanted). *)
-val fitness :
-  ?iterations:int ->
-  suite:W.Suites.benchmark list ->
-  scenario:Machine.scenario ->
-  platform:Platform.t ->
-  goal:Objective.goal ->
-  parsimony:float ->
-  unit ->
-  Tree.t ->
-  float

@@ -204,8 +204,8 @@ let generate ?resume ?on_benchmark cfg benches =
         | Some e -> Vec.push out e
         | None ->
           let flipped =
-            Sandbox.protect ~max_retries:cfg.max_retries
-              ~classify:Objective.transient_failure ~site:"policy.label" (fun () ->
+            Sandbox.run ~max_retries:cfg.max_retries ~classify:Objective.transient_failure
+              ~corrupt:Sandbox.corrupt ~site:"policy.label" (fun () ->
                 let t =
                   measure_with cfg bm (fun ~ordinal ~features:_ v ->
                       if ordinal = k then
@@ -216,7 +216,7 @@ let generate ?resume ?on_benchmark cfg benches =
           in
           let label, benefit =
             match flipped with
-            | Ok { Sandbox.value = fm; _ } ->
+            | Ok { Sandbox.result = fm; _ } ->
               let gain = (base_metric -. fm) /. Float.max base_metric 1.0 in
               if fm < base_metric then (not base_accept, gain) else (base_accept, gain)
             | Error _ ->

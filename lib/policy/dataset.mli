@@ -6,7 +6,7 @@ module Objective = Inltune_core.Objective
     and label each inlining decision by a flip oracle — re-measure the
     benchmark with that one decision inverted and keep whichever choice runs
     faster.  Flip measurements are fault-isolated through
-    {!Inltune_resilience.Sandbox.protect} (a trapping VM penalizes nothing;
+    {!Inltune_resilience.Sandbox.run} (a trapping VM penalizes nothing;
     the base decision is kept as the label), and builds are resumable from an
     append-only JSONL file, the same discipline as GA checkpoints. *)
 

@@ -2,7 +2,7 @@
 
    One fitness evaluation of a pathological genome can exhaust its fuel
    budget, trap, or blow the stack; a days-long GA run must treat that as
-   data about the genome, not as a reason to die.  [protect] runs one
+   data about the genome, not as a reason to die.  [run] runs one
    evaluation attempt, classifies any exception as sandboxable or not,
    retries transient failures a bounded number of times with a deterministic
    backoff, and reports the final outcome as a value instead of a raise.
@@ -19,11 +19,6 @@
 module Metric = Inltune_obs.Metric
 module Trace = Inltune_obs.Trace
 module Event = Inltune_obs.Event
-
-type ok = {
-  value : float;
-  attempts : int;  (* 1 = first try succeeded *)
-}
 
 type failure = {
   f_site : string;
@@ -42,12 +37,12 @@ let backoff_units ~attempt = 1 lsl min 20 (max 0 (attempt - 1))
 let default_classify _ = true
 let no_corrupt _ = None
 
-(* The generic engine: retries any computation, not just float-valued
-   fitness evaluations.  [corrupt] inspects a successful result and may
+(* Retries any computation.  [corrupt] inspects a successful result and may
    reject it as garbage (retried like an exception); [classify] decides
    which exceptions are sandboxable — anything it rejects propagates to the
    caller untouched (e.g. a cooperative-cancellation exception must escape,
-   not be retried).  The serve daemon wraps whole requests in this. *)
+   not be retried).  The GA's evaluation and dataset labelling pass
+   [~corrupt:corrupt]; the serve daemon wraps whole requests in this. *)
 type 'a outcome = { result : 'a; o_attempts : int }
 
 let run ?(max_retries = 1) ?(classify = default_classify) ?(corrupt = no_corrupt) ~site f =
@@ -83,12 +78,5 @@ let run ?(max_retries = 1) ?(classify = default_classify) ?(corrupt = no_corrupt
   in
   attempt 1 0
 
-(* Float-valued fitness evaluation: exactly the historical behavior —
-   non-finite results are corrupt output. *)
-let protect ?max_retries ?classify ~site f =
-  let corrupt v =
-    if Float.is_finite v then None else Some (Printf.sprintf "corrupt output %h" v)
-  in
-  match run ?max_retries ?classify ~corrupt ~site f with
-  | Ok o -> Ok { value = o.result; attempts = o.o_attempts }
-  | Error f -> Error f
+(* The [corrupt] check of fitness evaluations: a non-finite value. *)
+let corrupt v = if Float.is_finite v then None else Some (Printf.sprintf "corrupt output %h" v)

@@ -6,11 +6,6 @@
     ["<site>.backoff_units"] counters, and a ["<site>.failure"] trace event
     on final failure. *)
 
-type ok = {
-  value : float;    (** the successful evaluation's result *)
-  attempts : int;   (** total attempts made; 1 = first try succeeded *)
-}
-
 type failure = {
   f_site : string;
   f_reason : string;       (** printable cause of the last attempt's failure *)
@@ -24,19 +19,17 @@ val failure_to_string : failure -> string
     work units after the given (1-based) failed attempt, capped. *)
 val backoff_units : attempt:int -> int
 
-(** A successful generic evaluation: the result and how many attempts it
-    took (1 = first try). *)
+(** A successful evaluation: the result and how many attempts it took
+    (1 = first try). *)
 type 'a outcome = { result : 'a; o_attempts : int }
 
-(** [run ~site f] is the generic sandbox {!protect} is built on: it retries
-    any computation, not just float-valued fitness.  [corrupt] may reject a
-    successful result as garbage (retried like an exception; default: never).
-    Exceptions for which [classify] holds (default: all) are transient and
-    retried up to [max_retries] times; exceptions [classify] rejects
-    propagate untouched — cancellation and shutdown signals must escape the
-    sandbox, not be retried.  Emits the same ["<site>.retries"] /
-    ["<site>.failures"] / ["<site>.backoff_units"] counters and
-    ["<site>.failure"] trace event as {!protect}. *)
+(** [run ~site f] runs [f ()].  [corrupt] may reject a successful result as
+    garbage (default: never); exceptions for which [classify] holds (default:
+    all) are transient.  Both are retried up to [max_retries] times (default
+    1).  Exceptions [classify] rejects propagate untouched — cancellation and
+    shutdown signals must escape the sandbox, not be retried.  The result is
+    never an exception for sandboxed causes: either the value with its
+    attempt count, or a {!failure} describing why every attempt failed. *)
 val run :
   ?max_retries:int ->
   ?classify:(exn -> bool) ->
@@ -45,16 +38,6 @@ val run :
   (unit -> 'a) ->
   ('a outcome, failure) result
 
-(** [protect ~site f] runs [f ()]; a non-finite result is treated as corrupt
-    output and an exception for which [classify] holds (default: every
-    exception) as a transient failure — both are retried up to [max_retries]
-    times (default 1).  Exceptions [classify] rejects propagate to the
-    caller.  The result is never an exception for sandboxed causes: either
-    the value with its attempt count, or a {!failure} describing why every
-    attempt failed. *)
-val protect :
-  ?max_retries:int ->
-  ?classify:(exn -> bool) ->
-  site:string ->
-  (unit -> float) ->
-  (ok, failure) result
+(** The [corrupt] check for fitness evaluations: a non-finite value is
+    corrupt output (["corrupt output <hex>"]); a finite one is fine. *)
+val corrupt : float -> string option

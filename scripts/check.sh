@@ -45,21 +45,25 @@ dune exec --no-build bin/main.exe -- trace-summary "$faults" | grep -q "eval.fai
 
 echo "== checkpoint/resume smoke =="
 # A run interrupted after 1 generation and resumed must print exactly what an
-# uninterrupted run prints.
+# uninterrupted run prints, and the resumed run, appending to the interrupted
+# run's checkpoint, must leave the very file the uninterrupted run wrote.
 ckpt=$(mktemp -t inltune_ckpt.XXXXXX.jsonl)
-trap 'rm -f "$trace" "$faults" "$ckpt"' EXIT
-rm -f "$ckpt"
-full=$(dune exec --no-build bin/main.exe -- tune -s adapt --pop 6 -g 2 2> /dev/null)
+fullck=$(mktemp -t inltune_fullck.XXXXXX.jsonl)
+trap 'rm -f "$trace" "$faults" "$ckpt" "$fullck"' EXIT
+rm -f "$ckpt" "$fullck"
+full=$(dune exec --no-build bin/main.exe -- tune -s adapt --pop 6 -g 2 --checkpoint "$fullck" \
+  2> /dev/null)
 dune exec --no-build bin/main.exe -- tune -s adapt --pop 6 -g 1 --checkpoint "$ckpt" \
   > /dev/null 2>&1
 resumed=$(dune exec --no-build bin/main.exe -- tune -s adapt --pop 6 -g 2 --resume "$ckpt" \
-  2> /dev/null)
+  --checkpoint "$ckpt" 2> /dev/null)
 [ "$full" = "$resumed" ] || {
   echo "resumed run differs from uninterrupted run:"
   echo "--- full ---"; echo "$full"
   echo "--- resumed ---"; echo "$resumed"
   exit 1
 }
+cmp "$fullck" "$ckpt" || { echo "resumed checkpoint differs from uninterrupted one"; exit 1; }
 
 echo "== policy smoke =="
 # Tiny dataset -> train -> eval round-trip: label a handful of compress call
@@ -68,7 +72,7 @@ echo "== policy smoke =="
 ds=$(mktemp -t inltune_ds.XXXXXX.jsonl)
 pol=$(mktemp -t inltune_pol.XXXXXX.txt)
 pol2=$(mktemp -t inltune_pol2.XXXXXX.txt)
-trap 'rm -f "$trace" "$faults" "$ckpt" "$ds" "$pol" "$pol2"' EXIT
+trap 'rm -f "$trace" "$faults" "$ckpt" "$fullck" "$ds" "$pol" "$pol2"' EXIT
 rm -f "$ds"
 dune exec --no-build bin/main.exe -- dataset "$ds" --bench compress --max-sites 6 \
   > /dev/null 2>&1
@@ -92,21 +96,24 @@ echo "== gp smoke =="
 # resume bit-identity); gp print is a serialization fixpoint; a corrupt tree
 # file dies with a one-line error and exit code 2.
 gpck=$(mktemp -t inltune_gpck.XXXXXX.jsonl)
+gpfullck=$(mktemp -t inltune_gpfullck.XXXXXX.jsonl)
 gptree=$(mktemp -t inltune_gptree.XXXXXX.txt)
-trap 'rm -f "$trace" "$faults" "$ckpt" "$ds" "$pol" "$pol2" "$gpck" "$gptree"' EXIT
-rm -f "$gpck"
+trap 'rm -f "$trace" "$faults" "$ckpt" "$fullck" "$ds" "$pol" "$pol2" "$gpck" "$gpfullck" \
+      "$gptree"' EXIT
+rm -f "$gpck" "$gpfullck"
 gp_full=$(dune exec --no-build bin/main.exe -- tune --evolve-policy -s opt:tot --pop 6 -g 2 \
-  --seed 7 --gp-out "$gptree" 2> /dev/null)
+  --seed 7 --gp-out "$gptree" --checkpoint "$gpfullck" 2> /dev/null)
 dune exec --no-build bin/main.exe -- tune --evolve-policy -s opt:tot --pop 6 -g 1 --seed 7 \
   --checkpoint "$gpck" > /dev/null 2>&1
 gp_resumed=$(dune exec --no-build bin/main.exe -- tune --evolve-policy -s opt:tot --pop 6 -g 2 \
-  --seed 7 --gp-out "$gptree" --resume "$gpck" 2> /dev/null)
+  --seed 7 --gp-out "$gptree" --resume "$gpck" --checkpoint "$gpck" 2> /dev/null)
 [ "$gp_full" = "$gp_resumed" ] || {
   echo "resumed GP run differs from uninterrupted run:"
   echo "--- full ---"; echo "$gp_full"
   echo "--- resumed ---"; echo "$gp_resumed"
   exit 1
 }
+cmp "$gpfullck" "$gpck" || { echo "resumed GP checkpoint differs from uninterrupted one"; exit 1; }
 dune exec --no-build bin/main.exe -- gp print "$gptree" | cmp -s - "$gptree" \
   || { echo "gp tree canonical form is not a serialization fixpoint"; exit 1; }
 printf 'inltune-gp v1\n(and true)\n' > "$gptree"
@@ -161,7 +168,8 @@ echo "== plan smoke =="
 # code 2, and the GA can evolve the plan itself.
 plan=$(mktemp -t inltune_plan.XXXXXX.txt)
 plan2=$(mktemp -t inltune_plan2.XXXXXX.txt)
-trap 'rm -f "$trace" "$faults" "$ckpt" "$ds" "$pol" "$pol2" "$plan" "$plan2"' EXIT
+trap 'rm -f "$trace" "$faults" "$ckpt" "$fullck" "$ds" "$pol" "$pol2" "$gpck" "$gpfullck" "$gptree" \
+      "$plan" "$plan2"' EXIT
 dune exec --no-build bin/main.exe -- plan > "$plan"
 dune exec --no-build bin/main.exe -- plan "$plan" > "$plan2"
 cmp -s "$plan" "$plan2" || { echo "plan canonical form is not a serialization fixpoint"; exit 1; }
@@ -241,7 +249,8 @@ echo "== observability smoke =="
 # trace aggregates into profile/histogram tables and flamegraph-ready
 # folded stacks via trace-summary.
 obs=$(mktemp -t inltune_obs.XXXXXX.jsonl)
-trap 'rm -f "$trace" "$faults" "$ckpt" "$ds" "$pol" "$pol2" "$plan" "$plan2" "$obs"' EXIT
+trap 'rm -f "$trace" "$faults" "$ckpt" "$fullck" "$ds" "$pol" "$pol2" "$gpck" "$gpfullck" "$gptree" \
+      "$plan" "$plan2" "$obs"' EXIT
 rm -f "$obs"
 obs_err=$(dune exec --no-build bin/main.exe -- tune -s adapt --pop 6 -g 2 --domains 1 \
   --profile --progress --trace "$obs" 2>&1 > /dev/null)
@@ -256,18 +265,6 @@ echo "$obs_summary" | grep -q "histograms" \
 dune exec --no-build bin/main.exe -- trace-summary --folded "$obs" \
   | grep -q '^fitness\.eval.* [0-9][0-9]*$' \
   || { echo "missing folded stacks in trace-summary --folded"; exit 1; }
-
-echo "== vm-bench smoke =="
-# The VM throughput trajectory bench must leave a parseable BENCH_vm.json
-# with throughput, latency percentiles, per-step GC allocation, all three
-# scenarios, and the speedup-vs-previous trajectory field (the bench reads
-# the previous file before overwriting, and one just ran above).
-INLTUNE_VM_REPEATS=1 INLTUNE_VM_ITERS=2 dune exec --no-build bench/main.exe vm > /dev/null
-INLTUNE_VM_REPEATS=1 INLTUNE_VM_ITERS=2 dune exec --no-build bench/main.exe vm > /dev/null
-for field in cycles_per_second steps_per_second gc_minor_words_per_step \
-    speedup_vs_previous '"opt"' '"adapt"' '"ladder"' '"p50"' '"p99"'; do
-  grep -q "$field" BENCH_vm.json || { echo "BENCH_vm.json: missing $field"; exit 1; }
-done
 
 echo "== flat-interpreter identity smoke =="
 # The flat threaded-dispatch interpreter and the tree-walking reference
@@ -318,7 +315,8 @@ done
 # BENCH_tuner.json does not replace the flat-interpreter one above.
 root=$(pwd)
 reftuner=$(mktemp -d -t inltune_reftuner.XXXXXX)
-trap 'rm -f "$trace" "$faults" "$ckpt" "$ds" "$pol" "$pol2" "$plan" "$plan2" "$obs";
+trap 'rm -f "$trace" "$faults" "$ckpt" "$fullck" "$ds" "$pol" "$pol2" "$gpck" "$gpfullck" "$gptree" \
+      "$plan" "$plan2" "$obs";
       rm -rf "$reftuner"' EXIT
 (cd "$reftuner" && INLTUNE_VM_REFERENCE=1 INLTUNE_POP=6 INLTUNE_GENS=2 \
   "$root/_build/default/bench/main.exe" tuner > /dev/null)
@@ -334,7 +332,8 @@ echo "== serve smoke =="
 # reply, and SIGTERM drains to a clean exit with the socket removed.
 sock=$(mktemp -t inltune_serve.XXXXXX.sock)
 rm -f "$sock"
-trap 'rm -f "$trace" "$faults" "$ckpt" "$ds" "$pol" "$pol2" "$plan" "$plan2" "$obs" "$sock";
+trap 'rm -f "$trace" "$faults" "$ckpt" "$fullck" "$ds" "$pol" "$pol2" "$gpck" "$gpfullck" "$gptree" \
+      "$plan" "$plan2" "$obs" "$sock";
       rm -rf "$reftuner";
       [ -n "${serve_pid:-}" ] && kill -9 "$serve_pid" 2> /dev/null || true' EXIT
 INLTUNE_FAULTS="serve:raise@1,serve:raise@2" \
@@ -413,5 +412,18 @@ INLTUNE_FAULTS="garbage" dune exec --no-build bin/main.exe -- list > /dev/null 2
 rc=0
 dune exec --no-build bin/main.exe -- trace-summary /no/such/trace.jsonl > /dev/null 2>&1 || rc=$?
 [ "$rc" -eq 2 ] || { echo "missing trace file exited $rc, want 2"; exit 1; }
+# Resume failures are one-line errors too: a missing checkpoint, one written
+# with another --seed, and one written by another search (scenario).
+rc=0
+dune exec --no-build bin/main.exe -- tune --resume /no/such/file > /dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ] || { echo "missing --resume file exited $rc, want 2"; exit 1; }
+rc=0
+dune exec --no-build bin/main.exe -- tune -s adapt --pop 6 -g 2 --seed 43 --resume "$ckpt" \
+  > /dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ] || { echo "resume with another --seed exited $rc, want 2"; exit 1; }
+rc=0
+dune exec --no-build bin/main.exe -- tune -s opt:tot --pop 6 -g 2 --resume "$ckpt" \
+  > /dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ] || { echo "resume under another -s exited $rc, want 2"; exit 1; }
 
 echo "OK"

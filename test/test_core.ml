@@ -340,6 +340,23 @@ let test_tune_micro_budget_beats_or_matches_default () =
   Alcotest.(check bool) "genome in ranges" true
     (Inltune_ga.Genome.valid Params.genome_spec (Heuristic.to_array o.Tuner.heuristic))
 
+let test_tune_resume_refuses_other_search () =
+  (* A checkpoint names its search: resuming it under another scenario (same
+     pop_size and seed) is refused before anything is evaluated. *)
+  let ck = Filename.temp_file "inltune_tuner" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove ck)
+    (fun () ->
+      let budget = { Tuner.pop = 3; gens = 0; seed = 5 } in
+      ignore (Tuner.tune ~budget ~suite:[ bm_compress ] ~checkpoint:ck Tuner.Opt_tot_x86);
+      let budget = { budget with Tuner.gens = 1 } in
+      match Tuner.tune ~budget ~suite:[ bm_compress ] ~resume:ck Tuner.Opt_bal_x86 with
+      | _ -> Alcotest.fail "a resume under another scenario must be refused"
+      | exception Inltune_ga.Evolve.Checkpoint_error msg ->
+        Alcotest.(check bool) ("names the search: " ^ msg) true
+          (String.length msg > 0
+          && List.exists (fun w -> w = "search") (String.split_on_char ' ' msg)))
+
 (* --- Resilience wiring: classifier, fault hooks, fuel-exhaustion penalty --- *)
 
 let test_transient_failure_classification () =
@@ -457,6 +474,7 @@ let suite =
     ("tuner scenario specs", `Quick, test_scenario_specs);
     ("tuner scenario parsing", `Quick, test_scenario_of_string);
     ("tuner micro budget", `Slow, test_tune_micro_budget_beats_or_matches_default);
+    ("tuner resume refuses another search", `Quick, test_tune_resume_refuses_other_search);
     ("transient failure classification", `Quick, test_transient_failure_classification);
     ("genome_fitness fault injection", `Quick, test_genome_fitness_fault_injection);
     ("fuel exhaustion penalized", `Quick, test_fuel_exhaustion_penalized);

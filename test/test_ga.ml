@@ -130,6 +130,11 @@ let test_evolve_rejects_bad_params () =
   Alcotest.(check bool) "tournament 0" true
     (bad { Ga.Evolve.default_params with Ga.Evolve.tournament = 0 })
 
+let test_evolve_needs_an_evaluator () =
+  Alcotest.check_raises "neither ~fitness nor ~grid"
+    (Invalid_argument "Evolve.run: needs ~fitness or ~grid") (fun () ->
+      ignore (Ga.Evolve.run ~spec:spec3 ~params:Ga.Evolve.default_params ()))
+
 let test_crossover_mutation_stay_in_range () =
   (* Indirect: run many generations with high mutation and check validity of
      the best (operators never escape the ranges). *)
@@ -173,6 +178,7 @@ let suite =
     ("evolve memoizes fitness", `Quick, test_evolve_caches);
     ("evolve parallel = sequential", `Quick, test_evolve_parallel_matches_sequential);
     ("evolve rejects bad params", `Quick, test_evolve_rejects_bad_params);
+    ("evolve needs fitness or grid", `Quick, test_evolve_needs_an_evaluator);
     ("operators respect ranges", `Quick, test_crossover_mutation_stay_in_range);
     ("random search sanity", `Quick, test_random_search_improves_over_first);
     ("GA beats random search at equal budget", `Quick, test_ga_beats_random_search_on_budget);

@@ -246,64 +246,39 @@ let test_agreement () =
     (Gp.Decode.agreement training Tree.True);
   Alcotest.(check (float 1e-9)) "empty data is vacuous" 1.0 (Gp.Decode.agreement [||] Tree.True)
 
-(* --- Checkpoints ---------------------------------------------------------- *)
+(* --- Checkpoint codec (tree genomes) ---------------------------------------- *)
 
-let sample_state =
+let codec_params = { E.default_params with E.pop_size = 2; seed = 7; domains = Some 1 }
+
+let codec_fixture =
   let t1 = Tree.(Cmp (Le, Feat 0, Const 10.0)) in
   let t2 = Tree.(And (True, Not (Cmp (Gt, Feat 2, Const 3.0)))) in
   {
-    Gp.Ckpt.gen = 2;
-    rng = 987654321098765L;
-    pop = [| t1; t2; Tree.True |];
-    best = Some t1;
-    best_fitness = 1.0625;
-    cache = [ (Tree.digest t1, 1.0625); (Tree.digest t2, 1.25) ];
-    quarantine = [ "deadbeef" ];
-    history =
-      [
-        { E.generation = 0; best_fitness = 1.5; mean_fitness = 2.25; evaluations = 3 };
-        { E.generation = 1; best_fitness = 1.0625; mean_fitness = 1.75; evaluations = 6 };
-      ];
-    evaluations = 6;
-    cache_hits = 2;
-    failures = 1;
-    retries = 1;
-    pop_size = 3;
-    seed = 7;
+    Ckpt_cases.repr = Gp.Evolve.repr Gp.Evolve.default_params;
+    params = codec_params;
+    sample =
+      {
+        E.s_gen = 2;
+        s_rng = 987654321098765L;
+        s_pop = [| t1; t2 |];
+        s_best = Some t1;
+        s_best_fitness = 1.0625;
+        s_cache = [ (Tree.digest t1, 1.0625); (Tree.digest t2, 1.25) ];
+        s_quarantine = [ "deadbeef" ];
+        s_history =
+          [
+            { E.generation = 0; best_fitness = 1.5; mean_fitness = 2.25; evaluations = 3 };
+            { E.generation = 1; best_fitness = 1.0625; mean_fitness = 1.75; evaluations = 6 };
+          ];
+        s_evaluations = 6;
+        s_cache_hits = 2;
+        s_failures = 1;
+        s_retries = 1;
+      };
+    golden = Ckpt_cases.gp_golden;
+    golden_params = { codec_params with E.pop_size = 6 };
+    cheap = (fun t -> Float.of_int (Tree.size t));
   }
-
-let test_ckpt_round_trip () =
-  let path = Filename.temp_file "inltune_gp_ckpt" ".jsonl" in
-  Gp.Ckpt.write ~path sample_state;
-  (match Gp.Ckpt.load ~path with
-  | Error e -> Alcotest.fail e
-  | Ok st -> Alcotest.(check bool) "round trip" true (st = sample_state));
-  Sys.remove path
-
-let test_ckpt_last_valid_line () =
-  let path = Filename.temp_file "inltune_gp_ckpt2" ".jsonl" in
-  Gp.Ckpt.write ~path sample_state;
-  Gp.Ckpt.write ~path { sample_state with gen = 3; best_fitness = 1.03125 };
-  (* simulate a mid-write kill: a truncated trailing line *)
-  let oc = open_out_gen [ Open_append ] 0o644 path in
-  output_string oc "{\"v\":1,\"gen\":4,\"rng\":\"12";
-  close_out oc;
-  (match Gp.Ckpt.load ~path with
-  | Error e -> Alcotest.fail e
-  | Ok st ->
-    Alcotest.(check int) "last complete snapshot wins" 3 st.Gp.Ckpt.gen;
-    Alcotest.(check (float 1e-12)) "fitness from that snapshot" 1.03125 st.Gp.Ckpt.best_fitness);
-  Sys.remove path
-
-let test_ckpt_rejects_garbage () =
-  let path = Filename.temp_file "inltune_gp_ckpt3" ".jsonl" in
-  let oc = open_out path in
-  output_string oc "not a checkpoint\n";
-  close_out oc;
-  (match Gp.Ckpt.load ~path with
-  | Ok _ -> Alcotest.fail "expected an error"
-  | Error _ -> ());
-  Sys.remove path
 
 (* --- Evolution: determinism, resume, pre-filter --------------------------- *)
 
@@ -348,15 +323,9 @@ let test_evolve_resume_bit_identical () =
     resumed.Gp.Evolve.best_fitness;
   Alcotest.(check bool) "and the history" true
     (full.Gp.Evolve.history = resumed.Gp.Evolve.history);
-  (* the final snapshots agree on generation, RNG stream, and population *)
-  (match (Gp.Ckpt.load ~path:full_ck, Gp.Ckpt.load ~path:part_ck) with
-  | Ok a, Ok b ->
-    Alcotest.(check int) "same generation" a.Gp.Ckpt.gen b.Gp.Ckpt.gen;
-    Alcotest.(check bool) "same rng state" true (a.Gp.Ckpt.rng = b.Gp.Ckpt.rng);
-    Alcotest.(check (array string)) "same population"
-      (Array.map Tree.to_text a.Gp.Ckpt.pop)
-      (Array.map Tree.to_text b.Gp.Ckpt.pop)
-  | Error e, _ | _, Error e -> Alcotest.fail e);
+  (* the two checkpoint files are byte for byte the same *)
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  Alcotest.(check string) "identical checkpoint files" (read full_ck) (read part_ck);
   List.iter Sys.remove [ full_ck; part_ck ]
 
 let test_evolve_resume_rejects_mismatched_params () =
@@ -372,13 +341,18 @@ let test_evolve_resume_rejects_mismatched_params () =
     let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
     go 0
   in
-  (match
-     Gp.Evolve.run ~resume:ck ~suite:[ compress ] ~scenario:Machine.Opt
-       ~platform:Platform.x86 ~goal:Objective.Total ~params:(tiny_params 14) ()
-   with
-  | _ -> Alcotest.fail "expected Invalid_argument on seed mismatch"
-  | exception Invalid_argument msg ->
-    Alcotest.(check bool) "names both sides" true (contains msg "seed"));
+  let refused ~goal params needle =
+    match
+      Gp.Evolve.run ~resume:ck ~suite:[ compress ] ~scenario:Machine.Opt
+        ~platform:Platform.x86 ~goal ~params ()
+    with
+    | _ -> Alcotest.failf "expected a refusal naming %s" needle
+    | exception E.Checkpoint_error msg ->
+      Alcotest.(check bool) ("names " ^ needle) true (contains msg needle)
+  in
+  refused ~goal:Objective.Total (tiny_params 14) "seed";
+  (* Same echo, another search: the goal is part of the search name. *)
+  refused ~goal:Objective.Running (tiny_params 13) "search";
   Sys.remove ck
 
 let test_evolve_prefilter_counters () =
@@ -439,9 +413,6 @@ let suite =
     Alcotest.test_case "decode: identical decisions share Opt signature" `Quick
       test_policy_signature_shared_across_identical_trees;
     Alcotest.test_case "decode: agreement score" `Quick test_agreement;
-    Alcotest.test_case "ckpt: round trip" `Quick test_ckpt_round_trip;
-    Alcotest.test_case "ckpt: last valid line wins" `Quick test_ckpt_last_valid_line;
-    Alcotest.test_case "ckpt: rejects garbage" `Quick test_ckpt_rejects_garbage;
     Alcotest.test_case "evolve: deterministic under fixed seed" `Quick test_evolve_deterministic;
     Alcotest.test_case "evolve: resume is bit-identical" `Quick test_evolve_resume_bit_identical;
     Alcotest.test_case "evolve: resume rejects mismatched params" `Quick
@@ -450,3 +421,4 @@ let suite =
     Alcotest.test_case "dataset: load_or_generate reuses labels" `Quick
       test_dataset_reused_counter;
   ]
+  @ Ckpt_cases.cases codec_fixture

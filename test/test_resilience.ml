@@ -1,7 +1,6 @@
 module R = Inltune_resilience
 module Faultinject = R.Faultinject
 module Sandbox = R.Sandbox
-module Checkpoint = R.Checkpoint
 module Evolve = Inltune_ga.Evolve
 module Genome = Inltune_ga.Genome
 
@@ -55,10 +54,10 @@ let test_clear_disarms () =
 (* --- Sandbox --- *)
 
 let test_sandbox_first_try () =
-  match Sandbox.protect ~site:"t" (fun () -> 0.25) with
-  | Ok ok ->
-    Alcotest.(check (float 0.0)) "value" 0.25 ok.Sandbox.value;
-    Alcotest.(check int) "one attempt" 1 ok.Sandbox.attempts
+  match Sandbox.run ~corrupt:Sandbox.corrupt ~site:"t" (fun () -> 0.25) with
+  | Ok o ->
+    Alcotest.(check (float 0.0)) "value" 0.25 o.Sandbox.result;
+    Alcotest.(check int) "one attempt" 1 o.Sandbox.o_attempts
   | Error f -> Alcotest.failf "unexpected failure: %s" (Sandbox.failure_to_string f)
 
 let test_sandbox_retry_then_success () =
@@ -67,17 +66,17 @@ let test_sandbox_retry_then_success () =
     incr calls;
     if !calls < 3 then failwith "flaky" else 0.5
   in
-  match Sandbox.protect ~max_retries:2 ~site:"t" f with
-  | Ok ok ->
-    Alcotest.(check (float 0.0)) "value" 0.5 ok.Sandbox.value;
-    Alcotest.(check int) "attempts" 3 ok.Sandbox.attempts;
+  match Sandbox.run ~max_retries:2 ~corrupt:Sandbox.corrupt ~site:"t" f with
+  | Ok o ->
+    Alcotest.(check (float 0.0)) "value" 0.5 o.Sandbox.result;
+    Alcotest.(check int) "attempts" 3 o.Sandbox.o_attempts;
     Alcotest.(check int) "calls" 3 !calls
   | Error f -> Alcotest.failf "unexpected failure: %s" (Sandbox.failure_to_string f)
 
 let test_sandbox_exhaustion () =
   let calls = ref 0 in
   let f () = incr calls; failwith "always" in
-  match Sandbox.protect ~max_retries:2 ~site:"t" f with
+  match Sandbox.run ~max_retries:2 ~corrupt:Sandbox.corrupt ~site:"t" f with
   | Ok _ -> Alcotest.fail "should have failed"
   | Error fl ->
     Alcotest.(check int) "attempts = 1 + max_retries" 3 fl.Sandbox.f_attempts;
@@ -88,21 +87,21 @@ let test_sandbox_exhaustion () =
 let test_sandbox_corrupt_output () =
   let calls = ref 0 in
   let f () = incr calls; Float.nan in
-  (match Sandbox.protect ~max_retries:1 ~site:"t" f with
+  (match Sandbox.run ~max_retries:1 ~corrupt:Sandbox.corrupt ~site:"t" f with
   | Ok _ -> Alcotest.fail "NaN must not be an Ok value"
   | Error fl ->
     Alcotest.(check int) "retried once" 2 fl.Sandbox.f_attempts;
     Alcotest.(check bool) "reason mentions corrupt" true
       (String.length fl.Sandbox.f_reason >= 7
       && String.sub fl.Sandbox.f_reason 0 7 = "corrupt"));
-  match Sandbox.protect ~site:"t" (fun () -> Float.infinity) with
+  match Sandbox.run ~corrupt:Sandbox.corrupt ~site:"t" (fun () -> Float.infinity) with
   | Ok _ -> Alcotest.fail "infinity must not be an Ok value"
   | Error _ -> ()
 
 let test_sandbox_classify_rejects () =
   let f () = raise Exit in
   Alcotest.check_raises "unclassified exception propagates" Exit (fun () ->
-      ignore (Sandbox.protect ~classify:(fun e -> e <> Exit) ~site:"t" f))
+      ignore (Sandbox.run ~classify:(fun e -> e <> Exit) ~corrupt:Sandbox.corrupt ~site:"t" f))
 
 let test_sandbox_run_generic_corrupt () =
   (* The generic engine retries arbitrary result types; [corrupt] rejects a
@@ -140,10 +139,10 @@ let hang_gate site () =
 let test_sandbox_hang_retries_then_succeeds () =
   arm_from_env "sbx:hang@1";
   Fun.protect ~finally:Faultinject.clear (fun () ->
-      match Sandbox.protect ~max_retries:2 ~site:"sbx" (hang_gate "sbx") with
-      | Ok ok ->
-        Alcotest.(check (float 0.0)) "recovered value" 0.5 ok.Sandbox.value;
-        Alcotest.(check int) "hang, then success" 2 ok.Sandbox.attempts
+      match Sandbox.run ~max_retries:2 ~corrupt:Sandbox.corrupt ~site:"sbx" (hang_gate "sbx") with
+      | Ok o ->
+        Alcotest.(check (float 0.0)) "recovered value" 0.5 o.Sandbox.result;
+        Alcotest.(check int) "hang, then success" 2 o.Sandbox.o_attempts
       | Error fl -> Alcotest.failf "unexpected failure: %s" (Sandbox.failure_to_string fl))
 
 let test_sandbox_hang_exhaustion_deterministic_backoff () =
@@ -151,7 +150,7 @@ let test_sandbox_hang_exhaustion_deterministic_backoff () =
      schedule prescribes (1 after attempt 1, 2 after attempt 2), every run. *)
   arm_from_env "sbx2:hang@1,sbx2:hang@2,sbx2:hang@3";
   Fun.protect ~finally:Faultinject.clear (fun () ->
-      match Sandbox.protect ~max_retries:2 ~site:"sbx2" (hang_gate "sbx2") with
+      match Sandbox.run ~max_retries:2 ~corrupt:Sandbox.corrupt ~site:"sbx2" (hang_gate "sbx2") with
       | Ok _ -> Alcotest.fail "three hangs must exhaust two retries"
       | Error fl ->
         Alcotest.(check int) "attempts" 3 fl.Sandbox.f_attempts;
@@ -166,68 +165,6 @@ let test_backoff_schedule () =
     (List.map (fun a -> Sandbox.backoff_units ~attempt:a) [ 1; 2; 3; 4 ]);
   Alcotest.(check int) "capped" (Sandbox.backoff_units ~attempt:100)
     (Sandbox.backoff_units ~attempt:21)
-
-(* --- Checkpoint --- *)
-
-let sample_state =
-  {
-    Checkpoint.gen = 7;
-    rng = -4616189618054758400L;
-    pop = [| [| 1; 2; 3 |]; [| 4; 5; 6 |] |];
-    best = [| 1; 2; 3 |];
-    best_fitness = 0.123456789012345678;
-    cache = [ ("1,2,3", 0.5); ("4,5,6", 1.0e6) ];
-    quarantine = [ "4,5,6" ];
-    history =
-      [
-        { Checkpoint.e_gen = 0; e_best = 1.0; e_mean = 2.0; e_evals = 2 };
-        { Checkpoint.e_gen = 7; e_best = 0.5; e_mean = 0.75; e_evals = 4 };
-      ];
-    evaluations = 4;
-    cache_hits = 9;
-    failures = 1;
-    retries = 2;
-    pop_size = 2;
-    seed = 42;
-  }
-
-let test_checkpoint_roundtrip () =
-  match Checkpoint.of_line (Checkpoint.to_line sample_state) with
-  | Error m -> Alcotest.failf "of_line: %s" m
-  | Ok s ->
-    Alcotest.(check bool) "exact round-trip" true (s = sample_state);
-    Alcotest.(check int64) "raw rng state" sample_state.Checkpoint.rng s.Checkpoint.rng
-
-let test_checkpoint_float_fidelity () =
-  let s = { sample_state with Checkpoint.best_fitness = 0.1 +. 0.2 } in
-  match Checkpoint.of_line (Checkpoint.to_line s) with
-  | Error m -> Alcotest.failf "of_line: %s" m
-  | Ok s' ->
-    Alcotest.(check bool) "bit-identical float" true
-      (Int64.equal
-         (Int64.bits_of_float s.Checkpoint.best_fitness)
-         (Int64.bits_of_float s'.Checkpoint.best_fitness))
-
-let test_checkpoint_load_last_valid () =
-  let path = Filename.temp_file "inltune_ckpt" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let early = { sample_state with Checkpoint.gen = 3 } in
-      Checkpoint.write ~path early;
-      Checkpoint.write ~path sample_state;
-      (* Simulate a crash mid-append: a truncated last line. *)
-      let oc = open_out_gen [ Open_append ] 0o644 path in
-      output_string oc (String.sub (Checkpoint.to_line sample_state) 0 25);
-      close_out oc;
-      match Checkpoint.load ~path with
-      | Error m -> Alcotest.failf "load: %s" m
-      | Ok s -> Alcotest.(check int) "last complete snapshot wins" 7 s.Checkpoint.gen)
-
-let test_checkpoint_load_missing () =
-  match Checkpoint.load ~path:"/nonexistent/inltune.ckpt" with
-  | Ok _ -> Alcotest.fail "missing file must not load"
-  | Error _ -> ()
 
 (* --- Guarded evolution --- *)
 
@@ -291,6 +228,16 @@ let test_degradation_stops_search () =
   Alcotest.(check bool) "stopped at generation 0" true (List.length r.Evolve.history = 1);
   Alcotest.(check (float 0.0)) "every fitness is the penalty"
     Evolve.default_guard.Evolve.penalty r.Evolve.best_fitness
+
+let test_default_guard_quarantines () =
+  (* Without a ~guard the default one applies: a raising evaluation is
+     retried, then penalized and quarantined, and the search finishes. *)
+  let fitness g = if g.(0) mod 5 = 0 then failwith "injected" else sphere g in
+  let r = Evolve.run ~spec:spec3 ~params:small_params ~fitness () in
+  Alcotest.(check bool) "failures recorded" true (r.Evolve.failures > 0);
+  Alcotest.(check int) "every failure quarantined" r.Evolve.failures r.Evolve.quarantined;
+  Alcotest.(check bool) "best is a real evaluation" true
+    (r.Evolve.best.(0) mod 5 <> 0 && r.Evolve.best_fitness < 100.0)
 
 let test_classify_limits_retry () =
   (* Exceptions the guard does not classify as transient are penalized
@@ -370,9 +317,62 @@ let test_resume_rejects_mismatched_params () =
             (Evolve.run ~resume:ckpt ~guard:Evolve.default_guard ~spec:spec3 ~params
                ~fitness:sphere ());
           false
-        with Invalid_argument _ -> true
+        with Evolve.Checkpoint_error _ -> true
       in
       Alcotest.(check bool) "seed mismatch rejected" true raised)
+
+let test_checkpoint_errors_precede_evaluation () =
+  (* An unwritable checkpoint path and a failed resume are refused before
+     generation 0 is evaluated, and the refused resume creates no file. *)
+  let calls = ref 0 in
+  let fitness g = incr calls; sphere g in
+  let refused ?checkpoint ?resume () =
+    match Evolve.run ?checkpoint ?resume ~spec:spec3 ~params:small_params ~fitness () with
+    | _ -> false
+    | exception Evolve.Checkpoint_error _ -> true
+  in
+  Alcotest.(check bool) "unwritable checkpoint refused" true
+    (refused ~checkpoint:"/nonexistent-dir/inltune.jsonl" ());
+  let missing = Filename.temp_file "inltune_missing" ".jsonl" in
+  Sys.remove missing;
+  Alcotest.(check bool) "missing resume refused" true
+    (refused ~checkpoint:missing ~resume:missing ());
+  Alcotest.(check bool) "refused resume created no file" false (Sys.file_exists missing);
+  Alcotest.(check int) "nothing evaluated" 0 !calls
+
+(* --- Checkpoint codec (int-array genomes) --- *)
+
+let codec_params = { Evolve.default_params with Evolve.pop_size = 2; seed = 42; domains = Some 1 }
+
+let codec_fixture =
+  let spec = Inltune_core.Params.genome_spec in
+  let g1 = [| 4; 13; 5; 3942; 13 |] and g2 = [| 16; 12; 3; 502; 44 |] in
+  {
+    Ckpt_cases.repr = Evolve.int_repr ~spec ~params:codec_params;
+    params = codec_params;
+    sample =
+      {
+        Evolve.s_gen = 7;
+        s_rng = -4616189618054758400L;
+        s_pop = [| g1; g2 |];
+        s_best = Some g1;
+        s_best_fitness = 0.5;
+        s_cache = [ (Genome.key g2, 1.0e6); (Genome.key g1, 0.5) ];
+        s_quarantine = [ Genome.key g2 ];
+        s_history =
+          [
+            { Evolve.generation = 0; best_fitness = 1.0; mean_fitness = 2.0; evaluations = 2 };
+            { Evolve.generation = 7; best_fitness = 0.5; mean_fitness = 0.75; evaluations = 4 };
+          ];
+        s_evaluations = 4;
+        s_cache_hits = 9;
+        s_failures = 1;
+        s_retries = 2;
+      };
+    golden = Ckpt_cases.ga_golden;
+    golden_params = { codec_params with Evolve.pop_size = 6 };
+    cheap = (fun g -> Float.of_int (Array.fold_left ( + ) 0 g));
+  }
 
 let suite =
   [
@@ -390,15 +390,14 @@ let suite =
     ("sandbox generic run corrupt", `Quick, test_sandbox_run_generic_corrupt);
     ("sandbox hang retries then succeeds", `Quick, test_sandbox_hang_retries_then_succeeds);
     ("sandbox hang exhaustion backoff", `Quick, test_sandbox_hang_exhaustion_deterministic_backoff);
-    ("checkpoint roundtrip", `Quick, test_checkpoint_roundtrip);
-    ("checkpoint float fidelity", `Quick, test_checkpoint_float_fidelity);
-    ("checkpoint load last valid", `Quick, test_checkpoint_load_last_valid);
-    ("checkpoint load missing", `Quick, test_checkpoint_load_missing);
     ("guarded run isolates failures", `Quick, test_guarded_run_isolates_failures);
     ("quarantine stops re-evaluation", `Quick, test_quarantine_stops_reevaluation);
+    ("default guard quarantines failures", `Quick, test_default_guard_quarantines);
     ("degradation stops search", `Quick, test_degradation_stops_search);
     ("classify limits retry", `Quick, test_classify_limits_retry);
     ("resume matches uninterrupted", `Quick, test_resume_matches_uninterrupted);
     ("resume from own checkpoint", `Quick, test_resume_from_own_checkpoint_file);
     ("resume rejects mismatched params", `Quick, test_resume_rejects_mismatched_params);
+    ("checkpoint errors precede evaluation", `Quick, test_checkpoint_errors_precede_evaluation);
   ]
+  @ Ckpt_cases.cases codec_fixture
