@@ -1152,6 +1152,15 @@ let () =
   (* INLTUNE_PROFILE=1 works for benches exactly as it does for the CLI. *)
   Inltune_obs.Prof.init_from_env ();
   let arg = if Array.length Sys.argv > 1 then Sys.argv.(1) else "everything" in
+  let protocols =
+    [ "everything"; "ablations"; "extensions"; "policy"; "gp"; "tuner"; "passes"; "inliners";
+      "serve" ]
+    @ Experiments.known
+  in
+  if not (List.mem arg protocols) then begin
+    Printf.eprintf "bench: unknown protocol %s (one of %s)\n" arg (String.concat ", " protocols);
+    exit 2
+  end;
   let ctx = Experiments.make_ctx ~budget:(budget ()) () in
   match arg with
   | "everything" ->

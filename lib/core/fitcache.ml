@@ -66,47 +66,30 @@ module Json = Inltune_obs.Json
 
 (* --- per-program derived data ------------------------------------------ *)
 
-type pinfo = {
-  p_digest : string;            (* hex MD5 of the canonical text form *)
-  p_cp : Ir.methd array;        (* constant-propagated methods (Opt walk roots) *)
-  p_roots : Engine.call_sites;  (* call-site tables of [p_cp] *)
-  p_bodies : Engine.call_sites; (* call-site tables of the original methods *)
-  p_sizes : int array;          (* distinct static method sizes, sorted *)
-  p_nmethods : int;
+(* What the signatures read of a program lives in its fact-table entry
+   ({!Facts}), looked up once per query: the digest, the original methods'
+   call-site tables ([Engine.bodies]), and these two. *)
+
+(* The [Opt] walk's roots: the constant-propagated methods (the pipeline's
+   own first-constprop results) and their call-site tables. *)
+type roots = {
+  r_cp : Ir.methd array;
+  r_tables : Engine.call_sites;
 }
 
-(* Keyed by physical identity: [Suites.program] shares one immutable program
-   value per benchmark per process, so this list stays as short as the suite. *)
-let pinfo_mu = Mutex.create ()
-let pinfos : (Ir.program * pinfo) list ref = ref []
-
-let pinfo_of prog =
-  Mutex.lock pinfo_mu;
-  let info =
-    match List.find_opt (fun (p, _) -> p == prog) !pinfos with
-    | Some (_, i) -> i
-    | None ->
-      let digest = Digest.to_hex (Digest.string (Text.to_string prog)) in
-      let cp = Array.map (fun m -> fst (Constprop.run prog m)) prog.Ir.methods in
-      let bodies = Engine.call_sites prog.Ir.methods in
-      let sizes = Array.to_list bodies.Engine.sizes |> List.sort_uniq compare |> Array.of_list in
-      let i =
-        {
-          p_digest = digest;
-          p_cp = cp;
-          p_roots = Engine.call_sites cp;
-          p_bodies = bodies;
-          p_sizes = sizes;
-          p_nmethods = Array.length prog.Ir.methods;
-        }
+let roots_key =
+  Facts.key ~name:"walk_roots" (fun f ->
+      let cp =
+        Array.init (Array.length (Facts.sizes f)) (fun mid -> fst (Pass.constprop_original f mid))
       in
-      pinfos := (prog, i) :: !pinfos;
-      i
-  in
-  Mutex.unlock pinfo_mu;
-  info
+      { r_cp = cp; r_tables = Engine.call_sites cp })
 
-let program_digest prog = (pinfo_of prog).p_digest
+(* Distinct static method sizes, sorted: the [Adapt] projection's domain. *)
+let distinct_sizes_key =
+  Facts.key ~name:"distinct_sizes" (fun f ->
+      Array.to_list (Facts.sizes f) |> List.sort_uniq compare |> Array.of_list)
+
+let program_digest prog = Facts.digest (Facts.of_program prog)
 
 (* --- signatures --------------------------------------------------------- *)
 
@@ -125,11 +108,11 @@ let any_enabled_inliner ~skip plan =
 
 (* The exact walk: per-method decision-plan bit strings of [policy_of] with
    the constprop'd methods as roots, indexed by method id. *)
-let walks info policy_of =
+let walks facts policy_of =
+  let bodies = Engine.bodies facts and roots = Facts.get facts roots_key in
   Array.mapi
-    (fun mid cpm ->
-      Engine.walk ~bodies:info.p_bodies ~roots:info.p_roots ~policy:(policy_of cpm) mid)
-    info.p_cp
+    (fun mid cpm -> Engine.walk ~bodies ~roots:roots.r_tables ~policy:(policy_of cpm) mid)
+    roots.r_cp
 
 (* Exact walk signature: hash of the concatenated walks. *)
 let walk_digest walks =
@@ -141,12 +124,12 @@ let walk_digest walks =
     walks;
   "w:" ^ Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let walk_signature info policy_of = walk_digest (walks info policy_of)
+let walk_signature facts policy_of = walk_digest (walks facts policy_of)
 
 (* The signature, plus the per-method walks when it is the decider-driven
    inline item's exact walk under [Opt] — the one case in which each
    method's walk alone determines its optimized code (below). *)
-let signature_and_walks ~scenario ~heuristic ~inline_enabled ~plan prog =
+let signature_and_walks ~scenario ~heuristic ~inline_enabled ~plan facts =
   let plan = effective_plan ~inline_enabled plan in
   let heuristic_params () =
     Printf.sprintf "h:%s"
@@ -159,14 +142,13 @@ let signature_and_walks ~scenario ~heuristic ~inline_enabled ~plan prog =
     if not (any_enabled_inliner ~skip:opt_skip plan) then inexact "off"
     else
       let heuristic_used = Plan.has_enabled "inline" plan in
-      let info () = pinfo_of prog in
       match Plan.first_walkable_inliner ~skip:opt_skip plan with
       | Some it when it.Plan.pass = "inline" ->
         (* Exact: the walk replays the decider's verdict sequence.  Strategy
            items scheduled after inline are decider-independent functions of
            its output, so equal walks still imply identical compilation. *)
         let policy = Policy.of_heuristic heuristic in
-        let w = walks (info ()) (fun _ -> policy) in
+        let w = walks facts (fun _ -> policy) in
         (walk_digest w, Some w)
       | Some it when not heuristic_used -> inexact (
         (* The leading inliner is a strategy and the decider-driven inline
@@ -175,7 +157,7 @@ let signature_and_walks ~scenario ~heuristic ~inline_enabled ~plan prog =
            different verdict vectors hash apart, which keeps their
            measurements apart even before the key's plan tag does. *)
         match Option.bind (Pass.find it.Plan.pass) (fun p -> p.Pass.static_policy) with
-        | Some mk -> walk_signature (info ()) (mk (Plan.item_knob it) prog)
+        | Some mk -> walk_signature facts (mk (Plan.item_knob it) facts)
         | None -> "n:static" (* non-static strategy: plan tag isolates *))
       | Some _ ->
         (* A strategy leads but the heuristic-driven inline item still runs
@@ -186,7 +168,7 @@ let signature_and_walks ~scenario ~heuristic ~inline_enabled ~plan prog =
         inexact (heuristic_params ())
       | None ->
         (* Pre-inline schedule diverges from the single constprop the
-           [p_cp] walk assumes: same fallbacks, by heuristic relevance. *)
+           roots walk assumes: same fallbacks, by heuristic relevance. *)
         inexact (if heuristic_used then heuristic_params () else "n:static"))
   | Machine.Adapt | Machine.Ladder ->
     inexact
@@ -203,7 +185,6 @@ let signature_and_walks ~scenario ~heuristic ~inline_enabled ~plan prog =
             stay heuristic-independent, so the induction (equal projections ⇒
             identical decisions ⇒ identical profile ⇒ identical execution)
             carries over unchanged. *)
-         let info = pinfo_of prog in
          let buf = Buffer.create 64 in
          Buffer.add_string buf "p:";
          Array.iter
@@ -213,16 +194,16 @@ let signature_and_walks ~scenario ~heuristic ~inline_enabled ~plan prog =
              if s < heuristic.Heuristic.always_inline_size then b := !b lor 2;
              if s <= heuristic.Heuristic.hot_callee_max_size then b := !b lor 1;
              Buffer.add_char buf (Char.chr (Char.code '0' + !b)))
-           info.p_sizes;
+           (Facts.get facts distinct_sizes_key);
          Buffer.add_string buf
            (Printf.sprintf "/d%d/c%d"
-              (min heuristic.Heuristic.max_inline_depth info.p_nmethods)
+              (min heuristic.Heuristic.max_inline_depth (Array.length (Facts.sizes facts)))
               heuristic.Heuristic.caller_max_size);
          Buffer.contents buf
        end)
 
 let signature ~scenario ~heuristic ~inline_enabled ~plan prog =
-  fst (signature_and_walks ~scenario ~heuristic ~inline_enabled ~plan prog)
+  fst (signature_and_walks ~scenario ~heuristic ~inline_enabled ~plan (Facts.of_program prog))
 
 (* First-class policy queries (lib/policy stores, GP trees).  Under [Opt]
    with a walk-compatible plan and a *static* policy — one whose decisions
@@ -239,7 +220,7 @@ let signature ~scenario ~heuristic ~inline_enabled ~plan prog =
    walk-incompatible plans — the signature falls back to the caller-supplied
    content [digest] of the policy artifact: sound (identical policies replay
    identical decisions), just no cross-policy merging. *)
-let policy_signature ~scenario ~policy ~digest ~static ~inline_enabled ~plan prog =
+let policy_signature_of ~scenario ~policy ~digest ~static ~inline_enabled ~plan facts =
   let plan = effective_plan ~inline_enabled plan in
   let skip = match scenario with Machine.Opt -> opt_skip | _ -> fun _ -> false in
   if not (Plan.has_enabled "inline" plan) then
@@ -250,22 +231,27 @@ let policy_signature ~scenario ~policy ~digest ~static ~inline_enabled ~plan pro
   else
     match scenario with
     | Machine.Opt when static && Plan.walk_compatible plan ->
-      walk_signature (pinfo_of prog) (fun _ -> policy)
+      walk_signature facts (fun _ -> policy)
     | Machine.Opt | Machine.Adapt | Machine.Ladder -> "g:" ^ digest
+
+let policy_signature ~scenario ~policy ~digest ~static ~inline_enabled ~plan prog =
+  policy_signature_of ~scenario ~policy ~digest ~static ~inline_enabled ~plan
+    (Facts.of_program prog)
 
 (* Non-default plans change what every compile does, so their measurements
    must never alias the default plan's: the key carries a plan tag — a fixed
    "default" for the default plan, the plan's content digest otherwise. *)
 let plan_tag plan = if Plan.is_default plan then "default" else "plan:" ^ Plan.digest plan
 
-let key_of_signature ~scenario ~platform ~plan ~iterations prog signature =
-  Printf.sprintf "%s/%s/%s/%s/%d/%s" (program_digest prog)
+let key_of_signature ~scenario ~platform ~plan ~iterations facts signature =
+  Printf.sprintf "%s/%s/%s/%s/%d/%s" (Facts.digest facts)
     (Machine.scenario_name scenario) platform.Platform.pname (plan_tag plan) iterations
     signature
 
 let key ~scenario ~platform ~heuristic ~inline_enabled ~plan ~iterations prog =
-  key_of_signature ~scenario ~platform ~plan ~iterations prog
-    (signature ~scenario ~heuristic ~inline_enabled ~plan prog)
+  let facts = Facts.of_program prog in
+  key_of_signature ~scenario ~platform ~plan ~iterations facts
+    (fst (signature_and_walks ~scenario ~heuristic ~inline_enabled ~plan facts))
 
 (* --- compile-cache keys --------------------------------------------------- *)
 
@@ -276,26 +262,37 @@ let key ~scenario ~platform ~heuristic ~inline_enabled ~plan ~iterations prog =
    program, the plan, that walk and (for register allocation) the platform.
    One walk serves both uses: its digest is the signature, its strands are
    the per-method keys of [Codecache]. *)
-let code_keys_of_walks ~platform ~plan prog walks =
+let code_keys_of_walks ~platform ~plan facts walks =
   let prefix =
-    Printf.sprintf "%s/%s/%s/" (program_digest prog) platform.Platform.pname (plan_tag plan)
+    Printf.sprintf "%s/%s/%s/" (Facts.digest facts) platform.Platform.pname (plan_tag plan)
   in
   Array.mapi (fun mid w -> prefix ^ string_of_int mid ^ "/" ^ w) walks
 
 let code_keys ~scenario ~platform ~heuristic ~inline_enabled ~plan prog =
-  snd (signature_and_walks ~scenario ~heuristic ~inline_enabled ~plan prog)
-  |> Option.map (code_keys_of_walks ~platform ~plan prog)
+  let facts = Facts.of_program prog in
+  snd (signature_and_walks ~scenario ~heuristic ~inline_enabled ~plan facts)
+  |> Option.map (code_keys_of_walks ~platform ~plan facts)
 
 (* --- the cache proper --------------------------------------------------- *)
 
-(* Counters are re-resolved per use (not captured at module init) so they
-   stay attached to the registry across [Metric.reset_all]. *)
-let bump name = Metric.incr (Metric.counter name)
+let sig_hits = Metric.handle "fitness.sig_hits"
+let sig_misses = Metric.handle "fitness.sig_misses"
+let unique_plans = Metric.handle "fitness.unique_plans"
+let cross_tenant_hits = Metric.handle "fitness.cross_tenant_hits"
 
+(* [mu] guards the in-memory table (and [owners]); the attached file has
+   its own lock, so a store writes its line after releasing [mu] and other
+   domains' lookups never wait on file I/O. *)
 let mu = Mutex.create ()
 let table : (string, Runner.measurement) Hashtbl.t = Hashtbl.create 256
-let file : string option ref = ref None
 let on = ref true
+
+(* The attached file: its path and one append channel, opened at the first
+   store and closed by [set_file]. *)
+type sink = { path : string; mutable oc : out_channel option }
+
+let writer_mu = Mutex.create ()
+let sink : sink option ref = ref None
 
 (* Multi-tenant attribution (the serve daemon).  The hook names the tenant
    on whose behalf the *current thread* is working; [owners] remembers which
@@ -385,15 +382,30 @@ let entry_of_line line =
           } )
     | _ -> Error "missing or non-integer field")
 
-let append_entry path k m =
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-  output_string oc (entry_to_line k m);
-  output_char oc '\n';
-  close_out oc
+(* One line per stored key, flushed at once: a killed process loses at most
+   the line it was writing, which the loader skips. *)
+let append_entry k m =
+  Mutex.protect writer_mu (fun () ->
+      match !sink with
+      | None -> ()
+      | Some s ->
+        let oc =
+          match s.oc with
+          | Some oc -> oc
+          | None ->
+            let oc = open_out_gen [ Open_append; Open_creat ] 0o644 s.path in
+            s.oc <- Some oc;
+            oc
+        in
+        output_string oc (entry_to_line k m);
+        output_char oc '\n';
+        flush oc)
 
 let set_file path =
+  Mutex.protect writer_mu (fun () ->
+      (match !sink with Some { oc = Some oc; _ } -> close_out oc | Some _ | None -> ());
+      sink := Option.map (fun p -> { path = p; oc = None }) path);
   Mutex.lock mu;
-  file := path;
   (match path with
   | Some p when Sys.file_exists p ->
     let ic = open_in p in
@@ -437,17 +449,24 @@ let find_measurement k =
   Mutex.unlock mu;
   r
 
+(* Only the store that inserts a key writes its line, so the file holds
+   each key once. *)
 let store_measurement k m =
-  Mutex.lock mu;
-  if not (Hashtbl.mem table k) then begin
-    Hashtbl.add table k m;
-    (match !tenant_hook () with
-    | Some t when not (Hashtbl.mem owners k) -> Hashtbl.add owners k t
-    | _ -> ());
-    bump "fitness.unique_plans";
-    match !file with Some p -> append_entry p k m | None -> ()
-  end;
-  Mutex.unlock mu
+  let inserted =
+    Mutex.protect mu (fun () ->
+        if Hashtbl.mem table k then false
+        else begin
+          Hashtbl.add table k m;
+          (match !tenant_hook () with
+          | Some t when not (Hashtbl.mem owners k) -> Hashtbl.add owners k t
+          | _ -> ());
+          true
+        end)
+  in
+  if inserted then begin
+    Metric.bump unique_plans;
+    append_entry k m
+  end
 
 (* A hit where the key's simulation was paid for by a *different* tenant:
    the cross-tenant amortization the serve daemon exists to create. *)
@@ -460,7 +479,7 @@ let count_tenant_hit k =
       match Hashtbl.find_opt owners k with Some owner -> owner <> t | None -> false
     in
     Mutex.unlock mu;
-    if cross then bump "fitness.cross_tenant_hits"
+    if cross then Metric.bump cross_tenant_hits
 
 let mem ~scenario ~platform ~heuristic ~inline_enabled ~plan ~iterations prog =
   !on
@@ -477,11 +496,11 @@ let mem ~scenario ~platform ~heuristic ~inline_enabled ~plan ~iterations prog =
 let cached k simulate =
   match find_measurement k with
   | Some m ->
-    bump "fitness.sig_hits";
+    Metric.bump sig_hits;
     count_tenant_hit k;
     m
   | None ->
-    bump "fitness.sig_misses";
+    Metric.bump sig_misses;
     let m = simulate () in
     store_measurement k m;
     m
@@ -494,13 +513,14 @@ let lookup_or_simulate ~scenario ~platform ~heuristic ~inline_enabled ~plan ~ite
     ~program simulate =
   if not !on then simulate ~code_keys:None
   else begin
+    let facts = Facts.of_program program in
     let signature, walks =
       profiled_signature (fun () ->
-          signature_and_walks ~scenario ~heuristic ~inline_enabled ~plan program)
+          signature_and_walks ~scenario ~heuristic ~inline_enabled ~plan facts)
     in
-    cached (key_of_signature ~scenario ~platform ~plan ~iterations program signature)
+    cached (key_of_signature ~scenario ~platform ~plan ~iterations facts signature)
       (fun () ->
-        simulate ~code_keys:(Option.map (code_keys_of_walks ~platform ~plan program) walks))
+        simulate ~code_keys:(Option.map (code_keys_of_walks ~platform ~plan facts) walks))
   end
 
 let lookup_or_measure ~scenario ~platform ~heuristic ~inline_enabled ~plan ~iterations
@@ -514,8 +534,9 @@ let lookup_or_measure ~scenario ~platform ~heuristic ~inline_enabled ~plan ~iter
 
 let policy_key ~scenario ~platform ~policy ~digest ~static ~inline_enabled ~plan ~iterations
     prog =
-  key_of_signature ~scenario ~platform ~plan ~iterations prog
-    (policy_signature ~scenario ~policy ~digest ~static ~inline_enabled ~plan prog)
+  let facts = Facts.of_program prog in
+  key_of_signature ~scenario ~platform ~plan ~iterations facts
+    (policy_signature_of ~scenario ~policy ~digest ~static ~inline_enabled ~plan facts)
 
 (* The policy twin of [lookup_or_measure]: same table, same counters, same
    two-tier persistence — only the signature half of the key differs. *)

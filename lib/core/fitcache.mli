@@ -35,9 +35,9 @@ open Inltune_vm
     ["fitness.cache_corrupt"] (skipped JSONL lines on load) and — with a
     tenant hook installed — ["fitness.cross_tenant_hits"]. *)
 
-(** Hex digest of the program's canonical text form; memoized per program
-    value.  Part of every cache key, so signatures can never collide across
-    programs. *)
+(** Hex digest of the program's canonical text form, computed once per
+    program value ({!Inltune_jir.Facts.digest}).  Part of every cache key,
+    so signatures can never collide across programs. *)
 val program_digest : Ir.program -> string
 
 (** The decision signature alone (no program digest or platform).
@@ -110,8 +110,11 @@ val size : unit -> int
 val set_tenant_hook : (unit -> string option) -> unit
 
 (** [set_file (Some path)] attaches the on-disk tier: existing entries are
-    loaded, and every fresh measurement is appended as one JSONL line.
-    Corrupt or truncated lines are skipped — never an abort — counted in
+    loaded, and every fresh measurement is appended as one JSONL line,
+    flushed at once, through one channel that the next [set_file] closes.
+    Lines are written outside the table's lock, and only by the store that
+    inserted the key, so the file holds each key once.  Corrupt or
+    truncated lines are skipped — never an abort — counted in
     ["fitness.cache_corrupt"], with a single summary warning per file on
     stderr carrying the first bad line's position and cause.  [set_file
     None] detaches. *)

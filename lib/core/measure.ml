@@ -27,9 +27,11 @@ let of_measurement m =
     raw = m;
   }
 
-(* Counters are re-resolved per use (not captured at module init) so they
-   stay attached to the registry across [Metric.reset_all]. *)
-let bump name = Inltune_obs.Metric.incr (Inltune_obs.Metric.counter name)
+module Metric = Inltune_obs.Metric
+
+let simulations = Metric.handle "measure.simulations"
+let memo_hits = Metric.handle "measure.memo_hits"
+let memo_misses = Metric.handle "measure.memo_misses"
 
 (* One path whether or not the profiler is on ([Prof.span]'s disabled path
    is one atomic load).  Profiled, the decision signature lands in the
@@ -46,7 +48,7 @@ let run ?(iterations = 3) ?(inline_enabled = true) ?(plan = Plan.default) ~scena
   let profiled = Prof.enabled () in
   let sim_wall = ref 0.0 and wall = ref 0.0 in
   let simulate ~code_keys =
-    bump "measure.simulations";
+    Metric.bump simulations;
     let t0 = if profiled then Trace.now () else 0.0 in
     let cfg = Machine.config ~inline_enabled ~plan scenario heuristic in
     let m = Runner.measure ~iterations ?code_keys cfg platform prog in
@@ -59,7 +61,7 @@ let run ?(iterations = 3) ?(inline_enabled = true) ?(plan = Plan.default) ~scena
           ~iterations ~program:prog simulate)
   in
   if profiled then begin
-    Inltune_obs.Metric.observe (Inltune_obs.Metric.histogram "fitness.eval_us") (!wall *. 1e6);
+    Metric.observe (Metric.histogram "fitness.eval_us") (!wall *. 1e6);
     if Trace.enabled () then
       Trace.emit "fitness.breakdown"
         ~fields:
@@ -100,10 +102,10 @@ let run_default ?(iterations = 3) ~scenario ~platform bm =
   in
   match cached with
   | Some t ->
-    bump "measure.memo_hits";
+    Metric.bump memo_hits;
     t
   | None ->
-    bump "measure.memo_misses";
+    Metric.bump memo_misses;
     let t = run ~iterations ~scenario ~platform ~heuristic:Heuristic.default bm in
     Mutex.lock default_cache_mu;
     let t =

@@ -33,6 +33,10 @@ let registry_mu = Mutex.create ()
 let counters : (string, counter) Hashtbl.t = Hashtbl.create 16
 let histograms : (string, histogram) Hashtbl.t = Hashtbl.create 16
 
+(* Bumped by [reset_all], so a handle knows when its counter left the
+   registry. *)
+let generation = Atomic.make 0
+
 let counter name =
   Mutex.protect registry_mu (fun () ->
       match Hashtbl.find_opt counters name with
@@ -46,6 +50,29 @@ let incr c = Atomic.incr c.cell
 let add c n = ignore (Atomic.fetch_and_add c.cell n : int)
 let value c = Atomic.get c.cell
 let counter_name c = c.cname
+
+(* A counter bound by name once, for hot paths: it resolves through the
+   registry (and its lock) on first use and again only after a
+   [reset_all], so a bump is two atomic loads and the increment.  Creating
+   a handle registers nothing: a counter appears in snapshots only once
+   something is counted, exactly as with [counter]. *)
+type handle = { h_name : string; h_cur : (int * counter) Atomic.t }
+
+let unresolved = (-1, { cname = ""; cell = Atomic.make 0 })
+let handle name = { h_name = name; h_cur = Atomic.make unresolved }
+
+let resolve h =
+  let g, c = Atomic.get h.h_cur in
+  let now = Atomic.get generation in
+  if g = now then c
+  else begin
+    let c = counter h.h_name in
+    Atomic.set h.h_cur (now, c);
+    c
+  end
+
+let bump h = incr (resolve h)
+let bump_by h n = add (resolve h) n
 
 let histogram name =
   Mutex.protect registry_mu (fun () ->
@@ -130,7 +157,8 @@ let histograms_snapshot () =
 let reset_all () =
   Mutex.protect registry_mu (fun () ->
       Hashtbl.reset counters;
-      Hashtbl.reset histograms)
+      Hashtbl.reset histograms;
+      Atomic.incr generation)
 
 (* [lib/support] sits below this library and cannot name the registry, so
    the pool's counters ("pool.tasks_stolen") arrive through a hook installed

@@ -12,6 +12,16 @@ val add : counter -> int -> unit
 val value : counter -> int
 val counter_name : counter -> string
 
+(** A counter bound by name once, for hot paths.  It looks the name up in
+    the registry on first use and again only after {!reset_all}, so a bump
+    takes no lock; a handle bound before {!reset_all} counts into the fresh
+    registry after it.  Binding a handle registers nothing. *)
+type handle
+
+val handle : string -> handle
+val bump : handle -> unit
+val bump_by : handle -> int -> unit
+
 type histogram
 
 (** Get or create the histogram registered under [name].  Buckets are
@@ -42,5 +52,6 @@ val counters_snapshot : unit -> (string * int) list
 
 val histograms_snapshot : unit -> hist_snapshot list
 
-(** Tests only: forget every registered metric. *)
+(** Tests only: forget every registered metric.  Handles re-resolve on
+    their next bump. *)
 val reset_all : unit -> unit

@@ -88,7 +88,7 @@ type ctx = {
   hot_site : (site_owner:Ir.mid -> callee:Ir.mid -> bool) option;
       (* adaptive scenario: which sites are profile-hot; the flag is passed
          to the policy (the heuristic policy takes the Fig. 4 path on it) *)
-  callee_size : Ir.mid -> int;  (* cached static size estimates *)
+  callee_size : Ir.mid -> int;  (* the program's static size estimates *)
   out : out_block Vec.t;
   mutable nregs : int;
   mutable size : int;      (* expanded caller size so far *)
@@ -238,22 +238,16 @@ and emit_instr ctx ~owner ~depth ~chain ~remap i =
   | Ir.Alloc (d, k, s) -> push ctx (Ir.Alloc (remap d, k, s))
   | Ir.Print r -> push ctx (Ir.Print (remap r))
 
-let run ?hot_site ?decisions ~program ~policy m =
-  let size_cache = Hashtbl.create 64 in
-  let callee_size mid =
-    match Hashtbl.find_opt size_cache mid with
-    | Some s -> s
-    | None ->
-      let s = Size.of_method program.Ir.methods.(mid) in
-      Hashtbl.add size_cache mid s;
-      s
-  in
+let run ?hot_site ?decisions ?facts ~program ~policy m =
+  let facts = match facts with Some f -> f | None -> Facts.of_program program in
+  if Facts.program facts != program then invalid_arg "Engine.run: facts of another program";
+  let sizes = Facts.sizes facts in
   let ctx =
     {
       prog = program;
       policy;
       hot_site;
-      callee_size;
+      callee_size = Array.get sizes;
       out = Vec.create ();
       nregs = m.Ir.nregs;
       size = Size.of_method m;
@@ -294,16 +288,23 @@ type call_sites = {
   callees : int array array;
 }
 
+let callees m =
+  let v = Vec.create () in
+  Array.iter
+    (fun blk ->
+      Array.iter (function Ir.Call (_, callee, _) -> Vec.push v callee | _ -> ()) blk.Ir.instrs)
+    m.Ir.blocks;
+  Vec.to_array v
+
 let call_sites methods =
-  let calls m =
-    let v = Vec.create () in
-    Array.iter
-      (fun blk ->
-        Array.iter (function Ir.Call (_, callee, _) -> Vec.push v callee | _ -> ()) blk.Ir.instrs)
-      m.Ir.blocks;
-    Vec.to_array v
-  in
-  { sizes = Array.map Size.of_method methods; callees = Array.map calls methods }
+  { sizes = Array.map Size.of_method methods; callees = Array.map callees methods }
+
+(* The original methods' tables, the callee bodies of every walk. *)
+let bodies_key =
+  Facts.key ~name:"call_sites" (fun f ->
+      { sizes = Facts.sizes f; callees = Array.map callees (Facts.program f).Ir.methods })
+
+let bodies facts = Facts.get facts bodies_key
 
 (* Decision-procedure-only walk over call-site tables: visit call sites in
    exactly the order [run] would and record each policy-decided site's

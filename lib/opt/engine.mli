@@ -51,10 +51,12 @@ val max_expanded_size : int
     {!Policy.site.hot} flag is set.  [decisions], when given, collects one
     {!decision} record per examined call site; independently, every decision
     is emitted as an "inline.decision" trace event when tracing is
-    enabled. *)
+    enabled.  Callee sizes come from [facts], the program's
+    {!Inltune_jir.Facts} entry, looked up when not given. *)
 val run :
   ?hot_site:(site_owner:Ir.mid -> callee:Ir.mid -> bool) ->
   ?decisions:decision Inltune_support.Vec.t ->
+  ?facts:Facts.t ->
   program:Ir.program ->
   policy:Policy.t ->
   Ir.methd ->
@@ -71,6 +73,10 @@ type call_sites = {
 
 (** [call_sites methods] tabulates [methods] (indexed by method id). *)
 val call_sites : Ir.methd array -> call_sites
+
+(** The call-site tables of the program's own methods, built once per
+    program ({!Inltune_jir.Facts}); [sizes] is {!Inltune_jir.Facts.sizes}. *)
+val bodies : Facts.t -> call_sites
 
 (** [walk ~bodies ~roots ~policy mid] runs only the decision procedure for
     method [mid] — no code is built, nothing is executed — and returns its

@@ -102,13 +102,17 @@ let run ~program ~(oracle : site_oracle) m =
           blk.Ir.instrs;
         terminate blk.Ir.term)
       m.Ir.blocks;
-    let blocks =
-      Array.map
-        (fun (instrs, term) ->
-          match !term with
-          | None -> assert false
-          | Some t -> { Ir.instrs = Vec.to_array instrs; term = t })
-        (Vec.to_array out)
-    in
-    ({ m with Ir.nregs = !nregs; blocks }, stats)
+    (* Guarding nothing rebuilt [m] block for block: hand back [m] itself,
+       so later passes (and the fact table) see the original method. *)
+    if stats.sites_guarded = 0 then (m, stats)
+    else
+      let blocks =
+        Array.map
+          (fun (instrs, term) ->
+            match !term with
+            | None -> assert false
+            | Some t -> { Ir.instrs = Vec.to_array instrs; term = t })
+          (Vec.to_array out)
+      in
+      ({ m with Ir.nregs = !nregs; blocks }, stats)
   end

@@ -16,4 +16,6 @@ val oracle_of_profile :
 
 type stats = { mutable sites_guarded : int }
 
+(** Guard every virtual site the oracle calls monomorphic.  Returns the
+    input method itself (physically) when it guards nothing. *)
 val run : program:Ir.program -> oracle:site_oracle -> Ir.methd -> Ir.methd * stats

@@ -29,8 +29,7 @@ type view = {
 let policy ~hot_permille ~budget view root =
   let root_size = Size.of_method root in
   Policy.of_predicate
-    ~name:(Printf.sprintf "hotpath(hot_permille=%d,budget=%d)" hot_permille budget)
-    ~accept_rule:"hot_path" ~reject_rule:"cold_path" (fun s ->
+    ~name:"hotpath" ~accept_rule:"hot_path" ~reject_rule:"cold_path" (fun s ->
       let total = view.total_calls () in
       total > 0
       && view.edge_count ~site_owner:s.Policy.owner ~callee:s.Policy.callee * 1000

@@ -37,11 +37,11 @@ type decision = Engine.decision = {
 let decision_accepts = Engine.decision_accepts
 let max_expanded_size = Engine.max_expanded_size
 
-let run_policy ?hot_site ?decisions ~program ~policy m =
-  Engine.run ?hot_site ?decisions ~program ~policy m
+let run_policy ?hot_site ?decisions ?facts ~program ~policy m =
+  Engine.run ?hot_site ?decisions ?facts ~program ~policy m
 
-let run ?hot_site ?decisions ~program ~heuristic m =
-  Engine.run ?hot_site ?decisions ~program ~policy:(Policy.of_heuristic heuristic) m
+let run ?hot_site ?decisions ?facts ~program ~heuristic m =
+  Engine.run ?hot_site ?decisions ?facts ~program ~policy:(Policy.of_heuristic heuristic) m
 
-let run_custom ?decisions ~decide ~program m =
-  Engine.run ?decisions ~program ~policy:(Policy.of_custom decide) m
+let run_custom ?decisions ?facts ~decide ~program m =
+  Engine.run ?decisions ?facts ~program ~policy:(Policy.of_custom decide) m

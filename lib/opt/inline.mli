@@ -51,6 +51,7 @@ val max_expanded_size : int
 val run_policy :
   ?hot_site:(site_owner:Ir.mid -> callee:Ir.mid -> bool) ->
   ?decisions:decision Inltune_support.Vec.t ->
+  ?facts:Facts.t ->
   program:Ir.program ->
   policy:Policy.t ->
   Ir.methd ->
@@ -61,6 +62,7 @@ val run_policy :
 val run :
   ?hot_site:(site_owner:Ir.mid -> callee:Ir.mid -> bool) ->
   ?decisions:decision Inltune_support.Vec.t ->
+  ?facts:Facts.t ->
   program:Ir.program ->
   heuristic:Heuristic.t ->
   Ir.methd ->
@@ -71,6 +73,7 @@ val run :
     The hard size cap still applies on top of [decide]. *)
 val run_custom :
   ?decisions:decision Inltune_support.Vec.t ->
+  ?facts:Facts.t ->
   decide:
     (site_owner:Ir.mid ->
     callee:Ir.mid ->

@@ -59,31 +59,14 @@ let compute_levels program =
   done;
   lv
 
-(* One-entry level cache keyed by physical program identity: the pipeline
-   constructs a policy per method compile, and [Suites.program] shares one
-   immutable program value per benchmark, so recomputation would be pure
-   waste.  Guarded for the parallel tuners ([Pool] domains). *)
-let mu = Mutex.create ()
-let cache : (Ir.program * int array) option ref = ref None
+(* Built once per program value ({!Facts}): the pipeline constructs a
+   policy per method compile, and the fitness cache one per static walk. *)
+let levels_key = Facts.key ~name:"leaf_levels" (fun f -> compute_levels (Facts.program f))
+let levels facts = Facts.get facts levels_key
 
-let levels program =
-  Mutex.lock mu;
-  let lv =
-    match !cache with
-    | Some (p, lv) when p == program -> lv
-    | _ ->
-      let lv = compute_levels program in
-      cache := Some (program, lv);
-      lv
-  in
-  Mutex.unlock mu;
-  lv
-
-(* [policy ~leaf_size ~rounds program] accepts a site iff the callee would
+(* [policy ~leaf_size ~rounds facts] accepts a site iff the callee would
    be selected within [rounds] fixpoint rounds and fits the size budget. *)
-let policy ~leaf_size ~rounds program =
-  let lv = levels program in
-  Policy.of_predicate
-    ~name:(Printf.sprintf "leaves(leaf_size=%d,rounds=%d)" leaf_size rounds)
-    ~accept_rule:"small_leaf" ~reject_rule:"not_small_leaf" (fun s ->
-      lv.(s.Policy.callee) < rounds && s.Policy.callee_size <= leaf_size)
+let policy ~leaf_size ~rounds facts =
+  let lv = levels facts in
+  Policy.of_predicate ~name:"leaves" ~accept_rule:"small_leaf" ~reject_rule:"not_small_leaf"
+    (fun s -> lv.(s.Policy.callee) < rounds && s.Policy.callee_size <= leaf_size)

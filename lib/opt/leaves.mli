@@ -7,12 +7,12 @@ open Inltune_jir
 val never_leaf : int
 
 (** Leaf level per method: 0 = no calls at all; k = every static callee
-    has level < k; {!never_leaf} otherwise.  Cached per program (by
-    physical identity), safe under parallel tuners. *)
-val levels : Ir.program -> int array
+    has level < k; {!never_leaf} otherwise.  Built once per program value
+    ({!Inltune_jir.Facts}), safe under parallel tuners. *)
+val levels : Facts.t -> int array
 
-(** [policy ~leaf_size ~rounds program] accepts a call site iff the callee's
+(** [policy ~leaf_size ~rounds facts] accepts a call site iff the callee's
     leaf level is below [rounds] and its static size is at most
     [leaf_size].  Static: reads only the program and the site record, so
     {!Engine.walk} over it is exact. *)
-val policy : leaf_size:int -> rounds:int -> Ir.program -> Policy.t
+val policy : leaf_size:int -> rounds:int -> Facts.t -> Policy.t

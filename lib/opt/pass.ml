@@ -81,11 +81,13 @@ type t = {
   applicable : ctx -> bool;
       (* structurally skipped (no run, no span) when false — e.g. guarded
          devirtualization without a profile oracle *)
-  run : Ir.program -> ctx -> knob:(string -> int) -> Ir.methd -> Ir.methd * delta;
+  run :
+    ?facts:Facts.t -> Ir.program -> ctx -> knob:(string -> int) -> Ir.methd -> Ir.methd * delta;
       (* [knob] resolves this instance's declared knobs (plan value or
          declared default); "iters" is interpreted by the pipeline, every
-         other knob by the pass itself *)
-  static_policy : ((string -> int) -> Ir.program -> Ir.methd -> Policy.t) option;
+         other knob by the pass itself; [facts], the program's fact-table
+         entry, saves the inliners a lookup *)
+  static_policy : ((string -> int) -> Facts.t -> Ir.methd -> Policy.t) option;
       (* for inliner passes whose decisions read nothing but the program
          and the site record: rebuild the exact per-method policy from a
          knob lookup, so Fitcache can walk it (see fitcache.ml) *)
@@ -99,7 +101,7 @@ let guarded_devirt =
     knobs = [];
     applicable = (fun ctx -> ctx.devirt_oracle <> None);
     run =
-      (fun program ctx ~knob:_ m ->
+      (fun ?facts:_ program ctx ~knob:_ m ->
         match ctx.devirt_oracle with
         | None -> (m, zero_delta)
         | Some oracle ->
@@ -110,23 +112,42 @@ let guarded_devirt =
 
 let iters_knob = { k_name = "iters"; k_lo = 1; k_hi = 3; k_default = 1 }
 
+let run_constprop program m =
+  let m, s = Constprop.run program m in
+  ( m,
+    {
+      zero_delta with
+      d_folded = s.Constprop.folded;
+      d_devirtualized = s.Constprop.devirtualized;
+      d_branches_folded = s.Constprop.branches_folded;
+    } )
+
 let constprop =
   {
     name = "constprop";
     knobs = [ iters_knob ];
     applicable = always_applicable;
-    run =
-      (fun program _ ~knob:_ m ->
-        let m, s = Constprop.run program m in
-        ( m,
-          {
-            zero_delta with
-            d_folded = s.Constprop.folded;
-            d_devirtualized = s.Constprop.devirtualized;
-            d_branches_folded = s.Constprop.branches_folded;
-          } ));
+    run = (fun ?facts:_ program _ ~knob:_ m -> run_constprop program m);
     static_policy = None;
   }
+
+(* The constprop pass over each of the program's own methods, one slot per
+   method, filled on first use: the first constprop item of nearly every
+   optimizing compile receives the original method, and the fitness cache
+   walks from these as roots. *)
+let constprop_slots =
+  Facts.key ~name:"constprop" (fun f ->
+      Array.make (Array.length (Facts.program f).Ir.methods) None)
+
+let constprop_original facts mid =
+  let slots = Facts.get facts constprop_slots in
+  match slots.(mid) with
+  | Some r -> r
+  | None ->
+    let program = Facts.program facts in
+    let r = run_constprop program program.Ir.methods.(mid) in
+    slots.(mid) <- Some r;
+    r
 
 let inline_delta (s : Engine.stats) =
   {
@@ -143,14 +164,14 @@ let inline =
     knobs = [];
     applicable = always_applicable;
     run =
-      (fun program ctx ~knob:_ m ->
+      (fun ?facts program ctx ~knob:_ m ->
         let m, s =
           match ctx.decider with
-          | Decider.Custom decide -> Inline.run_custom ~decide ~program m
+          | Decider.Custom decide -> Inline.run_custom ?facts ~decide ~program m
           | Decider.Policy policy ->
-            Inline.run_policy ?hot_site:ctx.hot_site ~program ~policy m
+            Inline.run_policy ?hot_site:ctx.hot_site ?facts ~program ~policy m
           | Decider.Heuristic heuristic ->
-            Inline.run ?hot_site:ctx.hot_site ~program ~heuristic m
+            Inline.run ?hot_site:ctx.hot_site ?facts ~program ~heuristic m
         in
         (m, inline_delta s));
     static_policy = None;
@@ -163,8 +184,8 @@ let inline =
    property Fitcache's signature soundness arguments lean on. *)
 
 let inline_leaves =
-  let policy knob program _m =
-    Leaves.policy ~leaf_size:(knob "leaf_size") ~rounds:(knob "rounds") program
+  let policy knob facts _m =
+    Leaves.policy ~leaf_size:(knob "leaf_size") ~rounds:(knob "rounds") facts
   in
   {
     name = "inline_leaves";
@@ -175,8 +196,9 @@ let inline_leaves =
       ];
     applicable = always_applicable;
     run =
-      (fun program _ ~knob m ->
-        let m, s = Engine.run ~program ~policy:(policy knob program m) m in
+      (fun ?facts program _ ~knob m ->
+        let facts = match facts with Some f -> f | None -> Facts.of_program program in
+        let m, s = Engine.run ~facts ~program ~policy:(policy knob facts m) m in
         (m, inline_delta s));
     static_policy = Some policy;
   }
@@ -192,22 +214,20 @@ let inline_hot =
     (* No profile, no hot paths: structurally skipped under [Opt]. *)
     applicable = (fun ctx -> ctx.profile <> None);
     run =
-      (fun program ctx ~knob m ->
+      (fun ?facts program ctx ~knob m ->
         match ctx.profile with
         | None -> (m, zero_delta)
         | Some view ->
           let policy =
             Hotpath.policy ~hot_permille:(knob "hot_permille") ~budget:(knob "budget") view m
           in
-          let m, s = Engine.run ~program ~policy m in
+          let m, s = Engine.run ?facts ~program ~policy m in
           (m, inline_delta s));
     static_policy = None;
   }
 
 let inline_region =
-  let policy knob _program m =
-    Region.policy ~budget:(knob "budget") ~depth:(knob "depth") m
-  in
+  let region knob m = Region.policy ~budget:(knob "budget") ~depth:(knob "depth") m in
   {
     name = "inline_region";
     knobs =
@@ -217,10 +237,10 @@ let inline_region =
       ];
     applicable = always_applicable;
     run =
-      (fun program _ ~knob m ->
-        let m, s = Engine.run ~program ~policy:(policy knob program m) m in
+      (fun ?facts program _ ~knob m ->
+        let m, s = Engine.run ?facts ~program ~policy:(region knob m) m in
         (m, inline_delta s));
-    static_policy = Some policy;
+    static_policy = Some (fun knob _facts m -> region knob m);
   }
 
 let cse =
@@ -229,7 +249,7 @@ let cse =
     knobs = [ iters_knob ];
     applicable = always_applicable;
     run =
-      (fun _ _ ~knob:_ m ->
+      (fun ?facts:_ _ _ ~knob:_ m ->
         let m, n = Cse.run m in
         (m, { zero_delta with d_cse_replaced = n }));
     static_policy = None;
@@ -241,7 +261,7 @@ let copyprop =
     knobs = [ iters_knob ];
     applicable = always_applicable;
     run =
-      (fun _ _ ~knob:_ m ->
+      (fun ?facts:_ _ _ ~knob:_ m ->
         let m, n = Copyprop.run m in
         (m, { zero_delta with d_copies_propagated = n }));
     static_policy = None;
@@ -253,7 +273,7 @@ let dce =
     knobs = [ iters_knob ];
     applicable = always_applicable;
     run =
-      (fun _ _ ~knob:_ m ->
+      (fun ?facts:_ _ _ ~knob:_ m ->
         let m, n = Dce.run m in
         (m, { zero_delta with d_dce_removed = n }));
     static_policy = None;
@@ -264,7 +284,7 @@ let cleanup =
     name = "cleanup";
     knobs = [];
     applicable = always_applicable;
-    run = (fun _ _ ~knob:_ m -> (Cleanup.run m, zero_delta));
+    run = (fun ?facts:_ _ _ ~knob:_ m -> (Cleanup.run m, zero_delta));
     static_policy = None;
   }
 

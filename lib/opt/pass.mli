@@ -54,11 +54,14 @@ type t = {
   applicable : ctx -> bool;
       (** structurally skipped (no run, no span) when false — e.g. guarded
           devirtualization without a profile oracle *)
-  run : Ir.program -> ctx -> knob:(string -> int) -> Ir.methd -> Ir.methd * delta;
+  run :
+    ?facts:Facts.t -> Ir.program -> ctx -> knob:(string -> int) -> Ir.methd -> Ir.methd * delta;
       (** [knob] resolves this instance's declared knobs to their effective
           values (plan value or declared default); ["iters"] is interpreted
-          by the pipeline, every other knob by the pass itself *)
-  static_policy : ((string -> int) -> Ir.program -> Ir.methd -> Policy.t) option;
+          by the pipeline, every other knob by the pass itself.  [facts] is
+          the program's {!Inltune_jir.Facts} entry; the inliners look it up
+          when it is not given. *)
+  static_policy : ((string -> int) -> Facts.t -> Ir.methd -> Policy.t) option;
       (** for inliner passes whose decisions read nothing but the program
           and the site record: rebuilds the exact per-method {!Policy.t}
           from a knob lookup so {!Engine.walk} (and thus Fitcache) can
@@ -67,6 +70,12 @@ type t = {
 
 val guarded_devirt : t
 val constprop : t
+
+(** [constprop_original facts mid]: what {!constprop} returns for the
+    program's own method [mid], computed once per program and method
+    ({!Inltune_jir.Facts}). *)
+val constprop_original : Facts.t -> Ir.mid -> Ir.methd * delta
+
 val inline : t
 
 (** The three alternative inlining strategies, each a full engine run under

@@ -27,11 +27,13 @@ type config = {
       (* adaptive scenario: guard-devirtualize monomorphic virtual sites *)
   profile : Hotpath.view option;
       (* adaptive scenario: live call-edge counts (hot-path strategy) *)
+  facts : Facts.t option;
+      (* the compiled program's fact-table entry, looked up once per VM *)
 }
 
 (* The one constructor every configuration goes through. *)
-let make ?(plan = Plan.default) ?hot_site ?devirt_oracle ?profile decider =
-  { decider; plan; hot_site; devirt_oracle; profile }
+let make ?(plan = Plan.default) ?hot_site ?devirt_oracle ?profile ?facts decider =
+  { decider; plan; hot_site; devirt_oracle; profile; facts }
 
 (* Standard optimizing configuration around a heuristic. *)
 let opt_config ?hot_site heuristic = make ?hot_site (Decider.Heuristic heuristic)
@@ -66,23 +68,38 @@ module Trace = Inltune_obs.Trace
 module Event = Inltune_obs.Event
 module Metric = Inltune_obs.Metric
 
-(* Counters are re-resolved per use (not captured at module init) so they
-   stay attached to the registry across [Metric.reset_all]. *)
-let bump_pass name d =
-  Metric.incr (Metric.counter ("pass." ^ name ^ ".runs"));
-  let tr = Pass.transforms d in
-  if tr > 0 then Metric.add (Metric.counter ("pass." ^ name ^ ".transforms")) tr
+(* Every registered pass with its span name and counters, bound once. *)
+type registered = {
+  pass : Pass.t;
+  span : string;                (* "opt.pass.<name>" *)
+  runs : Metric.handle;         (* "pass.<name>.runs" *)
+  transforms : Metric.handle;   (* "pass.<name>.transforms" *)
+}
+
+let registry =
+  List.map
+    (fun (p : Pass.t) ->
+      ( p.Pass.name,
+        {
+          pass = p;
+          span = "opt.pass." ^ p.Pass.name;
+          runs = Metric.handle ("pass." ^ p.Pass.name ^ ".runs");
+          transforms = Metric.handle ("pass." ^ p.Pass.name ^ ".transforms");
+        } ))
+    Pass.all
+
+(* Constprop runs served from the fact table instead. *)
+let constprop_reused = Metric.handle "pipeline.constprop_reused"
 
 (* One invocation of one pass: a span with the pass's own transform count
    and the size it produced ([Trace.span] runs the thunk directly when
    tracing is off, so the disabled cost is one closure; the size fields are
    only computed inside the enabled-only [post] callback). *)
-let exec_pass program ctx (p : Pass.t) ~knob size_in m =
+let exec_pass ?facts program ctx r ~knob size_in m =
   let m, d =
     (* Nested inside the trace span so the profiler attributes pass time
        under whatever compiled it ("...;vm.compile;opt.pass.<name>"). *)
-    Trace.span
-      ("opt.pass." ^ p.Pass.name)
+    Trace.span r.span
       ~post:(fun (m', d) ->
         [
           ("transforms", Event.Int (Pass.transforms d));
@@ -91,11 +108,18 @@ let exec_pass program ctx (p : Pass.t) ~knob size_in m =
           ("size_out", Event.Int (Size.of_method m'));
         ])
       (fun () ->
-        Inltune_obs.Prof.span ("opt.pass." ^ p.Pass.name) (fun () ->
-            p.Pass.run program ctx ~knob m))
+        Inltune_obs.Prof.span r.span (fun () -> r.pass.Pass.run ?facts program ctx ~knob m))
   in
-  bump_pass p.Pass.name d;
+  Metric.bump r.runs;
+  let tr = Pass.transforms d in
+  if tr > 0 then Metric.bump_by r.transforms tr;
   (m, d)
+
+(* [m] is the program's own method [m.mid], physically: then everything the
+   fact table knows about that method applies to it. *)
+let is_original program m =
+  let ms = program.Ir.methods in
+  m.Ir.mid >= 0 && m.Ir.mid < Array.length ms && ms.(m.Ir.mid) == m
 
 (* Interpret the plan.  Returns the per-item deltas alongside the method
    and totals; [size_peak] is recorded right after the plan's *last*
@@ -113,7 +137,15 @@ let run_detailed program config m =
       profile = config.profile;
     }
   in
-  let size_before = Size.of_method m in
+  let facts = config.facts in
+  (match facts with
+  | Some f when Facts.program f != program -> invalid_arg "Pipeline.run: facts of another program"
+  | Some _ | None -> ());
+  let size_before =
+    match facts with
+    | Some f when is_original program m -> (Facts.sizes f).(m.Ir.mid)
+    | Some _ | None -> Size.of_method m
+  in
   let last_inliner =
     let last = ref (-1) in
     Array.iteri
@@ -128,9 +160,10 @@ let run_detailed program config m =
   Array.iteri
     (fun idx (it : Plan.item) ->
       (if it.Plan.enabled then
-         match Pass.find it.Plan.pass with
+         match List.assoc_opt it.Plan.pass registry with
          | None -> () (* unreachable for validated plans *)
-         | Some p ->
+         | Some r ->
+           let p = r.pass in
            if p.Pass.applicable ctx then begin
              let knob name = Plan.item_knob it name in
              let iters =
@@ -139,8 +172,17 @@ let run_detailed program config m =
              let acc = ref Pass.zero_delta in
              for _ = 1 to iters do
                let before = !cur in
-               let size_in = lazy (Size.of_method before) in
-               let m', d = exec_pass program ctx p ~knob size_in before in
+               let m', d =
+                 match facts with
+                 | Some f when p == Pass.constprop && is_original program before ->
+                   (* A pure function of the original method: served from
+                      the table, with no span and no pass counts, which
+                      only real runs produce. *)
+                   Metric.bump constprop_reused;
+                   Pass.constprop_original f before.Ir.mid
+                 | Some _ | None ->
+                   exec_pass ?facts program ctx r ~knob (lazy (Size.of_method before)) before
+               in
                cur := m';
                acc := Pass.add_delta !acc d
              done;

@@ -17,6 +17,13 @@ type config = {
   profile : Hotpath.view option;
       (** adaptive scenario: live call-edge counts for the hot-path
           inlining strategy; [None] under [Opt] *)
+  facts : Facts.t option;
+      (** the compiled program's {!Inltune_jir.Facts} entry.  With it, a
+          constprop run whose input is physically the program's own method
+          is served from the table (no span, no [pass.constprop.*] counts;
+          ["pipeline.constprop_reused"] counts these), [size_before] of an
+          original method is the table's size, and the inliners skip their
+          table lookup.  Results are identical either way. *)
 }
 
 (** The one constructor: [plan] defaults to {!Plan.default}. *)
@@ -25,6 +32,7 @@ val make :
   ?hot_site:(site_owner:Ir.mid -> callee:Ir.mid -> bool) ->
   ?devirt_oracle:Guarded_devirt.site_oracle ->
   ?profile:Hotpath.view ->
+  ?facts:Facts.t ->
   Decider.t ->
   config
 

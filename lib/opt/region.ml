@@ -23,7 +23,6 @@ open Inltune_jir
 let policy ~budget ~depth root =
   let root_size = Size.of_method root in
   Policy.of_predicate
-    ~name:(Printf.sprintf "region(budget=%d,depth=%d)" budget depth)
-    ~accept_rule:"in_region" ~reject_rule:"region_full" (fun s ->
+    ~name:"region" ~accept_rule:"in_region" ~reject_rule:"region_full" (fun s ->
       s.Policy.inline_depth <= depth
       && s.Policy.caller_size - root_size + s.Policy.callee_size <= budget)

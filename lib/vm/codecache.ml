@@ -73,8 +73,9 @@ let bytes t = locked t (fun () -> t.bytes)
 let length t = locked t (fun () -> Hashtbl.length t.table)
 let mem t key = locked t (fun () -> Hashtbl.mem t.table key)
 
-(* Counters are re-resolved per use so they survive [Metric.reset_all]. *)
-let bump name = Metric.incr (Metric.counter name)
+let hits = Metric.handle "vm.code_cache.hits"
+let misses = Metric.handle "vm.code_cache.misses"
+let evictions = Metric.handle "vm.code_cache.evictions"
 
 let find t key =
   locked t (fun () ->
@@ -108,15 +109,15 @@ let add t key blob =
           !evicted
         end)
   in
-  if evicted > 0 then Metric.add (Metric.counter "vm.code_cache.evictions") evicted
+  if evicted > 0 then Metric.bump_by evictions evicted
 
 let find_or_compile t key compile =
   match find t key with
   | Some blob ->
-    bump "vm.code_cache.hits";
+    Metric.bump hits;
     (Marshal.from_string blob 0 : Compile.opt_front)
   | None ->
-    bump "vm.code_cache.misses";
+    Metric.bump misses;
     let front : Compile.opt_front = compile () in
     add t key (Marshal.to_string front []);
     front

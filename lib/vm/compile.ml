@@ -8,7 +8,8 @@ open Inltune_opt
    compile, slow to run, exactly Jikes RVM's non-optimizing compiler.
    Since its code is the method itself, a baseline compile's whole
    VM-independent half (a [template]) is built once per program and
-   platform and instantiated by every VM ([baseline_table]).
+   platform, kept in the program's fact table, and instantiated by every
+   VM ([baseline_table]).
 
    Optimizing: runs the full [Pipeline] (devirtualize, inline under the
    heuristic, fold, DCE) and charges compile cycles that grow superlinearly
@@ -53,9 +54,10 @@ type template = {
   cycles : int;      (* compile cycles charged per instantiation *)
 }
 
-let template (plat : Platform.t) ~tier ~expansion ~quality ~block_spill_cost ~spills ~cycles code
-    =
-  let code_bytes = Size.code_bytes ~expansion code in
+(* [size] is the code's size estimate, which every caller already has. *)
+let template (plat : Platform.t) ~tier ~expansion ~quality ~block_spill_cost ~spills ~cycles ~size
+    code =
+  let code_bytes = size * expansion in
   let instrs = max 1 (Ir.instr_count code) in
   let bytes_per_instr = max 1 (code_bytes / instrs) in
   {
@@ -91,10 +93,11 @@ let instantiate codespace ~profile ~owner t =
    installs the method itself, so its template is a function of the method
    and the platform alone. *)
 let baseline_template (plat : Platform.t) m =
+  let size = Size.of_method m in
   template plat ~tier:Baseline ~expansion:plat.Platform.baseline_expansion
     ~quality:plat.Platform.baseline_quality ~block_spill_cost:0 ~spills:0
-    ~cycles:(Platform.baseline_compile_cycles plat ~size:(Size.of_method m))
-    m
+    ~cycles:(Platform.baseline_compile_cycles plat ~size)
+    ~size m
 
 let baseline_of_template codespace ~profile t =
   instantiate codespace ~profile ~owner:t.proto.code.Ir.mid t
@@ -102,61 +105,39 @@ let baseline_of_template codespace ~profile t =
 let baseline plat codespace ~profile m =
   baseline_of_template codespace ~profile (baseline_template plat m)
 
-(* The per-program baseline table.  An entry is held through an ephemeron
-   keyed by the program value, compared physically, so it lives exactly as
-   long as its program: a process that regenerates programs (the
-   benchmark's set-up does, 15 times per suite program) does not keep dead
-   programs' templates.  Each entry holds one slot array per platform,
-   matched by the platform record itself (the templates bake its costs
-   in).
-
-   There is one entry per program hash, the last program looked up with
-   that hash, so a lookup reads no other entry's key.  Reading a key keeps
-   it alive for the current major cycle, and regenerated copies of a
-   program all hash alike: in a table that kept every copy and compared
-   them on each lookup, as [Ephemeron.K1.Make] does, dead copies stayed
-   reachable, and a set-up loop that regenerated five programs per round
-   stopped completing major cycles (0.05 per round instead of 1.1) while
-   its heap grew 25-fold.  A dead program leaves an emptied ephemeron of a
-   few words behind, so the table is reset when it reaches [max_programs]
-   entries; VMs keep the slot arrays they already hold. *)
+(* The per-program baseline table: one slot array per platform, matched by
+   the platform record itself (the templates bake its costs in), in the
+   program's fact-table entry, so it lives exactly as long as the
+   program. *)
 type baseline_slots = { plat : Platform.t; slots : template option array }
 
-let max_programs = 4096
+let baseline_key = Facts.key ~name:"baseline_templates" (fun _ -> Atomic.make [])
 
-let programs : (int, (Ir.program, baseline_slots list) Ephemeron.K1.t) Hashtbl.t =
-  Hashtbl.create 64
-
-let programs_mu = Mutex.create ()
-
-let baseline_table (plat : Platform.t) program =
-  let h = Hashtbl.hash program in
-  Mutex.protect programs_mu (fun () ->
-      let per =
-        match Hashtbl.find_opt programs h with
-        | Some e -> Option.value (Ephemeron.K1.query e program) ~default:[]
-        | None -> []
-      in
-      match List.find_opt (fun b -> b.plat == plat || b.plat = plat) per with
-      | Some b -> b.slots
-      | None ->
-        let slots = Array.make (Array.length program.Ir.methods) None in
-        if Hashtbl.length programs >= max_programs then Hashtbl.reset programs;
-        Hashtbl.replace programs h (Ephemeron.K1.make program ({ plat; slots } :: per));
-        slots)
+let baseline_table (plat : Platform.t) facts =
+  let per = Facts.get facts baseline_key in
+  let rec find_or_add () =
+    let known = Atomic.get per in
+    match List.find_opt (fun b -> b.plat == plat || b.plat = plat) known with
+    | Some b -> b.slots
+    | None ->
+      let slots = Array.make (Array.length (Facts.program facts).Ir.methods) None in
+      if Atomic.compare_and_set per known ({ plat; slots } :: known) then slots
+      else find_or_add ()
+  in
+  find_or_add ()
 
 (* The mid tier: dataflow optimizations without inlining — cheap linear
    compile time, decent code.  Used by the multi-level ladder scenario. *)
-let o1 (plat : Platform.t) codespace program ~profile m =
-  let code, _stats = Pipeline.run program Pipeline.no_inline_config m in
+let o1 (plat : Platform.t) codespace ?facts program ~profile m =
+  let code, stats = Pipeline.run program { Pipeline.no_inline_config with facts } m in
   let ra = Regalloc.run ~phys_regs:plat.Platform.phys_regs code in
   instantiate codespace ~profile ~owner:m.Ir.mid
     (template plat ~tier:O1 ~expansion:plat.Platform.o1_expansion
        ~quality:plat.Platform.o1_quality
        ~block_spill_cost:(Regalloc.block_spill_cost plat code ra)
        ~spills:ra.Regalloc.spilled
-       ~cycles:(Platform.o1_compile_cycles plat ~size:(Size.of_method m))
-       code)
+       ~cycles:(Platform.o1_compile_cycles plat ~size:stats.Pipeline.size_before)
+       ~size:stats.Pipeline.size_after code)
 
 type opt_front = {
   o_code : Ir.methd;
@@ -181,7 +162,7 @@ let optimizing_emit (plat : Platform.t) codespace ~profile ~owner f =
       (template plat ~tier:Optimized ~expansion:plat.Platform.opt_expansion ~quality:1
          ~block_spill_cost:f.o_block_spill_cost ~spills:f.o_spills
          ~cycles:(Platform.opt_compile_cycles plat ~size_peak:f.o_stats.Pipeline.size_peak)
-         f.o_code)
+         ~size:f.o_stats.Pipeline.size_after f.o_code)
   in
   (c, cycles, f.o_stats)
 

@@ -8,7 +8,8 @@ open Inltune_opt
     then its instantiation in one VM (code-space allocation, then
     {!Lower.instantiate}).  The baseline tier's code is the method itself,
     so its template is built once per program and platform
-    ({!baseline_table}) and shared by every VM. *)
+    ({!baseline_table}, in the program's {!Inltune_jir.Facts} entry) and
+    shared by every VM. *)
 
 type tier = Baseline | O1 | Optimized
 
@@ -45,19 +46,22 @@ val baseline_template : Platform.t -> Ir.methd -> template
     sites to the method itself.  Returns what {!baseline} returns. *)
 val baseline_of_template : Codespace.t -> profile:Profile.t -> template -> compiled * int
 
-(** [baseline_table plat program] is the per-program baseline template
-    table for [plat]: one slot per method id, [None] until some VM fills it
-    with [Some (baseline_template plat m)].  Programs are compared
-    physically and held weakly (an ephemeron), so an entry lives as long as
-    its program; platforms are compared structurally.  The table keeps one
-    program per hash, so two live, structurally equal programs looked up
-    in turn each rebuild their templates.  Two domains may race to fill a
-    slot; they build equal templates, and either write wins. *)
-val baseline_table : Platform.t -> Ir.program -> template option array
+(** [baseline_table plat facts] is the program's baseline template table
+    for [plat]: one slot per method id, [None] until some VM fills it with
+    [Some (baseline_template plat m)].  It lives in the program's
+    {!Inltune_jir.Facts} entry, so it lives as long as the program (the
+    fact table keeps one program per hash, so two live, structurally equal
+    programs looked up in turn each rebuild their templates); platforms are
+    compared structurally.  Two domains may race to fill a slot; they build
+    equal templates, and either write wins. *)
+val baseline_table : Platform.t -> Facts.t -> template option array
 
 (** Compile with the mid tier: dataflow passes, no inlining; linear compile
-    cost, intermediate code quality.  Used by the ladder scenario. *)
-val o1 : Platform.t -> Codespace.t -> Ir.program -> profile:Profile.t -> Ir.methd -> compiled * int
+    cost, intermediate code quality.  Used by the ladder scenario.  [facts]
+    is the program's fact-table entry (see {!Inltune_opt.Pipeline.config}). *)
+val o1 :
+  Platform.t -> Codespace.t -> ?facts:Facts.t -> Ir.program -> profile:Profile.t -> Ir.methd ->
+  compiled * int
 
 (** Compile with the optimizing tier: runs the pipeline under [config] and
     charges compile cycles superlinear in the post-inlining size.  Returns

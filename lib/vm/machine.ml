@@ -3,6 +3,7 @@ open Inltune_opt
 module Trace = Inltune_obs.Trace
 module Event = Inltune_obs.Event
 module Prof = Inltune_obs.Prof
+module Metric = Inltune_obs.Metric
 
 (* The virtual machine: a cycle-counting interpreter over compiled JIR plus
    the adaptive optimization system.
@@ -81,6 +82,7 @@ let config ?(inline_enabled = true) ?(optimize = true) ?(icache_enabled = true)
 
 type t = {
   prog : Ir.program;
+  facts : Facts.t;        (* [prog]'s fact-table entry, looked up once *)
   plat : Platform.t;
   cfg : config;
   icache : Icache.t;
@@ -122,13 +124,15 @@ type t = {
 let max_call_depth = 8_000
 
 let create ?code_keys cfg (plat : Platform.t) prog =
-  Validate.check_exn prog;
+  let facts = Facts.of_program prog in
+  Facts.validate facts;
   (match code_keys with
   | Some keys when Array.length keys <> Array.length prog.Ir.methods ->
     invalid_arg "Machine.create: one code key per method"
   | Some _ | None -> ());
   {
     prog;
+    facts;
     plat;
     cfg;
     icache = Icache.create ~bytes:plat.Platform.icache_bytes ~line_bytes:plat.Platform.line_bytes;
@@ -155,7 +159,7 @@ let create ?code_keys cfg (plat : Platform.t) prog =
     baseline_slots =
       (match cfg.scenario with
       | Opt -> [||]
-      | Adapt | Ladder -> Compile.baseline_table plat prog);
+      | Adapt | Ladder -> Compile.baseline_table plat facts);
     templates_built = 0;
     templates_reused = 0;
   }
@@ -214,7 +218,7 @@ let pipeline_config vm =
   let plan = vm.cfg.plan in
   let plan = if vm.cfg.inline_enabled then plan else Plan.disable "inline" plan in
   let plan = if vm.cfg.optimize then plan else Plan.without_dataflow plan in
-  Pipeline.make ~plan ?hot_site ?devirt_oracle ?profile decider
+  Pipeline.make ~plan ?hot_site ?devirt_oracle ?profile ~facts:vm.facts decider
 
 let trace_compile vm mid ~tier ~cycles ~recompile extra (c : Compile.compiled) =
   Trace.emit "vm.compile"
@@ -272,7 +276,8 @@ let compile_o1 vm mid =
   let recompile = vm.compiled.(mid) <> None in
   let c, cycles =
     Prof.span "vm.compile" ~on_time:(note_compile_wall vm) (fun () ->
-        Compile.o1 vm.plat vm.codespace vm.prog ~profile:vm.profile vm.prog.Ir.methods.(mid))
+        Compile.o1 vm.plat vm.codespace ~facts:vm.facts vm.prog ~profile:vm.profile
+          vm.prog.Ir.methods.(mid))
   in
   vm.compile_cycles <- vm.compile_cycles + cycles;
   vm.o1_compiles <- vm.o1_compiles + 1;
@@ -942,6 +947,10 @@ let trace_iteration ?(derived = false) vm ~exec_cycles ~compile_cycles ~steps =
        ]
       @ if derived then [ ("derived", Event.Bool true) ] else [])
 
+let frames_reused = Metric.handle "vm.frames_reused"
+let templates_built = Metric.handle "vm.baseline_templates.built"
+let templates_reused = Metric.handle "vm.baseline_templates.reused"
+
 (* One run of [main].  Compiled-code state, profile, and the I-cache persist
    across iterations (the warmed VM); the heap and output log are fresh per
    iteration so results are comparable. *)
@@ -953,12 +962,11 @@ let run_iteration vm =
   let exec0 = vm.exec_cycles and comp0 = vm.compile_cycles and steps0 = vm.steps in
   let ret = exec vm vm.prog.Ir.main [||] in
   (* Flush the frame-pool reuse and baseline-template tallies once per
-     iteration; looked up at use time so Metric.reset_all cannot orphan the
-     counters. *)
-  let flush name n = if n > 0 then Inltune_obs.Metric.add (Inltune_obs.Metric.counter name) n in
-  flush "vm.frames_reused" vm.frames_reused;
-  flush "vm.baseline_templates.built" vm.templates_built;
-  flush "vm.baseline_templates.reused" vm.templates_reused;
+     iteration. *)
+  let flush h n = if n > 0 then Metric.bump_by h n in
+  flush frames_reused vm.frames_reused;
+  flush templates_built vm.templates_built;
+  flush templates_reused vm.templates_reused;
   vm.frames_reused <- 0;
   vm.templates_built <- 0;
   vm.templates_reused <- 0;

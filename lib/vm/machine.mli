@@ -64,6 +64,7 @@ val config :
 
 type t = {
   prog : Ir.program;
+  facts : Facts.t;  (** [prog]'s {!Inltune_jir.Facts} entry, looked up in {!create} *)
   plat : Platform.t;
   cfg : config;
   icache : Icache.t;
@@ -108,7 +109,10 @@ type t = {
 val max_call_depth : int
 
 (** Fresh VM over a validated program; raises on an ill-formed program.
-    [code_keys] (one per method, indexed by method id) lets the [Opt]
+    Looks the program up in the fact table once ({!Inltune_jir.Facts}):
+    validation runs once per program value, and every compile this VM
+    makes reads the table's facts without another lookup.  [code_keys]
+    (one per method, indexed by method id) lets the [Opt]
     scenario's compiles reuse fronts from {!Codecache.global}: the caller
     vouches that each key determines its method's {!Compile.opt_front} under
     this config and platform.  Ignored by the other scenarios and by the

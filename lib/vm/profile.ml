@@ -14,6 +14,9 @@
 
 module Metric = Inltune_obs.Metric
 
+let dynamic_edges_counter = Metric.handle "vm.dynamic_edges"
+let interned_sites_counter = Metric.handle "vm.interned_sites"
+
 type t = {
   nmethods : int;
   invocations : int array;
@@ -60,7 +63,7 @@ let record_call_dynamic t ~site_owner ~callee =
   match Hashtbl.find_opt t.edges key with
   | Some n -> Hashtbl.replace t.edges key (n + 1)
   | None ->
-    Metric.incr (Metric.counter "vm.dynamic_edges");
+    Metric.bump dynamic_edges_counter;
     Hashtbl.add t.edges key 1
 
 let intern t ~site_owner ~callee =
@@ -83,7 +86,7 @@ let intern t ~site_owner ~callee =
     t.site_counts.(sid) <- 0;
     t.nsites <- sid + 1;
     Hashtbl.add t.site_ids key sid;
-    Metric.incr (Metric.counter "vm.interned_sites");
+    Metric.bump interned_sites_counter;
     sid
 
 (* Hot-loop entry point: [sid] came from [intern], so it is in range. *)

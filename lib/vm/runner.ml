@@ -32,6 +32,8 @@ type measurement = {
 let derives_later_iterations cfg =
   cfg.Machine.scenario = Machine.Opt && not (Machine.reference_enabled ())
 
+let iterations_derived = Inltune_obs.Metric.handle "vm.iterations_derived"
+
 let measure ?(iterations = 2) ?code_keys cfg plat prog =
   if iterations < 2 then invalid_arg "Runner.measure: need at least 2 iterations";
   let module Prof = Inltune_obs.Prof in
@@ -50,7 +52,7 @@ let measure ?(iterations = 2) ?code_keys cfg plat prog =
       let m1 = Machine.icache_misses vm in
       let m2 = Icache.repeat_misses vm.Machine.icache in
       let e2 = first.Machine.it_exec_cycles + (plat.Platform.miss_penalty * (m2 - m1)) in
-      Inltune_obs.Metric.add (Inltune_obs.Metric.counter "vm.iterations_derived") later;
+      Inltune_obs.Metric.bump_by iterations_derived later;
       if Trace.enabled () then
         for _ = 1 to later do
           Machine.trace_iteration ~derived:true vm ~exec_cycles:e2 ~compile_cycles:0

@@ -65,6 +65,24 @@ resumed=$(dune exec --no-build bin/main.exe -- tune -s adapt --pop 6 -g 2 --resu
 }
 cmp "$fullck" "$ckpt" || { echo "resumed checkpoint differs from uninterrupted one"; exit 1; }
 
+echo "== fitness-cache golden smoke =="
+# A fixed-seed, one-domain plan-genome Adapt tune must write exactly the
+# committed fitness-cache file (same keys, same measurements, same order).
+# Rerun against that file, it must print the same stdout and add no line:
+# every simulation is served from the file.
+fcache=$(mktemp -t inltune_fcache.XXXXXX.jsonl)
+trap 'rm -f "$trace" "$faults" "$ckpt" "$fullck" "$fcache"' EXIT
+rm -f "$fcache"
+fc_tune="tune -s adapt --tune-passes --pop 4 -g 2 --domains 1"
+# $fc_tune is split on purpose: it is a list of flags.
+fc_first=$(./_build/default/bin/main.exe $fc_tune --fitness-cache "$fcache" 2> /dev/null)
+cmp "$fcache" scripts/golden/fitness_cache_adapt_tune_passes.jsonl \
+  || { echo "fitness-cache file differs from scripts/golden"; exit 1; }
+fc_again=$(./_build/default/bin/main.exe $fc_tune --fitness-cache "$fcache" 2> /dev/null)
+[ "$fc_first" = "$fc_again" ] || { echo "tune over a warm fitness-cache file printed otherwise"; exit 1; }
+cmp "$fcache" scripts/golden/fitness_cache_adapt_tune_passes.jsonl \
+  || { echo "tune over a warm fitness-cache file appended lines"; exit 1; }
+
 echo "== policy smoke =="
 # Tiny dataset -> train -> eval round-trip: label a handful of compress call
 # sites with the flip oracle, induce a tree, run it end-to-end on one unseen
@@ -72,7 +90,7 @@ echo "== policy smoke =="
 ds=$(mktemp -t inltune_ds.XXXXXX.jsonl)
 pol=$(mktemp -t inltune_pol.XXXXXX.txt)
 pol2=$(mktemp -t inltune_pol2.XXXXXX.txt)
-trap 'rm -f "$trace" "$faults" "$ckpt" "$fullck" "$ds" "$pol" "$pol2"' EXIT
+trap 'rm -f "$trace" "$faults" "$ckpt" "$fullck" "$fcache" "$ds" "$pol" "$pol2"' EXIT
 rm -f "$ds"
 dune exec --no-build bin/main.exe -- dataset "$ds" --bench compress --max-sites 6 \
   > /dev/null 2>&1
@@ -98,7 +116,7 @@ echo "== gp smoke =="
 gpck=$(mktemp -t inltune_gpck.XXXXXX.jsonl)
 gpfullck=$(mktemp -t inltune_gpfullck.XXXXXX.jsonl)
 gptree=$(mktemp -t inltune_gptree.XXXXXX.txt)
-trap 'rm -f "$trace" "$faults" "$ckpt" "$fullck" "$ds" "$pol" "$pol2" "$gpck" "$gpfullck" \
+trap 'rm -f "$trace" "$faults" "$ckpt" "$fullck" "$fcache" "$ds" "$pol" "$pol2" "$gpck" "$gpfullck" \
       "$gptree"' EXIT
 rm -f "$gpck" "$gpfullck"
 gp_full=$(dune exec --no-build bin/main.exe -- tune --evolve-policy -s opt:tot --pop 6 -g 2 \
@@ -168,7 +186,7 @@ echo "== plan smoke =="
 # code 2, and the GA can evolve the plan itself.
 plan=$(mktemp -t inltune_plan.XXXXXX.txt)
 plan2=$(mktemp -t inltune_plan2.XXXXXX.txt)
-trap 'rm -f "$trace" "$faults" "$ckpt" "$fullck" "$ds" "$pol" "$pol2" "$gpck" "$gpfullck" "$gptree" \
+trap 'rm -f "$trace" "$faults" "$ckpt" "$fullck" "$fcache" "$ds" "$pol" "$pol2" "$gpck" "$gpfullck" "$gptree" \
       "$plan" "$plan2"' EXIT
 dune exec --no-build bin/main.exe -- plan > "$plan"
 dune exec --no-build bin/main.exe -- plan "$plan" > "$plan2"
@@ -249,7 +267,7 @@ echo "== observability smoke =="
 # trace aggregates into profile/histogram tables and flamegraph-ready
 # folded stacks via trace-summary.
 obs=$(mktemp -t inltune_obs.XXXXXX.jsonl)
-trap 'rm -f "$trace" "$faults" "$ckpt" "$fullck" "$ds" "$pol" "$pol2" "$gpck" "$gpfullck" "$gptree" \
+trap 'rm -f "$trace" "$faults" "$ckpt" "$fullck" "$fcache" "$ds" "$pol" "$pol2" "$gpck" "$gpfullck" "$gptree" \
       "$plan" "$plan2" "$obs"' EXIT
 rm -f "$obs"
 obs_err=$(dune exec --no-build bin/main.exe -- tune -s adapt --pop 6 -g 2 --domains 1 \
@@ -315,7 +333,7 @@ done
 # BENCH_tuner.json does not replace the flat-interpreter one above.
 root=$(pwd)
 reftuner=$(mktemp -d -t inltune_reftuner.XXXXXX)
-trap 'rm -f "$trace" "$faults" "$ckpt" "$fullck" "$ds" "$pol" "$pol2" "$gpck" "$gpfullck" "$gptree" \
+trap 'rm -f "$trace" "$faults" "$ckpt" "$fullck" "$fcache" "$ds" "$pol" "$pol2" "$gpck" "$gpfullck" "$gptree" \
       "$plan" "$plan2" "$obs";
       rm -rf "$reftuner"' EXIT
 (cd "$reftuner" && INLTUNE_VM_REFERENCE=1 INLTUNE_POP=6 INLTUNE_GENS=2 \
@@ -332,7 +350,7 @@ echo "== serve smoke =="
 # reply, and SIGTERM drains to a clean exit with the socket removed.
 sock=$(mktemp -t inltune_serve.XXXXXX.sock)
 rm -f "$sock"
-trap 'rm -f "$trace" "$faults" "$ckpt" "$fullck" "$ds" "$pol" "$pol2" "$gpck" "$gpfullck" "$gptree" \
+trap 'rm -f "$trace" "$faults" "$ckpt" "$fullck" "$fcache" "$ds" "$pol" "$pol2" "$gpck" "$gpfullck" "$gptree" \
       "$plan" "$plan2" "$obs" "$sock";
       rm -rf "$reftuner";
       [ -n "${serve_pid:-}" ] && kill -9 "$serve_pid" 2> /dev/null || true' EXIT
@@ -412,6 +430,13 @@ INLTUNE_FAULTS="garbage" dune exec --no-build bin/main.exe -- list > /dev/null 2
 rc=0
 dune exec --no-build bin/main.exe -- trace-summary /no/such/trace.jsonl > /dev/null 2>&1 || rc=$?
 [ "$rc" -eq 2 ] || { echo "missing trace file exited $rc, want 2"; exit 1; }
+rc=0
+bench_err=$(./_build/default/bench/main.exe nosuchprotocol 2>&1 > /dev/null) || rc=$?
+[ "$rc" -eq 2 ] || { echo "unknown bench protocol exited $rc, want 2"; exit 1; }
+[ "$(echo "$bench_err" | wc -l)" -eq 1 ] \
+  || { echo "unknown bench protocol printed more than one line: $bench_err"; exit 1; }
+echo "$bench_err" | grep -q "^bench: unknown protocol nosuchprotocol (one of " \
+  || { echo "unknown bench protocol error is not a usage line: $bench_err"; exit 1; }
 # Resume failures are one-line errors too: a missing checkpoint, one written
 # with another --seed, and one written by another search (scenario).
 rc=0

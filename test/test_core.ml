@@ -231,6 +231,76 @@ let test_fitcache_cross_tenant_hits () =
           Alcotest.(check int) "bob hits alice's entry" (x0 + 1)
             (metric "fitness.cross_tenant_hits")))
 
+(* Two domains store the same keys into an attached file at once, each
+   "measuring" a different value (the simulations are synthetic, and each
+   waits for the other domain's to start, so both miss every key): only
+   the store that inserts a key writes its line, so the file holds each
+   key once, with the measurement the table kept, and reloads into the
+   same table. *)
+let test_fitcache_file_two_domains () =
+  let path = Filename.temp_file "fitcache" ".jsonl" in
+  let prog = W.Suites.program bm_db in
+  let rng = Inltune_support.Rng.create 11 in
+  let heuristics =
+    List.init 60 (fun _ ->
+        Heuristic.of_array
+          (Array.map (fun (lo, hi) -> Inltune_support.Rng.range rng lo hi) Heuristic.ranges))
+  in
+  let arrived = Array.init (List.length heuristics) (fun _ -> Atomic.make 0) in
+  let meet i =
+    Atomic.incr arrived.(i);
+    let t0 = Unix.gettimeofday () in
+    while Atomic.get arrived.(i) < 2 && Unix.gettimeofday () -. t0 < 0.05 do
+      Domain.cpu_relax ()
+    done
+  in
+  let fake ~by i h =
+    meet i;
+    let a = Heuristic.to_array h in
+    {
+      Runner.total_cycles = a.(0); running_cycles = a.(1); first_exec_cycles = a.(2);
+      first_compile_cycles = a.(3); opt_compiles = a.(4); baseline_compiles = 1; code_bytes = 2;
+      icache_misses = 3; icache_accesses = 4; steps = 5; ret = by; out_hash = 7;
+    }
+  in
+  let lookup simulate h =
+    Fitcache.lookup_or_measure ~scenario:Machine.Adapt ~platform:Platform.x86 ~heuristic:h
+      ~inline_enabled:true ~plan:Plan.default ~iterations:3 ~program:prog (fun () -> simulate h)
+  in
+  let keys =
+    List.sort_uniq compare
+      (List.map
+         (fun h ->
+           Fitcache.key ~scenario:Machine.Adapt ~platform:Platform.x86 ~heuristic:h
+             ~inline_enabled:true ~plan:Plan.default ~iterations:3 prog)
+         heuristics)
+  in
+  with_clean_fitcache (fun () ->
+      Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () ->
+          Sys.remove path;
+          Fitcache.set_file (Some path);
+          let search by () = List.iteri (fun i h -> ignore (lookup (fake ~by i) h)) heuristics in
+          let other = Domain.spawn (search 2) in
+          search 1 ();
+          Domain.join other;
+          let no_sim _ = failwith "simulated a stored key" in
+          let stored = List.map (lookup no_sim) heuristics in
+          Alcotest.(check int) "one table entry per key" (List.length keys) (Fitcache.size ());
+          Fitcache.set_file None;
+          let ic = open_in path in
+          let lines = ref [] in
+          (try
+             while true do
+               lines := input_line ic :: !lines
+             done
+           with End_of_file -> close_in ic);
+          Alcotest.(check int) "one line per key" (List.length keys) (List.length !lines);
+          Fitcache.clear ();
+          Fitcache.set_file (Some path);
+          Alcotest.(check int) "reloads every key" (List.length keys) (Fitcache.size ());
+          Alcotest.(check bool) "reloads the table's measurements" true
+            (stored = List.map (lookup no_sim) heuristics)))
+
 let test_fitcache_ga_bit_transparent () =
   (* The tentpole invariant: the same fixed-seed GA, cache off vs on, must
      produce the same best genome and the same per-generation history. *)
@@ -465,6 +535,7 @@ let suite =
     ("fitcache corrupt file skipped", `Quick, test_fitcache_corrupt_file_skipped);
     ("fitcache corrupt lines counted", `Quick, test_fitcache_corrupt_lines_counted);
     ("fitcache cross-tenant hits", `Quick, test_fitcache_cross_tenant_hits);
+    ("fitcache file written once per key by two domains", `Quick, test_fitcache_file_two_domains);
     ("fitcache GA bit transparent", `Slow, test_fitcache_ga_bit_transparent);
     ("objective perf formulas", `Quick, test_perf_running_and_total);
     ("objective default is unity", `Quick, test_perf_default_is_unity);

@@ -54,7 +54,10 @@ let random_policy rng program =
     let p = Policy.of_heuristic (random_heuristic rng) in
     fun _ -> p
   | 1 ->
-    let p = Leaves.policy ~leaf_size:(Rng.range rng 1 60) ~rounds:(Rng.range rng 1 4) program in
+    let p =
+      Leaves.policy ~leaf_size:(Rng.range rng 1 60) ~rounds:(Rng.range rng 1 4)
+        (Facts.of_program program)
+    in
     fun _ -> p
   | 2 ->
     let budget = Rng.range rng 0 1024 and depth = Rng.range rng 1 8 in

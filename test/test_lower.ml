@@ -249,7 +249,7 @@ let test_table_entry_dies_with_program () =
   (fun () ->
     let program = Gen_random.program 424_242 in
     ignore (baseline_vm Platform.x86 program : Machine.t);
-    let slots = Compile.baseline_table Platform.x86 program in
+    let slots = Compile.baseline_table Platform.x86 (Facts.of_program program) in
     Alcotest.(check bool) "filled by the VM" true (Array.exists Option.is_some slots);
     Weak.set program_weak 0 (Some program);
     Weak.set slots_weak 0 (Some slots))

@@ -12,6 +12,7 @@ let () =
       ("codecache", Test_codecache.suite);
       ("lower", Test_lower.suite);
       ("equiv", Test_equiv.suite);
+      ("facts", Test_facts.suite);
       ("runner", Test_runner.suite);
       ("workloads", Test_workloads.suite);
       ("shapes", Test_shapes.suite);

@@ -221,8 +221,29 @@ let test_signature_span () =
       in
       Alcotest.(check (list int)) "one signature span per evaluation" [ 2 ] calls)
 
+(* A handle binds a counter by name once; after [Metric.reset_all] it
+   counts into the fresh registry, and binding one registers nothing. *)
+let test_handle_counts_after_reset () =
+  let h = Metric.handle "test.handle.bumps" in
+  let _unused = Metric.handle "test.handle.unused" in
+  let registered name = List.mem_assoc name (Metric.counters_snapshot ()) in
+  Alcotest.(check bool) "binding registers nothing" false (registered "test.handle.bumps");
+  Metric.bump h;
+  Metric.bump_by h 4;
+  Alcotest.(check int) "counts before the reset" 5 (Metric.value (Metric.counter "test.handle.bumps"));
+  Metric.reset_all ();
+  Alcotest.(check bool) "reset forgets the counter" false (registered "test.handle.bumps");
+  Metric.bump h;
+  Metric.bump_by h 2;
+  Alcotest.(check int) "counts into the fresh registry" 3
+    (Metric.value (Metric.counter "test.handle.bumps"));
+  Alcotest.(check bool) "an unused handle stays unregistered" false
+    (registered "test.handle.unused")
+
 let suite =
   [
+    Alcotest.test_case "metric handle counts after reset_all" `Quick
+      test_handle_counts_after_reset;
     Alcotest.test_case "span nesting and tree order" `Quick test_span_nesting_and_order;
     Alcotest.test_case "self vs cumulative time" `Quick test_self_time_vs_cumulative;
     Alcotest.test_case "disabled span is passthrough" `Quick test_disabled_span_is_passthrough;
