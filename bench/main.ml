@@ -27,6 +27,22 @@ module Stats = Inltune_support.Stats
 let env_int name default =
   match Sys.getenv_opt name with Some v -> int_of_string v | None -> default
 
+(* Bench records are one JSON object per file, written through [Json.encode]
+   so names and tree texts are escaped.  [fixed d v] is [v] at the [d]
+   decimals the record reports. *)
+module Json = Inltune_obs.Json
+
+let fixed d v = Json.Num (Float.of_string (Printf.sprintf "%.*f" d v))
+let int n = Json.Num (Float.of_int n)
+let names bms = Json.List (List.map (fun bm -> Json.Str bm.W.Suites.bname) bms)
+
+let write_record path fields =
+  let oc = open_out path in
+  output_string oc (Json.encode (Json.Obj fields));
+  output_char oc '\n';
+  close_out oc;
+  Printf.printf "wrote %s\n\n" path
+
 let budget () =
   {
     Tuner.pop = env_int "INLTUNE_POP" 16;
@@ -461,7 +477,21 @@ let policy_systems tuned tree gp_tree =
   [
     ("ga", fun bm -> Measure.run ~scenario ~platform ~heuristic:tuned bm);
     ("cart", fun bm -> P.Evaluate.measure ~scenario ~platform (P.Store.Tree tree) bm);
-    ("gp", fun bm -> Gp.Fitness.measure ~scenario ~platform gp_tree bm);
+    ( "gp",
+      fun bm -> Measure.run_decider ~scenario ~platform ~decider:(Gp.Decode.decider gp_tree) bm );
+  ]
+
+(* A record's running and total geomeans: "default" is 1.0 by construction,
+   then one entry per (key, system label). *)
+let geomeans_json columns geos =
+  let geo pick =
+    Json.Obj
+      (("default", Json.Num 1.0)
+      :: List.map (fun (key, label) -> (key, fixed 6 (pick (List.assoc label geos)))) columns)
+  in
+  [
+    ("running", geo (fun g -> g.P.Evaluate.g_running));
+    ("total", geo (fun g -> g.P.Evaluate.g_total));
   ]
 
 let policy_comparison () =
@@ -480,21 +510,18 @@ let policy_comparison () =
         (tag, r))
       [ ("spec", W.Suites.spec); ("dacapo", W.Suites.dacapo) ]
   in
-  let oc = open_out "BENCH_policy.json" in
   let suite_json (tag, r) =
-    let geos = P.Evaluate.many_geos r in
-    let geo l = List.assoc l geos in
-    Printf.sprintf
-      "\"%s\":{\"running\":{\"default\":1.0,\"ga\":%.6f,\"learned\":%.6f,\"gp\":%.6f},\"total\":{\"default\":1.0,\"ga\":%.6f,\"learned\":%.6f,\"gp\":%.6f}}"
-      tag
-      (geo "ga").P.Evaluate.g_running (geo "cart").P.Evaluate.g_running
-      (geo "gp").P.Evaluate.g_running (geo "ga").P.Evaluate.g_total
-      (geo "cart").P.Evaluate.g_total (geo "gp").P.Evaluate.g_total
+    ( tag,
+      Json.Obj
+        (geomeans_json [ ("ga", "ga"); ("learned", "cart"); ("gp", "gp") ]
+           (P.Evaluate.many_geos r)) )
   in
-  Printf.fprintf oc "{\"scenario\":\"opt\",\"platform\":\"x86\",\"suites\":{%s}}\n"
-    (String.concat "," (List.map suite_json reports));
-  close_out oc;
-  print_endline "wrote BENCH_policy.json\n"
+  write_record "BENCH_policy.json"
+    [
+      ("scenario", Json.Str "opt");
+      ("platform", Json.Str "x86");
+      ("suites", Json.Obj (List.map suite_json reports));
+    ]
 
 (* ---- GP bench ------------------------------------------------------------ *)
 
@@ -521,19 +548,24 @@ let gp_bench () =
   in
   Table.print (P.Evaluate.many_table report);
   print_newline ();
-  let geos = P.Evaluate.many_geos report in
-  let geo l = List.assoc l geos in
-  let oc = open_out "BENCH_gp.json" in
-  Printf.fprintf oc
-    "{\"scenario\":\"opt\",\"platform\":\"x86\",\"suite\":\"dacapo\",\"best_tree\":\"%s\",\"tree_size\":%d,\"evaluations\":%d,\"cache_hits\":%d,\"prefilter\":{\"candidates\":%d,\"skips\":%d,\"avoidance\":%.4f},\"running\":{\"default\":1.0,\"ga\":%.6f,\"cart\":%.6f,\"gp\":%.6f},\"total\":{\"default\":1.0,\"ga\":%.6f,\"cart\":%.6f,\"gp\":%.6f}}\n"
-    (Gp.Tree.to_text gpr.Gp.Evolve.best)
-    (Gp.Tree.size gpr.Gp.Evolve.best)
-    gpr.Gp.Evolve.evaluations gpr.Gp.Evolve.cache_hits gpr.Gp.Evolve.prefilter_candidates
-    gpr.Gp.Evolve.prefilter_skips avoidance (geo "ga").P.Evaluate.g_running
-    (geo "cart").P.Evaluate.g_running (geo "gp").P.Evaluate.g_running
-    (geo "ga").P.Evaluate.g_total (geo "cart").P.Evaluate.g_total (geo "gp").P.Evaluate.g_total;
-  close_out oc;
-  print_endline "wrote BENCH_gp.json\n"
+  write_record "BENCH_gp.json"
+    ([
+       ("scenario", Json.Str "opt");
+       ("platform", Json.Str "x86");
+       ("suite", Json.Str "dacapo");
+       ("best_tree", Json.Str (Gp.Tree.to_text gpr.Gp.Evolve.best));
+       ("tree_size", int (Gp.Tree.size gpr.Gp.Evolve.best));
+       ("evaluations", int gpr.Gp.Evolve.evaluations);
+       ("cache_hits", int gpr.Gp.Evolve.cache_hits);
+       ( "prefilter",
+         Json.Obj
+           [
+             ("candidates", int gpr.Gp.Evolve.prefilter_candidates);
+             ("skips", int gpr.Gp.Evolve.prefilter_skips);
+             ("avoidance", fixed 4 avoidance);
+           ] );
+     ]
+    @ geomeans_json [ ("ga", "ga"); ("cart", "cart"); ("gp", "gp") ] (P.Evaluate.many_geos report))
 
 (* ---- Tuner caching bench ------------------------------------------------- *)
 
@@ -603,21 +635,31 @@ let tuner_bench () =
   Printf.printf "derived iterations: %d (cache off), %d (cache on)\n" derived_off derived_on;
   Printf.printf "best genome identical: %b   per-generation history identical: %b\n"
     identical_best identical_history;
-  let oc = open_out "BENCH_tuner.json" in
-  Printf.fprintf oc
-    "{\"suite\":[%s],\"scenario\":\"opt:tot\",\"pop\":%d,\"gens\":%d,\"seed\":%d,\
-     \"cache_off\":{\"simulations\":%d,\"iterations_derived\":%d},\
-     \"cache_on\":{\"simulations\":%d,\"iterations_derived\":%d,\
-     \"sig_hits\":%d,\"sig_misses\":%d,\
-     \"unique_plans\":%d,\"code_cache_hits\":%d,\"code_cache_misses\":%d},\
-     \"simulations_avoided\":%d,\"avoided_fraction\":%.4f,\
-     \"identical_best\":%b,\"identical_history\":%b}\n"
-    (String.concat "," (List.map (fun bm -> "\"" ^ bm.W.Suites.bname ^ "\"") suite))
-    budget.Tuner.pop budget.Tuner.gens budget.Tuner.seed sims_off derived_off sims_on derived_on
-    sig_hits sig_misses unique_plans code_cache_hits code_cache_misses avoided frac
-    identical_best identical_history;
-  close_out oc;
-  print_endline "wrote BENCH_tuner.json\n";
+  write_record "BENCH_tuner.json"
+    [
+      ("suite", names suite);
+      ("scenario", Json.Str "opt:tot");
+      ("pop", int budget.Tuner.pop);
+      ("gens", int budget.Tuner.gens);
+      ("seed", int budget.Tuner.seed);
+      ( "cache_off",
+        Json.Obj [ ("simulations", int sims_off); ("iterations_derived", int derived_off) ] );
+      ( "cache_on",
+        Json.Obj
+          [
+            ("simulations", int sims_on);
+            ("iterations_derived", int derived_on);
+            ("sig_hits", int sig_hits);
+            ("sig_misses", int sig_misses);
+            ("unique_plans", int unique_plans);
+            ("code_cache_hits", int code_cache_hits);
+            ("code_cache_misses", int code_cache_misses);
+          ] );
+      ("simulations_avoided", int avoided);
+      ("avoided_fraction", fixed 4 frac);
+      ("identical_best", Json.Bool identical_best);
+      ("identical_history", Json.Bool identical_history);
+    ];
   if not (identical_best && identical_history) then begin
     prerr_endline "tuner bench: caching changed the search result (must be bit-transparent)";
     exit 1
@@ -701,22 +743,31 @@ let passes_bench () =
      else "digest " ^ Plan.digest po.Tuner.p_plan);
   print_string (Plan.to_string po.Tuner.p_plan);
   print_newline ();
-  let oc = open_out "BENCH_passes.json" in
-  Printf.fprintf oc
-    "{\"suite\":[%s],\"scenario\":\"opt:tot\",\"pop\":%d,\"gens\":%d,\"seed\":%d,\
-     \"identical_measurements\":%b,\"identical_best\":%b,\"identical_history\":%b,\
-     \"heuristic_ga\":{\"best_fitness\":%.6f,\"evaluations\":%d},\
-     \"plan_ga\":{\"best_fitness\":%.6f,\"evaluations\":%d,\"plan_is_default\":%b,\
-     \"plan_digest\":\"%s\"}}\n"
-    (String.concat "," (List.map (fun bm -> "\"" ^ bm.W.Suites.bname ^ "\"") suite))
-    budget.Tuner.pop budget.Tuner.gens budget.Tuner.seed !identical_measurements
-    identical_best identical_history implicit_ga.Tuner.fitness
-    implicit_ga.Tuner.ga.Inltune_ga.Evolve.evaluations po.Tuner.p_fitness
-    po.Tuner.p_ga.Inltune_ga.Evolve.evaluations
-    (Plan.is_default po.Tuner.p_plan)
-    (Plan.digest po.Tuner.p_plan);
-  close_out oc;
-  print_endline "wrote BENCH_passes.json\n";
+  write_record "BENCH_passes.json"
+    [
+      ("suite", names suite);
+      ("scenario", Json.Str "opt:tot");
+      ("pop", int budget.Tuner.pop);
+      ("gens", int budget.Tuner.gens);
+      ("seed", int budget.Tuner.seed);
+      ("identical_measurements", Json.Bool !identical_measurements);
+      ("identical_best", Json.Bool identical_best);
+      ("identical_history", Json.Bool identical_history);
+      ( "heuristic_ga",
+        Json.Obj
+          [
+            ("best_fitness", fixed 6 implicit_ga.Tuner.fitness);
+            ("evaluations", int implicit_ga.Tuner.ga.Inltune_ga.Evolve.evaluations);
+          ] );
+      ( "plan_ga",
+        Json.Obj
+          [
+            ("best_fitness", fixed 6 po.Tuner.p_fitness);
+            ("evaluations", int po.Tuner.p_ga.Inltune_ga.Evolve.evaluations);
+            ("plan_is_default", Json.Bool (Plan.is_default po.Tuner.p_plan));
+            ("plan_digest", Json.Str (Plan.digest po.Tuner.p_plan));
+          ] );
+    ];
   if not (!identical_measurements && identical_best && identical_history) then begin
     prerr_endline
       "passes bench: the plan interpreter changed measurements or the GA trajectory \
@@ -879,41 +930,55 @@ let inliners_bench () =
   in
   Printf.printf "corpus programs where a strategy/tuned plan beats the default: %s\n"
     (match corpus_wins with [] -> "none" | l -> String.concat ", " l);
-  let oc = open_out "BENCH_inliners.json" in
-  Printf.fprintf oc
-    "{\"train\":[%s],\"unseen\":[%s],\"pop\":%d,\"gens\":%d,\"seed\":%d,\
-     \"identical_default\":%b,\
-     \"tuned\":{\"fitness\":%.6f,\"plan_is_default\":%b,\"plan_digest\":\"%s\"},\
-     \"opt\":{\"benchmarks\":[%s],\"geomean_vs_default\":{%s}},\
-     \"adapt\":{\"benchmarks\":[%s],\"geomean_vs_default\":{\"inline_hot\":%.6f}},\
-     \"corpus_wins\":[%s],\"any_corpus_win\":%b}\n"
-    (String.concat "," (List.map (fun bm -> "\"" ^ bm.W.Suites.bname ^ "\"") train))
-    (String.concat "," (List.map (fun bm -> "\"" ^ bm.W.Suites.bname ^ "\"") unseen))
-    budget.Tuner.pop budget.Tuner.gens budget.Tuner.seed identical po.Tuner.p_fitness
-    (Plan.is_default po.Tuner.p_plan)
-    (Plan.digest po.Tuner.p_plan)
-    (String.concat ","
-       (List.map
-          (fun (bm, def, cells) ->
-            Printf.sprintf "{\"name\":\"%s\",\"default\":%d,%s}" bm.W.Suites.bname def
-              (String.concat ","
-                 (List.map2
-                    (fun (n, _, _) (c, _) -> Printf.sprintf "\"%s\":%d" n c)
-                    opt_columns cells)))
-          opt_rows))
-    (String.concat ","
-       (List.map (fun (n, g) -> Printf.sprintf "\"%s\":%.6f" n g) opt_geomeans))
-    (String.concat ","
-       (List.map
-          (fun (bm, def, hot, _) ->
-            Printf.sprintf "{\"name\":\"%s\",\"default\":%d,\"inline_hot\":%d}"
-              bm.W.Suites.bname def hot)
-          adapt_rows))
-    hot_geomean
-    (String.concat "," (List.map (fun n -> "\"" ^ n ^ "\"") corpus_wins))
-    (corpus_wins <> []);
-  close_out oc;
-  print_endline "wrote BENCH_inliners.json\n";
+  write_record "BENCH_inliners.json"
+    [
+      ("train", names train);
+      ("unseen", names unseen);
+      ("pop", int budget.Tuner.pop);
+      ("gens", int budget.Tuner.gens);
+      ("seed", int budget.Tuner.seed);
+      ("identical_default", Json.Bool identical);
+      ( "tuned",
+        Json.Obj
+          [
+            ("fitness", fixed 6 po.Tuner.p_fitness);
+            ("plan_is_default", Json.Bool (Plan.is_default po.Tuner.p_plan));
+            ("plan_digest", Json.Str (Plan.digest po.Tuner.p_plan));
+          ] );
+      ( "opt",
+        Json.Obj
+          [
+            ( "benchmarks",
+              Json.List
+                (List.map
+                   (fun (bm, def, cells) ->
+                     Json.Obj
+                       (("name", Json.Str bm.W.Suites.bname)
+                       :: ("default", int def)
+                       :: List.map2 (fun (n, _, _) (c, _) -> (n, int c)) opt_columns cells))
+                   opt_rows) );
+            ( "geomean_vs_default",
+              Json.Obj (List.map (fun (n, g) -> (n, fixed 6 g)) opt_geomeans) );
+          ] );
+      ( "adapt",
+        Json.Obj
+          [
+            ( "benchmarks",
+              Json.List
+                (List.map
+                   (fun (bm, def, hot, _) ->
+                     Json.Obj
+                       [
+                         ("name", Json.Str bm.W.Suites.bname);
+                         ("default", int def);
+                         ("inline_hot", int hot);
+                       ])
+                   adapt_rows) );
+            ("geomean_vs_default", Json.Obj [ ("inline_hot", fixed 6 hot_geomean) ]);
+          ] );
+      ("corpus_wins", Json.List (List.map (fun n -> Json.Str n) corpus_wins));
+      ("any_corpus_win", Json.Bool (corpus_wins <> []));
+    ];
   if not identical then begin
     prerr_endline
       "inliners bench: the default plan (strategies scheduled but disabled) changed \
@@ -935,7 +1000,6 @@ let serve_bench () =
   let module Server = Inltune_serve.Server in
   let module Sproto = Inltune_serve.Proto in
   let module Sclient = Inltune_serve.Client in
-  let module Json = Inltune_obs.Json in
   let module Metric = Inltune_obs.Metric in
   let module Faultinject = Inltune_resilience.Faultinject in
   print_endline "==== Serve: concurrent clients vs a saturated daemon ====\n";
@@ -1111,26 +1175,33 @@ let serve_bench () =
   let statuses_json =
     Hashtbl.fold (fun s n acc -> (s, n) :: acc) statuses []
     |> List.sort compare
-    |> List.map (fun (s, n) -> Printf.sprintf "\"%s\":%d" s n)
-    |> String.concat ","
+    |> List.map (fun (s, n) -> (s, int n))
   in
-  let oc = open_out "BENCH_serve.json" in
-  Printf.fprintf oc
-    "{\"clients\":%d,\"requests\":%d,\"replies\":%d,\"no_reply\":%d,\"wall_s\":%.3f,\
-     \"throughput_rps\":%.2f,\
-     \"latency_ms\":{\"p50\":%.2f,\"p90\":%.2f,\"p99\":%.2f,\"max\":%.2f},\
-     \"statuses\":{%s},\"backpressure_replies\":%d,\"cross_tenant_hits\":%d,\
-     \"healed\":%b,\"identical_tune\":%b,\"served_fitness\":%.17g,\
-     \"offline_fitness\":%.17g,\"server_crashes\":%d}\n"
-    clients expected replies (Atomic.get missing) wall_s
-    (Float.of_int replies /. Float.max 1e-9 wall_s)
-    (pct 50.0) (pct 90.0) (pct 99.0)
-    (if replies = 0 then 0.0 else Stats.max_of lat)
-    statuses_json backpressure cross healed identical_tune served_fitness
-    offline.Tuner.fitness
-    (if crashed then 1 else 0);
-  close_out oc;
-  print_endline "wrote BENCH_serve.json\n";
+  write_record "BENCH_serve.json"
+    [
+      ("clients", int clients);
+      ("requests", int expected);
+      ("replies", int replies);
+      ("no_reply", int (Atomic.get missing));
+      ("wall_s", fixed 3 wall_s);
+      ("throughput_rps", fixed 2 (Float.of_int replies /. Float.max 1e-9 wall_s));
+      ( "latency_ms",
+        Json.Obj
+          [
+            ("p50", fixed 2 (pct 50.0));
+            ("p90", fixed 2 (pct 90.0));
+            ("p99", fixed 2 (pct 99.0));
+            ("max", fixed 2 (if replies = 0 then 0.0 else Stats.max_of lat));
+          ] );
+      ("statuses", Json.Obj statuses_json);
+      ("backpressure_replies", int backpressure);
+      ("cross_tenant_hits", int cross);
+      ("healed", Json.Bool healed);
+      ("identical_tune", Json.Bool identical_tune);
+      ("served_fitness", Json.Num served_fitness);
+      ("offline_fitness", Json.Num offline.Tuner.fitness);
+      ("server_crashes", int (if crashed then 1 else 0));
+    ];
   let failures = ref [] in
   let check cond what = if not cond then failures := what :: !failures in
   check (replies = expected) "some requests got no reply";

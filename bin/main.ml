@@ -835,6 +835,14 @@ let train_policy_cmd =
     (Cmd.info "train-policy" ~doc:"Train a decision-tree inlining policy from a dataset")
     Term.(const run $ data $ out $ kind $ heuristic_arg $ max_depth $ min_leaf $ holdout)
 
+(* The eval-policy columns: the GA-tuned heuristic when there is one, then
+   the stored policy. *)
+let policy_systems ?tuned ?iterations ~scenario ~platform store =
+  (match tuned with
+  | Some h -> [ ("tuned", fun bm -> Measure.run ?iterations ~scenario ~platform ~heuristic:h bm) ]
+  | None -> [])
+  @ [ ("learned", fun bm -> P.Evaluate.measure ?iterations ~scenario ~platform store bm) ]
+
 let eval_policy_cmd =
   let run path print_only suite bench_csv scenario platform iterations no_tuned tuned_params
       pop gens seed domains trace =
@@ -856,10 +864,11 @@ let eval_policy_cmd =
           Some o.Tuner.heuristic
         end
       in
-      let report =
-        P.Evaluate.compare ~iterations ?tuned ~scenario:scen ~platform:plat store benches
-      in
-      Inltune_support.Table.print (P.Evaluate.table report)
+      Inltune_support.Table.print
+        (P.Evaluate.many_table
+           (P.Evaluate.compare_many ~iterations ~scenario:scen ~platform:plat
+              (policy_systems ?tuned ~iterations ~scenario:scen ~platform:plat store)
+              benches))
     end
   in
   let path =
@@ -931,7 +940,12 @@ let gp_eval_cmd =
     let benches = benches_of_flags suite bench_csv in
     let report =
       P.Evaluate.compare_many ~iterations ~scenario:scen ~platform:plat
-        [ ("gp", fun bm -> Gp.Fitness.measure ~iterations ~scenario:scen ~platform:plat tree bm) ]
+        [
+          ( "gp",
+            fun bm ->
+              Measure.run_decider ~iterations ~scenario:scen ~platform:plat
+                ~decider:(Gp.Decode.decider tree) bm );
+        ]
         benches
     in
     Inltune_support.Table.print (P.Evaluate.many_table report)
@@ -979,11 +993,12 @@ let policy_experiment ~verbose ~budget ?domains () =
   in
   let tree = P.Cart.train (P.Dataset.to_training examples) in
   say "[inltune] trained tree: %d nodes, depth %d\n" (P.Dtree.size tree) (P.Dtree.depth tree);
-  let report =
-    P.Evaluate.compare ~tuned:o.Tuner.heuristic ~scenario:Machine.Opt ~platform:Platform.x86
-      (P.Store.Tree tree) W.Suites.dacapo
-  in
-  Inltune_support.Table.print (P.Evaluate.table report)
+  let scenario = Machine.Opt and platform = Platform.x86 in
+  Inltune_support.Table.print
+    (P.Evaluate.many_table
+       (P.Evaluate.compare_many ~scenario ~platform
+          (policy_systems ~tuned:o.Tuner.heuristic ~scenario ~platform (P.Store.Tree tree))
+          W.Suites.dacapo))
 
 let experiment_cmd =
   let run id pop gens seed quiet max_retries domains fcache checkpoint resume trace =

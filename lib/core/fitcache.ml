@@ -41,6 +41,14 @@ module Json = Inltune_obs.Json
      included, stays identical.  Weaker merging than the walk, but sound
      under profile feedback.
 
+   The query's decider is the paper's heuristic or a first-class policy.  A
+   *static* policy (a GP tree: its verdicts read only the program and the
+   site record) walks like the heuristic under [Opt], in the same "w:"
+   namespace, and gets the same per-method compile-cache keys.  A policy
+   that reads the live profile (a stored CART tree), and every policy under
+   [Adapt]/[Ladder], is keyed by its content digest ("g:"): identical
+   policies replay identical decisions.
+
    Alternative inlining strategies (inline_leaves / inline_hot /
    inline_region) never read the heuristic or the decider, which is what
    keeps both arguments intact when a plan schedules them: a strategy's
@@ -51,8 +59,8 @@ module Json = Inltune_obs.Json
    leading inliner and the decider-driven inline item is off, the signature
    is that strategy's own exact engine walk, so two strategies with
    different verdict vectors can never share a measurement; every other
-   strategy shape falls back conservatively (exact heuristic parameters when
-   the heuristic still runs, an opaque constant when it does not).
+   strategy shape falls back conservatively (the decider's exact parameters
+   or digest when it still runs, an opaque constant when it does not).
 
    The cache is two-tier: a mutex-guarded in-memory table, plus an optional
    append-only JSONL file ([set_file], CLI [--fitness-cache]) that is loaded
@@ -126,33 +134,57 @@ let walk_digest walks =
 
 let walk_signature facts policy_of = walk_digest (walks facts policy_of)
 
+(* --- deciders ------------------------------------------------------------- *)
+
+type decider =
+  | Heuristic of Heuristic.t
+  | Static of { digest : string; policy : Ir.program -> Policy.t }
+  | Profiled of { digest : string; factory : Ir.program -> Profile.t -> Policy.t }
+
+(* A decider whose verdicts read only the program and the site record: under
+   [Opt] its walk over the constprop'd roots replays the real compile's
+   verdict sequence.  The heuristic walk is the walk of [Policy.of_heuristic],
+   so a static policy whose decisions equal some heuristic's shares that
+   heuristic's "w:" signature, measurements and compiles. *)
+let static_policy decider facts =
+  match decider with
+  | Heuristic h -> Some (Policy.of_heuristic h)
+  | Static { policy; _ } -> Some (policy (Facts.program facts))
+  | Profiled _ -> None
+
+(* What stands for the decider where no walk can: a heuristic's exact
+   parameters, a policy's content digest.  Sound (identical deciders replay
+   identical decisions), just no merging across deciders. *)
+let opaque = function
+  | Heuristic h ->
+    "h:" ^ String.concat "," (Array.to_list (Array.map string_of_int (Heuristic.to_array h)))
+  | Static { digest; _ } | Profiled { digest; _ } -> "g:" ^ digest
+
 (* The signature, plus the per-method walks when it is the decider-driven
    inline item's exact walk under [Opt] — the one case in which each
    method's walk alone determines its optimized code (below). *)
-let signature_and_walks ~scenario ~heuristic ~inline_enabled ~plan facts =
+let signature_and_walks ~scenario ~decider ~inline_enabled ~plan facts =
   let plan = effective_plan ~inline_enabled plan in
-  let heuristic_params () =
-    Printf.sprintf "h:%s"
-      (String.concat ","
-         (Array.to_list (Array.map string_of_int (Heuristic.to_array heuristic))))
-  in
   let inexact sg = (sg, None) in
   match scenario with
   | Machine.Opt -> (
     if not (any_enabled_inliner ~skip:opt_skip plan) then inexact "off"
     else
-      let heuristic_used = Plan.has_enabled "inline" plan in
+      let decider_used = Plan.has_enabled "inline" plan in
       match Plan.first_walkable_inliner ~skip:opt_skip plan with
-      | Some it when it.Plan.pass = "inline" ->
-        (* Exact: the walk replays the decider's verdict sequence.  Strategy
-           items scheduled after inline are decider-independent functions of
-           its output, so equal walks still imply identical compilation. *)
-        let policy = Policy.of_heuristic heuristic in
-        let w = walks facts (fun _ -> policy) in
-        (walk_digest w, Some w)
-      | Some it when not heuristic_used -> inexact (
+      | Some it when it.Plan.pass = "inline" -> (
+        (* Exact for a static decider: the walk replays its verdict
+           sequence.  Strategy items scheduled after inline are
+           decider-independent functions of its output, so equal walks still
+           imply identical compilation. *)
+        match static_policy decider facts with
+        | Some policy ->
+          let w = walks facts (fun _ -> policy) in
+          (walk_digest w, Some w)
+        | None -> inexact (opaque decider))
+      | Some it when not decider_used -> inexact (
         (* The leading inliner is a strategy and the decider-driven inline
-           item is off: decisions read nothing the heuristic controls, so
+           item is off: decisions read nothing the decider controls, so
            the strategy's own walk is exact — and distinct strategies with
            different verdict vectors hash apart, which keeps their
            measurements apart even before the key's plan tag does. *)
@@ -160,83 +192,56 @@ let signature_and_walks ~scenario ~heuristic ~inline_enabled ~plan facts =
         | Some mk -> walk_signature facts (mk (Plan.item_knob it) facts)
         | None -> "n:static" (* non-static strategy: plan tag isolates *))
       | Some _ ->
-        (* A strategy leads but the heuristic-driven inline item still runs
+        (* A strategy leads but the decider-driven inline item still runs
            later, on code the walk cannot reconstruct: fall back to the
-           exact parameters — still sound (no merging beyond identical
-           heuristics under the same plan, which the key's plan tag already
-           isolates), just maximally conservative. *)
-        inexact (heuristic_params ())
+           opaque form — still sound (no merging beyond identical deciders
+           under the same plan, which the key's plan tag already isolates),
+           just maximally conservative. *)
+        inexact (opaque decider)
       | None ->
         (* Pre-inline schedule diverges from the single constprop the
-           roots walk assumes: same fallbacks, by heuristic relevance. *)
-        inexact (if heuristic_used then heuristic_params () else "n:static"))
+           roots walk assumes: same fallbacks, by decider relevance. *)
+        inexact (if decider_used then opaque decider else "n:static"))
   | Machine.Adapt | Machine.Ladder ->
     inexact
       (if not (any_enabled_inliner ~skip:(fun _ -> false) plan) then "off"
        else if not (Plan.has_enabled "inline" plan) then
          (* Only strategy inliners run.  Their decisions read the program, the
-            site record, and the profile — never the heuristic — and the
+            site record, and the profile — never the decider — and the
             profile trajectory is deterministic given the plan, so under a
-            fixed plan tag every heuristic produces the same execution. *)
+            fixed plan tag every decider produces the same execution. *)
          "n:static"
-       else begin
-         (* Sound projection under profile feedback: threshold bits per distinct
-            callee size + clamped depth limit + caller limit.  Strategy items
-            stay heuristic-independent, so the induction (equal projections ⇒
-            identical decisions ⇒ identical profile ⇒ identical execution)
-            carries over unchanged. *)
-         let buf = Buffer.create 64 in
-         Buffer.add_string buf "p:";
-         Array.iter
-           (fun s ->
-             let b = ref 0 in
-             if s > heuristic.Heuristic.callee_max_size then b := !b lor 4;
-             if s < heuristic.Heuristic.always_inline_size then b := !b lor 2;
-             if s <= heuristic.Heuristic.hot_callee_max_size then b := !b lor 1;
-             Buffer.add_char buf (Char.chr (Char.code '0' + !b)))
-           (Facts.get facts distinct_sizes_key);
-         Buffer.add_string buf
-           (Printf.sprintf "/d%d/c%d"
-              (min heuristic.Heuristic.max_inline_depth (Array.length (Facts.sizes facts)))
-              heuristic.Heuristic.caller_max_size);
-         Buffer.contents buf
-       end)
+       else
+         match decider with
+         | Heuristic heuristic ->
+           (* Sound projection under profile feedback: threshold bits per
+              distinct callee size + clamped depth limit + caller limit.
+              Strategy items stay heuristic-independent, so the induction
+              (equal projections ⇒ identical decisions ⇒ identical profile ⇒
+              identical execution) carries over unchanged. *)
+           let buf = Buffer.create 64 in
+           Buffer.add_string buf "p:";
+           Array.iter
+             (fun s ->
+               let b = ref 0 in
+               if s > heuristic.Heuristic.callee_max_size then b := !b lor 4;
+               if s < heuristic.Heuristic.always_inline_size then b := !b lor 2;
+               if s <= heuristic.Heuristic.hot_callee_max_size then b := !b lor 1;
+               Buffer.add_char buf (Char.chr (Char.code '0' + !b)))
+             (Facts.get facts distinct_sizes_key);
+           Buffer.add_string buf
+             (Printf.sprintf "/d%d/c%d"
+                (min heuristic.Heuristic.max_inline_depth (Array.length (Facts.sizes facts)))
+                heuristic.Heuristic.caller_max_size);
+           Buffer.contents buf
+         | Static _ | Profiled _ ->
+           (* A policy's verdicts have no threshold projection. *)
+           opaque decider)
 
 let signature ~scenario ~heuristic ~inline_enabled ~plan prog =
-  fst (signature_and_walks ~scenario ~heuristic ~inline_enabled ~plan (Facts.of_program prog))
-
-(* First-class policy queries (lib/policy stores, GP trees).  Under [Opt]
-   with a walk-compatible plan and a *static* policy — one whose decisions
-   read nothing but the program and the site record, never the live profile —
-   [Engine.walk] over the constprop'd roots reproduces the exact
-   compile-time verdict sequence, the same argument as the heuristic walk.
-   The resulting signature lives in the same "w:" namespace as the heuristic
-   one, and the heuristic walk *is* that walk over [Policy.of_heuristic], so
-   a policy whose decisions equal some heuristic's shares that heuristic's
-   measurements: cache hits transfer across structurally different policies
-   (and across the policy/heuristic divide) whenever the decisions agree.
-
-   Everywhere else — profile-feedback scenarios, non-static policies,
-   walk-incompatible plans — the signature falls back to the caller-supplied
-   content [digest] of the policy artifact: sound (identical policies replay
-   identical decisions), just no cross-policy merging. *)
-let policy_signature_of ~scenario ~policy ~digest ~static ~inline_enabled ~plan facts =
-  let plan = effective_plan ~inline_enabled plan in
-  let skip = match scenario with Machine.Opt -> opt_skip | _ -> fun _ -> false in
-  if not (Plan.has_enabled "inline" plan) then
-    (* The policy drives only the inline item; with it off the execution is
-       policy-independent — "off" when nothing inlines at all, an opaque
-       constant (isolated by the key's plan tag) when strategies still run. *)
-    if any_enabled_inliner ~skip plan then "n:static" else "off"
-  else
-    match scenario with
-    | Machine.Opt when static && Plan.walk_compatible plan ->
-      walk_signature facts (fun _ -> policy)
-    | Machine.Opt | Machine.Adapt | Machine.Ladder -> "g:" ^ digest
-
-let policy_signature ~scenario ~policy ~digest ~static ~inline_enabled ~plan prog =
-  policy_signature_of ~scenario ~policy ~digest ~static ~inline_enabled ~plan
-    (Facts.of_program prog)
+  fst
+    (signature_and_walks ~scenario ~decider:(Heuristic heuristic) ~inline_enabled ~plan
+       (Facts.of_program prog))
 
 (* Non-default plans change what every compile does, so their measurements
    must never alias the default plan's: the key carries a plan tag — a fixed
@@ -248,10 +253,13 @@ let key_of_signature ~scenario ~platform ~plan ~iterations facts signature =
     (Machine.scenario_name scenario) platform.Platform.pname (plan_tag plan) iterations
     signature
 
-let key ~scenario ~platform ~heuristic ~inline_enabled ~plan ~iterations prog =
+let decider_key ~scenario ~platform ~decider ~inline_enabled ~plan ~iterations prog =
   let facts = Facts.of_program prog in
   key_of_signature ~scenario ~platform ~plan ~iterations facts
-    (fst (signature_and_walks ~scenario ~heuristic ~inline_enabled ~plan facts))
+    (fst (signature_and_walks ~scenario ~decider ~inline_enabled ~plan facts))
+
+let key ~scenario ~platform ~heuristic =
+  decider_key ~scenario ~platform ~decider:(Heuristic heuristic)
 
 (* --- compile-cache keys --------------------------------------------------- *)
 
@@ -270,7 +278,7 @@ let code_keys_of_walks ~platform ~plan facts walks =
 
 let code_keys ~scenario ~platform ~heuristic ~inline_enabled ~plan prog =
   let facts = Facts.of_program prog in
-  snd (signature_and_walks ~scenario ~heuristic ~inline_enabled ~plan facts)
+  snd (signature_and_walks ~scenario ~decider:(Heuristic heuristic) ~inline_enabled ~plan facts)
   |> Option.map (code_keys_of_walks ~platform ~plan facts)
 
 (* --- the cache proper --------------------------------------------------- *)
@@ -509,14 +517,14 @@ let cached k simulate =
    the simulation's VM set-up. *)
 let profiled_signature f = Inltune_obs.Prof.span "fitness.signature" f
 
-let lookup_or_simulate ~scenario ~platform ~heuristic ~inline_enabled ~plan ~iterations
-    ~program simulate =
+let lookup_or_simulate ~scenario ~platform ~decider ~inline_enabled ~plan ~iterations ~program
+    simulate =
   if not !on then simulate ~code_keys:None
   else begin
     let facts = Facts.of_program program in
     let signature, walks =
       profiled_signature (fun () ->
-          signature_and_walks ~scenario ~heuristic ~inline_enabled ~plan facts)
+          signature_and_walks ~scenario ~decider ~inline_enabled ~plan facts)
     in
     cached (key_of_signature ~scenario ~platform ~plan ~iterations facts signature)
       (fun () ->
@@ -525,26 +533,5 @@ let lookup_or_simulate ~scenario ~platform ~heuristic ~inline_enabled ~plan ~ite
 
 let lookup_or_measure ~scenario ~platform ~heuristic ~inline_enabled ~plan ~iterations
     ~program simulate =
-  if not !on then simulate ()
-  else
-    cached
-      (profiled_signature (fun () ->
-           key ~scenario ~platform ~heuristic ~inline_enabled ~plan ~iterations program))
-      simulate
-
-let policy_key ~scenario ~platform ~policy ~digest ~static ~inline_enabled ~plan ~iterations
-    prog =
-  let facts = Facts.of_program prog in
-  key_of_signature ~scenario ~platform ~plan ~iterations facts
-    (policy_signature_of ~scenario ~policy ~digest ~static ~inline_enabled ~plan facts)
-
-(* The policy twin of [lookup_or_measure]: same table, same counters, same
-   two-tier persistence — only the signature half of the key differs. *)
-let lookup_or_measure_policy ~scenario ~platform ~policy ~digest ~static ~inline_enabled
-    ~plan ~iterations ~program simulate =
-  if not !on then simulate ()
-  else
-    cached
-      (policy_key ~scenario ~platform ~policy ~digest ~static ~inline_enabled ~plan ~iterations
-         program)
-      simulate
+  lookup_or_simulate ~scenario ~platform ~decider:(Heuristic heuristic) ~inline_enabled ~plan
+    ~iterations ~program (fun ~code_keys:_ -> simulate ())

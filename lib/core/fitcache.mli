@@ -5,21 +5,22 @@ open Inltune_vm
 (** Decision-signature fitness cache.
 
     Before paying for a full VM simulation, compute a cheap semantic key for
-    the (program, scenario, platform, heuristic) query — a signature of the
-    inline/no-inline verdicts the Fig. 3/4 tests produce — and reuse the
+    the (program, scenario, platform, decider) query — a signature of the
+    inline/no-inline verdicts the decider produces — and reuse the
     previously measured {!Inltune_vm.Runner.measurement} whenever it
     matches.  Distinct genomes with identical decisions (the paper's plateau
     observation) then cost one simulation instead of many; caching is
     bit-transparent because the compiled code is a function of the decision
     vector alone.
 
-    Under [Opt] the signature hashes the exact per-method decision plans
-    ({!Inltune_opt.Engine.walk} over call-site tables built once per
-    program, the constant-propagated methods as roots — the maximal sound
-    merge); under [Adapt]/[Ladder], where decisions depend on
-    the runtime profile, it projects the heuristic's thresholds onto the
-    program's distinct method sizes, which is sufficient for identical
-    verdicts at every reachable query.
+    Under [Opt] the signature hashes the exact per-method decision plans of
+    the heuristic or of a static policy ({!Inltune_opt.Engine.walk} over
+    call-site tables built once per program, the constant-propagated
+    methods as roots — the maximal sound merge); under [Adapt]/[Ladder],
+    where decisions depend on the runtime profile, it projects the
+    heuristic's thresholds onto the program's distinct method sizes, which
+    is sufficient for identical verdicts at every reachable query.  Policies
+    with no walk or projection are keyed by their content digest.
 
     Two tiers: a process-wide mutex-guarded table (on by default), plus an
     optional append-only JSONL file ({!set_file}; CLI [--fitness-cache])
@@ -28,19 +29,32 @@ open Inltune_vm
     checkpoint/resume.  Under the exact [Opt] walk, a miss also reuses
     individual optimizing compiles through {!Inltune_vm.Codecache}
     ({!lookup_or_simulate}); that in-process tier follows this module's
-    {!set_enabled} and {!clear}.  With the profiler on, {!lookup_or_measure}
-    and {!lookup_or_simulate} time the signature in a
-    ["fitness.signature"] span.  Counters: ["fitness.sig_hits"],
-    ["fitness.sig_misses"], ["fitness.unique_plans"],
+    {!set_enabled} and {!clear}.  With the profiler on, {!lookup_or_simulate}
+    times the signature in a ["fitness.signature"] span.  Counters:
+    ["fitness.sig_hits"], ["fitness.sig_misses"], ["fitness.unique_plans"],
     ["fitness.cache_corrupt"] (skipped JSONL lines on load) and — with a
     tenant hook installed — ["fitness.cross_tenant_hits"]. *)
+
+(** What decides each call site of a measured program.  A policy is built
+    per program (feature contexts are per-program facts), and its [digest]
+    names its content: two policies with equal digests must decide alike. *)
+type decider =
+  | Heuristic of Heuristic.t  (** the paper's Fig. 3/4 threshold heuristic *)
+  | Static of { digest : string; policy : Ir.program -> Policy.t }
+      (** a policy whose verdicts read only the program and the site record
+          (a GP tree): under [Opt] its decision walk is exact, so it shares
+          the heuristic walk's ["w:"] signatures and compile-cache keys *)
+  | Profiled of { digest : string; factory : Ir.program -> Profile.t -> Policy.t }
+      (** a policy rebuilt against the VM's live profile at every compile
+          (a stored CART tree); keyed by [digest] in every scenario *)
 
 (** Hex digest of the program's canonical text form, computed once per
     program value ({!Inltune_jir.Facts.digest}).  Part of every cache key,
     so signatures can never collide across programs. *)
 val program_digest : Ir.program -> string
 
-(** The decision signature alone (no program digest or platform).
+(** The heuristic's decision signature alone (no program digest or
+    platform).
     ["off"] when [inline_enabled] is false or the plan's inline item is
     disabled — every heuristic then compiles identically.  Under [Opt] with
     a plan whose pre-inline schedule differs from the historical one
@@ -55,9 +69,20 @@ val signature :
   Ir.program ->
   string
 
-(** The full content-addressed cache key.  Non-default plans contribute
-    their content digest, so their measurements never alias the default
-    plan's. *)
+(** The full content-addressed cache key of a decider query.  Non-default
+    plans contribute their content digest, so their measurements never alias
+    the default plan's. *)
+val decider_key :
+  scenario:Machine.scenario ->
+  platform:Platform.t ->
+  decider:decider ->
+  inline_enabled:bool ->
+  plan:Plan.t ->
+  iterations:int ->
+  Ir.program ->
+  string
+
+(** {!decider_key} of [Heuristic heuristic]. *)
 val key :
   scenario:Machine.scenario ->
   platform:Platform.t ->
@@ -87,7 +112,7 @@ val code_keys :
 
 val enabled : unit -> bool
 
-(** Toggle the cache (default on).  Disabled, {!lookup_or_measure} always
+(** Toggle the cache (default on).  Disabled, {!lookup_or_simulate} always
     simulates and the table is neither consulted nor extended, and
     {!lookup_or_simulate} passes no compile-cache keys. *)
 val set_enabled : bool -> unit
@@ -120,8 +145,9 @@ val set_tenant_hook : (unit -> string option) -> unit
     None] detaches. *)
 val set_file : string option -> unit
 
-(** Is the query's measurement already cached?  (No counters are bumped;
-    [Measure.run_default] uses this to keep its memo counters truthful.) *)
+(** Is the query's measurement already cached?  No counters are bumped: the
+    serve daemon's degraded mode asks this before answering from the cache
+    without simulating. *)
 val mem :
   scenario:Machine.scenario ->
   platform:Platform.t ->
@@ -132,30 +158,19 @@ val mem :
   Ir.program ->
   bool
 
-(** [lookup_or_measure ... ~program simulate] returns the cached measurement
-    for the query's key, or runs [simulate] (outside the cache lock) and
-    stores — and, when a file is attached, appends — its result.  When the
-    cache is disabled this is just [simulate ()]. *)
-val lookup_or_measure :
-  scenario:Machine.scenario ->
-  platform:Platform.t ->
-  heuristic:Heuristic.t ->
-  inline_enabled:bool ->
-  plan:Plan.t ->
-  iterations:int ->
-  program:Ir.program ->
-  (unit -> Runner.measurement) ->
-  Runner.measurement
-
-(** {!lookup_or_measure} whose simulation receives the query's
-    {!code_keys} ([None] when the cache is disabled or outside the
-    exact-walk case), so a miss can reuse the optimizing compiles earlier
-    queries left in {!Inltune_vm.Codecache.global}.  The keys are derived
-    from the same walk as the signature. *)
+(** [lookup_or_simulate ... ~program simulate] returns the cached
+    measurement for the query's key, or runs [simulate] (outside the cache
+    lock) and stores — and, when a file is attached, appends — its result.
+    The simulation receives the query's per-method compile-cache keys
+    ([None] when the cache is disabled or outside the exact-walk case), so a
+    miss can reuse the optimizing compiles earlier queries left in
+    {!Inltune_vm.Codecache.global}; they come from the same walk as the
+    signature.  When the cache is disabled this is just
+    [simulate ~code_keys:None]. *)
 val lookup_or_simulate :
   scenario:Machine.scenario ->
   platform:Platform.t ->
-  heuristic:Heuristic.t ->
+  decider:decider ->
   inline_enabled:bool ->
   plan:Plan.t ->
   iterations:int ->
@@ -163,47 +178,12 @@ val lookup_or_simulate :
   (code_keys:string array option -> Runner.measurement) ->
   Runner.measurement
 
-(** Decision signature of a first-class policy.  [static] asserts the policy
-    reads nothing but the program and the site record — never the VM's live
-    profile; under [Opt] with a walk-compatible plan that makes
-    {!Inltune_opt.Engine.walk} over the constprop'd methods exact, so
-    the signature shares the heuristic walk's "w:" namespace and cache hits
-    transfer across structurally different policies (and heuristics) that
-    make identical decisions.  Everywhere else the signature is ["g:"]
-    followed by [digest] — the policy artifact's content digest (sound, no
-    cross-policy merging). *)
-val policy_signature :
-  scenario:Machine.scenario ->
-  policy:Policy.t ->
-  digest:string ->
-  static:bool ->
-  inline_enabled:bool ->
-  plan:Plan.t ->
-  Ir.program ->
-  string
-
-(** Full content-addressed key for a policy query. *)
-val policy_key :
+(** {!lookup_or_simulate} of [Heuristic heuristic] whose simulation ignores
+    the compile-cache keys. *)
+val lookup_or_measure :
   scenario:Machine.scenario ->
   platform:Platform.t ->
-  policy:Policy.t ->
-  digest:string ->
-  static:bool ->
-  inline_enabled:bool ->
-  plan:Plan.t ->
-  iterations:int ->
-  Ir.program ->
-  string
-
-(** {!lookup_or_measure} keyed by {!policy_signature}: same table, counters,
-    and on-disk tier, so policy and heuristic measurements amortize each
-    other whenever their decision signatures coincide. *)
-val lookup_or_measure_policy :
-  scenario:Machine.scenario ->
-  platform:Platform.t ->
-  policy:Policy.t ->
-  digest:string ->
-  static:bool ->
+  heuristic:Heuristic.t ->
   inline_enabled:bool ->
   plan:Plan.t ->
   iterations:int ->

@@ -2,8 +2,10 @@ open Inltune_opt
 open Inltune_vm
 module Workloads = Inltune_workloads
 
-(* Benchmark measurement: one (benchmark, scenario, platform, heuristic)
-   simulation following the paper's two-iteration methodology.
+(* Benchmark measurement: one (benchmark, scenario, platform, decider)
+   simulation following the paper's two-iteration methodology.  The decider
+   is the paper's heuristic, a GP tree or a stored policy; all of them take
+   the one path below.
 
    Every measurement flows through [Fitcache]: a query whose decision
    signature was measured before reuses that result instead of simulating
@@ -33,14 +35,28 @@ let simulations = Metric.handle "measure.simulations"
 let memo_hits = Metric.handle "measure.memo_hits"
 let memo_misses = Metric.handle "measure.memo_misses"
 
-(* One path whether or not the profiler is on ([Prof.span]'s disabled path
-   is one atomic load).  Profiled, the decision signature lands in the
-   nested "fitness.signature" span and simulation time in the nested
-   "vm.*" spans, so the "fitness.eval" span's self time is the rest of the
-   Fitcache overhead (lookup, store) plus VM set-up, and a per-evaluation
-   breakdown event splits wall time into simulate vs. cache bookkeeping. *)
-let run ?(iterations = 3) ?(inline_enabled = true) ?(plan = Plan.default) ~scenario ~platform
-    ~heuristic bm =
+(* The VM configuration a decider runs under: a heuristic in its own field,
+   a policy through the per-compile factory (built once per measurement for
+   a static one). *)
+let config ~inline_enabled ~plan scenario decider prog =
+  match decider with
+  | Fitcache.Heuristic h -> Machine.config ~inline_enabled ~plan scenario h
+  | Fitcache.Static { policy; _ } ->
+    let p = policy prog in
+    Machine.config ~inline_enabled ~plan ~policy_factory:(fun _ -> p) scenario Heuristic.default
+  | Fitcache.Profiled { factory; _ } ->
+    Machine.config ~inline_enabled ~plan ~policy_factory:(factory prog) scenario
+      Heuristic.default
+
+(* One path for every decider, whether or not the profiler is on
+   ([Prof.span]'s disabled path is one atomic load).  Profiled, the decision
+   signature lands in the nested "fitness.signature" span and simulation
+   time in the nested "vm.*" spans, so the "fitness.eval" span's self time
+   is the rest of the Fitcache overhead (lookup, store) plus VM set-up, and
+   a per-evaluation breakdown event splits wall time into simulate vs.
+   cache bookkeeping. *)
+let run_decider ?(iterations = 3) ?(inline_enabled = true) ?(plan = Plan.default) ~scenario
+    ~platform ~decider bm =
   let module Prof = Inltune_obs.Prof in
   let module Trace = Inltune_obs.Trace in
   let module Event = Inltune_obs.Event in
@@ -50,14 +66,14 @@ let run ?(iterations = 3) ?(inline_enabled = true) ?(plan = Plan.default) ~scena
   let simulate ~code_keys =
     Metric.bump simulations;
     let t0 = if profiled then Trace.now () else 0.0 in
-    let cfg = Machine.config ~inline_enabled ~plan scenario heuristic in
+    let cfg = config ~inline_enabled ~plan scenario decider prog in
     let m = Runner.measure ~iterations ?code_keys cfg platform prog in
     if profiled then sim_wall := Trace.now () -. t0;
     m
   in
   let m =
     Prof.span "fitness.eval" ~on_time:(fun dt -> wall := dt) (fun () ->
-        Fitcache.lookup_or_simulate ~scenario ~platform ~heuristic ~inline_enabled ~plan
+        Fitcache.lookup_or_simulate ~scenario ~platform ~decider ~inline_enabled ~plan
           ~iterations ~program:prog simulate)
   in
   if profiled then begin
@@ -75,6 +91,10 @@ let run ?(iterations = 3) ?(inline_enabled = true) ?(plan = Plan.default) ~scena
           ]
   end;
   of_measurement m
+
+let run ?iterations ?inline_enabled ?plan ~scenario ~platform ~heuristic bm =
+  run_decider ?iterations ?inline_enabled ?plan ~scenario ~platform
+    ~decider:(Fitcache.Heuristic heuristic) bm
 
 (* Measurements with the default (Jikes) heuristic are requested constantly —
    every normalized bar divides by one — so memoize the [times] value itself

@@ -3,7 +3,7 @@ open Inltune_vm
 module Workloads = Inltune_workloads
 
 (** Benchmark measurement following the paper's methodology: one simulated VM
-    per (benchmark, scenario, platform, heuristic) combination. *)
+    per (benchmark, scenario, platform, decider) combination. *)
 
 type times = {
   running : float;  (** best later-iteration exec cycles *)
@@ -14,15 +14,29 @@ type times = {
 
 val of_measurement : Runner.measurement -> times
 
-(** [run ~scenario ~platform ~heuristic bm] simulates the benchmark
-    ([iterations] defaults to 3 so the adaptive system reaches steady
-    state).  [inline_enabled:false] is the Fig. 1 no-inlining baseline;
-    [plan] (default {!Inltune_opt.Plan.default}) selects the optimizing
-    tier's pass schedule.  Results are shared through {!Fitcache}: a query
-    whose decision signature was already measured reuses that measurement
-    instead of simulating, and a simulation reuses earlier optimizing
-    compiles through {!Fitcache.lookup_or_simulate}'s keys; the
+(** [run_decider ~scenario ~platform ~decider bm] simulates the benchmark
+    with [decider] deciding every inlining ([iterations] defaults to 3 so
+    the adaptive system reaches steady state).  [inline_enabled:false] is
+    the Fig. 1 no-inlining baseline; [plan] (default
+    {!Inltune_opt.Plan.default}) selects the optimizing tier's pass
+    schedule.  Every decider takes this one path: results are shared
+    through {!Fitcache} — a query whose decision signature was already
+    measured reuses that measurement instead of simulating, and a
+    simulation reuses earlier optimizing compiles through
+    {!Fitcache.lookup_or_simulate}'s keys.  Profiled, each call is one
+    ["fitness.eval"] span (and one ["fitness.breakdown"] trace event); the
     "measure.simulations" counter reports full simulations actually run. *)
+val run_decider :
+  ?iterations:int ->
+  ?inline_enabled:bool ->
+  ?plan:Plan.t ->
+  scenario:Machine.scenario ->
+  platform:Platform.t ->
+  decider:Fitcache.decider ->
+  Workloads.Suites.benchmark ->
+  times
+
+(** {!run_decider} with [Fitcache.Heuristic heuristic]. *)
 val run :
   ?iterations:int ->
   ?inline_enabled:bool ->

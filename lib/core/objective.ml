@@ -30,25 +30,33 @@ let perf goal ~(t : Measure.times) ~(default : Measure.times) =
     let d = (factor *. default.Measure.running) +. default.Measure.total in
     v /. d
 
-(* A reusable fitness function over a suite.  Baseline (default-heuristic,
+(* The one scorer every fitness builder shares.  Baseline (default-heuristic,
    default-plan) measurements are taken once, up front, on the calling
-   domain; the returned closure is then safe to call from worker domains.
-   [plan] selects the pass schedule the candidate heuristics run under; the
-   baselines always use the default plan, so 1.0 means "the stock system"
-   regardless of the plan being evaluated. *)
-let fitness ?plan ~suite ~scenario ~platform ~goal =
-  let baselines =
-    List.map (fun bm -> (bm, Measure.run_default ~scenario ~platform bm)) suite
+   domain, so the returned scorer is safe to call from worker domains; a
+   cell is one candidate's [perf] on one benchmark, the candidate decoded to
+   the plan it runs under and its decider.  Baselines always use the default
+   plan, so 1.0 means "the stock system" whatever the candidate's plan. *)
+let scorer ~iterations ~suite ~scenario ~platform ~goal candidate =
+  let axis =
+    Array.of_list
+      (List.map (fun bm -> (bm, Measure.run_default ~iterations ~scenario ~platform bm)) suite)
   in
-  fun heuristic ->
-    let scores =
-      List.map
-        (fun (bm, default) ->
-          let t = Measure.run ?plan ~scenario ~platform ~heuristic bm in
-          perf goal ~t ~default)
-        baselines
-    in
-    Stats.geomean (Array.of_list scores)
+  let score g (bm, default) =
+    let plan, decider = candidate g in
+    perf goal ~t:(Measure.run_decider ~iterations ~plan ~scenario ~platform ~decider bm) ~default
+  in
+  (axis, score)
+
+(* The scalar form: one candidate's cells in suite order, then the geomean —
+   the exact float operations of a grid row under [geomean]. *)
+let fold (axis, score) g = Stats.geomean (Array.map (score g) axis)
+
+let geomean _ cells = Stats.geomean cells
+
+let fitness ?(plan = Plan.default) ~suite ~scenario ~platform ~goal =
+  fold
+    (scorer ~iterations:3 ~suite ~scenario ~platform ~goal (fun h ->
+         (plan, Fitcache.Heuristic h)))
 
 (* Which exceptions a fitness evaluation may raise transiently — worth a
    bounded retry before the genome is penalized and quarantined.  Everything
@@ -73,66 +81,35 @@ let eval_fault_gate () =
   | Some Inltune_resilience.Faultinject.Corrupt -> true
   | None -> false
 
-let genome_fitness ?plan ~suite ~scenario ~platform ~goal =
-  let f = fitness ?plan ~suite ~scenario ~platform ~goal in
-  fun g -> if eval_fault_gate () then Float.nan else f (Heuristic.of_array g)
+let gated f x = if eval_fault_gate () then Float.nan else f x
 
-(* Grid form of {!genome_fitness} for [Evolve.run ?grid]: the benchmark axis
-   is explicit and each (genome, benchmark) cell is one pool work item.  The
-   cell value and the combine are the exact float operations of the scalar
-   path (per-benchmark [perf] in suite order, then geomean), so the two
-   evaluation modes produce bit-identical fitness.  The fault gate moves to
-   cell granularity — each simulation is one "eval" occurrence. *)
-let genome_grid ?plan ~suite ~scenario ~platform ~goal () =
-  let baselines =
-    List.map (fun bm -> (bm, Measure.run_default ~scenario ~platform bm)) suite
-  in
+(* Each grid cell is one pool work item and one "eval" fault-gate
+   occurrence; the scalar genome builders gate once per genome. *)
+let grid ~iterations ~suite ~scenario ~platform ~goal ~combine candidate =
+  let axis, score = scorer ~iterations ~suite ~scenario ~platform ~goal candidate in
   {
-    Inltune_ga.Evolve.grid_axis = Array.of_list baselines;
-    grid_cell =
-      (fun g (bm, default) ->
-        if eval_fault_gate () then Float.nan
-        else
-          let t = Measure.run ?plan ~scenario ~platform ~heuristic:(Heuristic.of_array g) bm in
-          perf goal ~t ~default);
-    grid_combine = (fun _ cells -> Stats.geomean cells);
+    Inltune_ga.Evolve.grid_axis = axis;
+    grid_cell = (fun g -> gated (score g));
+    grid_combine = combine;
   }
+
+let heuristic_genome plan g = (plan, Fitcache.Heuristic (Heuristic.of_array g))
 
 (* Plan-genome mode: the genome is the five Table 1 genes followed by the
    plan genes ({!Params.plan_genome_spec}); heuristic and plan are decoded
-   together per evaluation.  Baselines stay the default heuristic under the
-   default plan, so 1.0 still means "the stock system" and plan-genome
-   fitness values are directly comparable to heuristic-only ones. *)
+   together per evaluation. *)
+let plan_genome g =
+  let heuristic, plan = Params.split_plan_genome g in
+  (plan, Fitcache.Heuristic heuristic)
+
+let genome_fitness ?(plan = Plan.default) ~suite ~scenario ~platform ~goal =
+  gated (fold (scorer ~iterations:3 ~suite ~scenario ~platform ~goal (heuristic_genome plan)))
+
+let genome_grid ?(plan = Plan.default) ~suite ~scenario ~platform ~goal () =
+  grid ~iterations:3 ~suite ~scenario ~platform ~goal ~combine:geomean (heuristic_genome plan)
+
 let plan_genome_fitness ~suite ~scenario ~platform ~goal =
-  let baselines =
-    List.map (fun bm -> (bm, Measure.run_default ~scenario ~platform bm)) suite
-  in
-  fun g ->
-    if eval_fault_gate () then Float.nan
-    else
-      let heuristic, plan = Params.split_plan_genome g in
-      let scores =
-        List.map
-          (fun (bm, default) ->
-            let t = Measure.run ~plan ~scenario ~platform ~heuristic bm in
-            perf goal ~t ~default)
-          baselines
-      in
-      Stats.geomean (Array.of_list scores)
+  gated (fold (scorer ~iterations:3 ~suite ~scenario ~platform ~goal plan_genome))
 
 let plan_genome_grid ~suite ~scenario ~platform ~goal =
-  let baselines =
-    List.map (fun bm -> (bm, Measure.run_default ~scenario ~platform bm)) suite
-  in
-  {
-    Inltune_ga.Evolve.grid_axis = Array.of_list baselines;
-    grid_cell =
-      (fun g (bm, default) ->
-        if eval_fault_gate () then Float.nan
-        else
-          let heuristic, plan = Params.split_plan_genome g in
-          let t = Measure.run ~plan ~scenario ~platform ~heuristic bm in
-          perf goal ~t ~default);
-    grid_combine = (fun _ cells -> Stats.geomean cells);
-  }
-
+  grid ~iterations:3 ~suite ~scenario ~platform ~goal ~combine:geomean plan_genome

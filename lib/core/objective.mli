@@ -15,12 +15,31 @@ val goal_of_string : string -> goal
 (** Per-benchmark metric, as a ratio to the default heuristic's value. *)
 val perf : goal -> t:Measure.times -> default:Measure.times -> float
 
-(** Suite-level fitness: geometric mean of {!perf} over the suite.  Baseline
-    measurements are taken eagerly on the calling domain; the returned
-    closure is safe to call from worker domains.  [plan] selects the pass
-    schedule candidates run under (default {!Inltune_opt.Plan.default});
-    baselines always use the default plan, so 1.0 means "the stock
-    system". *)
+(** The one fitness-grid builder.  Baselines (the default heuristic under
+    the default plan, so 1.0 means "the stock system") are measured eagerly
+    on the calling domain, [iterations] VM iterations each like every
+    cell.  A cell decodes the genome to the plan it runs under and its
+    decider, measures the benchmark through {!Measure.run_decider}, and
+    scores {!perf} against the baseline; each cell is one independent pool
+    work item and checks the ["eval"] fault gate once (see
+    {!eval_fault_gate}).  [combine] folds a genome's cells, in suite order,
+    into its fitness. *)
+val grid :
+  iterations:int ->
+  suite:Inltune_workloads.Suites.benchmark list ->
+  scenario:Inltune_vm.Machine.scenario ->
+  platform:Inltune_vm.Platform.t ->
+  goal:goal ->
+  combine:('g -> float array -> float) ->
+  ('g -> Plan.t * Fitcache.decider) ->
+  ('g, Inltune_workloads.Suites.benchmark * Measure.times) Inltune_ga.Evolve.grid
+
+(** Suite-level fitness of a heuristic: the geometric mean of {!perf} over
+    the suite — the cells of {!grid} (3 iterations), folded in suite order
+    with no fault gate.  Baselines are measured eagerly on the calling
+    domain; the returned closure is safe to call from worker domains.
+    [plan] (default {!Inltune_opt.Plan.default}) is the pass schedule
+    candidates run under. *)
 val fitness :
   ?plan:Plan.t ->
   suite:Inltune_workloads.Suites.benchmark list ->
@@ -43,7 +62,7 @@ val eval_fault_gate : unit -> bool
 
 (** {!fitness} composed with the genome decoding, for scalar searches over
     genomes (local search, random search, the bench ablations).  Each call
-    checks the ["eval"] fault-injection site (see
+    checks the ["eval"] fault-injection site once (see
     {!Inltune_resilience.Faultinject}), so failure paths are testable. *)
 val genome_fitness :
   ?plan:Plan.t ->
@@ -53,13 +72,9 @@ val genome_fitness :
   goal:goal ->
   int array -> float
 
-(** Grid form of {!genome_fitness} for [Evolve.run ?grid]: the suite becomes
-    the explicit benchmark axis and every (genome, benchmark) cell is one
-    independent pool work item, so unique simulations saturate all domains.
-    Cell and combine use the exact float operations of the scalar path —
-    the two evaluation modes are bit-identical.  The ["eval"] fault gate is
-    checked per cell (one occurrence per simulation).  Baselines are
-    measured eagerly on the calling domain. *)
+(** Grid form of {!genome_fitness} for [Evolve.run ?grid]: {!grid} with the
+    geomean combine, so the two evaluation modes are bit-identical; the
+    fault gate moves to cell granularity (one occurrence per simulation). *)
 val genome_grid :
   ?plan:Plan.t ->
   suite:Inltune_workloads.Suites.benchmark list ->
@@ -83,8 +98,7 @@ val plan_genome_fitness :
   int array -> float
 
 (** Grid form of {!plan_genome_fitness} — same relationship as
-    {!genome_grid} to {!genome_fitness}: bit-identical combine, per-cell
-    fault gate, eager baselines. *)
+    {!genome_grid} to {!genome_fitness}. *)
 val plan_genome_grid :
   suite:Inltune_workloads.Suites.benchmark list ->
   scenario:Inltune_vm.Machine.scenario ->

@@ -413,6 +413,9 @@ let write_snapshot ~label ~repr ~params ?search path s =
    refused resume or an unwritable checkpoint raises [Checkpoint_error],
    the latter before generation 0 is evaluated.  Evaluation needs a [grid]
    or a scalar [fitness]; given both, the grid is used. *)
+let eval_site = Sandbox.site "eval"
+let eval_failures = Metric.handle "eval.failures"
+
 let run_repr ?on_generation ?on_stats ?(guard = default_guard) ?checkpoint ?resume ?search
     ?grid ?fitness ?prefilter ?best_view ~label ~repr ~params () =
   if params.pop_size < 2 then invalid_arg "Evolve.run: population too small";
@@ -504,7 +507,7 @@ let run_repr ?on_generation ?on_stats ?(guard = default_guard) ?checkpoint ?resu
       Pool.map_result ?domains:params.domains
         (fun (g, j) ->
           Sandbox.run ~max_retries:guard.max_retries ~classify:guard.classify
-            ~corrupt:Sandbox.corrupt ~site:"eval" (fun () -> cell g j))
+            ~corrupt:Sandbox.corrupt ~site:eval_site (fun () -> cell g j))
         (Array.init (Array.length todo * nb) (fun i -> (todo.(i / nb), i mod nb)))
     in
     let outcomes =
@@ -528,7 +531,7 @@ let run_repr ?on_generation ?on_stats ?(guard = default_guard) ?checkpoint ?resu
           | Some (`Cell (attempts, reason)) -> `Failed (attempts, reason, !extra)
           | Some (`Exn e) ->
             (* Not sandboxable: penalized without retry. *)
-            Metric.incr (Metric.counter "eval.failures");
+            Metric.bump eval_failures;
             `Failed (1, Printexc.to_string e, 0)
           | None -> `Value (combine g vals, !extra))
         todo

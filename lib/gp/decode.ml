@@ -8,7 +8,7 @@
    profile-aware decode would make compile-time decisions depend on
    invocation order — breaking both reproducibility across scenarios and
    the soundness of the Opt decision-signature walk the fitness cache keys
-   on ([Fitcache.policy_signature] with [~static:true]). *)
+   on ([decider] is [Fitcache.Static]). *)
 
 module Features = Inltune_policy.Features
 module Policy = Inltune_opt.Policy
@@ -21,6 +21,15 @@ let policy ~ctx tree =
 let factory ~ctx tree =
   let p = policy ~ctx tree in
   fun (_ : Inltune_vm.Profile.t) -> p
+
+(* The measurement path's decider: static, keyed by the tree's digest where
+   no exact walk applies. *)
+let decider tree =
+  Inltune_core.Fitcache.Static
+    {
+      digest = Tree.digest tree;
+      policy = (fun prog -> policy ~ctx:(Features.make_ctx prog) tree);
+    }
 
 (* Fraction of flip-oracle examples the tree labels correctly — the cheap
    surrogate the evolver's pre-filter compares against the current elite

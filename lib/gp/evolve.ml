@@ -19,6 +19,7 @@ module W = Inltune_workloads
 module Json = Inltune_obs.Json
 module Metric = Inltune_obs.Metric
 module Objective = Inltune_core.Objective
+module Stats = Inltune_support.Stats
 module Features = Inltune_policy.Features
 open Inltune_vm
 
@@ -124,9 +125,13 @@ let run ?on_generation ?on_stats ?(guard = default_guard) ?checkpoint ?resume ?d
               None
             end)
   in
+  (* Geomean of the cells plus parsimony pressure (α · tree size), so
+     equally fit smaller rules win. *)
   let grid =
-    Fitness.grid ~iterations:params.iterations ~suite ~scenario ~platform ~goal
-      ~parsimony:params.parsimony ()
+    Objective.grid ~iterations:params.iterations ~suite ~scenario ~platform ~goal
+      ~combine:(fun tree cells ->
+        Stats.geomean cells +. (params.parsimony *. Float.of_int (Tree.size tree)))
+      (fun tree -> (Inltune_opt.Plan.default, Decode.decider tree))
   in
   let search =
     Printf.sprintf "gp %s %s %s [%s] parsimony=%.17g iterations=%d"

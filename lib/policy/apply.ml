@@ -19,3 +19,17 @@ let policy ~ctx ?profile store =
     }
 
 let factory ~ctx store profile = policy ~ctx ~profile store
+
+(* The measurement path's decider.  A threshold store is just a heuristic,
+   sharing the heuristic's fitness-cache entries.  A tree reads the live
+   profile (edge counts, via the per-compile factory), so it is keyed by the
+   store's content digest. *)
+let decider store =
+  match store with
+  | Store.Threshold h -> Inltune_core.Fitcache.Heuristic h
+  | Store.Tree _ ->
+    Inltune_core.Fitcache.Profiled
+      {
+        digest = Digest.to_hex (Digest.string (Store.to_string store));
+        factory = (fun prog -> factory ~ctx:(Features.make_ctx prog) store);
+      }

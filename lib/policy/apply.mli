@@ -12,3 +12,8 @@ val policy : ctx:Features.ctx -> ?profile:Profile.t -> Store.t -> Policy.t
 (** A {!Machine.config}-ready factory over a precomputed feature context:
     invoked per (re)compile so tree features see the live profile. *)
 val factory : ctx:Features.ctx -> Store.t -> Profile.t -> Policy.t
+
+(** The store as a measurement decider ({!Inltune_core.Measure.run_decider}):
+    a threshold store is [Heuristic], a tree is [Profiled] by {!factory} and
+    keyed by the store's content digest. *)
+val decider : Store.t -> Inltune_core.Fitcache.decider

@@ -169,6 +169,7 @@ let enumerate cfg benches =
       (bm.W.Suites.bname, Vec.to_array sites))
     benches
 
+let label_site = Sandbox.site "policy.label"
 let sites_labeled = Metric.counter "policy.sites_labeled"
 let label_flips = Metric.counter "policy.label_flips"
 
@@ -205,7 +206,7 @@ let generate ?resume ?on_benchmark cfg benches =
         | None ->
           let flipped =
             Sandbox.run ~max_retries:cfg.max_retries ~classify:Objective.transient_failure
-              ~corrupt:Sandbox.corrupt ~site:"policy.label" (fun () ->
+              ~corrupt:Sandbox.corrupt ~site:label_site (fun () ->
                 let t =
                   measure_with cfg bm (fun ~ordinal ~features:_ v ->
                       if ordinal = k then

@@ -1,166 +1,23 @@
-open Inltune_opt
 open Inltune_vm
 module W = Inltune_workloads
 module Measure = Inltune_core.Measure
-module Fitcache = Inltune_core.Fitcache
 module Stats = Inltune_support.Stats
 module Table = Inltune_support.Table
-module Metric = Inltune_obs.Metric
 module Trace = Inltune_obs.Trace
 module Event = Inltune_obs.Event
 
-(* Run stored policies end-to-end and compare against the default and the
+(* Run stored policies end-to-end and compare them with the default and
    GA-tuned heuristics, mirroring the paper's test-suite protocol: train on
    SPECjvm98, report normalized times on unseen DaCapo+JBB. *)
 
-let measure ?(iterations = 3) ~scenario ~platform store bm =
-  match store with
-  (* A threshold store is just a heuristic: route through Measure.run so the
-     measurement shares the heuristic walk's fitness-cache entries. *)
-  | Store.Threshold h -> Measure.run ~iterations ~scenario ~platform ~heuristic:h bm
-  | Store.Tree _ ->
-    let prog = W.Suites.program bm in
-    let fctx = Features.make_ctx prog in
-    let cfg = Machine.config ~policy_factory:(Apply.factory ~ctx:fctx store) scenario Heuristic.default in
-    (* Stored decision trees consult the live profile under Adapt
-       (Apply.factory re-derives features per compile), so they are not
-       static policies: the cache key falls back to the store's content
-       digest — sound, just no cross-policy merging. *)
-    let policy = Apply.policy ~ctx:fctx store in
-    Measure.of_measurement
-      (Fitcache.lookup_or_measure_policy ~scenario ~platform ~policy
-         ~digest:(Digest.to_hex (Digest.string (Store.to_string store)))
-         ~static:false ~inline_enabled:true ~plan:Plan.default ~iterations ~program:prog
-         (fun () ->
-           Metric.incr (Metric.counter "measure.simulations");
-           Runner.measure ~iterations cfg platform prog))
-
-type row = {
-  r_bench : string;
-  r_default : Measure.times;
-  r_tuned : Measure.times option;
-  r_learned : Measure.times;
-}
-
-type report = {
-  rows : row list;
-  scenario : Machine.scenario;
-  platform : Platform.t;
-}
-
-let compare ?(iterations = 3) ?tuned ~scenario ~platform store benches =
-  let rows =
-    List.map
-      (fun bm ->
-        let d = Measure.run_default ~iterations ~scenario ~platform bm in
-        let t =
-          Option.map
-            (fun h -> Measure.run ~iterations ~scenario ~platform ~heuristic:h bm)
-            tuned
-        in
-        let l = measure ~iterations ~scenario ~platform store bm in
-        if Trace.enabled () then
-          Trace.emit "policy.eval"
-            ~fields:
-              ([
-                 ("bench", Event.Str bm.W.Suites.bname);
-                 ("policy", Event.Str (Store.kind_name store));
-                 ("running_ratio", Event.Float (l.Measure.running /. d.Measure.running));
-                 ("total_ratio", Event.Float (l.Measure.total /. d.Measure.total));
-               ]
-              @
-              match t with
-              | None -> []
-              | Some t ->
-                [
-                  ("tuned_running_ratio", Event.Float (t.Measure.running /. d.Measure.running));
-                  ("tuned_total_ratio", Event.Float (t.Measure.total /. d.Measure.total));
-                ]);
-        { r_bench = bm.W.Suites.bname; r_default = d; r_tuned = t; r_learned = l })
-      benches
-  in
-  { rows; scenario; platform }
+let measure ?iterations ~scenario ~platform store bm =
+  Measure.run_decider ?iterations ~scenario ~platform ~decider:(Apply.decider store) bm
 
 type geo = { g_running : float; g_total : float }
 
-let geo_of select report =
-  let ratios f =
-    Array.of_list
-      (List.filter_map
-         (fun r ->
-           Option.map (fun t -> f t /. f r.r_default) (select r))
-         report.rows)
-  in
-  let running = ratios (fun t -> t.Measure.running) in
-  if Array.length running = 0 then None
-  else
-    Some
-      {
-        g_running = Stats.geomean running;
-        g_total = Stats.geomean (ratios (fun t -> t.Measure.total));
-      }
-
-let learned_geo report =
-  match geo_of (fun r -> Some r.r_learned) report with
-  | Some g -> g
-  | None -> { g_running = 1.0; g_total = 1.0 }
-
-let tuned_geo report = geo_of (fun r -> r.r_tuned) report
-
-let table report =
-  let has_tuned = List.exists (fun r -> r.r_tuned <> None) report.rows in
-  let header =
-    if has_tuned then
-      [| "program"; "tuned:run"; "tuned:tot"; "learned:run"; "learned:tot" |]
-    else [| "program"; "learned:run"; "learned:tot" |]
-  in
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf "policy comparison (%s, %s; time vs default, lower is better)"
-           (Machine.scenario_name report.scenario)
-           report.platform.Platform.pname)
-      ~header
-      ~aligns:(Array.map (fun _ -> Table.Right) header)
-  in
-  let cell v = Table.fmt_float v in
-  List.iter
-    (fun r ->
-      let learned =
-        [
-          cell (r.r_learned.Measure.running /. r.r_default.Measure.running);
-          cell (r.r_learned.Measure.total /. r.r_default.Measure.total);
-        ]
-      in
-      let cols =
-        match r.r_tuned with
-        | Some tu when has_tuned ->
-          [
-            cell (tu.Measure.running /. r.r_default.Measure.running);
-            cell (tu.Measure.total /. r.r_default.Measure.total);
-          ]
-          @ learned
-        | None when has_tuned -> [ "-"; "-" ] @ learned
-        | _ -> learned
-      in
-      Table.add_row t (Array.of_list (r.r_bench :: cols)))
-    report.rows;
-  Table.add_rule t;
-  let lg = learned_geo report in
-  let geo_cols =
-    match tuned_geo report with
-    | Some tg when has_tuned ->
-      [ cell tg.g_running; cell tg.g_total; cell lg.g_running; cell lg.g_total ]
-    | _ when has_tuned -> [ "-"; "-"; cell lg.g_running; cell lg.g_total ]
-    | _ -> [ cell lg.g_running; cell lg.g_total ]
-  in
-  Table.add_row t (Array.of_list ("geomean" :: geo_cols));
-  t
-
 (* --- n-way comparison ---------------------------------------------------- *)
-(* The 4-column protocol (default vs GA-tuned vs CART vs GP) outgrew the
-   fixed three-system [report]; [compare_many] takes arbitrary labeled
-   measurement closures and normalizes each against the shared default
+(* Arbitrary labeled measurement closures (default vs GA-tuned vs CART vs
+   GP, or any subset), each normalized against the shared default
    baseline. *)
 
 type many_row = {

@@ -1,16 +1,16 @@
-open Inltune_opt
 open Inltune_vm
 module Measure = Inltune_core.Measure
 
 (** End-to-end evaluation of stored policies: simulate a benchmark with the
     policy plugged into the inliner, and build the paper-style comparison
-    table — default heuristic vs GA-tuned heuristic vs learned policy — on a
-    suite (typically the unseen DaCapo+JBB programs). *)
+    table — default heuristic vs any labeled systems (GA-tuned heuristic,
+    learned policy, evolved tree) — on a suite (typically the unseen
+    DaCapo+JBB programs). *)
 
-(** Simulate one benchmark with [store] deciding every inlining.
-    Measurements route through the fitness cache: threshold stores share the
-    heuristic walk's entries, stored trees are keyed by their content
-    digest. *)
+(** Simulate one benchmark with [store] deciding every inlining:
+    {!Inltune_core.Measure.run_decider} of {!Apply.decider}.  Threshold
+    stores share the heuristic walk's fitness-cache entries, stored trees
+    are keyed by their content digest. *)
 val measure :
   ?iterations:int ->
   scenario:Machine.scenario ->
@@ -19,38 +19,8 @@ val measure :
   Inltune_workloads.Suites.benchmark ->
   Measure.times
 
-type row = {
-  r_bench : string;
-  r_default : Measure.times;
-  r_tuned : Measure.times option;  (** GA-tuned heuristic, when provided *)
-  r_learned : Measure.times;
-}
-
-type report = {
-  rows : row list;
-  scenario : Machine.scenario;
-  platform : Platform.t;
-}
-
-(** Measure every benchmark under the three systems ([tuned] omitted skips
-    that column).  Emits one ["policy.eval"] trace event per benchmark. *)
-val compare :
-  ?iterations:int ->
-  ?tuned:Heuristic.t ->
-  scenario:Machine.scenario ->
-  platform:Platform.t ->
-  Store.t ->
-  Inltune_workloads.Suites.benchmark list ->
-  report
-
 type geo = { g_running : float; g_total : float }
     (** geometric-mean time ratios vs the default heuristic; < 1 is faster *)
-
-val learned_geo : report -> geo
-val tuned_geo : report -> geo option
-
-(** The comparison as a report table (ratio columns, geomean footer). *)
-val table : report -> Inltune_support.Table.t
 
 type many_row = {
   n_bench : string;

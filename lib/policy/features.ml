@@ -47,9 +47,15 @@ let method_stats cg (m : Ir.methd) =
     f_recursive = Callgraph.recursive cg m.Ir.mid;
   }
 
-let make_ctx (p : Ir.program) =
-  let cg = Callgraph.build p in
-  { per_method = Array.map (method_stats cg) p.Ir.methods; profile = None }
+(* The static half is a program fact: built once per program value, shared
+   by every measurement, dataset labelling and policy decode. *)
+let ctx_key =
+  Facts.key ~name:"features" (fun f ->
+      let p = Facts.program f in
+      let cg = Callgraph.build p in
+      { per_method = Array.map (method_stats cg) p.Ir.methods; profile = None })
+
+let make_ctx p = Facts.get (Facts.of_program p) ctx_key
 
 let with_profile ctx profile = { ctx with profile = Some profile }
 

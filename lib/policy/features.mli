@@ -7,16 +7,17 @@ open Inltune_vm
     for trained policies at decision time.
 
     Extraction is deterministic: the static part depends only on the program
-    (precomputed once per program in {!make_ctx}); the dynamic part reads the
+    (computed once per program value, {!make_ctx}); the dynamic part reads the
     profile attached with {!with_profile} at the moment of the decision.
     Given the same program and the same profile state, the vector for a site
     is byte-identical across runs and across domains. *)
 
 type ctx
 
-(** Precompute the per-method static features (O(program size)).  The
-    returned context carries no profile: the [hotness] and [edge_calls]
-    features read as 0 until {!with_profile}. *)
+(** The per-method static features, computed once per program value in
+    its fact table ({!Inltune_jir.Facts}; O(program size) the first time).
+    The context carries no profile: the [hotness] and [edge_calls] features
+    read as 0 until {!with_profile}. *)
 val make_ctx : Ir.program -> ctx
 
 (** O(1): the same static context with live profile data attached.  Cheap

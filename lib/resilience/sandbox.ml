@@ -45,10 +45,24 @@ let no_corrupt _ = None
    [~corrupt:corrupt]; the serve daemon wraps whole requests in this. *)
 type 'a outcome = { result : 'a; o_attempts : int }
 
+(* A site's counters are bound once, when the site is declared: [run] is
+   called once per fitness cell, and a first-try success resolves nothing. *)
+type site = {
+  s_name : string;
+  s_retries : Metric.handle;
+  s_failures : Metric.handle;
+  s_backoff : Metric.handle;
+}
+
+let site name =
+  {
+    s_name = name;
+    s_retries = Metric.handle (name ^ ".retries");
+    s_failures = Metric.handle (name ^ ".failures");
+    s_backoff = Metric.handle (name ^ ".backoff_units");
+  }
+
 let run ?(max_retries = 1) ?(classify = default_classify) ?(corrupt = no_corrupt) ~site f =
-  let c_retries = Metric.counter (site ^ ".retries") in
-  let c_failures = Metric.counter (site ^ ".failures") in
-  let c_backoff = Metric.counter (site ^ ".backoff_units") in
   let max_attempts = 1 + max 0 max_retries in
   let rec attempt n backoff =
     let outcome =
@@ -60,14 +74,16 @@ let run ?(max_retries = 1) ?(classify = default_classify) ?(corrupt = no_corrupt
     | Ok result -> Ok { result; o_attempts = n }
     | Error _ when n < max_attempts ->
       let units = backoff_units ~attempt:n in
-      Metric.incr c_retries;
-      Metric.add c_backoff units;
+      Metric.bump site.s_retries;
+      Metric.bump_by site.s_backoff units;
       attempt (n + 1) (backoff + units)
     | Error reason ->
-      Metric.incr c_failures;
-      let fl = { f_site = site; f_reason = reason; f_attempts = n; f_backoff_units = backoff } in
+      Metric.bump site.s_failures;
+      let fl =
+        { f_site = site.s_name; f_reason = reason; f_attempts = n; f_backoff_units = backoff }
+      in
       if Trace.enabled () then
-        Trace.emit (site ^ ".failure")
+        Trace.emit (site.s_name ^ ".failure")
           ~fields:
             [
               ("reason", Event.Str reason);

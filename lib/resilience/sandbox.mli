@@ -23,6 +23,14 @@ val backoff_units : attempt:int -> int
     (1 = first try). *)
 type 'a outcome = { result : 'a; o_attempts : int }
 
+(** A named evaluation site with its ["<site>.retries"],
+    ["<site>.failures"] and ["<site>.backoff_units"] counters bound once
+    ({!Inltune_obs.Metric.handle}): declare each site once, at module level,
+    so that a run that succeeds first try looks nothing up. *)
+type site
+
+val site : string -> site
+
 (** [run ~site f] runs [f ()].  [corrupt] may reject a successful result as
     garbage (default: never); exceptions for which [classify] holds (default:
     all) are transient.  Both are retried up to [max_retries] times (default
@@ -34,7 +42,7 @@ val run :
   ?max_retries:int ->
   ?classify:(exn -> bool) ->
   ?corrupt:('a -> string option) ->
-  site:string ->
+  site:site ->
   (unit -> 'a) ->
   ('a outcome, failure) result
 

@@ -391,6 +391,8 @@ let execute_degraded ~tenant job =
           ("fallback", Json.Str "default-heuristic");
         ])
 
+let request_site = Sandbox.site "serve.request"
+
 let execute srv ~tenant ~deadline ~gk job =
   let classify = function Cancelled_request _ -> false | _ -> true in
   let f () =
@@ -400,7 +402,7 @@ let execute srv ~tenant ~deadline ~gk job =
   in
   match
     Sandbox.run ~max_retries:srv.cfg.max_retries ~classify ~corrupt:result_corrupt
-      ~site:"serve.request" f
+      ~site:request_site f
   with
   | Ok o ->
     if past_deadline deadline then begin

@@ -11,10 +11,13 @@ dune build @all
 echo "== tests =="
 dune runtest
 
+# Every scratch file the smokes write lives in one temporary directory,
+# removed on exit together with any daemon still running.
+tmp=$(mktemp -d -t inltune_check.XXXXXX)
+trap '[ -n "${serve_pid:-}" ] && kill -9 "$serve_pid" 2> /dev/null; rm -rf "$tmp"' EXIT
+
 echo "== trace smoke =="
-trace=$(mktemp -t inltune_trace.XXXXXX.jsonl)
-trap 'rm -f "$trace"' EXIT
-rm -f "$trace"
+trace=$tmp/trace.jsonl
 
 dune exec --no-build bin/main.exe -- run raytrace -s adapt --trace "$trace" > /dev/null
 dune exec --no-build bin/main.exe -- tune -s adapt --pop 6 -g 2 --trace "$trace" > /dev/null 2>&1
@@ -31,9 +34,7 @@ done
 echo "== fault-injection smoke =="
 # Two injected faults hit the same genome, so its retry fails too: the run
 # must quarantine it and still finish, with the failure visible in the trace.
-faults=$(mktemp -t inltune_faults.XXXXXX.jsonl)
-trap 'rm -f "$trace" "$faults"' EXIT
-rm -f "$faults"
+faults=$tmp/faults.jsonl
 # --domains 1 keeps evaluation strictly sequential so the occurrence-indexed
 # faults land deterministically.
 INLTUNE_FAULTS="eval:raise@3,eval:raise@4" \
@@ -47,10 +48,8 @@ echo "== checkpoint/resume smoke =="
 # A run interrupted after 1 generation and resumed must print exactly what an
 # uninterrupted run prints, and the resumed run, appending to the interrupted
 # run's checkpoint, must leave the very file the uninterrupted run wrote.
-ckpt=$(mktemp -t inltune_ckpt.XXXXXX.jsonl)
-fullck=$(mktemp -t inltune_fullck.XXXXXX.jsonl)
-trap 'rm -f "$trace" "$faults" "$ckpt" "$fullck"' EXIT
-rm -f "$ckpt" "$fullck"
+ckpt=$tmp/ckpt.jsonl
+fullck=$tmp/fullck.jsonl
 full=$(dune exec --no-build bin/main.exe -- tune -s adapt --pop 6 -g 2 --checkpoint "$fullck" \
   2> /dev/null)
 dune exec --no-build bin/main.exe -- tune -s adapt --pop 6 -g 1 --checkpoint "$ckpt" \
@@ -70,9 +69,7 @@ echo "== fitness-cache golden smoke =="
 # committed fitness-cache file (same keys, same measurements, same order).
 # Rerun against that file, it must print the same stdout and add no line:
 # every simulation is served from the file.
-fcache=$(mktemp -t inltune_fcache.XXXXXX.jsonl)
-trap 'rm -f "$trace" "$faults" "$ckpt" "$fullck" "$fcache"' EXIT
-rm -f "$fcache"
+fcache=$tmp/fcache.jsonl
 fc_tune="tune -s adapt --tune-passes --pop 4 -g 2 --domains 1"
 # $fc_tune is split on purpose: it is a list of flags.
 fc_first=$(./_build/default/bin/main.exe $fc_tune --fitness-cache "$fcache" 2> /dev/null)
@@ -87,11 +84,9 @@ echo "== policy smoke =="
 # Tiny dataset -> train -> eval round-trip: label a handful of compress call
 # sites with the flip oracle, induce a tree, run it end-to-end on one unseen
 # DaCapo benchmark, and verify the policy file reserializes canonically.
-ds=$(mktemp -t inltune_ds.XXXXXX.jsonl)
-pol=$(mktemp -t inltune_pol.XXXXXX.txt)
-pol2=$(mktemp -t inltune_pol2.XXXXXX.txt)
-trap 'rm -f "$trace" "$faults" "$ckpt" "$fullck" "$fcache" "$ds" "$pol" "$pol2"' EXIT
-rm -f "$ds"
+ds=$tmp/ds.jsonl
+pol=$tmp/pol.txt
+pol2=$tmp/pol2.txt
 dune exec --no-build bin/main.exe -- dataset "$ds" --bench compress --max-sites 6 \
   > /dev/null 2>&1
 [ -s "$ds" ] || { echo "dataset produced no examples"; exit 1; }
@@ -113,12 +108,9 @@ echo "== gp smoke =="
 # resumed must print exactly what an uninterrupted run prints (checkpoint /
 # resume bit-identity); gp print is a serialization fixpoint; a corrupt tree
 # file dies with a one-line error and exit code 2.
-gpck=$(mktemp -t inltune_gpck.XXXXXX.jsonl)
-gpfullck=$(mktemp -t inltune_gpfullck.XXXXXX.jsonl)
-gptree=$(mktemp -t inltune_gptree.XXXXXX.txt)
-trap 'rm -f "$trace" "$faults" "$ckpt" "$fullck" "$fcache" "$ds" "$pol" "$pol2" "$gpck" "$gpfullck" \
-      "$gptree"' EXIT
-rm -f "$gpck" "$gpfullck"
+gpck=$tmp/gpck.jsonl
+gpfullck=$tmp/gpfullck.jsonl
+gptree=$tmp/gptree.txt
 gp_full=$(dune exec --no-build bin/main.exe -- tune --evolve-policy -s opt:tot --pop 6 -g 2 \
   --seed 7 --gp-out "$gptree" --checkpoint "$gpfullck" 2> /dev/null)
 dune exec --no-build bin/main.exe -- tune --evolve-policy -s opt:tot --pop 6 -g 1 --seed 7 \
@@ -184,10 +176,8 @@ echo "== plan smoke =="
 # fixpoint, running under the explicit default plan prints exactly what the
 # implicit default prints, invalid plans die with a one-line error and exit
 # code 2, and the GA can evolve the plan itself.
-plan=$(mktemp -t inltune_plan.XXXXXX.txt)
-plan2=$(mktemp -t inltune_plan2.XXXXXX.txt)
-trap 'rm -f "$trace" "$faults" "$ckpt" "$fullck" "$fcache" "$ds" "$pol" "$pol2" "$gpck" "$gpfullck" "$gptree" \
-      "$plan" "$plan2"' EXIT
+plan=$tmp/plan.txt
+plan2=$tmp/plan2.txt
 dune exec --no-build bin/main.exe -- plan > "$plan"
 dune exec --no-build bin/main.exe -- plan "$plan" > "$plan2"
 cmp -s "$plan" "$plan2" || { echo "plan canonical form is not a serialization fixpoint"; exit 1; }
@@ -266,10 +256,7 @@ echo "== observability smoke =="
 # stderr, the exit profile table names the span hierarchy, and the same
 # trace aggregates into profile/histogram tables and flamegraph-ready
 # folded stacks via trace-summary.
-obs=$(mktemp -t inltune_obs.XXXXXX.jsonl)
-trap 'rm -f "$trace" "$faults" "$ckpt" "$fullck" "$fcache" "$ds" "$pol" "$pol2" "$gpck" "$gpfullck" "$gptree" \
-      "$plan" "$plan2" "$obs"' EXIT
-rm -f "$obs"
+obs=$tmp/obs.jsonl
 obs_err=$(dune exec --no-build bin/main.exe -- tune -s adapt --pop 6 -g 2 --domains 1 \
   --profile --progress --trace "$obs" 2>&1 > /dev/null)
 echo "$obs_err" | grep -q '^\[inltune\] gen ' || { echo "missing --progress lines"; exit 1; }
@@ -332,10 +319,8 @@ done
 # reference interpreter too.  It runs in a scratch directory so its
 # BENCH_tuner.json does not replace the flat-interpreter one above.
 root=$(pwd)
-reftuner=$(mktemp -d -t inltune_reftuner.XXXXXX)
-trap 'rm -f "$trace" "$faults" "$ckpt" "$fullck" "$fcache" "$ds" "$pol" "$pol2" "$gpck" "$gpfullck" "$gptree" \
-      "$plan" "$plan2" "$obs";
-      rm -rf "$reftuner"' EXIT
+reftuner=$tmp/reftuner
+mkdir "$reftuner"
 (cd "$reftuner" && INLTUNE_VM_REFERENCE=1 INLTUNE_POP=6 INLTUNE_GENS=2 \
   "$root/_build/default/bench/main.exe" tuner > /dev/null)
 for flag in identical_best identical_history; do
@@ -348,12 +333,7 @@ echo "== serve smoke =="
 # quarantines its genome (the server stays up), the failure trips degraded
 # cache-only mode (--degrade-after 1), duplicate ids replay the original
 # reply, and SIGTERM drains to a clean exit with the socket removed.
-sock=$(mktemp -t inltune_serve.XXXXXX.sock)
-rm -f "$sock"
-trap 'rm -f "$trace" "$faults" "$ckpt" "$fullck" "$fcache" "$ds" "$pol" "$pol2" "$gpck" "$gpfullck" "$gptree" \
-      "$plan" "$plan2" "$obs" "$sock";
-      rm -rf "$reftuner";
-      [ -n "${serve_pid:-}" ] && kill -9 "$serve_pid" 2> /dev/null || true' EXIT
+sock=$tmp/serve.sock
 INLTUNE_FAULTS="serve:raise@1,serve:raise@2" \
   ./_build/default/bin/main.exe serve --socket "$sock" --permits 2 \
   --max-retries 1 --degrade-after 1 --cooldown 60 --quiet &

@@ -13,7 +13,10 @@ module Features = Inltune_policy.Features
      accept bits of the transformation's own decision log ({!Engine.run});
    - fitness-cache and compile-cache keys against constants recorded before
      the walk moved onto tables, so on-disk [--fitness-cache] files stay
-     valid;
+     valid, and policy keys against constants recorded before every decider
+     took one signature function;
+   - policy measurements through the fitness and compile caches against
+     cache-free simulations;
    - live-in-sparse constant propagation against the dense formulation
      ([Constprop_dense]) at every pipeline stage. *)
 
@@ -219,6 +222,333 @@ let test_golden_keys () =
       Alcotest.(check string) (what ^ " code keys") want_codes codes)
     golden
 
+(* [Fitcache.key] under Adapt (x86, default plan, 3 iterations): the "p:"
+   threshold projection, recorded before every decider took one signature
+   function. *)
+let golden_adapt =
+  [
+    ("compress", "default",
+     "fed7dad7f172acddcf20e604610f6a4f/adapt/x86/default/3/p:3311111155555555555555/d5/c2048");
+    ("compress", "aggressive",
+     "fed7dad7f172acddcf20e604610f6a4f/adapt/x86/default/3/p:3333311111115555555555/d15/c4000");
+    ("compress", "conservative",
+     "fed7dad7f172acddcf20e604610f6a4f/adapt/x86/default/3/p:1555555555554444444444/d2/c300");
+    ("compress", "middle",
+     "fed7dad7f172acddcf20e604610f6a4f/adapt/x86/default/3/p:3333111111555555555555/d8/c1200");
+    ("jess", "default",
+     "2426e4e0926fa58e287aeaeb2627bdda/adapt/x86/default/3/p:33311111111115555555555555555555555555555555555555555555555555555555555555555555555555444444444444/d5/c2048");
+    ("jess", "aggressive",
+     "2426e4e0926fa58e287aeaeb2627bdda/adapt/x86/default/3/p:33333333311111111111111111155555555555555555555555555555555555555555555555555555555555555555555555/d15/c4000");
+    ("jess", "conservative",
+     "2426e4e0926fa58e287aeaeb2627bdda/adapt/x86/default/3/p:15555555555555555555544444444444444444444444444444444444444444444444444444444444444444444444444444/d2/c300");
+    ("jess", "middle",
+     "2426e4e0926fa58e287aeaeb2627bdda/adapt/x86/default/3/p:33333331111111111111155555555555555555555555555555555555555555555555555555555555555555555555555544/d8/c1200");
+    ("db", "default",
+     "294aea08dc8f9ef70b869800d6ab0011/adapt/x86/default/3/p:3311155555555555555555555555555554/d5/c2048");
+    ("db", "aggressive",
+     "294aea08dc8f9ef70b869800d6ab0011/adapt/x86/default/3/p:3333111111111115555555555555555555/d15/c4000");
+    ("db", "conservative",
+     "294aea08dc8f9ef70b869800d6ab0011/adapt/x86/default/3/p:3155555555554444444444444444444444/d2/c300");
+    ("db", "middle",
+     "294aea08dc8f9ef70b869800d6ab0011/adapt/x86/default/3/p:3333111111555555555555555555555555/d8/c1200");
+    ("javac", "default",
+     "3ff22ece553d87109496ca173ebea2b6/adapt/x86/default/3/p:11155555555555555555555555555555555554444444444444444444444444/d5/c2048");
+    ("javac", "aggressive",
+     "3ff22ece553d87109496ca173ebea2b6/adapt/x86/default/3/p:33111555555555555555555555555555555555555555555555555555555555/d15/c4000");
+    ("javac", "conservative",
+     "3ff22ece553d87109496ca173ebea2b6/adapt/x86/default/3/p:55555444444444444444444444444444444444444444444444444444444444/d2/c300");
+    ("javac", "middle",
+     "3ff22ece553d87109496ca173ebea2b6/adapt/x86/default/3/p:31111555555555555555555555555555555555555555555555555555544444/d8/c1200");
+    ("mpegaudio", "default",
+     "7a04dec46f7f0971e83b810fc77fa4c4/adapt/x86/default/3/p:3311155555555555555555544/d5/c2048");
+    ("mpegaudio", "aggressive",
+     "7a04dec46f7f0971e83b810fc77fa4c4/adapt/x86/default/3/p:3331111555555555555555555/d15/c4000");
+    ("mpegaudio", "conservative",
+     "7a04dec46f7f0971e83b810fc77fa4c4/adapt/x86/default/3/p:1555555444444444444444444/d2/c300");
+    ("mpegaudio", "middle",
+     "7a04dec46f7f0971e83b810fc77fa4c4/adapt/x86/default/3/p:3331111555555555555555555/d8/c1200");
+    ("raytrace", "default",
+     "44e6aef1405accd7a3ba44dab14aba4c/adapt/x86/default/3/p:3333111155555555555555555555555/d5/c2048");
+    ("raytrace", "aggressive",
+     "44e6aef1405accd7a3ba44dab14aba4c/adapt/x86/default/3/p:3333333111111555555555555555555/d15/c4000");
+    ("raytrace", "conservative",
+     "44e6aef1405accd7a3ba44dab14aba4c/adapt/x86/default/3/p:3111555555444444444444444444444/d2/c300");
+    ("raytrace", "middle",
+     "44e6aef1405accd7a3ba44dab14aba4c/adapt/x86/default/3/p:3333311155555555555555555555555/d8/c1200");
+    ("jack", "default",
+     "5219757f059fce21e2721e4401eb2773/adapt/x86/default/3/p:3111155555555555555555555555555555555555555555544444444444/d5/c2048");
+    ("jack", "aggressive",
+     "5219757f059fce21e2721e4401eb2773/adapt/x86/default/3/p:3333111111555555555555555555555555555555555555555555555555/d15/c4000");
+    ("jack", "conservative",
+     "5219757f059fce21e2721e4401eb2773/adapt/x86/default/3/p:1555555554444444444444444444444444444444444444444444444444/d2/c300");
+    ("jack", "middle",
+     "5219757f059fce21e2721e4401eb2773/adapt/x86/default/3/p:3111111115555555555555555555555555555555555555555555555554/d8/c1200");
+  ]
+
+(* Two GP trees (static deciders) and one stored CART tree (a profiled
+   decider), as [Fitcache.decider_key]s under Opt and Adapt (x86, default
+   plan, 3 iterations), recorded when each policy kind still had its own
+   signature function: a static tree walks ("w:") under Opt, everything
+   else is keyed by its content digest ("g:"). *)
+let golden_trees =
+  [
+    ("t1", "(or (le (feat 0) (const 25)) (and (gt (const 3) (feat 2)) (le (feat 1) (const 600))))");
+    ("t2", "(and (le (feat 0) (add (feat 4) (const 20))) (not (gt (feat 2) (const 4))))");
+  ]
+
+let golden_cart =
+  "inltune-policy v1 tree\nsplit 1 158\nsplit 4 1.5\nsplit 0 13\nleaf no-inline\nsplit 0 78\n\
+   leaf inline\nsplit 0 161.5\nleaf no-inline\nleaf inline\nleaf no-inline\nleaf no-inline\n"
+
+let golden_policies =
+  [
+    ("compress", "t1", "opt",
+     "fed7dad7f172acddcf20e604610f6a4f/opt/x86/default/3/w:9fada7bbb08aa45334f53500b7a6021c");
+    ("compress", "t1", "adapt",
+     "fed7dad7f172acddcf20e604610f6a4f/adapt/x86/default/3/g:9f840a71435776463976f8fc6ec792e1");
+    ("compress", "t2", "opt",
+     "fed7dad7f172acddcf20e604610f6a4f/opt/x86/default/3/w:926add338d683c6e4c1ec05ec6a0573d");
+    ("compress", "t2", "adapt",
+     "fed7dad7f172acddcf20e604610f6a4f/adapt/x86/default/3/g:7f42bc37a20cc77976e75897ae2cabb1");
+    ("jess", "t1", "opt",
+     "2426e4e0926fa58e287aeaeb2627bdda/opt/x86/default/3/w:75bc9e43835c20b496701431fe9aef60");
+    ("jess", "t1", "adapt",
+     "2426e4e0926fa58e287aeaeb2627bdda/adapt/x86/default/3/g:9f840a71435776463976f8fc6ec792e1");
+    ("jess", "t2", "opt",
+     "2426e4e0926fa58e287aeaeb2627bdda/opt/x86/default/3/w:9fa7d4d224e0b497c691b1b2eed78092");
+    ("jess", "t2", "adapt",
+     "2426e4e0926fa58e287aeaeb2627bdda/adapt/x86/default/3/g:7f42bc37a20cc77976e75897ae2cabb1");
+    ("db", "t1", "opt",
+     "294aea08dc8f9ef70b869800d6ab0011/opt/x86/default/3/w:2e7274d925600d6aeeafd63d0aaea188");
+    ("db", "t1", "adapt",
+     "294aea08dc8f9ef70b869800d6ab0011/adapt/x86/default/3/g:9f840a71435776463976f8fc6ec792e1");
+    ("db", "t2", "opt",
+     "294aea08dc8f9ef70b869800d6ab0011/opt/x86/default/3/w:00d8a740a6592da1124827bb3a7f8527");
+    ("db", "t2", "adapt",
+     "294aea08dc8f9ef70b869800d6ab0011/adapt/x86/default/3/g:7f42bc37a20cc77976e75897ae2cabb1");
+    ("javac", "t1", "opt",
+     "3ff22ece553d87109496ca173ebea2b6/opt/x86/default/3/w:781f51d37649a0bc543451b816e61d92");
+    ("javac", "t1", "adapt",
+     "3ff22ece553d87109496ca173ebea2b6/adapt/x86/default/3/g:9f840a71435776463976f8fc6ec792e1");
+    ("javac", "t2", "opt",
+     "3ff22ece553d87109496ca173ebea2b6/opt/x86/default/3/w:5ef3a8a3f236ec72026c205646fe6811");
+    ("javac", "t2", "adapt",
+     "3ff22ece553d87109496ca173ebea2b6/adapt/x86/default/3/g:7f42bc37a20cc77976e75897ae2cabb1");
+    ("mpegaudio", "t1", "opt",
+     "7a04dec46f7f0971e83b810fc77fa4c4/opt/x86/default/3/w:e9f22fc5e59c92947f14633290a3d80e");
+    ("mpegaudio", "t1", "adapt",
+     "7a04dec46f7f0971e83b810fc77fa4c4/adapt/x86/default/3/g:9f840a71435776463976f8fc6ec792e1");
+    ("mpegaudio", "t2", "opt",
+     "7a04dec46f7f0971e83b810fc77fa4c4/opt/x86/default/3/w:fc8dd3e6af30ea7175ae4abe0409aecd");
+    ("mpegaudio", "t2", "adapt",
+     "7a04dec46f7f0971e83b810fc77fa4c4/adapt/x86/default/3/g:7f42bc37a20cc77976e75897ae2cabb1");
+    ("raytrace", "t1", "opt",
+     "44e6aef1405accd7a3ba44dab14aba4c/opt/x86/default/3/w:eba741f031c8e49e7a083ac71fa62171");
+    ("raytrace", "t1", "adapt",
+     "44e6aef1405accd7a3ba44dab14aba4c/adapt/x86/default/3/g:9f840a71435776463976f8fc6ec792e1");
+    ("raytrace", "t2", "opt",
+     "44e6aef1405accd7a3ba44dab14aba4c/opt/x86/default/3/w:955463a94cceec94d6eb4161fc45cf73");
+    ("raytrace", "t2", "adapt",
+     "44e6aef1405accd7a3ba44dab14aba4c/adapt/x86/default/3/g:7f42bc37a20cc77976e75897ae2cabb1");
+    ("jack", "t1", "opt",
+     "5219757f059fce21e2721e4401eb2773/opt/x86/default/3/w:66baeadf87e5eab9ef4432146a68b27f");
+    ("jack", "t1", "adapt",
+     "5219757f059fce21e2721e4401eb2773/adapt/x86/default/3/g:9f840a71435776463976f8fc6ec792e1");
+    ("jack", "t2", "opt",
+     "5219757f059fce21e2721e4401eb2773/opt/x86/default/3/w:8ede323830740c17f70e83f2f33e7a03");
+    ("jack", "t2", "adapt",
+     "5219757f059fce21e2721e4401eb2773/adapt/x86/default/3/g:7f42bc37a20cc77976e75897ae2cabb1");
+    ("compress", "cart", "opt",
+     "fed7dad7f172acddcf20e604610f6a4f/opt/x86/default/3/g:b369fd3e1e4c054de4f262be5f2913cd");
+    ("compress", "cart", "adapt",
+     "fed7dad7f172acddcf20e604610f6a4f/adapt/x86/default/3/g:b369fd3e1e4c054de4f262be5f2913cd");
+    ("jess", "cart", "opt",
+     "2426e4e0926fa58e287aeaeb2627bdda/opt/x86/default/3/g:b369fd3e1e4c054de4f262be5f2913cd");
+    ("jess", "cart", "adapt",
+     "2426e4e0926fa58e287aeaeb2627bdda/adapt/x86/default/3/g:b369fd3e1e4c054de4f262be5f2913cd");
+    ("db", "cart", "opt",
+     "294aea08dc8f9ef70b869800d6ab0011/opt/x86/default/3/g:b369fd3e1e4c054de4f262be5f2913cd");
+    ("db", "cart", "adapt",
+     "294aea08dc8f9ef70b869800d6ab0011/adapt/x86/default/3/g:b369fd3e1e4c054de4f262be5f2913cd");
+    ("javac", "cart", "opt",
+     "3ff22ece553d87109496ca173ebea2b6/opt/x86/default/3/g:b369fd3e1e4c054de4f262be5f2913cd");
+    ("javac", "cart", "adapt",
+     "3ff22ece553d87109496ca173ebea2b6/adapt/x86/default/3/g:b369fd3e1e4c054de4f262be5f2913cd");
+    ("mpegaudio", "cart", "opt",
+     "7a04dec46f7f0971e83b810fc77fa4c4/opt/x86/default/3/g:b369fd3e1e4c054de4f262be5f2913cd");
+    ("mpegaudio", "cart", "adapt",
+     "7a04dec46f7f0971e83b810fc77fa4c4/adapt/x86/default/3/g:b369fd3e1e4c054de4f262be5f2913cd");
+    ("raytrace", "cart", "opt",
+     "44e6aef1405accd7a3ba44dab14aba4c/opt/x86/default/3/g:b369fd3e1e4c054de4f262be5f2913cd");
+    ("raytrace", "cart", "adapt",
+     "44e6aef1405accd7a3ba44dab14aba4c/adapt/x86/default/3/g:b369fd3e1e4c054de4f262be5f2913cd");
+    ("jack", "cart", "opt",
+     "5219757f059fce21e2721e4401eb2773/opt/x86/default/3/g:b369fd3e1e4c054de4f262be5f2913cd");
+    ("jack", "cart", "adapt",
+     "5219757f059fce21e2721e4401eb2773/adapt/x86/default/3/g:b369fd3e1e4c054de4f262be5f2913cd");
+  ]
+
+let gp_tree text =
+  match Gp.Tree.of_text ~dim:Features.dim text with
+  | Ok t -> t
+  | Error e -> Alcotest.failf "golden tree does not parse: %s" e
+
+let test_golden_adapt_keys () =
+  List.iter
+    (fun (bname, hname, want) ->
+      Alcotest.(check string) (bname ^ "/" ^ hname ^ " adapt key") want
+        (Fitcache.key ~scenario:Machine.Adapt ~platform:Platform.x86
+           ~heuristic:(List.assoc hname golden_heuristics) ~inline_enabled:true
+           ~plan:Plan.default ~iterations:3
+           (W.Suites.program (W.Suites.find bname))))
+    golden_adapt
+
+let test_golden_policy_keys () =
+  let cart =
+    match Inltune_policy.Store.of_string golden_cart with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "golden CART tree does not parse: %s" e
+  in
+  List.iter
+    (fun (bname, pname, scen, want) ->
+      let decider =
+        if pname = "cart" then Inltune_policy.Apply.decider cart
+        else Gp.Decode.decider (gp_tree (List.assoc pname golden_trees))
+      in
+      let scenario = if scen = "opt" then Machine.Opt else Machine.Adapt in
+      Alcotest.(check string) (String.concat "/" [ bname; pname; scen ] ^ " key") want
+        (Fitcache.decider_key ~scenario ~platform:Platform.x86 ~decider ~inline_enabled:true
+           ~plan:Plan.default ~iterations:3
+           (W.Suites.program (W.Suites.find bname))))
+    golden_policies
+
+(* --- one measurement path for policies -------------------------------------- *)
+
+(* Empty caches on the flat interpreter; restored afterwards. *)
+let with_clean_caches f =
+  let reference = Machine.reference_enabled () in
+  Machine.set_reference false;
+  Fitcache.clear ();
+  Fun.protect
+    ~finally:(fun () ->
+      Machine.set_reference reference;
+      Fitcache.clear ())
+    f
+
+let rec random_dtree rng depth =
+  if depth = 0 || Rng.int rng 3 = 0 then Inltune_policy.Dtree.Leaf (Rng.bool rng)
+  else
+    Inltune_policy.Dtree.Split
+      {
+        feat = Rng.int rng Features.dim;
+        thresh = Float.of_int (Rng.int rng 400) +. 0.5;
+        le = random_dtree rng (depth - 1);
+        gt = random_dtree rng (depth - 1);
+      }
+
+(* The SPECjvm98 programs and one corpus program per family. *)
+let policy_programs =
+  Array.of_list
+    (W.Suites.spec
+    @ List.map
+        (fun name -> Option.get (W.Corpus.find_opt name))
+        [ "corpus_chain00"; "corpus_dispatch00"; "corpus_recur00"; "corpus_sweep00";
+          "corpus_phase00" ])
+
+(* A random GP tree or random stored tree, with the cache-free policy
+   factory it stands for. *)
+let random_decider rng ctx =
+  if Rng.bool rng then
+    let tree = Gp.Genetic.random rng in
+    (Gp.Tree.to_text tree, Gp.Decode.decider tree, Gp.Decode.factory ~ctx tree)
+  else
+    let store = Inltune_policy.Store.Tree (random_dtree rng 4) in
+    ( String.escaped (Inltune_policy.Store.to_string store),
+      Inltune_policy.Apply.decider store,
+      Inltune_policy.Apply.factory ~ctx store )
+
+(* A case: the decider under test, a filler decider, a program, a scenario
+   and a platform, all drawn from one seed. *)
+let policy_case seed =
+  let rng = Rng.create seed in
+  let bm = policy_programs.(Rng.int rng (Array.length policy_programs)) in
+  let scenario = if Rng.bool rng then Machine.Opt else Machine.Adapt in
+  let platform = if Rng.bool rng then Platform.x86 else Platform.ppc in
+  let ctx = Features.make_ctx (W.Suites.program bm) in
+  let under_test = random_decider rng ctx in
+  (under_test, random_decider rng ctx, bm, scenario, platform)
+
+let print_policy_case seed =
+  let (what, _, _), (filler, _, _), bm, scenario, platform = policy_case seed in
+  Printf.sprintf "seed %d: %s (filler %s) on %s/%s/%s" seed what filler bm.W.Suites.bname
+    (Machine.scenario_name scenario) platform.Platform.pname
+
+(* Cold (both caches empty), with a warm fitness cache (the same query
+   again, after a filler policy and the default heuristic filled both
+   caches with their entries) and with a warm compile cache (another
+   iteration count: a fitness miss whose compiles were made before),
+   [Measure.run_decider] returns what a cache-free simulation of the
+   decider measures, field for field; so does the filler. *)
+let prop_policy_path_matches_fresh =
+  QCheck.Test.make ~count:30 ~name:"policy measurements = cache-free simulation"
+    (QCheck.make ~print:print_policy_case (QCheck.Gen.int_bound 100_000))
+    (fun seed ->
+      let (_, decider, factory), (_, filler, filler_factory), bm, scenario, platform =
+        policy_case seed
+      in
+      let prog = W.Suites.program bm in
+      let fresh factory iterations =
+        Runner.measure ~iterations
+          (Machine.config ~policy_factory:factory scenario Heuristic.default)
+          platform prog
+      in
+      let measured decider iterations =
+        (Measure.run_decider ~iterations ~scenario ~platform ~decider bm).Measure.raw
+      in
+      with_clean_caches (fun () ->
+          let want3 = fresh factory 3 and want2 = fresh factory 2 in
+          let filler_want = fresh filler_factory 3 in
+          let cold = measured decider 3 in
+          let filled = measured filler 3 in
+          ignore (measured (Fitcache.Heuristic Heuristic.default) 3 : Runner.measurement);
+          let warm_fitness = measured decider 3 in
+          let warm_compile = measured decider 2 in
+          cold = want3 && filled = filler_want && warm_fitness = want3 && warm_compile = want2))
+
+(* Positive control: a static policy's Opt simulation reuses compiles (its
+   walk gives per-method keys); a stored tree reads the live profile, so it
+   gets none. *)
+let test_static_policy_reuses_compiles () =
+  let bm = W.Suites.find "compress" in
+  let hits () = Inltune_obs.Metric.value (Inltune_obs.Metric.counter "vm.code_cache.hits") in
+  let hits_of decider =
+    with_clean_caches (fun () ->
+        ignore
+          (Measure.run_decider ~iterations:3 ~scenario:Machine.Opt ~platform:Platform.x86
+             ~decider bm
+            : Measure.times);
+        let h0 = hits () in
+        ignore
+          (Measure.run_decider ~iterations:2 ~scenario:Machine.Opt ~platform:Platform.x86
+             ~decider bm
+            : Measure.times);
+        hits () - h0)
+  in
+  Alcotest.(check bool) "GP tree hits the compile cache" true
+    (hits_of (Gp.Decode.decider (gp_tree (List.assoc "t1" golden_trees))) > 0);
+  let cart =
+    Inltune_policy.Store.Tree
+      (Inltune_policy.Dtree.Split
+         {
+           feat = 0;
+           thresh = 25.5;
+           le = Inltune_policy.Dtree.Leaf true;
+           gt = Inltune_policy.Dtree.Leaf false;
+         })
+  in
+  Alcotest.(check int) "stored tree compiles fresh" 0
+    (hits_of (Inltune_policy.Apply.decider cart))
+
 (* --- constant propagation against the dense oracle ------------------------- *)
 
 let same_constprop ~what program m =
@@ -340,6 +670,11 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_walk_matches_run;
     Alcotest.test_case "fitness and code keys match recorded values" `Quick test_golden_keys;
+    Alcotest.test_case "adapt fitness keys match recorded values" `Quick test_golden_adapt_keys;
+    Alcotest.test_case "policy fitness keys match recorded values" `Quick
+      test_golden_policy_keys;
+    QCheck_alcotest.to_alcotest prop_policy_path_matches_fresh;
+    Alcotest.test_case "static policy reuses compiles" `Quick test_static_policy_reuses_compiles;
     QCheck_alcotest.to_alcotest prop_constprop_matches_dense;
     Alcotest.test_case "constprop = dense oracle on SPEC, aggressive" `Quick
       test_constprop_dense_spec;

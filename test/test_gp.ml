@@ -218,18 +218,18 @@ let test_decode_extremes () =
    digests differ: (le (feat 0) (const 10)) ≡ (not (gt (feat 0) (const 10))). *)
 let test_policy_signature_shared_across_identical_trees () =
   let prog = W.Suites.program compress in
-  let ctx = Features.make_ctx prog in
   let t1 = Tree.(Cmp (Le, Feat 0, Const 10.0)) in
   let t2 = Tree.(Not (Cmp (Gt, Feat 0, Const 10.0))) in
   Alcotest.(check bool) "distinct digests" true (Tree.digest t1 <> Tree.digest t2);
-  let sig_of t =
-    Fitcache.policy_signature ~scenario:Machine.Opt ~policy:(Gp.Decode.policy ~ctx t)
-      ~digest:(Tree.digest t) ~static:true ~inline_enabled:true ~plan:Plan.default prog
+  let key_of t =
+    Fitcache.decider_key ~scenario:Machine.Opt ~platform:Platform.x86
+      ~decider:(Gp.Decode.decider t) ~inline_enabled:true ~plan:Plan.default ~iterations:3 prog
   in
-  let s1 = sig_of t1 and s2 = sig_of t2 in
-  Alcotest.(check string) "identical decisions, one signature" s1 s2;
+  let k1 = key_of t1 and k2 = key_of t2 in
+  Alcotest.(check string) "identical decisions, one key" k1 k2;
+  let signature = List.nth (String.split_on_char '/' k1) 5 in
   Alcotest.(check bool) "walk namespace" true
-    (String.length s1 > 2 && String.sub s1 0 2 = "w:")
+    (String.length signature > 2 && String.sub signature 0 2 = "w:")
 
 let test_agreement () =
   let training =

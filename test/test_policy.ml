@@ -40,6 +40,23 @@ let test_feature_determinism_static () =
         (static_vectors bench) (static_vectors bench))
     [ "compress"; "jess"; "antlr" ]
 
+(* The static context is a program fact: one per program value.  A
+   structurally equal copy is another value, whose context is built afresh
+   and gives the same vectors. *)
+let test_feature_ctx_is_a_fact () =
+  let p = W.Suites.program (W.Suites.find "jess") in
+  Alcotest.(check bool) "one context per program value" true
+    (Features.make_ctx p == Features.make_ctx p);
+  let copy = { p with Inltune_jir.Ir.methods = Array.copy p.Inltune_jir.Ir.methods } in
+  let vectors q =
+    Array.map
+      (fun (_, x) -> Features.vector_to_string x)
+      (Features.of_program (Features.make_ctx q) q)
+  in
+  Alcotest.(check bool) "the copy has its own context" false
+    (Features.make_ctx copy == Features.make_ctx p);
+  Alcotest.(check (array string)) "and the same vectors" (vectors p) (vectors copy)
+
 (* The dynamic path: replaying the optimizer (profile state and all) twice
    must enumerate byte-identical feature vectors in the same order. *)
 let test_feature_determinism_dynamic () =
@@ -363,12 +380,15 @@ let test_trained_policy_end_to_end () =
   let l = Evaluate.measure ~scenario:Machine.Opt ~platform:Platform.x86 store bm in
   Alcotest.(check int) "semantics preserved" d.Measure.raw.Runner.ret l.Measure.raw.Runner.ret;
   let report =
-    Evaluate.compare ~scenario:Machine.Opt ~platform:Platform.x86 store [ bm ]
+    Evaluate.compare_many ~scenario:Machine.Opt ~platform:Platform.x86
+      [ ("learned", Evaluate.measure ~scenario:Machine.Opt ~platform:Platform.x86 store) ]
+      [ bm ]
   in
-  let geo = Evaluate.learned_geo report in
-  Alcotest.(check bool) "finite geomean" true
-    (Float.is_finite geo.Evaluate.g_running && Float.is_finite geo.Evaluate.g_total);
-  Alcotest.(check bool) "tuned column absent" true (Evaluate.tuned_geo report = None)
+  match Evaluate.many_geos report with
+  | [ ("learned", geo) ] ->
+    Alcotest.(check bool) "finite geomean" true
+      (Float.is_finite geo.Evaluate.g_running && Float.is_finite geo.Evaluate.g_total)
+  | _ -> Alcotest.fail "expected exactly the learned column"
 
 let suite =
   [
@@ -384,6 +404,7 @@ let suite =
       test_threshold_reproduces_heuristic_decisions;
     Alcotest.test_case "threshold policy: end-to-end cycle parity" `Quick
       test_threshold_end_to_end_equals_default;
+    Alcotest.test_case "feature context: one per program value" `Quick test_feature_ctx_is_a_fact;
     Alcotest.test_case "dtree: decide/size/depth" `Quick test_dtree_decide;
     Alcotest.test_case "dtree: text round trip" `Quick test_dtree_text_round_trip;
     Alcotest.test_case "dtree: rejects malformed text" `Quick test_dtree_text_rejects_garbage;

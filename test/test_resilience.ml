@@ -53,8 +53,10 @@ let test_clear_disarms () =
 
 (* --- Sandbox --- *)
 
+let t_site = Sandbox.site "t"
+
 let test_sandbox_first_try () =
-  match Sandbox.run ~corrupt:Sandbox.corrupt ~site:"t" (fun () -> 0.25) with
+  match Sandbox.run ~corrupt:Sandbox.corrupt ~site:t_site (fun () -> 0.25) with
   | Ok o ->
     Alcotest.(check (float 0.0)) "value" 0.25 o.Sandbox.result;
     Alcotest.(check int) "one attempt" 1 o.Sandbox.o_attempts
@@ -66,7 +68,7 @@ let test_sandbox_retry_then_success () =
     incr calls;
     if !calls < 3 then failwith "flaky" else 0.5
   in
-  match Sandbox.run ~max_retries:2 ~corrupt:Sandbox.corrupt ~site:"t" f with
+  match Sandbox.run ~max_retries:2 ~corrupt:Sandbox.corrupt ~site:t_site f with
   | Ok o ->
     Alcotest.(check (float 0.0)) "value" 0.5 o.Sandbox.result;
     Alcotest.(check int) "attempts" 3 o.Sandbox.o_attempts;
@@ -76,7 +78,7 @@ let test_sandbox_retry_then_success () =
 let test_sandbox_exhaustion () =
   let calls = ref 0 in
   let f () = incr calls; failwith "always" in
-  match Sandbox.run ~max_retries:2 ~corrupt:Sandbox.corrupt ~site:"t" f with
+  match Sandbox.run ~max_retries:2 ~corrupt:Sandbox.corrupt ~site:t_site f with
   | Ok _ -> Alcotest.fail "should have failed"
   | Error fl ->
     Alcotest.(check int) "attempts = 1 + max_retries" 3 fl.Sandbox.f_attempts;
@@ -87,21 +89,21 @@ let test_sandbox_exhaustion () =
 let test_sandbox_corrupt_output () =
   let calls = ref 0 in
   let f () = incr calls; Float.nan in
-  (match Sandbox.run ~max_retries:1 ~corrupt:Sandbox.corrupt ~site:"t" f with
+  (match Sandbox.run ~max_retries:1 ~corrupt:Sandbox.corrupt ~site:t_site f with
   | Ok _ -> Alcotest.fail "NaN must not be an Ok value"
   | Error fl ->
     Alcotest.(check int) "retried once" 2 fl.Sandbox.f_attempts;
     Alcotest.(check bool) "reason mentions corrupt" true
       (String.length fl.Sandbox.f_reason >= 7
       && String.sub fl.Sandbox.f_reason 0 7 = "corrupt"));
-  match Sandbox.run ~corrupt:Sandbox.corrupt ~site:"t" (fun () -> Float.infinity) with
+  match Sandbox.run ~corrupt:Sandbox.corrupt ~site:t_site (fun () -> Float.infinity) with
   | Ok _ -> Alcotest.fail "infinity must not be an Ok value"
   | Error _ -> ()
 
 let test_sandbox_classify_rejects () =
   let f () = raise Exit in
   Alcotest.check_raises "unclassified exception propagates" Exit (fun () ->
-      ignore (Sandbox.run ~classify:(fun e -> e <> Exit) ~corrupt:Sandbox.corrupt ~site:"t" f))
+      ignore (Sandbox.run ~classify:(fun e -> e <> Exit) ~corrupt:Sandbox.corrupt ~site:t_site f))
 
 let test_sandbox_run_generic_corrupt () =
   (* The generic engine retries arbitrary result types; [corrupt] rejects a
@@ -109,7 +111,7 @@ let test_sandbox_run_generic_corrupt () =
   let calls = ref 0 in
   let f () = incr calls; if !calls = 1 then "garbage" else "fine" in
   let corrupt s = if s = "garbage" then Some "garbage result" else None in
-  match Sandbox.run ~max_retries:1 ~corrupt ~site:"t" f with
+  match Sandbox.run ~max_retries:1 ~corrupt ~site:t_site f with
   | Ok o ->
     Alcotest.(check string) "second result kept" "fine" o.Sandbox.result;
     Alcotest.(check int) "attempts" 2 o.Sandbox.o_attempts
@@ -139,7 +141,10 @@ let hang_gate site () =
 let test_sandbox_hang_retries_then_succeeds () =
   arm_from_env "sbx:hang@1";
   Fun.protect ~finally:Faultinject.clear (fun () ->
-      match Sandbox.run ~max_retries:2 ~corrupt:Sandbox.corrupt ~site:"sbx" (hang_gate "sbx") with
+      match
+        Sandbox.run ~max_retries:2 ~corrupt:Sandbox.corrupt ~site:(Sandbox.site "sbx")
+          (hang_gate "sbx")
+      with
       | Ok o ->
         Alcotest.(check (float 0.0)) "recovered value" 0.5 o.Sandbox.result;
         Alcotest.(check int) "hang, then success" 2 o.Sandbox.o_attempts
@@ -150,7 +155,12 @@ let test_sandbox_hang_exhaustion_deterministic_backoff () =
      schedule prescribes (1 after attempt 1, 2 after attempt 2), every run. *)
   arm_from_env "sbx2:hang@1,sbx2:hang@2,sbx2:hang@3";
   Fun.protect ~finally:Faultinject.clear (fun () ->
-      match Sandbox.run ~max_retries:2 ~corrupt:Sandbox.corrupt ~site:"sbx2" (hang_gate "sbx2") with
+      let counter name = Inltune_obs.Metric.value (Inltune_obs.Metric.counter ("sbx2." ^ name)) in
+      let before = List.map counter [ "retries"; "backoff_units"; "failures" ] in
+      match
+        Sandbox.run ~max_retries:2 ~corrupt:Sandbox.corrupt ~site:(Sandbox.site "sbx2")
+          (hang_gate "sbx2")
+      with
       | Ok _ -> Alcotest.fail "three hangs must exhaust two retries"
       | Error fl ->
         Alcotest.(check int) "attempts" 3 fl.Sandbox.f_attempts;
@@ -158,7 +168,20 @@ let test_sandbox_hang_exhaustion_deterministic_backoff () =
           (Sandbox.backoff_units ~attempt:1 + Sandbox.backoff_units ~attempt:2)
           fl.Sandbox.f_backoff_units;
         Alcotest.(check int) "gate consumed all three faults" 3
-          (Faultinject.calls "sbx2"))
+          (Faultinject.calls "sbx2");
+        Alcotest.(check (list int)) "retries, backoff units, failures counted" [ 2; 3; 1 ]
+          (List.map2 ( - ) (List.map counter [ "retries"; "backoff_units"; "failures" ]) before))
+
+(* A site's counters are bound when it is declared: a run that succeeds
+   first try registers none of them. *)
+let test_sandbox_success_resolves_nothing () =
+  let site = Sandbox.site "sbx_quiet" in
+  ignore (Sandbox.run ~site (fun () -> 1) : (int Sandbox.outcome, Sandbox.failure) result);
+  let names = List.map fst (Inltune_obs.Metric.counters_snapshot ()) in
+  List.iter
+    (fun c ->
+      Alcotest.(check bool) (c ^ " not registered") false (List.mem ("sbx_quiet." ^ c) names))
+    [ "retries"; "failures"; "backoff_units" ]
 
 let test_backoff_schedule () =
   Alcotest.(check (list int)) "exponential" [ 1; 2; 4; 8 ]
@@ -390,6 +413,7 @@ let suite =
     ("sandbox generic run corrupt", `Quick, test_sandbox_run_generic_corrupt);
     ("sandbox hang retries then succeeds", `Quick, test_sandbox_hang_retries_then_succeeds);
     ("sandbox hang exhaustion backoff", `Quick, test_sandbox_hang_exhaustion_deterministic_backoff);
+    ("sandbox success resolves no counter", `Quick, test_sandbox_success_resolves_nothing);
     ("guarded run isolates failures", `Quick, test_guarded_run_isolates_failures);
     ("quarantine stops re-evaluation", `Quick, test_quarantine_stops_reevaluation);
     ("default guard quarantines failures", `Quick, test_default_guard_quarantines);
