@@ -311,7 +311,6 @@ let tenant_hook : (unit -> string option) ref = ref (fun () -> None)
 let set_tenant_hook f = tenant_hook := f
 let owners : (string, string) Hashtbl.t = Hashtbl.create 64
 
-let enabled () = !on
 let set_enabled v = on := v
 
 let clear () =

@@ -110,8 +110,6 @@ val code_keys :
   Ir.program ->
   string array option
 
-val enabled : unit -> bool
-
 (** Toggle the cache (default on).  Disabled, {!lookup_or_simulate} always
     simulates and the table is neither consulted nor extended, and
     {!lookup_or_simulate} passes no compile-cache keys. *)

@@ -11,8 +11,8 @@ module Workloads = Inltune_workloads
    signature was measured before reuses that result instead of simulating
    again, and a simulation it does run gets the compile-cache keys that let
    its optimizing compiles reuse earlier ones.  "measure.simulations" counts
-   the full VM simulations actually performed — the number the tuner bench
-   reports caching savings against. *)
+   the full VM simulations actually performed, the number caching savings
+   are measured against. *)
 
 type times = {
   running : float;  (* cycles, as float for the fitness arithmetic *)

@@ -21,9 +21,10 @@ val perf : goal -> t:Measure.times -> default:Measure.times -> float
     cell.  A cell decodes the genome to the plan it runs under and its
     decider, measures the benchmark through {!Measure.run_decider}, and
     scores {!perf} against the baseline; each cell is one independent pool
-    work item and checks the ["eval"] fault gate once (see
-    {!eval_fault_gate}).  [combine] folds a genome's cells, in suite order,
-    into its fitness. *)
+    work item and checks the ["eval"] fault-injection site once (see
+    {!Inltune_resilience.Faultinject}): an injected [Raise] raises, [Hang]
+    burns the fuel budget, and [Corrupt] scores the cell NaN.  [combine]
+    folds a genome's cells, in suite order, into its fitness. *)
 val grid :
   iterations:int ->
   suite:Inltune_workloads.Suites.benchmark list ->
@@ -52,13 +53,6 @@ val fitness :
     exhaustion, a VM trap, a stack overflow, or an injected fault — worth a
     bounded retry before the genome is penalized. *)
 val transient_failure : exn -> bool
-
-(** The ["eval"] fault-injection gate every fitness-evaluation path checks
-    (see {!Inltune_resilience.Faultinject}): raises on an injected [Raise],
-    burns the fuel budget on [Hang], and returns [true] — evaluate to NaN —
-    on [Corrupt].  Exposed so alternative searches over the same simulations
-    (the GP policy search) share one fault boundary with the GA. *)
-val eval_fault_gate : unit -> bool
 
 (** {!fitness} composed with the genome decoding, for scalar searches over
     genomes (local search, random search, the bench ablations).  Each call

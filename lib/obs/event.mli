@@ -21,8 +21,6 @@ val to_json : t -> string
 (** Human-readable single line for the text sink. *)
 val to_text : t -> string
 
-val value_to_string : value -> string
-
 val find : t -> string -> value option
 val int_field : t -> string -> int option
 val str_field : t -> string -> string option

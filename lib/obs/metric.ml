@@ -49,7 +49,6 @@ let counter name =
 let incr c = Atomic.incr c.cell
 let add c n = ignore (Atomic.fetch_and_add c.cell n : int)
 let value c = Atomic.get c.cell
-let counter_name c = c.cname
 
 (* A counter bound by name once, for hot paths: it resolves through the
    registry (and its lock) on first use and again only after a

@@ -10,7 +10,6 @@ val counter : string -> counter
 val incr : counter -> unit
 val add : counter -> int -> unit
 val value : counter -> int
-val counter_name : counter -> string
 
 (** A counter bound by name once, for hot paths.  It looks the name up in
     the registry on first use and again only after {!reset_all}, so a bump

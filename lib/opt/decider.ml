@@ -18,8 +18,3 @@ type t =
   | Heuristic of Heuristic.t  (* the paper's Fig. 3/4 threshold procedure *)
   | Policy of Policy.t        (* first-class policy, e.g. a learned tree *)
   | Custom of site_decision   (* bare closure, e.g. the knapsack baseline *)
-
-let name = function
-  | Heuristic _ -> "heuristic"
-  | Policy p -> p.Policy.name
-  | Custom _ -> "custom"

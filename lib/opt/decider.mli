@@ -19,7 +19,3 @@ type t =
   | Custom of site_decision
       (** bare decision closure (e.g. the knapsack baseline); ignores the
           hot-site classifier, exactly as [Inline.run_custom] does *)
-
-(** Decider family name, for reports ("heuristic", the policy's name, or
-    "custom"). *)
-val name : t -> string

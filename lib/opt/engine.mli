@@ -16,8 +16,6 @@ type stats = {
   mutable hot_sites_inlined : int;
 }
 
-val fresh_stats : unit -> stats
-
 (** Why a call site was or wasn't inlined: the policy rule that fired, or
     one of the engine's own guards. *)
 type reason =
@@ -26,7 +24,6 @@ type reason =
   | Space_cap               (** accepted by the policy, blocked by
                                 {!max_expanded_size} *)
 
-val reason_accepts : reason -> bool
 val reason_name : reason -> string
 
 (** One record per call site the engine examined, in decision order. *)

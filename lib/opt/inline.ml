@@ -15,14 +15,11 @@ type stats = Engine.stats = {
   mutable hot_sites_inlined : int;
 }
 
-let fresh_stats = Engine.fresh_stats
-
 type reason = Engine.reason =
   | Rule of Policy.verdict
   | Recursive
   | Space_cap
 
-let reason_accepts = Engine.reason_accepts
 let reason_name = Engine.reason_name
 
 type decision = Engine.decision = {

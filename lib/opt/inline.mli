@@ -10,8 +10,6 @@ type stats = Engine.stats = {
   mutable hot_sites_inlined : int;
 }
 
-val fresh_stats : unit -> stats
-
 (** Why a call site was or wasn't inlined: the policy rule that fired (for
     the heuristic policy this is the Fig. 3 / Fig. 4 vocabulary), or one of
     the transformation's own guards. *)
@@ -21,7 +19,6 @@ type reason = Engine.reason =
   | Space_cap               (** accepted by the policy, blocked by
                                 {!max_expanded_size} *)
 
-val reason_accepts : reason -> bool
 val reason_name : reason -> string
 
 (** One record per call site the inliner examined, in decision order. *)

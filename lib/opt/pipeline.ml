@@ -45,9 +45,6 @@ let no_inline_config = make ~plan:Plan.no_inline (Decider.Heuristic Heuristic.de
 (* Optimizations on, inlining decided per call site by [decide]. *)
 let custom_config decide = make (Decider.Custom decide)
 
-(* Optimizations on, inlining decided by a first-class {!Policy.t}. *)
-let policy_config ?hot_site policy = make ?hot_site (Decider.Policy policy)
-
 type stats = {
   size_before : int;
   size_peak : int;

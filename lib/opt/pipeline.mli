@@ -46,10 +46,6 @@ val no_inline_config : config
 (** Optimizations on, inlining decided per call site by [decide]. *)
 val custom_config : site_decision -> config
 
-(** Optimizations on, inlining decided by a first-class {!Policy.t}. *)
-val policy_config :
-  ?hot_site:(site_owner:Ir.mid -> callee:Ir.mid -> bool) -> Policy.t -> config
-
 type stats = {
   size_before : int;   (** size estimate of the input method *)
   size_peak : int;     (** size right after the last inliner-kind item

@@ -74,8 +74,6 @@ let without_dataflow t =
 let has_enabled name t =
   Array.exists (fun it -> it.enabled && it.pass = name) t.items
 
-let has_item name t = Array.exists (fun it -> it.pass = name) t.items
-
 (* Knob value of an item: the stored value, else the pass's declared
    default.  [validate]d plans only hold declared knobs in range. *)
 let item_knob it name =

@@ -32,7 +32,6 @@ val disable : string -> t -> t
 val without_dataflow : t -> t
 
 val has_enabled : string -> t -> bool
-val has_item : string -> t -> bool
 
 (** Effective knob value of an item (stored value, else the pass's declared
     default).  Raises [Invalid_argument] for an undeclared knob. *)

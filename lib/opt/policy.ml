@@ -71,6 +71,3 @@ let of_predicate ~name ~accept_rule ~reject_rule f =
         let accept = f s in
         { accept; rule = (if accept then accept_rule else reject_rule) });
   }
-
-let always = { name = "always"; decide = (fun _ -> { accept = true; rule = "always" }) }
-let never = { name = "never"; decide = (fun _ -> { accept = false; rule = "never" }) }

@@ -53,7 +53,3 @@ val of_custom :
     the seam evolved GP predicates decode through. *)
 val of_predicate :
   name:string -> accept_rule:string -> reject_rule:string -> (site -> bool) -> t
-
-(** Accepts every site / refuses every site (testing aids). *)
-val always : t
-val never : t

@@ -90,11 +90,6 @@ let load path =
   close_in ic;
   (Array.to_list (Vec.to_array out), !bad)
 
-let save path examples =
-  let oc = open_out path in
-  List.iter (fun e -> output_string oc (to_line e ^ "\n")) examples;
-  close_out oc
-
 let to_training examples =
   Array.of_list (List.map (fun e -> (e.x_features, e.x_label)) examples)
 

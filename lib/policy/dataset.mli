@@ -29,8 +29,6 @@ val of_line : string -> (example, string) result
     malformed lines skipped (a build killed mid-append must still load). *)
 val load : string -> example list * int
 
-val save : string -> example list -> unit
-
 (** Training pairs [(features, oracle label)]. *)
 val to_training : example list -> (float array * bool) array
 

@@ -31,8 +31,6 @@ let action_of_string = function
 
 type spec = { site : string; action : action; at : int }
 
-let spec_to_string s = Printf.sprintf "%s:%s@%d" s.site (action_name s.action) s.at
-
 let parse_one str =
   match String.split_on_char ':' (String.trim str) with
   | [ site; rest ] when site <> "" -> (

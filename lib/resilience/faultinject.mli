@@ -18,8 +18,6 @@ val action_name : action -> string
 
 type spec = { site : string; action : action; at : int }
 
-val spec_to_string : spec -> string
-
 (** Parse a comma-separated fault list ([SITE:ACTION@K,...]).  The empty
     string is no faults. *)
 val parse : string -> (spec list, string) result

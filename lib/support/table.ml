@@ -24,8 +24,6 @@ let add_rule t = Vec.push t.rows [||]
 
 let fmt_float ?(digits = 3) v = Printf.sprintf "%.*f" digits v
 
-let fmt_pct v = Printf.sprintf "%+.1f%%" v
-
 let render t =
   let ncols = Array.length t.header in
   let widths = Array.map String.length t.header in

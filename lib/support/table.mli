@@ -17,9 +17,6 @@ val add_rule : t -> unit
 (** Format a float with [digits] decimals (default 3). *)
 val fmt_float : ?digits:int -> float -> string
 
-(** Format a signed percentage, e.g. [+12.5%]. *)
-val fmt_pct : float -> string
-
 val render : t -> string
 val print : t -> unit
 

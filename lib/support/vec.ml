@@ -52,8 +52,6 @@ let append t other =
     push t other.data.(i)
   done
 
-let push_array t a = Array.iter (fun x -> push t x) a
-
 let to_array t = Array.sub t.data 0 t.len
 
 let of_array a = { data = Array.copy a; len = Array.length a }

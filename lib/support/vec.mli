@@ -26,7 +26,6 @@ val last : 'a t -> 'a
 (** [append t other] pushes all of [other] onto [t]. *)
 val append : 'a t -> 'a t -> unit
 
-val push_array : 'a t -> 'a array -> unit
 val to_array : 'a t -> 'a array
 val of_array : 'a array -> 'a t
 val iter : ('a -> unit) -> 'a t -> unit

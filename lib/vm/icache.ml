@@ -73,28 +73,3 @@ let repeat_misses t =
     (fun idx line -> if line >= 0 && line = t.tags.(idx) then decr m)
     t.first;
   !m
-
-(* Calibrated host cost of one [access] call, for the profiler's breakdown
-   of where simulation wall time goes.  Lazily measured on a scratch cache;
-   a racing double calibration is harmless (both writes are close enough).
-   Timed with the monotonic Pool clock — a wall-clock step (NTP, DST) during
-   calibration would otherwise bake a garbage per-access cost into every
-   breakdown for the life of the process.  Profiler bookkeeping only — this
-   never feeds back into simulated cycles. *)
-let calibrated_ns = Atomic.make Float.nan
-
-let ns_per_access () =
-  let v = Atomic.get calibrated_ns in
-  if Float.is_finite v then v
-  else begin
-    let scratch = create ~bytes:16384 ~line_bytes:64 in
-    let reps = 200_000 in
-    let t0 = Inltune_support.Pool.now () in
-    for i = 0 to reps - 1 do
-      ignore (access scratch (i * 48) : bool)
-    done;
-    let ns = (Inltune_support.Pool.now () -. t0) *. 1e9 /. Float.of_int reps in
-    let ns = Float.max 0.0 ns in
-    Atomic.set calibrated_ns ns;
-    ns
-  end

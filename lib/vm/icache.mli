@@ -34,9 +34,3 @@ val misses : t -> int
     first one left, so every further pass misses the same number of times:
     [misses t - |touched indices| + |{i : first.(i) <> tags.(i)}|]. *)
 val repeat_misses : t -> int
-
-(** Calibrated host wall-clock cost of one {!access} call in nanoseconds
-    (lazily measured once on a scratch cache).  Used by the profiler to
-    estimate the icache model's share of simulation time; never feeds back
-    into simulated cycle counts. *)
-val ns_per_access : unit -> float

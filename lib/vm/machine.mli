@@ -119,11 +119,6 @@ val max_call_depth : int
     reference interpreter; raises [Invalid_argument] on a length mismatch. *)
 val create : ?code_keys:string array -> config -> Platform.t -> Ir.program -> t
 
-(** Run [callee] with the given arguments inside the VM (compiling lazily as
-    the scenario dictates).  Exposed for tests; normal use is
-    {!run_iteration}. *)
-val exec : t -> Ir.mid -> int array -> int
-
 type iteration = {
   ret : int;
   it_exec_cycles : int;

@@ -106,18 +106,13 @@ let measure ?(iterations = 2) ?code_keys cfg plat prog =
           ("icache_accesses", Event.Int m.icache_accesses);
         ];
   (* Per-simulation host-cost breakdown: where this simulation's wall time
-     went.  compile comes from the VM's Prof-fed accumulator; the icache
-     model's share is estimated from the accesses actually executed (not the
-     record's, which counts derived iterations too) x calibrated per-access
-     cost.  All of it is observability-side — the measurement record above
-     is bit-identical with profiling on or off. *)
+     went.  compile comes from the VM's Prof-fed accumulator.  All of it is
+     observability-side — the measurement record above is bit-identical with
+     profiling on or off. *)
   if Inltune_obs.Prof.enabled () then begin
     let wall = Trace.now () -. sim_start in
     let compile = vm.Machine.compile_wall_s in
     let execute = Float.max 0.0 (wall -. compile) in
-    let icache_model =
-      Float.of_int (Machine.icache_accesses vm) *. Icache.ns_per_access () /. 1e9
-    in
     Inltune_obs.Metric.observe (Inltune_obs.Metric.histogram "vm.sim_wall_us") (wall *. 1e6);
     if Trace.enabled () then
       Trace.emit "vm.breakdown"
@@ -128,7 +123,6 @@ let measure ?(iterations = 2) ?code_keys cfg plat prog =
             ("wall_us", Event.Float (wall *. 1e6));
             ("compile_us", Event.Float (compile *. 1e6));
             ("execute_us", Event.Float (execute *. 1e6));
-            ("icache_model_us", Event.Float (icache_model *. 1e6));
           ]
   end;
   m

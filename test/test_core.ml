@@ -303,21 +303,38 @@ let test_fitcache_file_two_domains () =
 
 let test_fitcache_ga_bit_transparent () =
   (* The tentpole invariant: the same fixed-seed GA, cache off vs on, must
-     produce the same best genome and the same per-generation history. *)
-  let budget = { Tuner.pop = 6; gens = 3; seed = 5 } in
-  let go () = Tuner.tune ~budget ~suite:[ bm_compress; bm_db ] Tuner.Opt_tot_x86 in
-  let off =
-    with_clean_fitcache (fun () ->
-        Fitcache.set_enabled false;
-        go ())
+     produce the same best genome and the same per-generation history.
+     Under Opt the cache-on run also reuses compiles; under Adapt it keys on
+     the threshold projection; the reference interpreter compiles every
+     method fresh and executes every iteration. *)
+  let budget = { Tuner.pop = 8; gens = 4; seed = 5 } in
+  let transparent ~reference id =
+    let prev = Machine.reference_enabled () in
+    Machine.set_reference reference;
+    Fun.protect ~finally:(fun () -> Machine.set_reference prev) @@ fun () ->
+    let go () = Tuner.tune ~budget ~suite:[ bm_compress; bm_db ] id in
+    let off =
+      with_clean_fitcache (fun () ->
+          Fitcache.set_enabled false;
+          go ())
+    in
+    let hits0 = metric "fitness.sig_hits" in
+    let on = with_clean_fitcache go in
+    let what =
+      (Tuner.spec_of id).Tuner.label ^ if reference then " (reference interpreter)" else ""
+    in
+    Alcotest.(check (array int)) (what ^ ": best genome identical")
+      off.Tuner.ga.Inltune_ga.Evolve.best on.Tuner.ga.Inltune_ga.Evolve.best;
+    Alcotest.(check (float 0.0)) (what ^ ": best fitness identical")
+      off.Tuner.ga.Inltune_ga.Evolve.best_fitness on.Tuner.ga.Inltune_ga.Evolve.best_fitness;
+    Alcotest.(check bool) (what ^ ": per-generation history identical") true
+      (off.Tuner.ga.Inltune_ga.Evolve.history = on.Tuner.ga.Inltune_ga.Evolve.history);
+    Alcotest.(check bool) (what ^ ": the cache-on run hit the cache") true
+      (metric "fitness.sig_hits" > hits0)
   in
-  let on = with_clean_fitcache go in
-  Alcotest.(check (array int)) "best genome identical"
-    off.Tuner.ga.Inltune_ga.Evolve.best on.Tuner.ga.Inltune_ga.Evolve.best;
-  Alcotest.(check (float 0.0)) "best fitness identical"
-    off.Tuner.ga.Inltune_ga.Evolve.best_fitness on.Tuner.ga.Inltune_ga.Evolve.best_fitness;
-  Alcotest.(check bool) "per-generation history identical" true
-    (off.Tuner.ga.Inltune_ga.Evolve.history = on.Tuner.ga.Inltune_ga.Evolve.history)
+  transparent ~reference:false Tuner.Opt_tot_x86;
+  transparent ~reference:false Tuner.Adapt_x86;
+  transparent ~reference:true Tuner.Opt_tot_x86
 
 (* --- Objective --- *)
 

@@ -203,21 +203,28 @@ let test_no_inline_plan_bit_identical () =
       let _, stats = planned in
       Alcotest.(check int) "nothing inlined" 0 stats.Pipeline.sites_inlined)
 
+(* The programs the default-plan identity checks run on. *)
+let identity_suite = [ bm_compress; W.Suites.find "raytrace"; W.Suites.find "db" ]
+
 let test_measurements_bit_identical_across_scenarios () =
   (* End to end through the VM: explicit parsed default plan vs implicit
      built-in schedule, for every scenario. *)
   let parsed = parse_ok (Plan.to_string Plan.default) in
-  let p = W.Suites.program bm_compress in
   List.iter
-    (fun scen ->
-      let implicit = Runner.measure (Machine.config scen Heuristic.default) Platform.x86 p in
-      let planned =
-        Runner.measure (Machine.config ~plan:parsed scen Heuristic.default) Platform.x86 p
-      in
-      Alcotest.(check bool)
-        ("identical measurement: " ^ Machine.scenario_name scen)
-        true (implicit = planned))
-    [ Machine.Opt; Machine.Adapt; Machine.Ladder ]
+    (fun bm ->
+      let p = W.Suites.program bm in
+      List.iter
+        (fun scen ->
+          let implicit = Runner.measure (Machine.config scen Heuristic.default) Platform.x86 p in
+          let planned =
+            Runner.measure (Machine.config ~plan:parsed scen Heuristic.default) Platform.x86 p
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "identical measurement: %s, %s" bm.W.Suites.bname
+               (Machine.scenario_name scen))
+            true (implicit = planned))
+        [ Machine.Opt; Machine.Adapt; Machine.Ladder ])
+    identity_suite
 
 (* --- delta accounting (satellite bugfix) --------------------------------- *)
 
@@ -392,6 +399,26 @@ let test_tune_plan_smoke () =
     (Heuristic.equal o.Tuner.p_heuristic
        (Heuristic.of_array (Heuristic.clamp_to_ranges (Heuristic.to_array o.Tuner.p_heuristic))))
 
+let test_default_plan_ga_bit_identical () =
+  (* A fixed-seed heuristic GA under the explicitly parsed default plan
+     follows the implicit run step for step.  The fitness cache is off, so
+     both searches simulate every genome. *)
+  let parsed = parse_ok (Plan.to_string Plan.default) in
+  let budget = { Tuner.pop = 6; gens = 2; seed = 42 } in
+  Fitcache.clear ();
+  Fitcache.set_enabled false;
+  let implicit, planned =
+    Fun.protect
+      ~finally:(fun () -> Fitcache.set_enabled true)
+      (fun () ->
+        let implicit = Tuner.tune ~budget ~suite:identity_suite Tuner.Opt_tot_x86 in
+        (implicit, Tuner.tune ~budget ~suite:identity_suite ~plan:parsed Tuner.Opt_tot_x86))
+  in
+  Alcotest.(check (array int)) "best genome identical" implicit.Tuner.ga.Inltune_ga.Evolve.best
+    planned.Tuner.ga.Inltune_ga.Evolve.best;
+  Alcotest.(check bool) "per-generation history identical" true
+    (implicit.Tuner.ga.Inltune_ga.Evolve.history = planned.Tuner.ga.Inltune_ga.Evolve.history)
+
 let suite =
   [
     ("default plan is canonical fixpoint", `Quick, test_default_is_canonical_fixpoint);
@@ -417,4 +444,5 @@ let suite =
     ("signature respects plan", `Quick, test_signature_respects_plan);
     ("signature separates strategies", `Quick, test_signature_separates_strategies);
     ("tune_plan smoke", `Quick, test_tune_plan_smoke);
+    ("default plan GA bit-identical", `Quick, test_default_plan_ga_bit_identical);
   ]

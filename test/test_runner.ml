@@ -194,11 +194,9 @@ let test_derived_iterations_observed () =
   in
   Prof.enable ();
   Prof.reset ();
-  let m = ref None in
   let derived_events =
-    traced (fun () -> m := Some (Runner.measure ~iterations cfg plat compress))
+    traced (fun () -> ignore (Runner.measure ~iterations cfg plat compress : Runner.measurement))
   in
-  let m = Option.get !m in
   let mark_derived i fields = if i = 0 then fields else fields @ [ ("derived", Event.Bool true) ] in
   Alcotest.(check bool) "vm.iteration: executed fields, plus derived on iterations 2..n" true
     (List.mapi mark_derived (events_named "vm.iteration" exec_events)
@@ -209,18 +207,8 @@ let test_derived_iterations_observed () =
       0 (Prof.snapshot ())
   in
   Alcotest.(check int) "one vm.execute span, for the executed iteration" 1 execute_calls;
-  (* The I-cache model's host cost covers the accesses actually simulated:
-     one iteration's, not the record's three. *)
-  let executed_accesses = m.Runner.icache_accesses / iterations in
-  match events_named "vm.breakdown" derived_events with
-  | [ fields ] -> (
-    match List.assoc_opt "icache_model_us" fields with
-    | Some (Event.Float us) ->
-      Alcotest.(check (float 1e-6)) "icache_model_us from executed accesses"
-        (Float.of_int executed_accesses *. Icache.ns_per_access () /. 1e3)
-        us
-    | _ -> Alcotest.fail "vm.breakdown without icache_model_us")
-  | l -> Alcotest.failf "expected one vm.breakdown event, got %d" (List.length l)
+  Alcotest.(check int) "one vm.breakdown event" 1
+    (List.length (events_named "vm.breakdown" derived_events))
 
 let suite =
   [
