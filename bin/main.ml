@@ -157,9 +157,9 @@ let setup_trace = function
 let profile_arg =
   let doc =
     "Enable the hierarchical wall-time profiler and print its table (self vs. cumulative \
-     time per span, exact p50/p90/p99) to stderr at exit.  Never perturbs measurements: \
-     simulated cycle counts and GA history are bit-identical with or without it.  \
-     Overrides $(b,INLTUNE_PROFILE)."
+     time per span; p50/p90/p99 read from 128 bins per octave, at most 0.8% low) to \
+     stderr at exit.  Never perturbs measurements: simulated cycle counts and GA history \
+     are bit-identical with or without it.  Overrides $(b,INLTUNE_PROFILE)."
   in
   Arg.(value & flag & info [ "profile" ] ~doc)
 
@@ -649,7 +649,7 @@ let trace_summary_cmd =
     if malformed > 0 then
       Printf.eprintf "warning: skipped %d malformed line(s) in %s\n%!" malformed path;
     if folded then
-      List.iter print_endline (Inltune_obs.Summary.folded records)
+      List.iter print_endline (Inltune_obs.Prof.folded (Inltune_obs.Summary.prof_nodes records))
     else begin
       (* Counter-only traces (every sink flushes metric snapshots on close) must
          say so explicitly, not render a counters table that looks like a run. *)

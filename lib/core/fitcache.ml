@@ -344,19 +344,14 @@ let fields (m : Runner.measurement) =
     ("out_hash", m.Runner.out_hash);
   ]
 
+(* Fields like out_hash (and ret for some programs) span the full 63-bit
+   int range, and the JSON layer stores numbers as floats — so every field
+   is encoded as a decimal string to survive the round trip exactly. *)
 let entry_to_line k m =
-  let b = Buffer.create 128 in
-  Buffer.add_string b "{\"key\":\"";
-  Buffer.add_string b (String.escaped k);
-  Buffer.add_string b "\"";
-  (* Fields like out_hash (and ret for some programs) span the full 63-bit
-     int range, and the JSON layer stores numbers as floats — so every field
-     is encoded as a decimal string to survive the round trip exactly. *)
-  List.iter
-    (fun (name, v) -> Buffer.add_string b (Printf.sprintf ",\"%s\":\"%d\"" name v))
-    (fields m);
-  Buffer.add_char b '}';
-  Buffer.contents b
+  Json.encode
+    (Json.Obj
+       (("key", Json.Str k)
+       :: List.map (fun (name, v) -> (name, Json.Str (string_of_int v))) (fields m)))
 
 let entry_of_line line =
   match Json.parse line with

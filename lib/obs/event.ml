@@ -16,20 +16,6 @@ type t = {
   fields : (string * value) list;
 }
 
-(* JSON string escaping per RFC 8259: control characters, quote, backslash. *)
-let escape_into buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
 let add_value buf = function
   | Int n -> Buffer.add_string buf (string_of_int n)
   | Float f ->
@@ -39,7 +25,7 @@ let add_value buf = function
     else Buffer.add_string buf "null"
   | Str s ->
     Buffer.add_char buf '"';
-    escape_into buf s;
+    Json.escape_to buf s;
     Buffer.add_char buf '"'
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
 
@@ -47,12 +33,12 @@ let add_value buf = function
 let to_json e =
   let buf = Buffer.create 128 in
   Buffer.add_string buf (Printf.sprintf "{\"ts\":%.6f,\"ev\":\"" e.ts);
-  escape_into buf e.name;
+  Json.escape_to buf e.name;
   Buffer.add_char buf '"';
   List.iter
     (fun (k, v) ->
       Buffer.add_string buf ",\"";
-      escape_into buf k;
+      Json.escape_to buf k;
       Buffer.add_string buf "\":";
       add_value buf v)
     e.fields;

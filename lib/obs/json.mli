@@ -21,6 +21,11 @@ val to_int : t -> int option
 val to_string : t -> string option
 val to_bool : t -> bool option
 
+(** [escape_to buf s] appends [s] to [buf] as the body of a JSON string
+    (RFC 8259): quote, backslash and control bytes are escaped, every other
+    byte (UTF-8 included) is copied. *)
+val escape_to : Buffer.t -> string -> unit
+
 (** Compact one-line JSON encoding.  Integral numbers print without a
     fraction part, strings are fully escaped, and non-finite numbers (which
     JSON cannot represent) encode as [null].  [parse (encode v)] succeeds

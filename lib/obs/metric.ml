@@ -11,8 +11,11 @@
 
 type counter = { cname : string; cell : int Atomic.t }
 
-let hist_buckets = 32
-
+(* Count, sum, min and max are exact.  Beyond them a histogram keeps one
+   count per bin, where a bin is a value's sign, exponent and top 7
+   mantissa bits: memory grows with the spread of the values (128 bins per
+   octave), never with their number, so a daemon can observe one latency
+   per request for its whole life. *)
 type histogram = {
   hname : string;
   mu : Mutex.t;
@@ -20,13 +23,7 @@ type histogram = {
   mutable sum : float;
   mutable min_v : float;
   mutable max_v : float;
-  (* log2 buckets: bucket 0 holds values < 1, bucket i (i >= 1) holds
-     values in [2^(i-1), 2^i); the last bucket is a catch-all. *)
-  buckets : int array;
-  (* Every observation, kept so snapshots can report exact percentiles.
-     Histograms record per-compile / per-simulation values — thousands per
-     run, not millions — so unbounded retention is cheap and honest. *)
-  samples : float Inltune_support.Vec.t;
+  bins : (int, int) Hashtbl.t;
 }
 
 let registry_mu = Mutex.create ()
@@ -73,40 +70,41 @@ let resolve h =
 let bump h = incr (resolve h)
 let bump_by h n = add (resolve h) n
 
+let unregistered_histogram name =
+  {
+    hname = name;
+    mu = Mutex.create ();
+    count = 0;
+    sum = 0.0;
+    min_v = infinity;
+    max_v = neg_infinity;
+    bins = Hashtbl.create 16;
+  }
+
 let histogram name =
   Mutex.protect registry_mu (fun () ->
       match Hashtbl.find_opt histograms name with
       | Some h -> h
       | None ->
-        let h =
-          {
-            hname = name;
-            mu = Mutex.create ();
-            count = 0;
-            sum = 0.0;
-            min_v = infinity;
-            max_v = neg_infinity;
-            buckets = Array.make hist_buckets 0;
-            samples = Inltune_support.Vec.create ();
-          }
-        in
+        let h = unregistered_histogram name in
         Hashtbl.add histograms name h;
         h)
 
-let bucket_of v =
-  if Float.is_finite v && v >= 1.0 then
-    min (hist_buckets - 1) (1 + Float.to_int (Float.log2 v))
-  else 0
+(* The low 45 bits of a double are all but the top 7 of its 52 mantissa
+   bits.  A bin's floor is its values truncated toward zero to 8
+   significant bits, and truncation keeps the values' order, signs and
+   zeros included. *)
+let bin_of v = Int64.to_int (Int64.shift_right (Int64.bits_of_float v) 45)
+let bin_floor b = Int64.float_of_bits (Int64.shift_left (Int64.of_int b) 45)
 
 let observe h v =
+  let b = bin_of v in
   Mutex.protect h.mu (fun () ->
       h.count <- h.count + 1;
       h.sum <- h.sum +. v;
       if v < h.min_v then h.min_v <- v;
       if v > h.max_v then h.max_v <- v;
-      let b = bucket_of v in
-      h.buckets.(b) <- h.buckets.(b) + 1;
-      Inltune_support.Vec.push h.samples v)
+      Hashtbl.replace h.bins b (1 + Option.value (Hashtbl.find_opt h.bins b) ~default:0))
 
 type hist_snapshot = {
   hs_name : string;
@@ -114,9 +112,7 @@ type hist_snapshot = {
   hs_sum : float;
   hs_min : float;
   hs_max : float;
-  hs_buckets : int array;
-  (* Exact nearest-rank percentiles over every observation; [nan] when the
-     histogram is empty. *)
+  hs_mean : float;
   hs_p50 : float;
   hs_p90 : float;
   hs_p99 : float;
@@ -124,11 +120,20 @@ type hist_snapshot = {
 
 let snapshot h =
   Mutex.protect h.mu (fun () ->
-      let pct =
-        if h.count = 0 then fun _ -> Float.nan
-        else
-          let xs = Inltune_support.Vec.to_array h.samples in
-          Inltune_support.Stats.percentile xs
+      let bins =
+        Hashtbl.fold (fun b n acc -> (bin_floor b, n) :: acc) h.bins [] |> List.sort compare
+      in
+      (* Nearest rank, as [Stats.percentile]: the floor of the bin holding
+         the ceil(p% n)-th smallest value, clamped into [min, max]. *)
+      let pct p =
+        let rank = Float.to_int (Float.ceil (p /. 100.0 *. Float.of_int h.count)) in
+        let rec walk seen = function
+          | [] -> Float.nan
+          | (lo, n) :: rest ->
+            if seen + n >= rank then Float.min h.max_v (Float.max h.min_v lo)
+            else walk (seen + n) rest
+        in
+        walk 0 bins
       in
       {
         hs_name = h.hname;
@@ -136,7 +141,7 @@ let snapshot h =
         hs_sum = h.sum;
         hs_min = h.min_v;
         hs_max = h.max_v;
-        hs_buckets = Array.copy h.buckets;
+        hs_mean = h.sum /. Float.of_int h.count;
         hs_p50 = pct 50.0;
         hs_p90 = pct 90.0;
         hs_p99 = pct 99.0;

@@ -21,12 +21,19 @@ val handle : string -> handle
 val bump : handle -> unit
 val bump_by : handle -> int -> unit
 
+(** A bounded histogram: exact count, sum, min and max, plus one count per
+    bin.  A bin holds the values that share a sign, an exponent and the top
+    7 mantissa bits, so memory grows with the spread of the values (128
+    bins per octave; every 1 µs step from 1 µs to 100 ms fits in 1,345
+    bins), never with their number. *)
 type histogram
 
-(** Get or create the histogram registered under [name].  Buckets are
-    powers of two: bucket 0 holds values < 1, bucket [i] holds
-    [[2^(i-1), 2^i)]. *)
+(** Get or create the histogram registered under [name]. *)
 val histogram : string -> histogram
+
+(** A histogram outside the registry: no snapshot or trace flush sees it.
+    The profiler keeps one per span path. *)
+val unregistered_histogram : string -> histogram
 
 val observe : histogram -> float -> unit
 
@@ -36,9 +43,12 @@ type hist_snapshot = {
   hs_sum : float;
   hs_min : float;
   hs_max : float;
-  hs_buckets : int array;
-  (** Exact nearest-rank percentiles over every observation so far;
-      [nan] when the histogram is empty. *)
+  hs_mean : float;
+  (** Nearest-rank percentiles that report the floor of the rank's bin (its
+      value truncated toward zero to 8 significant bits), clamped into
+      [[hs_min, hs_max]]: exact for values with at most 8 significant bits,
+      otherwise at most 2{^-7} of the value low.  [nan] (like [hs_mean])
+      when the histogram is empty. *)
   hs_p50 : float;
   hs_p90 : float;
   hs_p99 : float;

@@ -5,8 +5,6 @@
    taken once per span *exit* (not per clock read), so contention is bounded
    by span rate, which is per-compile / per-simulation. *)
 
-module Vec = Inltune_support.Vec
-module Stats = Inltune_support.Stats
 module Table = Inltune_support.Table
 
 let enabled_flag = Atomic.make false
@@ -20,13 +18,9 @@ let enabled () = Atomic.get enabled_flag
    keeps the merged tree shape independent of the domain count. *)
 let path_key = Domain.DLS.new_key (fun () -> ref "")
 
-type node = {
-  path : string;
-  label : string;
-  mutable calls : int;
-  mutable total_s : float;
-  samples : float Vec.t;
-}
+(* A node's calls are its histogram's count and its total is the sum, in
+   microseconds. *)
+type node = { path : string; label : string; hist : Metric.histogram }
 
 let mu = Mutex.create ()
 let nodes : (string, node) Hashtbl.t = Hashtbl.create 32
@@ -37,13 +31,11 @@ let record path label dt =
         match Hashtbl.find_opt nodes path with
         | Some n -> n
         | None ->
-          let n = { path; label; calls = 0; total_s = 0.0; samples = Vec.create () } in
+          let n = { path; label; hist = Metric.unregistered_histogram path } in
           Hashtbl.add nodes path n;
           n
       in
-      n.calls <- n.calls + 1;
-      n.total_s <- n.total_s +. dt;
-      Vec.push n.samples dt)
+      Metric.observe n.hist (dt *. 1e6))
 
 let span ?on_time label f =
   if not (Atomic.get enabled_flag) then f ()
@@ -70,12 +62,12 @@ type node_snapshot = {
   n_label : string;
   n_depth : int;
   n_calls : int;
-  n_total_s : float;
-  n_self_s : float;
-  n_p50_s : float;
-  n_p90_s : float;
-  n_p99_s : float;
-  n_max_s : float;
+  n_total_us : float;
+  n_self_us : float;
+  n_p50_us : float;
+  n_p90_us : float;
+  n_p99_us : float;
+  n_max_us : float;
 }
 
 let depth_of path =
@@ -90,75 +82,74 @@ let snapshot () =
   (* Copy under the mutex so concurrent span exits can't tear a node. *)
   let raw =
     Mutex.protect mu (fun () ->
-        Hashtbl.fold
-          (fun _ n acc -> (n.path, n.label, n.calls, n.total_s, Vec.to_array n.samples) :: acc)
-          nodes [])
-    |> List.sort compare
+        Hashtbl.fold (fun _ n acc -> (n.path, n.label, Metric.snapshot n.hist) :: acc) nodes [])
+    |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
   in
   (* Sum of direct-children cumulative time per parent path, for self time. *)
   let child_total : (string, float) Hashtbl.t = Hashtbl.create 16 in
   List.iter
-    (fun (path, _, _, total, _) ->
+    (fun (path, _, (h : Metric.hist_snapshot)) ->
       match parent_of path with
       | None -> ()
       | Some p ->
         let cur = Option.value (Hashtbl.find_opt child_total p) ~default:0.0 in
-        Hashtbl.replace child_total p (cur +. total))
+        Hashtbl.replace child_total p (cur +. h.hs_sum))
     raw;
   List.map
-    (fun (path, label, calls, total, samples) ->
+    (fun (path, label, (h : Metric.hist_snapshot)) ->
       let kids = Option.value (Hashtbl.find_opt child_total path) ~default:0.0 in
-      let pct = Stats.percentile samples in
       {
         n_path = path;
         n_label = label;
         n_depth = depth_of path;
-        n_calls = calls;
-        n_total_s = total;
-        n_self_s = Float.max 0.0 (total -. kids);
-        n_p50_s = pct 50.0;
-        n_p90_s = pct 90.0;
-        n_p99_s = pct 99.0;
-        n_max_s = Stats.max_of samples;
+        n_calls = h.hs_count;
+        n_total_us = h.hs_sum;
+        n_self_us = Float.max 0.0 (h.hs_sum -. kids);
+        n_p50_us = h.hs_p50;
+        n_p90_us = h.hs_p90;
+        n_p99_us = h.hs_p99;
+        n_max_us = h.hs_max;
       })
     raw
 
-let folded () =
+let folded nodes =
   List.filter_map
     (fun n ->
-      let us = Float.to_int (Float.round (n.n_self_s *. 1e6)) in
-      if us <= 0 then None else Some (Printf.sprintf "%s %d" n.n_path us))
-    (snapshot ())
+      let us = Float.round n.n_self_us in
+      if Float.is_finite us && us > 0.0 then
+        Some (Printf.sprintf "%s %d" n.n_path (Float.to_int us))
+      else None)
+    nodes
 
-let table () =
+let table nodes =
   let t =
-    Table.create ~title:"Profile (wall time, self vs. cumulative)"
+    Table.create ~title:"profile (wall time, self vs. cumulative)"
       ~header:[| "span"; "calls"; "total ms"; "self ms"; "p50 us"; "p90 us"; "p99 us"; "max us" |]
       ~aligns:Table.[| Left; Right; Right; Right; Right; Right; Right; Right |]
   in
-  let us v = Table.fmt_float ~digits:1 (v *. 1e6) in
+  let ms v = Table.fmt_finite (v /. 1e3) and us v = Table.fmt_finite ~digits:1 v in
   List.iter
     (fun n ->
       Table.add_row t
         [|
           String.make (2 * n.n_depth) ' ' ^ n.n_label;
           string_of_int n.n_calls;
-          Table.fmt_float (n.n_total_s *. 1e3);
-          Table.fmt_float (n.n_self_s *. 1e3);
-          us n.n_p50_s;
-          us n.n_p90_s;
-          us n.n_p99_s;
-          us n.n_max_s;
+          ms n.n_total_us;
+          ms n.n_self_us;
+          us n.n_p50_us;
+          us n.n_p90_us;
+          us n.n_p99_us;
+          us n.n_max_us;
         |])
-    (snapshot ());
+    nodes;
   t
 
 let report oc =
-  if snapshot () = [] then output_string oc "[prof] no spans recorded\n"
-  else begin
-    output_string oc (Table.render (table ()));
+  match snapshot () with
+  | [] -> output_string oc "[prof] no spans recorded\n"
+  | nodes ->
+    output_string oc (Table.render (table nodes));
     flush oc
-  end
 
 let exit_hook = ref false
 
@@ -190,11 +181,11 @@ let () =
                 ("label", Event.Str n.n_label);
                 ("depth", Event.Int n.n_depth);
                 ("calls", Event.Int n.n_calls);
-                ("total_us", Event.Float (n.n_total_s *. 1e6));
-                ("self_us", Event.Float (n.n_self_s *. 1e6));
-                ("p50_us", Event.Float (n.n_p50_s *. 1e6));
-                ("p90_us", Event.Float (n.n_p90_s *. 1e6));
-                ("p99_us", Event.Float (n.n_p99_s *. 1e6));
-                ("max_us", Event.Float (n.n_max_s *. 1e6));
+                ("total_us", Event.Float n.n_total_us);
+                ("self_us", Event.Float n.n_self_us);
+                ("p50_us", Event.Float n.n_p50_us);
+                ("p90_us", Event.Float n.n_p90_us);
+                ("p99_us", Event.Float n.n_p99_us);
+                ("max_us", Event.Float n.n_max_us);
               ])
         (snapshot ()))

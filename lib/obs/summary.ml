@@ -174,56 +174,56 @@ let counter_values recs =
     (select "counter" recs);
   Hashtbl.fold (fun name v l -> (name, v) :: l) tbl [] |> List.sort compare
 
-(* name -> (count, sum, min, max, mean, p50, p90, p99); last snapshot wins,
-   like counters.  Percentile fields are absent in pre-percentile traces and
-   reported as nan. *)
+(* A flushed field, nan when an older trace lacks it. *)
+let num_or_nan r k = Option.value (num r k) ~default:Float.nan
+
+(* Histogram snapshots by name; the last one wins, like counters. *)
 let histogram_values recs =
-  let tbl : (string, int * float * float * float * float * float * float * float) Hashtbl.t =
-    Hashtbl.create 16
-  in
+  let tbl : (string, Metric.hist_snapshot) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun r ->
       match (str r "name", int_f r "count") with
       | Some name, Some count ->
-        let f k = Option.value (num r k) ~default:Float.nan in
+        let f = num_or_nan r in
         Hashtbl.replace tbl name
-          (count, f "sum", f "min", f "max", f "mean", f "p50", f "p90", f "p99")
+          {
+            Metric.hs_name = name;
+            hs_count = count;
+            hs_sum = f "sum";
+            hs_min = f "min";
+            hs_max = f "max";
+            hs_mean = f "mean";
+            hs_p50 = f "p50";
+            hs_p90 = f "p90";
+            hs_p99 = f "p99";
+          }
       | _ -> ())
     (select "histogram" recs);
-  Hashtbl.fold (fun name v l -> (name, v) :: l) tbl [] |> List.sort compare
+  Hashtbl.fold (fun _ h l -> h :: l) tbl [] |> List.sort compare
 
-(* path -> (label, depth, calls, total_us, self_us, p50_us, p90_us, p99_us,
-   max_us), in path (= tree) order. *)
+(* The flushed profile nodes, in path (= tree) order. *)
 let prof_nodes recs =
   List.filter_map
     (fun r ->
       match (str r "path", str r "label", int_f r "depth", int_f r "calls") with
       | Some path, Some label, Some depth, Some calls ->
-        let f k = Option.value (num r k) ~default:Float.nan in
+        let f = num_or_nan r in
         Some
-          ( path,
-            ( label,
-              depth,
-              calls,
-              f "total_us",
-              f "self_us",
-              f "p50_us",
-              f "p90_us",
-              f "p99_us",
-              f "max_us" ) )
+          {
+            Prof.n_path = path;
+            n_label = label;
+            n_depth = depth;
+            n_calls = calls;
+            n_total_us = f "total_us";
+            n_self_us = f "self_us";
+            n_p50_us = f "p50_us";
+            n_p90_us = f "p90_us";
+            n_p99_us = f "p99_us";
+            n_max_us = f "max_us";
+          }
       | _ -> None)
     (select "prof.node" recs)
   |> List.sort compare
-
-(* Folded-stack lines for flamegraph.pl / inferno, from the flushed profile
-   nodes: "path;to;span <self-us>", nodes rounding to 0 omitted. *)
-let folded recs =
-  List.filter_map
-    (fun (path, (_, _, _, _, self_us, _, _, _, _)) ->
-      if Float.is_finite self_us && Float.round self_us > 0.0 then
-        Some (Printf.sprintf "%s %d" path (Float.to_int (Float.round self_us)))
-      else None)
-    (prof_nodes recs)
 
 (* Whether the trace holds any real events, as opposed to only the
    counter/histogram/profile snapshots every sink flushes on close.
@@ -361,74 +361,28 @@ let measure_table recs =
     Some t
   end
 
-let fmt_or_dash v fmt = if Float.is_finite v then Printf.sprintf fmt v else "-"
-
 let histogram_table recs =
-  let rows = histogram_values recs in
-  if rows = [] then None
-  else begin
+  match histogram_values recs with
+  | [] -> None
+  | rows ->
     let t =
       Table.create ~title:"histograms"
         ~header:[| "histogram"; "count"; "sum"; "min"; "p50"; "p90"; "p99"; "max"; "mean" |]
-        ~aligns:
-          [|
-            Table.Left;
-            Table.Right;
-            Table.Right;
-            Table.Right;
-            Table.Right;
-            Table.Right;
-            Table.Right;
-            Table.Right;
-            Table.Right;
-          |]
+        ~aligns:Table.[| Left; Right; Right; Right; Right; Right; Right; Right; Right |]
     in
     List.iter
-      (fun (name, (count, sum, min_v, max_v, mean, p50, p90, p99)) ->
-        let f v = fmt_or_dash v "%.2f" in
-        Table.add_row t
-          [| name; string_of_int count; f sum; f min_v; f p50; f p90; f p99; f max_v; f mean |])
-      rows;
-    Some t
-  end
-
-let profile_table recs =
-  let rows = prof_nodes recs in
-  if rows = [] then None
-  else begin
-    let t =
-      Table.create ~title:"profile (wall time, self vs. cumulative)"
-        ~header:[| "span"; "calls"; "total ms"; "self ms"; "p50 us"; "p90 us"; "p99 us"; "max us" |]
-        ~aligns:
-          [|
-            Table.Left;
-            Table.Right;
-            Table.Right;
-            Table.Right;
-            Table.Right;
-            Table.Right;
-            Table.Right;
-            Table.Right;
-          |]
-    in
-    List.iter
-      (fun (_, (label, depth, calls, total_us, self_us, p50, p90, p99, max_us)) ->
-        let ms v = fmt_or_dash (v /. 1e3) "%.3f" in
-        let us v = fmt_or_dash v "%.1f" in
+      (fun (h : Metric.hist_snapshot) ->
+        let f = Table.fmt_finite ~digits:2 in
         Table.add_row t
           [|
-            String.make (2 * depth) ' ' ^ label;
-            string_of_int calls;
-            ms total_us;
-            ms self_us;
-            us p50;
-            us p90;
-            us p99;
-            us max_us;
+            h.hs_name; string_of_int h.hs_count; f h.hs_sum; f h.hs_min; f h.hs_p50; f h.hs_p90;
+            f h.hs_p99; f h.hs_max; f h.hs_mean;
           |])
       rows;
     Some t
-  end
+
+let profile_table recs =
+  match prof_nodes recs with [] -> None | nodes -> Some (Prof.table nodes)
 
 let counter_table recs =
   let rows = counter_values recs in

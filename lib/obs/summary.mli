@@ -30,21 +30,15 @@ val pass_totals : record list -> (string * (int * int * float * int * int)) list
 (** counter name -> last reported value. *)
 val counter_values : record list -> (string * int) list
 
-(** histogram name -> (count, sum, min, max, mean, p50, p90, p99); the last
-    snapshot wins.  Fields missing from older traces come back as [nan]. *)
-val histogram_values :
-  record list ->
-  (string * (int * float * float * float * float * float * float * float)) list
+(** Histogram snapshots from ["histogram"] events, sorted by name; the last
+    snapshot of a name wins.  Fields missing from older traces come back as
+    [nan]. *)
+val histogram_values : record list -> Metric.hist_snapshot list
 
-(** profile path -> (label, depth, calls, total_us, self_us, p50_us, p90_us,
-    p99_us, max_us) from flushed ["prof.node"] events, in tree order. *)
-val prof_nodes :
-  record list ->
-  (string * (string * int * int * float * float * float * float * float * float)) list
-
-(** Folded-stack lines ("path;to;span <self-µs>") for flamegraph.pl /
-    inferno; nodes whose self time rounds to 0 µs are omitted. *)
-val folded : record list -> string list
+(** Profile nodes from flushed ["prof.node"] events, in tree order; render
+    them with {!Prof.table} and {!Prof.folded}.  Fields missing from older
+    traces come back as [nan]. *)
+val prof_nodes : record list -> Prof.node_snapshot list
 
 (** Whether any record is a real trace event (not a "counter"/"histogram"
     snapshot); false for empty or counter-only traces. *)

@@ -48,7 +48,7 @@ let flush_metrics () =
                 ("sum", Event.Float s.Metric.hs_sum);
                 ("min", Event.Float s.Metric.hs_min);
                 ("max", Event.Float s.Metric.hs_max);
-                ("mean", Event.Float (s.Metric.hs_sum /. Float.of_int s.Metric.hs_count));
+                ("mean", Event.Float s.Metric.hs_mean);
                 ("p50", Event.Float s.Metric.hs_p50);
                 ("p90", Event.Float s.Metric.hs_p90);
                 ("p99", Event.Float s.Metric.hs_p99);

@@ -33,26 +33,17 @@ type example = {
 
 (* --- JSONL serialization ------------------------------------------------ *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' | '\\' ->
-        Buffer.add_char buf '\\';
-        Buffer.add_char buf c
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_line e =
-  let feats =
-    String.concat "," (Array.to_list (Array.map (Printf.sprintf "%.17g") e.x_features))
-  in
-  Printf.sprintf
-    "{\"bench\":\"%s\",\"ordinal\":%d,\"features\":[%s],\"base\":%b,\"label\":%b,\"benefit\":%.17g}"
-    (escape e.x_bench) e.x_ordinal feats e.x_base e.x_label e.x_benefit
+  Json.encode
+    (Json.Obj
+       [
+         ("bench", Json.Str e.x_bench);
+         ("ordinal", Json.Num (Float.of_int e.x_ordinal));
+         ("features", Json.List (Array.to_list (Array.map (fun f -> Json.Num f) e.x_features)));
+         ("base", Json.Bool e.x_base);
+         ("label", Json.Bool e.x_label);
+         ("benefit", Json.Num e.x_benefit);
+       ])
 
 let of_line line =
   match Json.parse line with

@@ -1,27 +1,26 @@
-(* Persistent worker-domain pool with chunked work-stealing.
+(* Persistent worker-domain pool with work-stealing.
 
    GA fitness evaluation is embarrassingly parallel: each work item touches
    only freshly allocated VM state.  Earlier revisions spawned [domains - 1]
-   fresh domains on every [map] call; domain spawn/join is not free (minor
-   heap setup, STW registration), and a tuner calls [map] once per
-   generation.  The pool below instead keeps one set of worker domains alive
-   for the whole process and feeds them batches:
+   fresh domains on every batch; domain spawn/join is not free (minor heap
+   setup, STW registration), and a tuner runs one batch per generation.  The
+   pool below instead keeps one set of worker domains alive for the whole
+   process and feeds them batches:
 
    - [submit] publishes a batch: an array of items, a results buffer and an
      atomic claim cursor.  Workers (and the submitter, inside [await]) claim
-     chunks of indices with [Atomic.fetch_and_add] — work-stealing in the
+     one index at a time with [Atomic.fetch_and_add] — work-stealing in the
      flat-grid sense: nothing is pre-partitioned, so a worker that drew cheap
-     items immediately steals the next chunk of someone else's share.
+     items immediately steals the next one.  Fitness items are slow, so a
+     claim per item costs nothing that matters.
    - [await] makes the calling domain participate until the batch drains,
      then blocks on a condition variable for stragglers.
    - A batch carries a participant cap so callers can bound parallelism
      (e.g. [--domains 1] debugging) below the pool's size.
 
-   [map_result] is the fault-isolating primitive: every item is evaluated and
-   its outcome — value or exception — is recorded independently, so one bad
-   item cannot abort the batch.  The legacy [map]/[mapi] are compatibility
-   wrappers over submit/await on a shared default pool and re-raise exactly
-   one [Worker_failure], carrying the lowest failing index. *)
+   Every item's outcome — value or exception — is recorded independently, so
+   one bad item cannot abort the batch; [map_result], the GA's fault-isolating
+   primitive, is one such batch on a shared default pool. *)
 
 (* 0 = no override; set once from the CLI's --domains flag. *)
 let default_override = Atomic.make 0
@@ -32,15 +31,11 @@ let default_domains () =
   | 0 -> max 1 (min 8 (Domain.recommended_domain_count ()))
   | n -> n
 
-exception Worker_failure of int * exn
-
-exception Deadline_exceeded of float
-
 exception Cancelled
 
 (* Observability bridge.  [lib/support] sits below [lib/obs], so the pool
    cannot name Metric counters directly; Inltune_obs installs a hook at
-   module-initialization time and stolen-chunk accounting flows through it.
+   module-initialization time and stolen-item accounting flows through it.
    Plain ref: written once at startup, read-only afterwards. *)
 let counter_hook : (string -> int -> unit) ref = ref (fun _ _ -> ())
 let set_counter_hook f = counter_hook := f
@@ -50,7 +45,7 @@ let set_counter_hook f = counter_hook := f
    a process-wide high-water mark over [Unix.gettimeofday].  A backwards NTP
    step can then never produce a negative or shrunken elapsed time — the
    clock stalls instead of jumping back, which is the safe direction for a
-   [Deadline_exceeded] check. *)
+   deadline check. *)
 let now_mu = Mutex.create ()
 let now_last = ref neg_infinity
 
@@ -62,46 +57,31 @@ let now () =
   Mutex.unlock now_mu;
   t
 
-let run_item f x deadline_s =
-  match deadline_s with
-  | None -> ( match f x with y -> Ok y | exception e -> Error e)
-  | Some limit -> (
-    (* Domains cannot be interrupted, so the deadline is cooperative: the item
-       runs to completion (the VM's own fuel budget bounds it) and an overrun
-       result is discarded as a failure rather than returned late. *)
-    let t0 = now () in
-    match f x with
-    | y ->
-      let dt = now () -. t0 in
-      if dt > limit then Error (Deadline_exceeded dt) else Ok y
-    | exception e -> Error e)
+let run_item f x = match f x with y -> Ok y | exception e -> Error e
 
 (* One published unit of work.  Type-erased behind [b_run] so a single pool
    serves batches of any element type; the results buffer lives in the
-   submitter's closure. *)
+   submitter's closure.
+
+   Cancellation is cooperative: a running item is never interrupted
+   (domains cannot be), but once [b_cancelled] trips, every index claimed
+   from then on is recorded as [Error Cancelled] without executing.  The
+   drain accounting (b_done) is unchanged, so [await] still unblocks exactly
+   once all indices are accounted for. *)
 type batch = {
   b_total : int;
-  b_chunk : int;               (* indices claimed per fetch_and_add *)
   b_next : int Atomic.t;       (* next unclaimed index *)
   b_done : int Atomic.t;       (* items fully evaluated *)
   b_slots : int Atomic.t;      (* pool workers still allowed to join *)
   b_run : int -> unit;         (* evaluate item [i] into the results buffer *)
   b_kill : int -> unit;        (* record item [i] as cancelled, without running *)
-  b_cancelled : bool Atomic.t; (* imperative cancel flag ([cancel]) *)
-  b_cancel_hook : unit -> bool; (* cooperative cancel (deadline, shutdown, ...) *)
+  b_cancelled : unit -> bool;  (* polled at every claim (deadline, shutdown, ...) *)
   mutable b_finished : bool;   (* set under the pool lock; await sleeps on it *)
 }
 
-(* Cancellation is cooperative at chunk granularity: a running item is never
-   interrupted (domains cannot be), but once the flag or hook trips, every
-   chunk claimed from then on is recorded as [Error Cancelled] without
-   executing.  The drain accounting (b_done) is unchanged, so [await] still
-   unblocks exactly once all indices are accounted for. *)
-let batch_cancelled b = Atomic.get b.b_cancelled || b.b_cancel_hook ()
-
 type t = {
   lock : Mutex.t;
-  work_cv : Condition.t;       (* new batch published / shutdown *)
+  work_cv : Condition.t;       (* batch published or finished / shutdown *)
   done_cv : Condition.t;       (* some batch finished / workers joined *)
   mutable queue : batch list;  (* batches that may still have unclaimed work *)
   mutable stopping : bool;
@@ -112,40 +92,36 @@ type t = {
 
 type 'a task = { t_pool : t; t_batch : batch; t_results : 'a array }
 
-(* Claim and evaluate chunks until the batch has none left.  [stolen] marks
-   execution by a pool worker rather than the submitting domain; those chunks
-   are what the spawn-per-map design could never overlap. *)
+(* Claim and evaluate indices until the batch has none left.  [stolen]
+   marks execution by a pool worker rather than the submitting domain; those
+   items are what the spawn-per-batch design could never overlap. *)
 let exec_batch pool b ~stolen =
   let continue = ref true in
   while !continue do
-    let lo = Atomic.fetch_and_add b.b_next b.b_chunk in
-    if lo >= b.b_total then continue := false
+    let i = Atomic.fetch_and_add b.b_next 1 in
+    if i >= b.b_total then continue := false
     else begin
-      let hi = min b.b_total (lo + b.b_chunk) in
-      let cancelled = batch_cancelled b in
-      if stolen && not cancelled then !counter_hook "pool.tasks_stolen" (hi - lo);
+      let cancelled = b.b_cancelled () in
+      if stolen && not cancelled then !counter_hook "pool.tasks_stolen" 1;
       (* Raw gettimeofday, not [now]: that clock takes a process-wide mutex
-         and this runs once per chunk on every worker. *)
+         and this runs once per item on every worker. *)
       let t0 = if stolen then Unix.gettimeofday () else 0.0 in
       if cancelled then begin
-        !counter_hook "pool.tasks_cancelled" (hi - lo);
-        for i = lo to hi - 1 do
-          b.b_kill i
-        done
+        !counter_hook "pool.tasks_cancelled" 1;
+        b.b_kill i
       end
-      else
-        for i = lo to hi - 1 do
-          b.b_run i
-        done;
+      else b.b_run i;
       if stolen then
         !counter_hook "pool.busy_ns"
           (Float.to_int ((Unix.gettimeofday () -. t0) *. 1e9));
-      let finished = hi - lo in
-      if Atomic.fetch_and_add b.b_done finished + finished = b.b_total then begin
+      if Atomic.fetch_and_add b.b_done 1 + 1 = b.b_total then begin
         Mutex.lock pool.lock;
         b.b_finished <- true;
         pool.queue <- List.filter (fun b' -> b' != b) pool.queue;
+        (* Wake the submitter, and the workers parked while this batch's
+           last items ran: their starvation ends here. *)
         Condition.broadcast pool.done_cv;
+        Condition.broadcast pool.work_cv;
         Mutex.unlock pool.lock
       end
     end
@@ -155,6 +131,8 @@ let claimable b = Atomic.get b.b_next < b.b_total && Atomic.get b.b_slots > 0
 
 let worker_main pool =
   Mutex.lock pool.lock;
+  (* The batch this worker last joined, while it may be unfinished. *)
+  let current = ref None in
   let continue = ref true in
   while !continue do
     match List.find_opt claimable pool.queue with
@@ -162,21 +140,28 @@ let worker_main pool =
       (* Join the batch if a participant slot is left; losing the race just
          means another worker got there first — look again. *)
       if Atomic.fetch_and_add b.b_slots (-1) > 0 then begin
+        current := Some b;
         Mutex.unlock pool.lock;
         exec_batch pool b ~stolen:true;
         Mutex.lock pool.lock
       end
-    | None ->
+    | None -> (
       (* Drain before exiting: stop only once no batch has claimable work. *)
       if pool.stopping then continue := false
-      else begin
-        (* Starvation accounting: time spent parked waiting for work.
-           pool.idle_ns / (pool.idle_ns + pool.busy_ns) is the pool's
-           starvation fraction over the run. *)
-        let t0 = Unix.gettimeofday () in
-        Condition.wait pool.work_cv pool.lock;
-        !counter_hook "pool.idle_ns" (Float.to_int ((Unix.gettimeofday () -. t0) *. 1e9))
-      end
+      else
+        match !current with
+        | Some b when not b.b_finished ->
+          (* Starvation inside a batch: nothing left to claim while other
+             participants finish its last items.  The wait ends at the
+             latest when the batch does (its finisher broadcasts work_cv).
+             pool.idle_ns / (pool.idle_ns + pool.busy_ns) is the pool's
+             starvation fraction; time parked between batches is not. *)
+          let t0 = Unix.gettimeofday () in
+          Condition.wait pool.work_cv pool.lock;
+          !counter_hook "pool.idle_ns" (Float.to_int ((Unix.gettimeofday () -. t0) *. 1e9))
+        | _ ->
+          current := None;
+          Condition.wait pool.work_cv pool.lock)
   done;
   Mutex.unlock pool.lock
 
@@ -223,29 +208,19 @@ let shutdown pool =
     Mutex.unlock pool.lock
   end
 
-let submit pool ?chunk ?max_workers ?deadline_s ?(priority = false)
-    ?(cancelled = fun () -> false) f input =
+let submit pool ?max_workers ?(priority = false) ?(cancelled = fun () -> false) f input =
   let n = Array.length input in
   let results = Array.make n (Error Not_found) in
-  let chunk =
-    match chunk with
-    | Some c -> max 1 c
-    (* Adaptive default: large batches amortize the claim cas, small batches
-       degrade to one-item chunks for load balance (fitness items are slow). *)
-    | None -> max 1 (n / (8 * (pool.size + 1)))
-  in
   let slots = match max_workers with Some w -> max 0 (w - 1) | None -> pool.size in
   let b =
     {
       b_total = n;
-      b_chunk = chunk;
       b_next = Atomic.make 0;
       b_done = Atomic.make 0;
       b_slots = Atomic.make slots;
-      b_run = (fun i -> results.(i) <- run_item f input.(i) deadline_s);
+      b_run = (fun i -> results.(i) <- run_item f input.(i));
       b_kill = (fun i -> results.(i) <- Error Cancelled);
-      b_cancelled = Atomic.make false;
-      b_cancel_hook = cancelled;
+      b_cancelled = cancelled;
       b_finished = (n = 0);
     }
   in
@@ -262,8 +237,6 @@ let submit pool ?chunk ?max_workers ?deadline_s ?(priority = false)
   { t_pool = pool; t_batch = b; t_results = results }
 
 let workers pool = pool.size
-
-let cancel task = Atomic.set task.t_batch.b_cancelled true
 
 let await task =
   let pool = task.t_pool and b = task.t_batch in
@@ -298,30 +271,12 @@ let get_default () =
   Mutex.unlock default_mu;
   p
 
-(* --- compatibility wrappers -------------------------------------------- *)
-
-let map_result ?domains ?deadline_s f input =
+let map_result ?domains f input =
   let n = Array.length input in
   let domains = match domains with Some d -> max 1 d | None -> default_domains () in
   if n = 0 then [||]
   else if domains = 1 || n = 1 then
     (* Strictly sequential on the calling domain: deterministic ordering for
        tests and fault-injection runs. *)
-    Array.map (fun x -> run_item f x deadline_s) input
-  else await (submit (get_default ()) ~chunk:1 ~max_workers:domains ?deadline_s f input)
-
-let reraise_first results =
-  let fail = ref None in
-  Array.iteri
-    (fun i r ->
-      match (r, !fail) with Error e, None -> fail := Some (i, e) | _ -> ())
-    results;
-  match !fail with
-  | Some (i, e) -> raise (Worker_failure (i, e))
-  | None -> Array.map (function Ok y -> y | Error _ -> assert false) results
-
-let map ?domains f input = reraise_first (map_result ?domains f input)
-
-let mapi ?domains f input =
-  let indexed = Array.mapi (fun i x -> (i, x)) input in
-  map ?domains (fun (i, x) -> f i x) indexed
+    Array.map (run_item f) input
+  else await (submit (get_default ()) ~max_workers:domains f input)

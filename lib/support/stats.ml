@@ -11,14 +11,6 @@ let geomean xs =
   let s = Array.fold_left (fun acc x -> acc +. Float.log x) 0.0 xs in
   Float.exp (s /. Float.of_int (Array.length xs))
 
-let min_of xs =
-  if Array.length xs = 0 then invalid_arg "Stats.min_of: empty";
-  Array.fold_left Float.min xs.(0) xs
-
-let max_of xs =
-  if Array.length xs = 0 then invalid_arg "Stats.max_of: empty";
-  Array.fold_left Float.max xs.(0) xs
-
 let stddev xs =
   let m = mean xs in
   let n = Float.of_int (Array.length xs) in

@@ -7,9 +7,6 @@ val mean : float array -> float
     suite-level aggregate. Raises [Invalid_argument] on non-positive input. *)
 val geomean : float array -> float
 
-val min_of : float array -> float
-val max_of : float array -> float
-
 (** Population standard deviation. *)
 val stddev : float array -> float
 

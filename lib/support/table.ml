@@ -23,6 +23,7 @@ let add_row t row =
 let add_rule t = Vec.push t.rows [||]
 
 let fmt_float ?(digits = 3) v = Printf.sprintf "%.*f" digits v
+let fmt_finite ?digits v = if Float.is_finite v then fmt_float ?digits v else "-"
 
 let render t =
   let ncols = Array.length t.header in

@@ -17,6 +17,10 @@ val add_rule : t -> unit
 (** Format a float with [digits] decimals (default 3). *)
 val fmt_float : ?digits:int -> float -> string
 
+(** {!fmt_float}, or ["-"] for a nan or infinite value (a field an older
+    trace lacks, a percentile of nothing). *)
+val fmt_finite : ?digits:int -> float -> string
+
 val render : t -> string
 val print : t -> unit
 

@@ -31,6 +31,19 @@ for section in "inlining decisions" "compile-time breakdown" "GA fitness"; do
   echo "$summary" | grep -q "$section" || { echo "missing '$section' in trace-summary"; exit 1; }
 done
 
+echo "== trace-summary golden smoke =="
+# A committed trace of `run compress -s adapt --profile --trace F` must
+# summarize to the committed tables and folded stacks byte for byte.  The
+# profile table and folded lines come from the renderer the --profile exit
+# table uses, so this pins both.
+./_build/default/bin/main.exe trace-summary scripts/golden/trace_run_compress_adapt_profile.jsonl \
+  | cmp - scripts/golden/trace_summary.txt \
+  || { echo "trace-summary differs from scripts/golden/trace_summary.txt"; exit 1; }
+./_build/default/bin/main.exe trace-summary --folded \
+  scripts/golden/trace_run_compress_adapt_profile.jsonl \
+  | cmp - scripts/golden/trace_summary_folded.txt \
+  || { echo "trace-summary --folded differs from scripts/golden/trace_summary_folded.txt"; exit 1; }
+
 echo "== fault-injection smoke =="
 # Two injected faults hit the same genome, so its retry fails too: the run
 # must quarantine it and still finish, with the failure visible in the trace.
@@ -232,6 +245,7 @@ obs_err=$(dune exec --no-build bin/main.exe -- tune -s adapt --pop 6 -g 2 --doma
   --profile --progress --trace "$obs" 2>&1 > /dev/null)
 echo "$obs_err" | grep -q '^\[inltune\] gen ' || { echo "missing --progress lines"; exit 1; }
 echo "$obs_err" | grep -q 'eta' || { echo "missing ETA in --progress lines"; exit 1; }
+echo "$obs_err" | grep -q 'profile (wall time' || { echo "missing exit profile table"; exit 1; }
 echo "$obs_err" | grep -q 'fitness.eval' || { echo "missing fitness.eval in exit profile"; exit 1; }
 obs_summary=$(dune exec --no-build bin/main.exe -- trace-summary "$obs")
 echo "$obs_summary" | grep -q "profile (wall time" \

@@ -4,6 +4,7 @@ module Sink = Inltune_obs.Sink
 module Metric = Inltune_obs.Metric
 module Trace = Inltune_obs.Trace
 module Summary = Inltune_obs.Summary
+module Prof = Inltune_obs.Prof
 module Vec = Inltune_support.Vec
 
 (* --- Event serialization --- *)
@@ -150,11 +151,8 @@ let test_histogram_aggregation () =
   Alcotest.(check (float 1e-9)) "sum" 1006.25 s.Metric.hs_sum;
   Alcotest.(check (float 1e-9)) "min" 0.25 s.Metric.hs_min;
   Alcotest.(check (float 1e-9)) "max" 1000.0 s.Metric.hs_max;
-  Alcotest.(check int) "buckets hold every observation" 5
-    (Array.fold_left ( + ) 0 s.Metric.hs_buckets);
-  Alcotest.(check int) "sub-1 bucket" 1 s.Metric.hs_buckets.(0);
-  (* Exact nearest-rank percentiles over the retained samples — log2
-     buckets alone could only bound these. *)
+  (* Nearest-rank percentiles are exact here: every value has at most 8
+     significant bits, so each is its own bin's floor. *)
   Alcotest.(check (float 1e-9)) "p50" 2.0 s.Metric.hs_p50;
   Alcotest.(check (float 1e-9)) "p90" 1000.0 s.Metric.hs_p90;
   Alcotest.(check (float 1e-9)) "p99" 1000.0 s.Metric.hs_p99
@@ -165,6 +163,56 @@ let test_histogram_empty_percentiles () =
   Alcotest.(check int) "count" 0 s.Metric.hs_count;
   Alcotest.(check bool) "percentiles are nan" true
     (Float.is_nan s.Metric.hs_p50 && Float.is_nan s.Metric.hs_p90 && Float.is_nan s.Metric.hs_p99)
+
+(* A histogram's memory follows the spread of its values, not their
+   number: a million values over nine decades (about 3,840 bins) stay far
+   below one word per value. *)
+let test_histogram_bounded () =
+  let h = Metric.unregistered_histogram "test.bounded" in
+  let rng = Random.State.make [| 42 |] in
+  let lo = Float.log 1e-6 and span = Float.log 1e9 in
+  for _ = 1 to 1_000_000 do
+    Metric.observe h (Float.exp (lo +. Random.State.float rng span))
+  done;
+  let words = Obj.reachable_words (Obj.repr h) in
+  Alcotest.(check int) "count" 1_000_000 (Metric.snapshot h).Metric.hs_count;
+  Alcotest.(check bool) (Printf.sprintf "%d words < 64 Ki" words) true (words < 65_536)
+
+(* Values with at most 8 significant bits are their own bin's floor. *)
+let eight_bits v = Int64.logand (Int64.bits_of_float v) 0x1FFF_FFFF_FFFFL = 0L
+
+let positive_floats =
+  let open QCheck.Gen in
+  let any = map (fun e -> Float.exp e) (float_range (-40.0) 40.0) in
+  let short = map2 (fun m e -> Float.ldexp (Float.of_int m) e) (int_range 1 255) (int_range (-30) 30) in
+  let value = oneof [ any; short ] in
+  oneof [ list_size (int_range 1 300) any; list_size (int_range 1 300) short;
+          list_size (int_range 1 300) value ]
+
+(* Count, sum, min and max are exact; each percentile lies within 2^-7
+   below the exact nearest-rank one, and equals it when every value has
+   at most 8 significant bits. *)
+let prop_histogram_accuracy =
+  QCheck.Test.make ~count:500 ~name:"histogram percentiles within 2^-7 of exact"
+    (QCheck.make ~print:QCheck.Print.(list float) positive_floats)
+    (fun xs ->
+      let h = Metric.unregistered_histogram "test.accuracy" in
+      List.iter (Metric.observe h) xs;
+      let s = Metric.snapshot h in
+      let a = Array.of_list xs in
+      let exact = Inltune_support.Stats.percentile a in
+      let within p got =
+        let e = exact p in
+        if List.for_all eight_bits xs then got = e
+        else got <= e && got >= e *. (1.0 -. Float.ldexp 1.0 (-7))
+      in
+      s.Metric.hs_count = List.length xs
+      && s.Metric.hs_sum = List.fold_left ( +. ) 0.0 xs
+      && s.Metric.hs_min = Array.fold_left Float.min a.(0) a
+      && s.Metric.hs_max = Array.fold_left Float.max a.(0) a
+      && within 50.0 s.Metric.hs_p50
+      && within 90.0 s.Metric.hs_p90
+      && within 99.0 s.Metric.hs_p99)
 
 let test_metrics_flush_into_trace () =
   Metric.reset_all ();
@@ -248,15 +296,16 @@ let prof_lines =
 let test_summary_histogram_values () =
   let records, _ = Summary.of_lines prof_lines in
   match Summary.histogram_values records with
-  | [ ("h1", (count, sum, mn, mx, mean, p50, p90, p99)) ] ->
-    Alcotest.(check int) "count" 5 count;
-    Alcotest.(check (float 1e-9)) "sum" 1006.25 sum;
-    Alcotest.(check (float 1e-9)) "min" 0.25 mn;
-    Alcotest.(check (float 1e-9)) "max" 1000.0 mx;
-    Alcotest.(check (float 1e-9)) "mean" 201.25 mean;
-    Alcotest.(check (float 1e-9)) "p50" 2.0 p50;
-    Alcotest.(check (float 1e-9)) "p90" 1000.0 p90;
-    Alcotest.(check (float 1e-9)) "p99" 1000.0 p99
+  | [ h ] ->
+    Alcotest.(check string) "name" "h1" h.Metric.hs_name;
+    Alcotest.(check int) "count" 5 h.Metric.hs_count;
+    Alcotest.(check (float 1e-9)) "sum" 1006.25 h.Metric.hs_sum;
+    Alcotest.(check (float 1e-9)) "min" 0.25 h.Metric.hs_min;
+    Alcotest.(check (float 1e-9)) "max" 1000.0 h.Metric.hs_max;
+    Alcotest.(check (float 1e-9)) "mean" 201.25 h.Metric.hs_mean;
+    Alcotest.(check (float 1e-9)) "p50" 2.0 h.Metric.hs_p50;
+    Alcotest.(check (float 1e-9)) "p90" 1000.0 h.Metric.hs_p90;
+    Alcotest.(check (float 1e-9)) "p99" 1000.0 h.Metric.hs_p99
   | hs -> Alcotest.failf "expected one histogram, got %d" (List.length hs)
 
 let test_summary_prof_nodes () =
@@ -264,20 +313,20 @@ let test_summary_prof_nodes () =
   let nodes = Summary.prof_nodes records in
   Alcotest.(check (list string)) "paths in tree order"
     [ "fitness.eval"; "fitness.eval;vm.execute"; "zero.self" ]
-    (List.map fst nodes);
-  let _, (label, depth, calls, total_us, self_us, _, _, _, _) = List.nth nodes 1 in
-  Alcotest.(check string) "label" "vm.execute" label;
-  Alcotest.(check int) "depth" 1 depth;
-  Alcotest.(check int) "calls" 8 calls;
-  Alcotest.(check (float 1e-9)) "total us" 60.0 total_us;
-  Alcotest.(check (float 1e-9)) "self us" 60.0 self_us
+    (List.map (fun n -> n.Prof.n_path) nodes);
+  let n = List.nth nodes 1 in
+  Alcotest.(check string) "label" "vm.execute" n.Prof.n_label;
+  Alcotest.(check int) "depth" 1 n.Prof.n_depth;
+  Alcotest.(check int) "calls" 8 n.Prof.n_calls;
+  Alcotest.(check (float 1e-9)) "total us" 60.0 n.Prof.n_total_us;
+  Alcotest.(check (float 1e-9)) "self us" 60.0 n.Prof.n_self_us
 
 let test_summary_folded () =
   let records, _ = Summary.of_lines prof_lines in
   (* zero.self rounds to 0 µs and is dropped; the rest keep integer self µs. *)
   Alcotest.(check (list string)) "folded lines"
     [ "fitness.eval 40"; "fitness.eval;vm.execute 60" ]
-    (Summary.folded records)
+    (Prof.folded (Summary.prof_nodes records))
 
 let test_has_events () =
   let parse lines = fst (Summary.of_lines lines) in
@@ -310,6 +359,8 @@ let suite =
     Alcotest.test_case "counters are atomic across domains" `Quick test_counter_across_domains;
     Alcotest.test_case "histogram aggregation" `Quick test_histogram_aggregation;
     Alcotest.test_case "empty histogram percentiles" `Quick test_histogram_empty_percentiles;
+    Alcotest.test_case "histogram memory bounded" `Quick test_histogram_bounded;
+    QCheck_alcotest.to_alcotest prop_histogram_accuracy;
     Alcotest.test_case "metrics flush into trace on close" `Quick test_metrics_flush_into_trace;
     Alcotest.test_case "summary skips malformed lines" `Quick test_summary_of_lines;
     Alcotest.test_case "summary inline reasons" `Quick test_summary_inline_reasons;

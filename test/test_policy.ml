@@ -77,9 +77,10 @@ let test_feature_extraction_parallel () =
   let sites = Features.of_program ctx p in
   let sequential = Array.map (fun (_, x) -> Features.vector_to_string x) sites in
   let parallel =
-    Pool.map ~domains:4
+    Pool.map_result ~domains:4
       (fun (s, _) -> Features.vector_to_string (Features.of_site ctx s))
       sites
+    |> Array.map (function Ok v -> v | Error e -> raise e)
   in
   Alcotest.(check (array string)) "Pool extraction matches sequential" sequential parallel
 

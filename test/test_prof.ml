@@ -48,16 +48,16 @@ let test_self_time_vs_cumulative () =
       match Prof.snapshot () with
       | [ outer; inner ] ->
         Alcotest.(check string) "outer first" "outer" outer.Prof.n_path;
-        Alcotest.(check bool) "self <= total" true (outer.Prof.n_self_s <= outer.Prof.n_total_s);
+        Alcotest.(check bool) "self <= total" true (outer.Prof.n_self_us <= outer.Prof.n_total_us);
         Alcotest.(check (float 1e-9)) "outer self = total - inner"
-          (outer.Prof.n_total_s -. inner.Prof.n_total_s)
-          outer.Prof.n_self_s;
-        Alcotest.(check (float 1e-9)) "leaf self = leaf total" inner.Prof.n_total_s
-          inner.Prof.n_self_s;
+          (outer.Prof.n_total_us -. inner.Prof.n_total_us)
+          outer.Prof.n_self_us;
+        Alcotest.(check (float 1e-9)) "leaf self = leaf total" inner.Prof.n_total_us
+          inner.Prof.n_self_us;
         Alcotest.(check bool) "percentiles ordered" true
-          (outer.Prof.n_p50_s <= outer.Prof.n_p90_s
-          && outer.Prof.n_p90_s <= outer.Prof.n_p99_s
-          && outer.Prof.n_p99_s <= outer.Prof.n_max_s)
+          (outer.Prof.n_p50_us <= outer.Prof.n_p90_us
+          && outer.Prof.n_p90_us <= outer.Prof.n_p99_us
+          && outer.Prof.n_p99_us <= outer.Prof.n_max_us)
       | nodes -> Alcotest.failf "expected 2 nodes, got %d" (List.length nodes))
 
 let test_disabled_span_is_passthrough () =
@@ -98,7 +98,7 @@ let test_folded_matches_snapshot () =
           busy ();
           Prof.span "leaf" (fun () -> busy ()));
       let paths = List.map (fun n -> n.Prof.n_path) (Prof.snapshot ()) in
-      let lines = Prof.folded () in
+      let lines = Prof.folded (Prof.snapshot ()) in
       Alcotest.(check bool) "busy work shows up" true (List.length lines > 0);
       List.iter
         (fun line ->
@@ -110,6 +110,29 @@ let test_folded_matches_snapshot () =
             Alcotest.(check bool) ("known path: " ^ path) true (List.mem path paths);
             Alcotest.(check bool) ("positive self us: " ^ us) true (int_of_string us > 0))
         lines)
+
+(* A node keeps a bounded histogram of its durations, not one sample per
+   call: 10^5 spans under one path leave the live heap (almost) as it was
+   after the first. *)
+let test_span_memory_bounded () =
+  with_prof (fun () ->
+      Prof.enable ();
+      Prof.reset ();
+      let span () = Prof.span "bounded" (fun () -> ()) in
+      span ();
+      let live () =
+        Gc.full_major ();
+        (Gc.stat ()).Gc.live_words
+      in
+      let before = live () in
+      for _ = 2 to 100_000 do
+        span ()
+      done;
+      let grown = live () - before in
+      Alcotest.(check (list (pair string int))) "one node, every call" [ ("bounded", 100_000) ]
+        (List.map (fun n -> (n.Prof.n_path, n.Prof.n_calls)) (Prof.snapshot ()));
+      Alcotest.(check bool) (Printf.sprintf "live words grew by %d < 10^4" grown) true
+        (grown < 10_000))
 
 (* --- determinism across domain counts --- *)
 
@@ -250,6 +273,7 @@ let suite =
     Alcotest.test_case "span is exception-safe" `Quick test_span_exception_safe;
     Alcotest.test_case "on_time side channel" `Quick test_on_time_receives_duration;
     Alcotest.test_case "folded output matches snapshot" `Quick test_folded_matches_snapshot;
+    Alcotest.test_case "span memory bounded" `Quick test_span_memory_bounded;
     Alcotest.test_case "profile deterministic across domains" `Slow
       test_profile_deterministic_across_domains;
     Alcotest.test_case "profiling does not change results" `Slow

@@ -273,3 +273,184 @@ let suite =
   suite
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_cse_idempotent_and_shrinking; prop_regalloc_sane; prop_guarded_devirt_sound ]
+
+(* --- JSON-line formats ------------------------------------------------------ *)
+
+module Json = Inltune_obs.Json
+module Event = Inltune_obs.Event
+module Summary = Inltune_obs.Summary
+module Metric = Inltune_obs.Metric
+module Dataset = Inltune_policy.Dataset
+module Fitcache = Inltune_core.Fitcache
+
+(* Strings that stress an escaper: quotes, backslashes, control bytes and
+   bytes >= 0x80 among plain ASCII. *)
+let nasty_string =
+  let open QCheck.Gen in
+  let byte =
+    frequency
+      [
+        (2, oneofl [ '"'; '\\' ]);
+        (2, map Char.chr (int_range 0 0x1f));
+        (2, map Char.chr (int_range 0x80 0xff));
+        (4, printable);
+      ]
+  in
+  string_size ~gen:byte (int_range 0 20)
+
+let finite_float =
+  QCheck.Gen.(
+    oneof
+      [
+        float_range (-1e6) 1e6;
+        map Float.exp (float_range (-300.0) 300.0);
+        map (fun f -> if Float.is_finite f then f else 0.0) float;
+      ])
+
+let event_gen =
+  let open QCheck.Gen in
+  let value =
+    oneof
+      [
+        map (fun n -> Event.Int n) (int_range (-(1 lsl 52)) (1 lsl 52));
+        map (fun f -> Event.Float f) (oneof [ finite_float; oneofl [ Float.nan; Float.infinity ] ]);
+        map (fun s -> Event.Str s) nasty_string;
+        map (fun b -> Event.Bool b) bool;
+      ]
+  in
+  map3
+    (fun ts name fields ->
+      (* A distinct "k<i>_" prefix keeps keys unique and apart from ts/ev. *)
+      let fields = List.mapi (fun i (k, v) -> (Printf.sprintf "k%d_%s" i k, v)) fields in
+      { Event.ts; name; fields })
+    (float_range 0.0 1e5) nasty_string
+    (list_size (int_range 0 6) (pair nasty_string value))
+
+(* What the reader must give back for each written field: ints exactly,
+   floats as their 9-digit text, non-finite floats as null. *)
+let json_of_value = function
+  | Event.Int n -> Json.Num (Float.of_int n)
+  | Event.Float f when Float.is_finite f -> Json.Num (float_of_string (Printf.sprintf "%.9g" f))
+  | Event.Float _ -> Json.Null
+  | Event.Str s -> Json.Str s
+  | Event.Bool b -> Json.Bool b
+
+let prop_event_line_round_trip =
+  QCheck.Test.make ~count:500 ~name:"trace event line round trip"
+    (QCheck.make ~print:Event.to_json event_gen)
+    (fun e ->
+      match Summary.of_line (Event.to_json e) with
+      | Error _ -> false
+      | Ok r ->
+        r.Summary.ev = e.Event.name
+        && r.Summary.ts = float_of_string (Printf.sprintf "%.6f" e.Event.ts)
+        && List.for_all
+             (fun (k, v) -> Json.member k r.Summary.json = Some (json_of_value v))
+             e.Event.fields)
+
+let example_gen =
+  let open QCheck.Gen in
+  map
+    (fun ((x_bench, x_ordinal, x_features), (x_base, x_label, x_benefit)) ->
+      { Dataset.x_bench; x_ordinal; x_features; x_base; x_label; x_benefit })
+    (pair
+       (triple nasty_string (int_range 0 (1 lsl 30)) (array_size (int_range 0 12) finite_float))
+       (triple bool bool finite_float))
+
+let prop_dataset_line_round_trip =
+  QCheck.Test.make ~count:500 ~name:"dataset line round trip"
+    (QCheck.make ~print:Dataset.to_line example_gen)
+    (fun x -> Dataset.of_line (Dataset.to_line x) = Ok x)
+
+(* One valid line of each reader's format. *)
+let fitcache_line =
+  {|{"key":"fed7dad7f172acddcf20e604610f6a4f/adapt/x86/default/3/p:3311111155555555555555/d5/c2048","total_cycles":"626485","running_cycles":"419452","first_exec_cycles":"524805","first_compile_cycles":"101680","opt_compiles":"8","baseline_compiles":"32","code_bytes":"23796","icache_misses":"502","icache_accesses":"668886","steps":"483120","ret":"-3173973043656291853","out_hash":"2258290871219828765"}|}
+
+let valid_lines =
+  [
+    Event.to_json
+      {
+        Event.ts = 1.5;
+        name = "prof.node";
+        fields =
+          [
+            ("path", Event.Str "fitness.eval;vm.execute");
+            ("label", Event.Str "vm.execute");
+            ("depth", Event.Int 1);
+            ("calls", Event.Int 8);
+            ("total_us", Event.Float 60.25);
+          ];
+      };
+    Dataset.to_line
+      {
+        Dataset.x_bench = "compress";
+        x_ordinal = 3;
+        x_features = [| 7.0; 52.0; 0.5; -1e-3 |];
+        x_base = true;
+        x_label = false;
+        x_benefit = 0.0037943654128578942;
+      };
+    fitcache_line;
+  ]
+
+(* Random bytes, every truncation and random single-byte mutations of the
+   valid lines: a fixed seed, so a failure names a reproducible input. *)
+let fuzz_inputs () =
+  let rng = Random.State.make [| 2005 |] in
+  let bytes n = String.init n (fun _ -> Char.chr (Random.State.int rng 256)) in
+  let random = List.init 600 (fun _ -> bytes (Random.State.int rng 120)) in
+  let truncations =
+    List.concat_map (fun l -> List.init (String.length l) (String.sub l 0)) valid_lines
+  in
+  let mutate l =
+    let b = Bytes.of_string l in
+    Bytes.set b (Random.State.int rng (Bytes.length b)) (Char.chr (Random.State.int rng 256));
+    Bytes.to_string b
+  in
+  let mutations = List.concat_map (fun l -> List.init 400 (fun _ -> mutate l)) valid_lines in
+  random @ truncations @ mutations
+
+let test_line_readers_fuzz () =
+  let inputs = fuzz_inputs () in
+  let never_raises name f =
+    List.iter
+      (fun s ->
+        match f s with
+        | _ -> ()
+        | exception e -> Alcotest.failf "%s raised %s on %S" name (Printexc.to_string e) s)
+      inputs
+  in
+  never_raises "Json.parse" (fun s -> ignore (Json.parse s));
+  never_raises "Summary.of_line" (fun s -> ignore (Summary.of_line s));
+  never_raises "Dataset.of_line" (fun s -> ignore (Dataset.of_line s));
+  (* A fitness-cache file: each non-blank line is loaded or skipped and
+     counted, never fatal. *)
+  let corrupt () = Metric.value (Metric.counter "fitness.cache_corrupt") in
+  let path = Filename.temp_file "inltune_fuzz" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () ->
+      Fitcache.set_file None;
+      Fitcache.clear ();
+      Sys.remove path)
+    (fun () ->
+      List.iter
+        (fun s ->
+          if String.trim s <> "" && not (String.contains s '\n') then begin
+            Out_channel.with_open_bin path (fun oc -> output_string oc (s ^ "\n"));
+            Fitcache.set_file None;
+            Fitcache.clear ();
+            let before = corrupt () in
+            (try Fitcache.set_file (Some path)
+             with e -> Alcotest.failf "Fitcache.set_file raised %s on %S" (Printexc.to_string e) s);
+            Alcotest.(check int) (Printf.sprintf "loaded or counted: %S" s) 1
+              (Fitcache.size () + corrupt () - before)
+          end)
+        inputs)
+
+let suite =
+  suite
+  @ [
+      QCheck_alcotest.to_alcotest prop_event_line_round_trip;
+      QCheck_alcotest.to_alcotest prop_dataset_line_round_trip;
+      Alcotest.test_case "json-line readers never raise on fuzz" `Quick test_line_readers_fuzz;
+    ]

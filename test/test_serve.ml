@@ -236,6 +236,32 @@ let test_e2e_ping_measure_dedup () =
       let stats = rpc ep {|{"op":"stats"}|} in
       Alcotest.(check (option string)) "stats ok" (Some "ok") (reply_field stats "status"))
 
+(* The daemon observes one latency per request for its whole life; the
+   histogram holding them must not grow with the request count. *)
+let test_e2e_latency_histogram_bounded () =
+  with_server (fun ep ->
+      let c = Client.connect ep in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          let words () =
+            Obj.reachable_words (Obj.repr (Inltune_obs.Metric.histogram "serve.latency_ms"))
+          in
+          let ping n =
+            for _ = 1 to n do
+              match Client.request c {|{"op":"ping"}|} with
+              | Ok _ -> ()
+              | Error m -> Alcotest.failf "ping failed: %s" m
+            done
+          in
+          ping 1_000;
+          let at_1000 = words () in
+          ping 3_000;
+          let grown = words () - at_1000 in
+          Alcotest.(check bool)
+            (Printf.sprintf "grew by %d words < 1024 from ping 1000 to 4000" grown)
+            true (grown < 1_024)))
+
 let test_e2e_stop_is_idempotent () =
   let path = Filename.temp_file "inltune_serve_test" ".sock" in
   Sys.remove path;
@@ -267,5 +293,6 @@ let suite =
     ("replycache first store wins", `Quick, test_replycache_first_store_wins);
     ("replycache fifo eviction", `Quick, test_replycache_fifo_eviction);
     ("e2e ping/measure/dedup", `Quick, test_e2e_ping_measure_dedup);
+    ("e2e latency histogram bounded", `Quick, test_e2e_latency_histogram_bounded);
     ("e2e stop idempotent", `Quick, test_e2e_stop_is_idempotent);
   ]

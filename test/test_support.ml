@@ -93,10 +93,6 @@ let test_geomean_empty () =
   Alcotest.check_raises "empty" (Invalid_argument "Stats.geomean: empty") (fun () ->
       ignore (Stats.geomean [||]))
 
-let test_min_max () =
-  check_float "min" 1.0 (Stats.min_of [| 3.0; 1.0; 2.0 |]);
-  check_float "max" 3.0 (Stats.max_of [| 3.0; 1.0; 2.0 |])
-
 let test_stddev () =
   check_float "constant array" 0.0 (Stats.stddev [| 5.0; 5.0; 5.0 |]);
   check_float "spread" 2.0 (Stats.stddev [| 2.0; 6.0 |])
@@ -201,38 +197,27 @@ let test_table_bar_midpoint () =
 
 (* --- Pool --- *)
 
+(* The values of a batch whose items all succeeded. *)
+let values results = Array.map (function Ok y -> y | Error e -> raise e) results
+
 let test_pool_matches_sequential () =
   let input = Array.init 100 (fun i -> i) in
   let f x = (x * x) + 1 in
   Alcotest.(check (array int)) "parallel = sequential" (Array.map f input)
-    (Pool.map ~domains:4 f input)
+    (values (Pool.map_result ~domains:4 f input))
 
 let test_pool_empty () =
-  Alcotest.(check (array int)) "empty" [||] (Pool.map (fun x -> x) [||])
+  Alcotest.(check (array int)) "empty" [||] (values (Pool.map_result (fun x -> x) [||]))
 
 let test_pool_single_domain () =
   let input = [| 1; 2; 3 |] in
   Alcotest.(check (array int)) "domains:1" [| 2; 4; 6 |]
-    (Pool.map ~domains:1 (fun x -> 2 * x) input)
-
-let test_pool_propagates_exception () =
-  let raised =
-    try
-      ignore (Pool.map ~domains:2 (fun x -> if x = 13 then failwith "boom" else x)
-                (Array.init 64 (fun i -> i)));
-      false
-    with Pool.Worker_failure _ -> true
-  in
-  Alcotest.(check bool) "Worker_failure raised" true raised
+    (values (Pool.map_result ~domains:1 (fun x -> 2 * x) input))
 
 let test_pool_order_preserved () =
   let input = Array.init 200 (fun i -> 200 - i) in
-  let out = Pool.map ~domains:2 (fun x -> -x) input in
+  let out = values (Pool.map_result ~domains:2 (fun x -> -x) input) in
   Array.iteri (fun i x -> Alcotest.(check int) "order" (-(200 - i)) x) out
-
-let test_pool_mapi () =
-  let out = Pool.mapi ~domains:2 (fun i x -> i + x) [| 10; 20; 30 |] in
-  Alcotest.(check (array int)) "mapi" [| 10; 21; 32 |] out
 
 let test_pool_map_result_isolates () =
   let input = Array.init 64 (fun i -> i) in
@@ -248,19 +233,6 @@ let test_pool_map_result_isolates () =
         Alcotest.(check string) "failure carried" "boom" m
       | Error e -> Alcotest.failf "unexpected error at %d: %s" i (Printexc.to_string e))
     out
-
-let test_pool_worker_failure_index () =
-  (* map reports the lowest failing index, whatever domain hit it. *)
-  let idx =
-    try
-      ignore
-        (Pool.map ~domains:4
-           (fun x -> if x mod 20 = 17 then failwith "boom" else x)
-           (Array.init 100 (fun i -> i)));
-      -1
-    with Pool.Worker_failure (i, Failure _) -> i
-  in
-  Alcotest.(check int) "lowest failing index" 17 idx
 
 let test_pool_now_monotonic () =
   let a = Pool.now () in
@@ -348,7 +320,7 @@ let test_pool_default_participants () =
     done;
     (Domain.self () :> int)
   in
-  let domains = Pool.map ~domains:2 item (Array.make 6 ()) in
+  let domains = values (Pool.map_result ~domains:2 item (Array.make 6 ())) in
   Alcotest.(check int) "participating domains" 2
     (List.length (List.sort_uniq compare (Array.to_list domains)))
 
@@ -375,37 +347,17 @@ let test_pool_shutdown_concurrent_domains () =
   let out = Pool.await (Pool.submit pool (fun x -> x + 1) [| 41 |]) in
   Alcotest.(check bool) "drained pool still answers" true (out.(0) = Ok 42)
 
-let test_pool_cancel_skips_unstarted () =
-  (* max_workers:1 keeps every item unclaimed until await, so cancelling
-     first deterministically skips the whole batch without running it. *)
+let test_pool_cancelled_hook () =
+  (* The cooperative hook the serve daemon's deadlines are built on: once it
+     reports true, unclaimed items resolve as Cancelled without running.
+     max_workers:1 keeps every item unclaimed until await, so the whole
+     batch is skipped deterministically. *)
   let pool = Pool.create ~domains:2 () in
   let ran = Atomic.make 0 in
   let task =
     Pool.submit pool ~max_workers:1
-      (fun x -> Atomic.incr ran; x)
-      (Array.init 10 Fun.id)
-  in
-  Pool.cancel task;
-  Pool.cancel task;
-  (* idempotent *)
-  let out = Pool.await task in
-  Array.iter
-    (function
-      | Error Pool.Cancelled -> ()
-      | Ok _ -> Alcotest.fail "cancelled item executed"
-      | Error e -> Alcotest.failf "unexpected: %s" (Printexc.to_string e))
-    out;
-  Alcotest.(check int) "nothing executed" 0 (Atomic.get ran);
-  Pool.shutdown pool
-
-let test_pool_cancelled_hook () =
-  (* The cooperative hook the serve daemon's deadlines are built on: once it
-     reports true, unclaimed items resolve as Cancelled without running. *)
-  let pool = Pool.create ~domains:2 () in
-  let task =
-    Pool.submit pool ~max_workers:1
       ~cancelled:(fun () -> true)
-      (fun x -> x) (Array.init 8 Fun.id)
+      (fun x -> Atomic.incr ran; x) (Array.init 8 Fun.id)
   in
   let out = Pool.await task in
   Array.iter
@@ -415,7 +367,61 @@ let test_pool_cancelled_hook () =
         Alcotest.failf "expected Cancelled, got %s"
           (match r with Ok _ -> "Ok" | Error e -> Printexc.to_string e))
     out;
+  Alcotest.(check int) "nothing executed" 0 (Atomic.get ran);
   Pool.shutdown pool
+
+(* pool.idle_ns, read after [shutdown] has joined the workers so every
+   wait they were charged for has been counted. *)
+let idle_ns_of run =
+  let idle () = Inltune_obs.Metric.value (Inltune_obs.Metric.counter "pool.idle_ns") in
+  let before = idle () in
+  let pool = Pool.create ~domains:1 () in
+  run pool;
+  Pool.shutdown pool;
+  idle () - before
+
+(* Time a worker spends parked before it joins any batch is not
+   starvation: a 200 ms gap before a batch adds (about) nothing. *)
+let test_pool_idle_excludes_parked_gap () =
+  let idle =
+    idle_ns_of (fun pool ->
+        Unix.sleepf 0.2;
+        ignore (Pool.await (Pool.submit pool (fun x -> x + 1) [| 1; 2 |])))
+  in
+  Alcotest.(check bool) (Printf.sprintf "idle %d ns < 50 ms" idle) true (idle < 50_000_000)
+
+(* Starvation inside a batch is charged: the worker takes one of two
+   items and finishes at once, then waits while the submitter's item
+   sleeps 100 ms.  Each item first waits (bounded) for the other
+   participant to hold the other one, so neither can take both. *)
+let test_pool_idle_charges_in_batch_wait () =
+  let idle =
+    idle_ns_of (fun pool ->
+        let self = Domain.self () in
+        let on_caller = Atomic.make false and on_worker = Atomic.make false in
+        let wait_for flag =
+          let t0 = Unix.gettimeofday () in
+          while (not (Atomic.get flag)) && Unix.gettimeofday () -. t0 < 5.0 do
+            Domain.cpu_relax ()
+          done
+        in
+        let item _ =
+          if Domain.self () = self then begin
+            Atomic.set on_caller true;
+            wait_for on_worker;
+            Unix.sleepf 0.1
+          end
+          else begin
+            Atomic.set on_worker true;
+            wait_for on_caller
+          end
+        in
+        ignore (Pool.await (Pool.submit pool ~max_workers:2 item [| 0; 1 |])))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "idle %d ns in [50 ms, 1 s]" idle)
+    true
+    (idle >= 50_000_000 && idle <= 1_000_000_000)
 
 let test_pool_priority_batch_completes () =
   (* A priority batch submitted behind a bulk batch still completes with
@@ -457,7 +463,6 @@ let suite =
     ("stats geomean", `Quick, test_geomean);
     ("stats geomean rejects non-positive", `Quick, test_geomean_rejects_nonpositive);
     ("stats geomean empty", `Quick, test_geomean_empty);
-    ("stats min/max", `Quick, test_min_max);
     ("stats stddev", `Quick, test_stddev);
     ("stats reduction pct", `Quick, test_reduction_pct);
     ("stats ratio", `Quick, test_ratio);
@@ -476,11 +481,8 @@ let suite =
     ("pool matches sequential", `Quick, test_pool_matches_sequential);
     ("pool empty", `Quick, test_pool_empty);
     ("pool single domain", `Quick, test_pool_single_domain);
-    ("pool propagates exceptions", `Quick, test_pool_propagates_exception);
     ("pool preserves order", `Quick, test_pool_order_preserved);
-    ("pool mapi", `Quick, test_pool_mapi);
     ("pool map_result isolates failures", `Quick, test_pool_map_result_isolates);
-    ("pool worker failure index", `Quick, test_pool_worker_failure_index);
     ("pool now monotonic", `Quick, test_pool_now_monotonic);
     ("pool persistent across batches", `Quick, test_pool_persistent_reuse);
     ("pool drains after worker failure", `Quick, test_pool_drains_after_failure);
@@ -489,7 +491,8 @@ let suite =
     ("pool default participants", `Quick, test_pool_default_participants);
     ("pool shutdown idempotent", `Quick, test_pool_shutdown_idempotent);
     ("pool shutdown concurrent domains", `Quick, test_pool_shutdown_concurrent_domains);
-    ("pool cancel skips unstarted", `Quick, test_pool_cancel_skips_unstarted);
     ("pool cancelled hook", `Quick, test_pool_cancelled_hook);
+    ("pool idle excludes parked gap", `Quick, test_pool_idle_excludes_parked_gap);
+    ("pool idle charges in-batch wait", `Quick, test_pool_idle_charges_in_batch_wait);
     ("pool priority batch completes", `Quick, test_pool_priority_batch_completes);
   ]
