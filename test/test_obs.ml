@@ -359,8 +359,6 @@ let suite =
     Alcotest.test_case "counters are atomic across domains" `Quick test_counter_across_domains;
     Alcotest.test_case "histogram aggregation" `Quick test_histogram_aggregation;
     Alcotest.test_case "empty histogram percentiles" `Quick test_histogram_empty_percentiles;
-    Alcotest.test_case "histogram memory bounded" `Quick test_histogram_bounded;
-    QCheck_alcotest.to_alcotest prop_histogram_accuracy;
     Alcotest.test_case "metrics flush into trace on close" `Quick test_metrics_flush_into_trace;
     Alcotest.test_case "summary skips malformed lines" `Quick test_summary_of_lines;
     Alcotest.test_case "summary inline reasons" `Quick test_summary_inline_reasons;
@@ -373,4 +371,6 @@ let suite =
     Alcotest.test_case "summary profile nodes" `Quick test_summary_prof_nodes;
     Alcotest.test_case "summary folded stacks" `Quick test_summary_folded;
     Alcotest.test_case "has_events ignores counter snapshots" `Quick test_has_events;
+    Alcotest.test_case "histogram memory bounded" `Quick test_histogram_bounded;
+    QCheck_alcotest.to_alcotest prop_histogram_accuracy;
   ]
