@@ -272,13 +272,6 @@ let resume_arg =
    one line, exit 2. *)
 let checkpointed f = try f () with Inltune_ga.Evolve.Checkpoint_error msg -> die "%s" msg
 
-let max_retries_arg =
-  let doc =
-    "How many times to retry a transiently failing fitness evaluation before the genome is \
-     penalized and quarantined."
-  in
-  Arg.(value & opt int 1 & info [ "max-retries" ] ~docv:"N" ~doc)
-
 (* The --progress reporter: one stderr line per generation with the search
    telemetry (diversity, cache hit rate, pool utilization) and an ETA
    extrapolated from the per-generation wall times so far.  gens + 1 total
@@ -312,8 +305,8 @@ let progress_reporter ~gens =
       s.Inltune_ga.Evolve.g_wall_s eta
 
 let tune_cmd =
-  let run scenario pop gens seed max_retries domains fcache checkpoint resume planfile
-      tune_passes evolve_policy dataset_file gp_out trace profile progress =
+  let run scenario pop gens seed domains fcache checkpoint resume planfile tune_passes
+      evolve_policy dataset_file gp_out trace profile progress =
     setup_trace trace;
     setup_profile profile;
     let domains = domains_of_flag domains in
@@ -377,10 +370,9 @@ let tune_cmd =
           domains;
         }
       in
-      let guard = { Gp.Evolve.default_guard with Inltune_ga.Evolve.max_retries } in
       let r =
         checkpointed (fun () ->
-            Gp.Evolve.run ?on_generation ?on_stats ~guard ?checkpoint ?resume ?dataset
+            Gp.Evolve.run ?on_generation ?on_stats ?checkpoint ?resume ?dataset
               ~suite:W.Suites.spec ~scenario:spec.Tuner.scenario ~platform:spec.Tuner.platform
               ~goal:spec.Tuner.goal ~params ())
       in
@@ -412,8 +404,7 @@ let tune_cmd =
     else if tune_passes then begin
       let o =
         checkpointed (fun () ->
-            Tuner.tune_plan ~budget ?on_generation ?on_stats ?checkpoint ?resume ~max_retries
-              ?domains id)
+            Tuner.tune_plan ~budget ?on_generation ?on_stats ?checkpoint ?resume ?domains id)
       in
       Printf.printf "scenario: %s\n" o.Tuner.p_spec.Tuner.label;
       (match o.Tuner.p_degraded with
@@ -427,8 +418,7 @@ let tune_cmd =
     else begin
       let o =
         checkpointed (fun () ->
-            Tuner.tune ~budget ?on_generation ?on_stats ?checkpoint ?resume ~max_retries
-              ?domains ?plan id)
+            Tuner.tune ~budget ?on_generation ?on_stats ?checkpoint ?resume ?domains ?plan id)
       in
       Printf.printf "scenario: %s\n" o.Tuner.spec.Tuner.label;
       (match o.Tuner.degraded with
@@ -495,9 +485,9 @@ let tune_cmd =
   in
   Cmd.v (Cmd.info "tune" ~doc:"GA-tune the inlining heuristic for a scenario")
     Term.(
-      const run $ scenario $ pop $ gens $ seed $ max_retries_arg $ domains_arg
-      $ fitness_cache_arg $ checkpoint_arg $ resume_arg $ plan_arg $ tune_passes
-      $ evolve_policy $ dataset_file $ gp_out $ trace_arg $ profile_arg $ progress)
+      const run $ scenario $ pop $ gens $ seed $ domains_arg $ fitness_cache_arg
+      $ checkpoint_arg $ resume_arg $ plan_arg $ tune_passes $ evolve_policy $ dataset_file
+      $ gp_out $ trace_arg $ profile_arg $ progress)
 
 (* --- export / run-file ----------------------------------------------------- *)
 
@@ -726,8 +716,8 @@ let features_cmd =
     Term.(const run $ bench_arg)
 
 let dataset_cmd =
-  let run out suite bench_csv scenario platform hstring goal max_sites iterations
-      max_retries domains trace =
+  let run out suite bench_csv scenario platform hstring goal max_sites iterations domains
+      trace =
     setup_trace trace;
     (* The flip-oracle labeling loop is sequential by design (the output file
        is append-ordered and resumable), but its measurements share the
@@ -742,7 +732,6 @@ let dataset_cmd =
         goal = goal_of_flag goal;
         iterations;
         max_sites;
-        max_retries;
       }
     in
     let benches = benches_of_flags suite bench_csv in
@@ -780,7 +769,7 @@ let dataset_cmd =
        ~doc:"Label call-site inlining decisions with the flip oracle (resumable)")
     Term.(
       const run $ out $ suite $ bench_csv $ scenario_arg $ platform_arg $ heuristic_arg
-      $ goal $ max_sites $ iters $ max_retries_arg $ domains_arg $ trace_arg)
+      $ goal $ max_sites $ iters $ domains_arg $ trace_arg)
 
 let train_policy_cmd =
   let run data out kind hstring max_depth min_leaf holdout =
@@ -1001,7 +990,7 @@ let policy_experiment ~verbose ~budget ?domains () =
           W.Suites.dacapo))
 
 let experiment_cmd =
-  let run id pop gens seed quiet max_retries domains fcache checkpoint resume trace =
+  let run id pop gens seed quiet domains fcache checkpoint resume trace =
     setup_trace trace;
     let domains = domains_of_flag domains in
     setup_fitness_cache fcache;
@@ -1011,8 +1000,7 @@ let experiment_cmd =
       (* One experiment tunes several scenarios, so the checkpoint/resume paths
          here are bases: each GA run appends ".<scenario-slug>". *)
       let ctx =
-        Experiments.make_ctx ~verbose:(not quiet) ~budget ?checkpoint ?resume ~max_retries
-          ?domains ()
+        Experiments.make_ctx ~verbose:(not quiet) ~budget ?checkpoint ?resume ?domains ()
       in
       checkpointed (fun () -> Experiments.run_one ctx id)
     end
@@ -1032,8 +1020,8 @@ let experiment_cmd =
   Cmd.v
     (Cmd.info "experiment" ~doc:"Regenerate a table or figure from the paper")
     Term.(
-      const run $ id $ pop $ gens $ seed $ quiet $ max_retries_arg $ domains_arg
-      $ fitness_cache_arg $ checkpoint_arg $ resume_arg $ trace_arg)
+      const run $ id $ pop $ gens $ seed $ quiet $ domains_arg $ fitness_cache_arg
+      $ checkpoint_arg $ resume_arg $ trace_arg)
 
 (* --- serve / client ------------------------------------------------------- *)
 
@@ -1101,8 +1089,8 @@ let serve_cmd =
   let quiet =
     Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Suppress lifecycle notes on stderr.")
   in
-  let run socket port permits queue quota_rate quota_burst deadline_ms max_retries
-      degrade_after cooldown drain quiet domains fitness_cache trace =
+  let run socket port permits queue quota_rate quota_burst deadline_ms degrade_after cooldown
+      drain quiet domains fitness_cache trace =
     ignore (domains_of_flag domains);
     setup_trace trace;
     setup_fitness_cache fitness_cache;
@@ -1114,7 +1102,6 @@ let serve_cmd =
         quota_rate;
         quota_burst;
         default_deadline_ms = deadline_ms;
-        max_retries;
         degrade_after;
         cooldown_s = cooldown;
         drain_timeout_s = drain;
@@ -1131,8 +1118,8 @@ let serve_cmd =
           pool and fitness cache")
     Term.(
       const run $ socket_arg $ port_arg $ permits $ queue $ quota_rate $ quota_burst
-      $ deadline_ms $ max_retries_arg $ degrade_after $ cooldown $ drain $ quiet
-      $ domains_arg $ fitness_cache_arg $ trace_arg)
+      $ deadline_ms $ degrade_after $ cooldown $ drain $ quiet $ domains_arg $ fitness_cache_arg
+      $ trace_arg)
 
 let tenant_arg =
   let doc = "Tenant name for quotas and cache attribution." in

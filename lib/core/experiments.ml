@@ -15,14 +15,12 @@ type ctx = {
   verbose : bool;
   checkpoint : string option;  (* base path; per-scenario suffix appended *)
   resume : string option;
-  max_retries : int;
   domains : int option;        (* evaluation parallelism; None = pool default *)
   mutable tuned : (Tuner.scenario_id * Tuner.outcome) list;
 }
 
-let make_ctx ?(verbose = true) ?(budget = Tuner.default_budget) ?checkpoint ?resume
-    ?(max_retries = 1) ?domains () =
-  { budget; verbose; checkpoint; resume; max_retries; domains; tuned = [] }
+let make_ctx ?(verbose = true) ?(budget = Tuner.default_budget) ?checkpoint ?resume ?domains () =
+  { budget; verbose; checkpoint; resume; domains; tuned = [] }
 
 let progress ctx fmt =
   Printf.ksprintf (fun s -> if ctx.verbose then Printf.eprintf "[inltune] %s\n%!" s) fmt
@@ -46,8 +44,7 @@ let tuned ctx id =
     let checkpoint = Option.map (fun b -> scenario_path b id) ctx.checkpoint in
     let resume = Option.map (fun b -> scenario_path b id) ctx.resume in
     let o =
-      Tuner.tune ~budget:ctx.budget ~on_generation ?checkpoint ?resume
-        ~max_retries:ctx.max_retries ?domains:ctx.domains id
+      Tuner.tune ~budget:ctx.budget ~on_generation ?checkpoint ?resume ?domains:ctx.domains id
     in
     ctx.tuned <- (id, o) :: ctx.tuned;
     (match o.Tuner.degraded with

@@ -58,30 +58,20 @@ let fitness ?(plan = Plan.default) ~suite ~scenario ~platform ~goal =
     (scorer ~iterations:3 ~suite ~scenario ~platform ~goal (fun h ->
          (plan, Fitcache.Heuristic h)))
 
-(* Which exceptions a fitness evaluation may raise transiently — worth a
-   bounded retry before the genome is penalized and quarantined.  Everything
-   else is a bug and should fail fast (the guarded GA still isolates it to
-   the one genome, but does not retry). *)
-let transient_failure = function
-  | Inltune_vm.Machine.Out_of_fuel | Inltune_vm.Machine.Trap _ -> true
-  | Stack_overflow -> true
-  | Inltune_resilience.Faultinject.Injected _ -> true
-  | _ -> false
-
-(* The "eval" fault-injection gate shared by the scalar and grid evaluation
-   paths, so CI can make the k-th evaluation raise, burn its fuel budget, or
-   return corrupt output and exercise retry/penalty/quarantine end to end. *)
-let eval_fault_gate () =
-  match Inltune_resilience.Faultinject.check "eval" with
+(* The fault-injection gate of the evaluation sites, so CI can make the
+   k-th evaluation raise, burn its fuel budget, or return corrupt output and
+   exercise retry/penalty/quarantine end to end. *)
+let fault_gate site =
+  match Inltune_resilience.Faultinject.check site with
   | Some Inltune_resilience.Faultinject.Raise ->
-    raise (Inltune_resilience.Faultinject.Injected "eval")
+    raise (Inltune_resilience.Faultinject.Injected site)
   | Some Inltune_resilience.Faultinject.Hang ->
     (* A hung evaluation is one that burns its whole fuel budget. *)
     raise Inltune_vm.Machine.Out_of_fuel
   | Some Inltune_resilience.Faultinject.Corrupt -> true
   | None -> false
 
-let gated f x = if eval_fault_gate () then Float.nan else f x
+let gated f x = if fault_gate "eval" then Float.nan else f x
 
 (* Each grid cell is one pool work item and one "eval" fault-gate
    occurrence; the scalar genome builders gate once per genome. *)

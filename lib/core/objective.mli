@@ -49,10 +49,14 @@ val fitness :
   goal:goal ->
   Heuristic.t -> float
 
-(** Whether an exception is a transient evaluation failure — fuel
-    exhaustion, a VM trap, a stack overflow, or an injected fault — worth a
-    bounded retry before the genome is penalized. *)
-val transient_failure : exn -> bool
+(** [fault_gate site] checks the fault-injection [site] once (see
+    {!Inltune_resilience.Faultinject}): an armed [Raise] raises
+    [Faultinject.Injected site], the one failure the sandbox retries; [Hang]
+    raises [Machine.Out_of_fuel], as a run that burns its whole fuel budget
+    would; [Corrupt] returns [true], and the caller reports a NaN result.
+    Otherwise [false].  The evaluation paths here gate site ["eval"]; the
+    serve daemon gates ["serve"] once per request attempt. *)
+val fault_gate : string -> bool
 
 (** {!fitness} composed with the genome decoding, for scalar searches over
     genomes (local search, random search, the bench ablations).  Each call

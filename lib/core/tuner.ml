@@ -63,18 +63,19 @@ type outcome = {
   degraded : string option;  (* why the search stopped early, if it did *)
 }
 
-(* Failure isolation for fitness evaluation: retry transient VM failures,
-   penalize and quarantine genomes that keep failing, stop the search (with
-   the best-known answer) if a generation's failure rate explodes. *)
-let guard ~max_retries =
-  { Ga.Evolve.default_guard with Ga.Evolve.max_retries; classify = Objective.transient_failure }
+(* Failure isolation for fitness evaluation: penalize and quarantine genomes
+   whose evaluation fails, stop the search (with the best-known answer) if a
+   generation's failure rate explodes.  The searches below run under
+   [guard ~max_retries:1], the GA's default; [max_retries] bounds the
+   retries of an injected fault, the only failure retried. *)
+let guard ~max_retries = { Ga.Evolve.default_guard with Ga.Evolve.max_retries }
 
 (* A search can degrade so far that its "best" genome is itself a penalized
    failure; shipping that as a tuned heuristic would be worse than useless,
    so fall back to the Jikes default (paper Table 4, column 1). *)
-let best_or_default gu (ga : Ga.Evolve.result) =
+let best_or_default (ga : Ga.Evolve.result) =
   if Float.is_finite ga.Ga.Evolve.best_fitness
-     && ga.Ga.Evolve.best_fitness < gu.Ga.Evolve.penalty
+     && ga.Ga.Evolve.best_fitness < Ga.Evolve.default_guard.Ga.Evolve.penalty
   then Heuristic.of_array ga.Ga.Evolve.best
   else Heuristic.default
 
@@ -90,7 +91,7 @@ let search_id id suite what =
    goes through the flat genome × benchmark grid ([Evolve.run ?grid]) so
    fresh simulations saturate the domain pool. *)
 let tune ?(budget = default_budget) ?on_generation ?on_stats ?(suite = Workloads.Suites.spec)
-    ?checkpoint ?resume ?(max_retries = 1) ?domains ?plan id =
+    ?checkpoint ?resume ?domains ?plan id =
   let spec = spec_of id in
   let grid =
     Objective.genome_grid ?plan ~suite ~scenario:spec.scenario ~platform:spec.platform
@@ -105,17 +106,16 @@ let tune ?(budget = default_budget) ?on_generation ?on_stats ?(suite = Workloads
       domains;
     }
   in
-  let gu = guard ~max_retries in
   let search =
     search_id id suite ("plan " ^ Plan.digest (Option.value plan ~default:Plan.default))
   in
   let ga =
-    Ga.Evolve.run ?on_generation ?on_stats ?checkpoint ?resume ~search ~guard:gu ~grid
+    Ga.Evolve.run ?on_generation ?on_stats ?checkpoint ?resume ~search ~grid
       ~spec:Params.genome_spec ~params ()
   in
   {
     spec;
-    heuristic = best_or_default gu ga;
+    heuristic = best_or_default ga;
     fitness = ga.Ga.Evolve.best_fitness;
     ga;
     degraded = ga.Ga.Evolve.stopped;
@@ -137,14 +137,14 @@ type plan_outcome = {
 
 (* Same fallback logic as {!best_or_default}: a penalized "best" would ship
    a broken schedule, so fall back to the stock heuristic and plan. *)
-let plan_best_or_default gu (ga : Ga.Evolve.result) =
+let plan_best_or_default (ga : Ga.Evolve.result) =
   if Float.is_finite ga.Ga.Evolve.best_fitness
-     && ga.Ga.Evolve.best_fitness < gu.Ga.Evolve.penalty
+     && ga.Ga.Evolve.best_fitness < Ga.Evolve.default_guard.Ga.Evolve.penalty
   then Params.split_plan_genome ga.Ga.Evolve.best
   else (Heuristic.default, Plan.default)
 
 let tune_plan ?(budget = default_budget) ?on_generation ?on_stats
-    ?(suite = Workloads.Suites.spec) ?checkpoint ?resume ?(max_retries = 1) ?domains id =
+    ?(suite = Workloads.Suites.spec) ?checkpoint ?resume ?domains id =
   let spec = spec_of id in
   let grid =
     Objective.plan_genome_grid ~suite ~scenario:spec.scenario ~platform:spec.platform
@@ -159,13 +159,12 @@ let tune_plan ?(budget = default_budget) ?on_generation ?on_stats
       domains;
     }
   in
-  let gu = guard ~max_retries in
   let ga =
     Ga.Evolve.run ?on_generation ?on_stats ?checkpoint ?resume
-      ~search:(search_id id suite "plan-genome") ~guard:gu ~grid ~spec:Params.plan_genome_spec
+      ~search:(search_id id suite "plan-genome") ~grid ~spec:Params.plan_genome_spec
       ~params ()
   in
-  let heuristic, plan = plan_best_or_default gu ga in
+  let heuristic, plan = plan_best_or_default ga in
   {
     p_spec = spec;
     p_heuristic = heuristic;
@@ -176,7 +175,7 @@ let tune_plan ?(budget = default_budget) ?on_generation ?on_stats
   }
 
 (* Per-program tuning for running time (paper Fig. 10). *)
-let tune_per_program ?(budget = default_budget) ?(max_retries = 1) ?domains ?plan bm =
+let tune_per_program ?(budget = default_budget) ?domains ?plan bm =
   let suite = [ bm ] in
   let grid =
     Objective.genome_grid ?plan ~suite ~scenario:Machine.Opt ~platform:Platform.x86
@@ -191,6 +190,5 @@ let tune_per_program ?(budget = default_budget) ?(max_retries = 1) ?domains ?pla
       domains;
     }
   in
-  let gu = guard ~max_retries in
-  let ga = Ga.Evolve.run ~guard:gu ~grid ~spec:Params.genome_spec ~params () in
-  (best_or_default gu ga, ga.Ga.Evolve.best_fitness)
+  let ga = Ga.Evolve.run ~grid ~spec:Params.genome_spec ~params () in
+  (best_or_default ga, ga.Ga.Evolve.best_fitness)

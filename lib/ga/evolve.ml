@@ -26,12 +26,12 @@ module Sandbox = Inltune_resilience.Sandbox
    The paper's searches run for days; two mechanisms keep them alive:
 
    - Evaluation is fault-tolerant: each cell runs inside [Sandbox.run]
-     (bounded retry, deterministic backoff, non-finite results rejected as
-     corrupt), a genome whose every attempt fails gets the [guard]'s penalty
-     fitness and is quarantined so it is never evaluated again, and a
-     generation whose fresh-evaluation failure rate exceeds the threshold
-     stops the search gracefully — best-known result, recorded reason —
-     instead of crashing it.
+     (any exception sandboxed, only injected faults retried, non-finite
+     results rejected as corrupt), a genome with a failed cell gets the
+     [guard]'s penalty fitness and is quarantined so it is never evaluated
+     again, and a generation whose fresh-evaluation failure rate exceeds
+     the threshold stops the search gracefully — best-known result,
+     recorded reason — instead of crashing it.
 
    - [?checkpoint] appends one complete snapshot per generation (population,
      RNG state, memo cache, quarantine, history, counters) to a JSONL file;
@@ -63,24 +63,17 @@ let default_params =
     domains = None;
   }
 
-(* Failure isolation policy for fitness evaluation.  [classify] decides which
-   exceptions are sandboxed (retried, then penalized); anything else is still
-   isolated per-item by the pool but fails without retry. *)
+(* Failure isolation policy for fitness evaluation.  Every exception a cell
+   raises is sandboxed; only an injected fault is retried (see
+   [Sandbox.run]). *)
 type guard = {
-  max_retries : int;          (* additional attempts after the first failure *)
-  penalty : float;            (* fitness assigned to genomes that keep failing *)
+  max_retries : int;          (* further attempts after an injected fault *)
+  penalty : float;            (* fitness assigned to genomes that fail *)
   failure_threshold : float;  (* stop when > this fraction of a generation's
                                  fresh evaluations fail *)
-  classify : exn -> bool;     (* transient (retryable) failure? *)
 }
 
-let default_guard =
-  {
-    max_retries = 1;
-    penalty = 1.0e6;
-    failure_threshold = 0.5;
-    classify = (fun _ -> true);
-  }
+let default_guard = { max_retries = 1; penalty = 1.0e6; failure_threshold = 0.5 }
 
 (* Flat-grid evaluation: the GA is handed the benchmark axis explicitly and
    submits the whole genome × benchmark grid to the pool as independent
@@ -414,7 +407,6 @@ let write_snapshot ~label ~repr ~params ?search path s =
    the latter before generation 0 is evaluated.  Evaluation needs a [grid]
    or a scalar [fitness]; given both, the grid is used. *)
 let eval_site = Sandbox.site "eval"
-let eval_failures = Metric.handle "eval.failures"
 
 let run_repr ?on_generation ?on_stats ?(guard = default_guard) ?checkpoint ?resume ?search
     ?grid ?fitness ?prefilter ?best_view ~label ~repr ~params () =
@@ -501,13 +493,12 @@ let run_repr ?on_generation ?on_stats ?(guard = default_guard) ?checkpoint ?resu
     (* Fresh genomes × cells are independent pool items, genome-major.  A
        genome fails if any of its cells failed: the first failing cell names
        the attempts and reason, and retries spent on its other cells still
-       count.  An exception [guard.classify] rejects escapes the sandbox; the
-       pool still isolates it to its item. *)
+       count. *)
     let couts =
       Pool.map_result ?domains:params.domains
         (fun (g, j) ->
-          Sandbox.run ~max_retries:guard.max_retries ~classify:guard.classify
-            ~corrupt:Sandbox.corrupt ~site:eval_site (fun () -> cell g j))
+          Sandbox.run ~max_retries:guard.max_retries ~corrupt:Sandbox.corrupt ~site:eval_site
+            (fun () -> cell g j))
         (Array.init (Array.length todo * nb) (fun i -> (todo.(i / nb), i mod nb)))
     in
     let outcomes =
@@ -523,16 +514,11 @@ let run_repr ?on_generation ?on_stats ?(guard = default_guard) ?checkpoint ?resu
               vals.(j) <- o.Sandbox.result
             | Ok (Error fl) ->
               extra := !extra + (fl.Sandbox.f_attempts - 1);
-              if !fail = None then
-                fail := Some (`Cell (fl.Sandbox.f_attempts, fl.Sandbox.f_reason))
-            | Error e -> if !fail = None then fail := Some (`Exn e)
+              if !fail = None then fail := Some (fl.Sandbox.f_attempts, fl.Sandbox.f_reason)
+            | Error e -> raise e (* the sandbox catches every exception *)
           done;
           match !fail with
-          | Some (`Cell (attempts, reason)) -> `Failed (attempts, reason, !extra)
-          | Some (`Exn e) ->
-            (* Not sandboxable: penalized without retry. *)
-            Metric.bump eval_failures;
-            `Failed (1, Printexc.to_string e, 0)
+          | Some (attempts, reason) -> `Failed (attempts, reason, !extra)
           | None -> `Value (combine g vals, !extra))
         todo
     in

@@ -66,8 +66,6 @@ type result = {
   prefilter_candidates : int;
 }
 
-let default_guard = { E.default_guard with classify = Objective.transient_failure }
-
 let engine_params (p : params) =
   {
     E.pop_size = p.pop_size;
@@ -93,8 +91,8 @@ let repr (p : params) =
     r_no_best = Json.Str "";
   }
 
-let run ?on_generation ?on_stats ?(guard = default_guard) ?checkpoint ?resume ?dataset
-    ~suite ~scenario ~platform ~goal ~params () =
+let run ?on_generation ?on_stats ?checkpoint ?resume ?dataset ~suite ~scenario ~platform ~goal
+    ~params () =
   let skips = ref 0 in
   let candidates = ref 0 in
   let c_skips = Metric.counter "gp.prefilter_skips" in
@@ -140,7 +138,7 @@ let run ?on_generation ?on_stats ?(guard = default_guard) ?checkpoint ?resume ?d
       params.parsimony params.iterations
   in
   let r =
-    E.run_repr ?on_generation ?on_stats ~guard ?checkpoint ?resume ~search ~grid ?prefilter
+    E.run_repr ?on_generation ?on_stats ?checkpoint ?resume ~search ~grid ?prefilter
       ~best_view:Tree.to_text ~label:"gp" ~repr:(repr params) ~params:(engine_params params) ()
   in
   {

@@ -44,10 +44,6 @@ type result = {
   prefilter_candidates : int;  (** fresh trees the pre-filter examined *)
 }
 
-(** {!Inltune_ga.Evolve.default_guard} with transient-failure
-    classification. *)
-val default_guard : E.guard
-
 (** The tree representation: {!Genetic}'s operators, {!Tree.digest} keys,
     and checkpoint genomes as {!Tree.to_text} strings (the empty string
     before a best tree exists). *)
@@ -67,7 +63,6 @@ val repr : params -> Tree.t E.repr
 val run :
   ?on_generation:(E.progress -> unit) ->
   ?on_stats:(E.gen_stats -> unit) ->
-  ?guard:E.guard ->
   ?checkpoint:string ->
   ?resume:string ->
   ?dataset:(float array * bool) array ->

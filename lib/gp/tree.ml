@@ -102,7 +102,7 @@ let clamp_const c =
 (* Deterministic depth pruning keeps the leftmost leaf of an over-deep
    numeric subtree (constants clamped on the way out); an over-deep boolean
    combinator collapses to [False] — reject, the safe default, the same
-   conservative direction [Inline.max_expanded_size] takes. *)
+   conservative direction [Engine.max_expanded_size] takes. *)
 let rec num_leftmost = function
   | Feat _ as n -> n
   | Const c -> Const (clamp_const c)

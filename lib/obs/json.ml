@@ -87,11 +87,10 @@ let parse_string st =
   in
   go ()
 
+let is_num_char = function '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
+
 let parse_number st =
   let start = st.pos in
-  let is_num_char c =
-    match c with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
-  in
   while st.pos < String.length st.src && is_num_char st.src.[st.pos] do
     st.pos <- st.pos + 1
   done;
@@ -142,7 +141,9 @@ let rec parse_value st =
   | Some 't' -> literal st "true" (Bool true)
   | Some 'f' -> literal st "false" (Bool false)
   | Some 'n' -> literal st "null" Null
-  | Some _ -> parse_number st
+  | Some c when is_num_char c -> parse_number st
+  | Some (' ' .. '~' as c) -> error st (Printf.sprintf "unexpected byte '%c'" c)
+  | Some c -> error st (Printf.sprintf "unexpected byte \\x%02x" (Char.code c))
 
 let parse s =
   let st = { src = s; pos = 0 } in

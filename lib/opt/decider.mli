@@ -18,4 +18,4 @@ type t =
       (** first-class policy replacing the heuristic (e.g. a learned tree) *)
   | Custom of site_decision
       (** bare decision closure (e.g. the knapsack baseline); ignores the
-          hot-site classifier, exactly as [Inline.run_custom] does *)
+          hot-site classifier *)

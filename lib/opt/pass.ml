@@ -167,11 +167,11 @@ let inline =
       (fun ?facts program ctx ~knob:_ m ->
         let m, s =
           match ctx.decider with
-          | Decider.Custom decide -> Inline.run_custom ?facts ~decide ~program m
-          | Decider.Policy policy ->
-            Inline.run_policy ?hot_site:ctx.hot_site ?facts ~program ~policy m
+          | Decider.Custom decide -> Engine.run ?facts ~program ~policy:(Policy.of_custom decide) m
+          | Decider.Policy policy -> Engine.run ?hot_site:ctx.hot_site ?facts ~program ~policy m
           | Decider.Heuristic heuristic ->
-            Inline.run ?hot_site:ctx.hot_site ?facts ~program ~heuristic m
+            Engine.run ?hot_site:ctx.hot_site ?facts ~program
+              ~policy:(Policy.of_heuristic heuristic) m
         in
         (m, inline_delta s));
     static_policy = None;

@@ -93,7 +93,6 @@ type config = {
   goal : Objective.goal;
   iterations : int;
   max_sites : int;
-  max_retries : int;
 }
 
 let default_config =
@@ -104,7 +103,6 @@ let default_config =
     goal = Objective.Total;
     iterations = 3;
     max_sites = 20;
-    max_retries = 1;
   }
 
 (* The oracle's scalar, per Section 3.1; Balance normalizes with the default
@@ -156,6 +154,15 @@ let enumerate cfg benches =
     benches
 
 let label_site = Sandbox.site "policy.label"
+
+(* A flipped decision can make the simulation exhaust its fuel, trap or
+   overflow the stack: data about that configuration, so the sandbox keeps
+   it (final, like every simulation failure).  Any other exception is a bug
+   in the labeller and escapes. *)
+let simulation_failure = function
+  | Machine.Out_of_fuel | Machine.Trap _ | Stack_overflow -> true
+  | _ -> false
+
 let sites_labeled = Metric.counter "policy.sites_labeled"
 let label_flips = Metric.counter "policy.label_flips"
 
@@ -191,8 +198,8 @@ let generate ?resume ?on_benchmark cfg benches =
         | Some e -> Vec.push out e
         | None ->
           let flipped =
-            Sandbox.run ~max_retries:cfg.max_retries ~classify:Objective.transient_failure
-              ~corrupt:Sandbox.corrupt ~site:label_site (fun () ->
+            Sandbox.run ~classify:simulation_failure ~corrupt:Sandbox.corrupt ~site:label_site
+              (fun () ->
                 let t =
                   measure_with cfg bm (fun ~ordinal ~features:_ v ->
                       if ordinal = k then
@@ -207,7 +214,7 @@ let generate ?resume ?on_benchmark cfg benches =
               let gain = (base_metric -. fm) /. Float.max base_metric 1.0 in
               if fm < base_metric then (not base_accept, gain) else (base_accept, gain)
             | Error _ ->
-              (* The flipped configuration kept failing: keep the decision
+              (* The flipped configuration failed: keep the decision
                  the base system actually makes (it demonstrably runs). *)
               (base_accept, 0.0)
           in

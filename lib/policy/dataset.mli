@@ -39,11 +39,10 @@ type config = {
   goal : Objective.goal;     (** metric the oracle compares runs under *)
   iterations : int;
   max_sites : int;           (** flip-measurement cap per benchmark; 0 = all *)
-  max_retries : int;         (** sandbox retries per flip measurement *)
 }
 
 (** Opt scenario, x86, Jikes default heuristic, Total goal, 20 sites per
-    benchmark, 1 retry. *)
+    benchmark. *)
 val default_config : config
 
 (** The base run's decisions for one benchmark: feature vector and base

@@ -4,7 +4,6 @@ module Trace = Inltune_obs.Trace
 module Event = Inltune_obs.Event
 module Json = Inltune_obs.Json
 module Sandbox = Inltune_resilience.Sandbox
-module Faultinject = Inltune_resilience.Faultinject
 module Machine = Inltune_vm.Machine
 module Platform = Inltune_vm.Platform
 module Heuristic = Inltune_opt.Heuristic
@@ -12,6 +11,7 @@ module Plan = Inltune_opt.Plan
 module Suites = Inltune_workloads.Suites
 module Corpus = Inltune_workloads.Corpus
 module Measure = Inltune_core.Measure
+module Objective = Inltune_core.Objective
 module Tuner = Inltune_core.Tuner
 module Params = Inltune_core.Params
 module Fitcache = Inltune_core.Fitcache
@@ -77,7 +77,6 @@ type config = {
   quota_rate : float;
   quota_burst : float;
   default_deadline_ms : int;
-  max_retries : int;
   degrade_after : int;
   degrade_window_s : float;
   cooldown_s : float;
@@ -93,7 +92,6 @@ let default_config =
     quota_rate = 0.0;
     quota_burst = 10.0;
     default_deadline_ms = 0;
-    max_retries = 1;
     degrade_after = 5;
     degrade_window_s = 10.0;
     cooldown_s = 5.0;
@@ -122,7 +120,8 @@ type t = {
 }
 
 (* Raised inside request execution when its deadline passed or the daemon is
-   draining; the sandbox must let it escape (it is not a transient fault). *)
+   draining; the sandbox must let it escape (it is not a failure of the
+   request's genome). *)
 exception Cancelled_request of string  (* "timeout" | "shutdown" *)
 
 let log srv fmt =
@@ -268,17 +267,9 @@ let validate = function
 
 (* --- execution ----------------------------------------------------------- *)
 
-(* Deterministic fault hook, mirroring [Objective]'s evaluation gate: arm
-   with INLTUNE_FAULTS="serve:ACTION@K".  [Raise] and [Hang] abort the
-   attempt (the sandbox retries); [Corrupt] makes the result NaN, which the
-   sandbox's corrupt check rejects. *)
-let fault_gate () =
-  match Faultinject.check "serve" with
-  | None -> false
-  | Some Faultinject.Raise -> raise (Faultinject.Injected "serve")
-  | Some Faultinject.Hang -> raise Machine.Out_of_fuel
-  | Some Faultinject.Corrupt -> true
-
+(* Each request attempt checks the "serve" fault site once
+   ([Objective.fault_gate]); an injected [Corrupt] still runs the work, then
+   reports it NaN, which [result_corrupt] rejects. *)
 type job_result = Rmeasure of Measure.times | Rtune of Tuner.outcome
 
 let result_corrupt = function
@@ -290,7 +281,7 @@ let past_deadline deadline =
   match deadline with None -> false | Some d -> Pool.now () > d
 
 let run_measure srv ~tenant ~deadline m =
-  let corrupt = fault_gate () in
+  let corrupt = Objective.fault_gate "serve" in
   (* The simulation is multiplexed onto the shared worker-domain pool:
      [priority] so interactive requests overtake bulk tuning batches, and
      the [cancelled] hook so an item still queued when its deadline passes
@@ -314,7 +305,7 @@ let run_measure srv ~tenant ~deadline m =
   | Error e -> raise e
 
 let run_tune srv ~tenant ~deadline u =
-  let corrupt = fault_gate () in
+  let corrupt = Objective.fault_gate "serve" in
   (* Cooperative cancellation at generation granularity: the GA loop itself
      is untouched (its results must stay bit-identical to the offline tune
      path), the hook just refuses to continue past a dead deadline. *)
@@ -324,8 +315,7 @@ let run_tune srv ~tenant ~deadline u =
   in
   with_tenant tenant (fun () ->
       let oc =
-        Tuner.tune ~budget:u.jt_budget ~on_generation ~suite:u.jt_suite
-          ~max_retries:srv.cfg.max_retries u.jt_id
+        Tuner.tune ~budget:u.jt_budget ~on_generation ~suite:u.jt_suite u.jt_id
       in
       if corrupt then { oc with Tuner.fitness = Float.nan } else oc)
 
@@ -362,8 +352,10 @@ let result_fields = function
 (* Degraded execution: never simulate.  A measure whose decision signature
    is already cached is answered bit-identically from the cache (the
    [Measure.run] call below finds it without simulating); anything else
-   falls back to the memoized Jikes-default measurement / default
-   heuristic, clearly labelled so clients know what they got. *)
+   falls back to the Jikes-default measurement / default heuristic, clearly
+   labelled so clients know what they got.  The fallback measure goes
+   through the fitness cache like any other, so it is attributed to the
+   tenant and [Fitcache.clear] forgets it. *)
 let execute_degraded ~tenant job =
   bump "serve.degraded_replies";
   with_tenant tenant (fun () ->
@@ -380,8 +372,8 @@ let execute_degraded ~tenant job =
                ~platform:m.jm_platform ~heuristic:m.jm_heuristic m.jm_bench)
         else
           measure_fields ~status:"degraded" ~source:"default-heuristic"
-            (Measure.run_default ~iterations:m.jm_iterations ~scenario:m.jm_scenario
-               ~platform:m.jm_platform m.jm_bench)
+            (Measure.run ~iterations:m.jm_iterations ~scenario:m.jm_scenario
+               ~platform:m.jm_platform ~heuristic:Heuristic.default m.jm_bench)
       | Jtune _ ->
         [
           ("status", Json.Str "degraded");
@@ -401,8 +393,7 @@ let execute srv ~tenant ~deadline ~gk job =
     | Jtune u -> Rtune (run_tune srv ~tenant ~deadline u)
   in
   match
-    Sandbox.run ~max_retries:srv.cfg.max_retries ~classify ~corrupt:result_corrupt
-      ~site:request_site f
+    Sandbox.run ~classify ~corrupt:result_corrupt ~site:request_site f
   with
   | Ok o ->
     if past_deadline deadline then begin

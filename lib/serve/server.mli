@@ -17,7 +17,8 @@
     ["serve.degraded_exited"], ["serve.shutdown_replies"],
     ["serve.connections"]; histogram ["serve.latency_ms"].
     Fault site ["serve"]: [INLTUNE_FAULTS="serve:raise@K"] makes the daemon's
-    K-th gate check abort that request attempt. *)
+    K-th gate check abort that request attempt, which is retried once; an
+    injected [hang] or [corrupt] fails the request on its first attempt. *)
 
 type config = {
   permits : int;             (** concurrently executing requests (>= 1) *)
@@ -25,7 +26,6 @@ type config = {
   quota_rate : float;        (** per-tenant requests/second; <= 0 = unlimited *)
   quota_burst : float;       (** per-tenant burst size *)
   default_deadline_ms : int; (** applied when a request carries none; 0 = none *)
-  max_retries : int;         (** sandbox retries per request *)
   degrade_after : int;       (** pressure events in the window that trip degraded mode *)
   degrade_window_s : float;
   cooldown_s : float;        (** quiet time required to leave degraded mode *)

@@ -56,6 +56,12 @@ INLTUNE_FAULTS="eval:raise@3,eval:raise@4" \
 grep -q '"ev":"eval.quarantine"' "$faults" || { echo "missing eval.quarantine event"; exit 1; }
 dune exec --no-build bin/main.exe -- trace-summary "$faults" | grep -q "eval.failures" \
   || { echo "missing eval.failures counter in trace-summary"; exit 1; }
+# A hang is fuel exhaustion, which a deterministic simulation would repeat:
+# it is final on its first attempt, so the hit genome is quarantined.
+INLTUNE_FAULTS="eval:hang@3" \
+  dune exec --no-build bin/main.exe -- tune -s adapt --pop 6 -g 2 --domains 1 2> /dev/null \
+  | grep -qx "evaluation failures: 1 (quarantined genotypes: 1)" \
+  || { echo "injected hang was not final"; exit 1; }
 
 echo "== checkpoint/resume smoke =="
 # A run interrupted after 1 generation and resumed must print exactly what an
@@ -309,7 +315,7 @@ echo "== serve smoke =="
 sock=$tmp/serve.sock
 INLTUNE_FAULTS="serve:raise@1,serve:raise@2" \
   ./_build/default/bin/main.exe serve --socket "$sock" --permits 2 \
-  --max-retries 1 --degrade-after 1 --cooldown 60 --quiet &
+  --degrade-after 1 --cooldown 60 --quiet &
 serve_pid=$!
 
 client() { ./_build/default/bin/main.exe client "$@" --socket "$sock"; }

@@ -36,7 +36,6 @@ let test_load_invariants () =
       queue_cap = 2;
       quota_rate = 50.0;
       quota_burst = 10.0;
-      max_retries = 1;
       degrade_after = 4;
       degrade_window_s = 10.0;
       cooldown_s = 1.0;

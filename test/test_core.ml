@@ -444,15 +444,7 @@ let test_tune_resume_refuses_other_search () =
           (String.length msg > 0
           && List.exists (fun w -> w = "search") (String.split_on_char ' ' msg)))
 
-(* --- Resilience wiring: classifier, fault hooks, fuel-exhaustion penalty --- *)
-
-let test_transient_failure_classification () =
-  Alcotest.(check bool) "out of fuel" true (Objective.transient_failure Machine.Out_of_fuel);
-  Alcotest.(check bool) "trap" true (Objective.transient_failure (Machine.Trap "x"));
-  Alcotest.(check bool) "stack overflow" true (Objective.transient_failure Stack_overflow);
-  Alcotest.(check bool) "injected fault" true
-    (Objective.transient_failure (Inltune_resilience.Faultinject.Injected "eval"));
-  Alcotest.(check bool) "other exceptions are bugs" false (Objective.transient_failure Exit)
+(* --- Resilience wiring: fault hooks, fuel-exhaustion penalty --- *)
 
 let test_genome_fitness_fault_injection () =
   let module F = Inltune_resilience.Faultinject in
@@ -473,16 +465,10 @@ let test_genome_fitness_fault_injection () =
       Alcotest.(check (float 1e-9)) "healthy call unaffected" 1.0 (f g))
 
 let test_fuel_exhaustion_penalized () =
-  (* An evaluation that exhausts its fuel budget is retried, then penalized
-     and quarantined; genomes that evaluate cleanly still win the search. *)
+  (* An evaluation that exhausts its fuel budget is penalized and
+     quarantined; genomes that evaluate cleanly still win the search. *)
   let fitness g = if g.(0) > 25 then raise Machine.Out_of_fuel else 1.0 in
-  let guard =
-    {
-      Inltune_ga.Evolve.default_guard with
-      Inltune_ga.Evolve.classify = Objective.transient_failure;
-      failure_threshold = 1.1;
-    }
-  in
+  let guard = { Inltune_ga.Evolve.default_guard with Inltune_ga.Evolve.failure_threshold = 1.1 } in
   let params =
     {
       Inltune_ga.Evolve.default_params with
@@ -498,6 +484,42 @@ let test_fuel_exhaustion_penalized () =
     r.Inltune_ga.Evolve.quarantined;
   Alcotest.(check (float 0.0)) "survivors score normally" 1.0
     r.Inltune_ga.Evolve.best_fitness
+
+(* A deterministic simulation that failed once fails again: under the
+   tuner's guard an evaluation raising Out_of_fuel or Trap runs once per
+   distinct genome, with no retry, and its genome is quarantined. *)
+let test_simulation_failures_final () =
+  let params =
+    {
+      Inltune_ga.Evolve.default_params with
+      Inltune_ga.Evolve.pop_size = 8;
+      generations = 3;
+      seed = 11;
+      domains = Some 1;
+    }
+  in
+  let retries () = Inltune_obs.Metric.value (Inltune_obs.Metric.counter "eval.retries") in
+  List.iter
+    (fun exn ->
+      let calls : (string, int) Hashtbl.t = Hashtbl.create 16 in
+      let fitness g =
+        let k = Inltune_ga.Genome.key g in
+        Hashtbl.replace calls k (1 + Option.value ~default:0 (Hashtbl.find_opt calls k));
+        if g.(0) > 25 then raise exn else 1.0
+      in
+      let before = retries () in
+      let r =
+        Inltune_ga.Evolve.run ~guard:(Tuner.guard ~max_retries:1) ~spec:Params.genome_spec
+          ~params ~fitness ()
+      in
+      let what = Printexc.to_string exn in
+      Alcotest.(check bool) (what ^ ": some evaluations failed") true
+        (r.Inltune_ga.Evolve.failures > 0);
+      Hashtbl.iter (fun k n -> Alcotest.(check int) (what ^ ": runs of " ^ k) 1 n) calls;
+      Alcotest.(check int) (what ^ ": no retry") 0 (retries () - before);
+      Alcotest.(check int) (what ^ ": failures quarantined") r.Inltune_ga.Evolve.failures
+        r.Inltune_ga.Evolve.quarantined)
+    [ Machine.Out_of_fuel; Machine.Trap "probe" ]
 
 (* --- Report / Experiments (cheap ones only) --- *)
 
@@ -563,7 +585,6 @@ let suite =
     ("tuner scenario parsing", `Quick, test_scenario_of_string);
     ("tuner micro budget", `Slow, test_tune_micro_budget_beats_or_matches_default);
     ("tuner resume refuses another search", `Quick, test_tune_resume_refuses_other_search);
-    ("transient failure classification", `Quick, test_transient_failure_classification);
     ("genome_fitness fault injection", `Quick, test_genome_fitness_fault_injection);
     ("fuel exhaustion penalized", `Quick, test_fuel_exhaustion_penalized);
     ("report bars table", `Quick, test_report_bars_table);
@@ -571,4 +592,5 @@ let suite =
     ("experiment fig1", `Slow, test_experiment_fig1_runs);
     ("experiment unknown id rejected", `Quick, test_experiment_unknown_rejected);
     ("fig2 series varies with depth", `Slow, test_fig2_series_varies);
+    ("simulation failures are final", `Quick, test_simulation_failures_final);
   ]

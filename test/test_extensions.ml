@@ -48,8 +48,8 @@ let test_custom_inlines_selected_site_only () =
   let decide ~site_owner:_ ~callee ~callee_size:_ ~inline_depth:_ ~caller_size:_ =
     callee = f
   in
-  let m, stats = Inline.run_custom ~decide ~program:p p.Ir.methods.(main) in
-  Alcotest.(check int) "one site inlined" 1 stats.Inline.sites_inlined;
+  let m, stats = Engine.run ~program:p ~policy:(Policy.of_custom decide) p.Ir.methods.(main) in
+  Alcotest.(check int) "one site inlined" 1 stats.Engine.sites_inlined;
   Alcotest.(check int) "one call left (g)" 1 (count_calls m)
 
 let test_custom_preserves_semantics () =

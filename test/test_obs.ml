@@ -66,6 +66,16 @@ let test_json_parser_errors () =
   bad "\"unterminated";
   bad "1 2"
 
+(* A byte no JSON value starts with is named, with its offset; a bad number
+   is still reported as one. *)
+let test_json_names_unexpected_byte () =
+  let err s = match Json.parse s with Ok _ -> Alcotest.failf "accepted %S" s | Error m -> m in
+  Alcotest.(check string) "letter" "unexpected byte 'x' at offset 0" (err "x");
+  Alcotest.(check string) "control byte" "unexpected byte \\x01 at offset 0" (err "\001");
+  Alcotest.(check string) "high byte" "unexpected byte \\xff at offset 4" (err "[1, \255]");
+  Alcotest.(check string) "inside an array" "unexpected byte '@' at offset 3" (err "[1,@]");
+  Alcotest.(check string) "bad number" "bad number - at offset 1" (err "-")
+
 (* --- Sinks and the Trace front end --- *)
 
 let test_disabled_trace_emits_nothing () =
@@ -373,4 +383,5 @@ let suite =
     Alcotest.test_case "has_events ignores counter snapshots" `Quick test_has_events;
     Alcotest.test_case "histogram memory bounded" `Quick test_histogram_bounded;
     QCheck_alcotest.to_alcotest prop_histogram_accuracy;
+    Alcotest.test_case "json names the unexpected byte" `Quick test_json_names_unexpected_byte;
   ]

@@ -118,24 +118,28 @@ let count_calls m =
 
 let test_inline_removes_call () =
   let p, _, _, main = tiny_with_helper () in
-  let m, stats = Inline.run ~program:p ~heuristic:Heuristic.default p.Ir.methods.(main) in
+  let m, stats =
+    Engine.run ~program:p ~policy:(Policy.of_heuristic Heuristic.default) p.Ir.methods.(main)
+  in
   Alcotest.(check int) "no calls left" 0 (count_calls m);
-  Alcotest.(check int) "two sites seen" 2 stats.Inline.sites_seen;
-  Alcotest.(check int) "two sites inlined" 2 stats.Inline.sites_inlined;
+  Alcotest.(check int) "two sites seen" 2 stats.Engine.sites_seen;
+  Alcotest.(check int) "two sites inlined" 2 stats.Engine.sites_inlined;
   Validate.check_exn { p with Ir.methods = Array.map (fun x -> if x.Ir.mid = main then m else x) p.Ir.methods }
 
 let test_inline_never_heuristic_is_identity_shape () =
   let p, _, _, main = tiny_with_helper () in
-  let m, stats = Inline.run ~program:p ~heuristic:Heuristic.never p.Ir.methods.(main) in
+  let m, stats =
+    Engine.run ~program:p ~policy:(Policy.of_heuristic Heuristic.never) p.Ir.methods.(main)
+  in
   Alcotest.(check int) "call kept" 1 (count_calls m);
-  Alcotest.(check int) "nothing inlined" 0 stats.Inline.sites_inlined
+  Alcotest.(check int) "nothing inlined" 0 stats.Engine.sites_inlined
 
 let test_inline_depth_zero_blocks_band () =
   let p, _, _, main = tiny_with_helper () in
   (* wrap is band-size (>= always_inline); depth 0 must block it while the
      tiny helper below would still be inlined if reached. *)
   let h = { Heuristic.default with Heuristic.max_inline_depth = 0; always_inline_size = 1 } in
-  let m, _ = Inline.run ~program:p ~heuristic:h p.Ir.methods.(main) in
+  let m, _ = Engine.run ~program:p ~policy:(Policy.of_heuristic h) p.Ir.methods.(main) in
   Alcotest.(check int) "call survives at depth 0" 1 (count_calls m)
 
 let test_inline_respects_callee_max () =
@@ -144,7 +148,7 @@ let test_inline_respects_callee_max () =
   let h =
     { Heuristic.never with Heuristic.callee_max_size = wrap_size - 1; always_inline_size = 0 }
   in
-  let m, _ = Inline.run ~program:p ~heuristic:h p.Ir.methods.(main) in
+  let m, _ = Engine.run ~program:p ~policy:(Policy.of_heuristic h) p.Ir.methods.(main) in
   Alcotest.(check int) "wrap too big" 1 (count_calls m)
 
 let test_inline_recursion_guard () =
@@ -166,13 +170,13 @@ let test_inline_recursion_guard () =
   (* With an aggressive heuristic, the self-call inside f must never unroll
      endlessly: f can be inlined into main once, but f-within-f is refused. *)
   let h = { Heuristic.default with Heuristic.always_inline_size = 20 } in
-  let m, _ = Inline.run ~program:p ~heuristic:h p.Ir.methods.(main) in
+  let m, _ = Engine.run ~program:p ~policy:(Policy.of_heuristic h) p.Ir.methods.(main) in
   Alcotest.(check bool) "terminates with bounded size" true (Size.of_method m < 200)
 
 let test_inline_grows_registers_not_blocks_lost () =
   let p, _, _, main = tiny_with_helper () in
   let before = p.Ir.methods.(main) in
-  let m, _ = Inline.run ~program:p ~heuristic:Heuristic.default before in
+  let m, _ = Engine.run ~program:p ~policy:(Policy.of_heuristic Heuristic.default) before in
   Alcotest.(check bool) "nregs grew" true (m.Ir.nregs > before.Ir.nregs);
   Alcotest.(check bool) "blocks grew" true (Array.length m.Ir.blocks > Array.length before.Ir.blocks)
 
@@ -189,16 +193,21 @@ let test_inline_hot_site_path () =
     }
   in
   let hot_site ~site_owner:_ ~callee:_ = true in
-  let m, stats = Inline.run ~hot_site ~program:p ~heuristic:h p.Ir.methods.(main) in
-  Alcotest.(check bool) "hot site inlined" true (stats.Inline.hot_sites_inlined >= 1);
+  let m, stats =
+    Engine.run ~hot_site ~program:p ~policy:(Policy.of_heuristic h) p.Ir.methods.(main)
+  in
+  Alcotest.(check bool) "hot site inlined" true (stats.Engine.hot_sites_inlined >= 1);
   ignore m
 
 (* --- Inline: decision records --- *)
 
 let decision_reasons ?hot_site ~heuristic p main =
   let ds = Inltune_support.Vec.create () in
-  let _ = Inline.run ?hot_site ~decisions:ds ~program:p ~heuristic p.Ir.methods.(main) in
-  Array.map (fun d -> Inline.reason_name d.Inline.d_reason) (Inltune_support.Vec.to_array ds)
+  let _ =
+    Engine.run ?hot_site ~decisions:ds ~program:p ~policy:(Policy.of_heuristic heuristic)
+      p.Ir.methods.(main)
+  in
+  Array.map (fun d -> Engine.reason_name d.Engine.d_reason) (Inltune_support.Vec.to_array ds)
 
 let test_decision_reasons_default () =
   let p, _, _, main = tiny_with_helper () in

@@ -117,14 +117,16 @@ let test_threshold_reproduces_heuristic_decisions () =
       Array.iter
         (fun m ->
           let dh = Vec.create () and dp = Vec.create () in
-          let mh, _ = Inline.run ~decisions:dh ~program:p ~heuristic:Heuristic.default m in
-          let mp, _ = Inline.run_policy ~decisions:dp ~program:p ~policy:pol m in
+          let mh, _ =
+            Engine.run ~decisions:dh ~program:p ~policy:(Policy.of_heuristic Heuristic.default) m
+          in
+          let mp, _ = Engine.run ~decisions:dp ~program:p ~policy:pol m in
           let summarize v =
             Array.map
-              (fun (d : Inline.decision) ->
-                Printf.sprintf "%d->%d %s %b" d.Inline.d_site_owner d.Inline.d_callee
-                  (Inline.reason_name d.Inline.d_reason)
-                  (Inline.decision_accepts d))
+              (fun (d : Engine.decision) ->
+                Printf.sprintf "%d->%d %s %b" d.Engine.d_site_owner d.Engine.d_callee
+                  (Engine.reason_name d.Engine.d_reason)
+                  (Engine.decision_accepts d))
               (Vec.to_array v)
           in
           Alcotest.(check (array string))

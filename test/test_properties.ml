@@ -82,8 +82,8 @@ let prop_inline_size_bounded =
       let h = Heuristic.of_array [| 50; 20; 15; 4000; 400 |] in
       Array.for_all
         (fun m ->
-          let m', _ = Inline.run ~program:p ~heuristic:h m in
-          Size.of_method m' <= Inline.max_expanded_size + 100)
+          let m', _ = Engine.run ~program:p ~policy:(Policy.of_heuristic h) m in
+          Size.of_method m' <= Engine.max_expanded_size + 100)
         p.Ir.methods)
 
 (* 4. With the never heuristic, inlining changes nothing structurally. *)
@@ -92,8 +92,8 @@ let prop_never_heuristic_no_sites =
       let p = Gen_random.program seed in
       Array.for_all
         (fun m ->
-          let _, stats = Inline.run ~program:p ~heuristic:Heuristic.never m in
-          stats.Inline.sites_inlined = 0)
+          let _, stats = Engine.run ~program:p ~policy:(Policy.of_heuristic Heuristic.never) m in
+          stats.Engine.sites_inlined = 0)
         p.Ir.methods)
 
 (* 5. DCE never removes observable behaviour: prints survive. *)

@@ -66,7 +66,7 @@ let test_sandbox_retry_then_success () =
   let calls = ref 0 in
   let f () =
     incr calls;
-    if !calls < 3 then failwith "flaky" else 0.5
+    if !calls < 3 then raise (Faultinject.Injected "t") else 0.5
   in
   match Sandbox.run ~max_retries:2 ~corrupt:Sandbox.corrupt ~site:t_site f with
   | Ok o ->
@@ -77,14 +77,20 @@ let test_sandbox_retry_then_success () =
 
 let test_sandbox_exhaustion () =
   let calls = ref 0 in
+  let f () = incr calls; raise (Faultinject.Injected "t") in
+  (match Sandbox.run ~max_retries:2 ~corrupt:Sandbox.corrupt ~site:t_site f with
+  | Ok _ -> Alcotest.fail "should have failed"
+  | Error fl ->
+    Alcotest.(check int) "attempts = 1 + max_retries" 3 fl.Sandbox.f_attempts;
+    Alcotest.(check int) "calls" 3 !calls);
+  (* Any other exception is final: a deterministic evaluation fails again. *)
+  calls := 0;
   let f () = incr calls; failwith "always" in
   match Sandbox.run ~max_retries:2 ~corrupt:Sandbox.corrupt ~site:t_site f with
   | Ok _ -> Alcotest.fail "should have failed"
   | Error fl ->
-    Alcotest.(check int) "attempts = 1 + max_retries" 3 fl.Sandbox.f_attempts;
-    Alcotest.(check int) "calls" 3 !calls;
-    (* 2^0 after attempt 1, 2^1 after attempt 2 (no backoff after the last). *)
-    Alcotest.(check int) "backoff units" 3 fl.Sandbox.f_backoff_units
+    Alcotest.(check int) "ordinary exception: one attempt" 1 fl.Sandbox.f_attempts;
+    Alcotest.(check int) "ordinary exception: one call" 1 !calls
 
 let test_sandbox_corrupt_output () =
   let calls = ref 0 in
@@ -92,7 +98,8 @@ let test_sandbox_corrupt_output () =
   (match Sandbox.run ~max_retries:1 ~corrupt:Sandbox.corrupt ~site:t_site f with
   | Ok _ -> Alcotest.fail "NaN must not be an Ok value"
   | Error fl ->
-    Alcotest.(check int) "retried once" 2 fl.Sandbox.f_attempts;
+    Alcotest.(check int) "corrupt output is final" 1 fl.Sandbox.f_attempts;
+    Alcotest.(check int) "one call" 1 !calls;
     Alcotest.(check bool) "reason mentions corrupt" true
       (String.length fl.Sandbox.f_reason >= 7
       && String.sub fl.Sandbox.f_reason 0 7 = "corrupt"));
@@ -106,21 +113,26 @@ let test_sandbox_classify_rejects () =
       ignore (Sandbox.run ~classify:(fun e -> e <> Exit) ~corrupt:Sandbox.corrupt ~site:t_site f))
 
 let test_sandbox_run_generic_corrupt () =
-  (* The generic engine retries arbitrary result types; [corrupt] rejects a
-     bad success exactly like an exception. *)
+  (* The generic engine retries an injected fault whatever the result type;
+     [corrupt] rejects a bad success on the attempt that produced it. *)
   let calls = ref 0 in
-  let f () = incr calls; if !calls = 1 then "garbage" else "fine" in
+  let f () =
+    incr calls;
+    match !calls with 1 -> raise (Faultinject.Injected "t") | 2 -> "garbage" | _ -> "fine"
+  in
   let corrupt s = if s = "garbage" then Some "garbage result" else None in
-  match Sandbox.run ~max_retries:1 ~corrupt ~site:t_site f with
-  | Ok o ->
-    Alcotest.(check string) "second result kept" "fine" o.Sandbox.result;
-    Alcotest.(check int) "attempts" 2 o.Sandbox.o_attempts
-  | Error fl -> Alcotest.failf "unexpected failure: %s" (Sandbox.failure_to_string fl)
+  match Sandbox.run ~max_retries:2 ~corrupt ~site:t_site f with
+  | Ok o -> Alcotest.failf "garbage must be final, got %S" o.Sandbox.result
+  | Error fl ->
+    Alcotest.(check string) "reason" "garbage result" fl.Sandbox.f_reason;
+    Alcotest.(check int) "injected fault, then garbage" 2 fl.Sandbox.f_attempts;
+    Alcotest.(check int) "calls" 2 !calls
 
-(* The env-armed hang path: INLTUNE_FAULTS="SITE:hang@K" makes the K-th gate
-   check of SITE burn its whole fuel budget (Out_of_fuel), which the sandbox
-   treats as one more transient failure — retried with the deterministic
-   exponential backoff schedule. *)
+(* The env-armed paths: INLTUNE_FAULTS="SITE:raise@K" makes the K-th gate
+   check of SITE raise an injected fault, which the sandbox retries (the
+   next attempt is the next occurrence); "SITE:hang@K" burns the whole fuel
+   budget (Out_of_fuel), final on its first attempt like any simulation
+   failure. *)
 
 let arm_from_env spec =
   Unix.putenv "INLTUNE_FAULTS" spec;
@@ -139,38 +151,50 @@ let hang_gate site () =
   | None -> 0.5
 
 let test_sandbox_hang_retries_then_succeeds () =
-  arm_from_env "sbx:hang@1";
+  arm_from_env "sbx:raise@1,sbx:hang@3";
   Fun.protect ~finally:Faultinject.clear (fun () ->
-      match
+      let run () =
         Sandbox.run ~max_retries:2 ~corrupt:Sandbox.corrupt ~site:(Sandbox.site "sbx")
           (hang_gate "sbx")
-      with
+      in
+      (match run () with
       | Ok o ->
         Alcotest.(check (float 0.0)) "recovered value" 0.5 o.Sandbox.result;
-        Alcotest.(check int) "hang, then success" 2 o.Sandbox.o_attempts
-      | Error fl -> Alcotest.failf "unexpected failure: %s" (Sandbox.failure_to_string fl))
+        Alcotest.(check int) "injected fault, then success" 2 o.Sandbox.o_attempts
+      | Error fl -> Alcotest.failf "unexpected failure: %s" (Sandbox.failure_to_string fl));
+      match run () with
+      | Ok _ -> Alcotest.fail "a hang must fail"
+      | Error fl ->
+        Alcotest.(check int) "hang is final" 1 fl.Sandbox.f_attempts;
+        Alcotest.(check int) "gate checked three times" 3 (Faultinject.calls "sbx"))
 
-let test_sandbox_hang_exhaustion_deterministic_backoff () =
-  (* Every attempt hangs: the failure record carries exactly the backoff the
-     schedule prescribes (1 after attempt 1, 2 after attempt 2), every run. *)
-  arm_from_env "sbx2:hang@1,sbx2:hang@2,sbx2:hang@3";
+let test_sandbox_injected_exhaustion () =
+  (* Every attempt raises an injected fault: two retries, then one failure,
+     every run.  A hang costs one attempt and no retry. *)
+  arm_from_env "sbx2:raise@1,sbx2:raise@2,sbx2:raise@3,sbx2:hang@4";
   Fun.protect ~finally:Faultinject.clear (fun () ->
       let counter name = Inltune_obs.Metric.value (Inltune_obs.Metric.counter ("sbx2." ^ name)) in
-      let before = List.map counter [ "retries"; "backoff_units"; "failures" ] in
-      match
+      let counters () = List.map counter [ "retries"; "failures" ] in
+      let run () =
         Sandbox.run ~max_retries:2 ~corrupt:Sandbox.corrupt ~site:(Sandbox.site "sbx2")
           (hang_gate "sbx2")
-      with
-      | Ok _ -> Alcotest.fail "three hangs must exhaust two retries"
+      in
+      let before = counters () in
+      (match run () with
+      | Ok _ -> Alcotest.fail "three injected faults must exhaust two retries"
       | Error fl ->
         Alcotest.(check int) "attempts" 3 fl.Sandbox.f_attempts;
-        Alcotest.(check int) "backoff 1 + 2"
-          (Sandbox.backoff_units ~attempt:1 + Sandbox.backoff_units ~attempt:2)
-          fl.Sandbox.f_backoff_units;
         Alcotest.(check int) "gate consumed all three faults" 3
           (Faultinject.calls "sbx2");
-        Alcotest.(check (list int)) "retries, backoff units, failures counted" [ 2; 3; 1 ]
-          (List.map2 ( - ) (List.map counter [ "retries"; "backoff_units"; "failures" ]) before))
+        Alcotest.(check (list int)) "retries, failures counted" [ 2; 1 ]
+          (List.map2 ( - ) (counters ()) before));
+      let before = counters () in
+      match run () with
+      | Ok _ -> Alcotest.fail "a hang must fail"
+      | Error fl ->
+        Alcotest.(check int) "hang: one attempt" 1 fl.Sandbox.f_attempts;
+        Alcotest.(check (list int)) "hang: no retry, one failure" [ 0; 1 ]
+          (List.map2 ( - ) (counters ()) before))
 
 (* A site's counters are bound when it is declared: a run that succeeds
    first try registers none of them. *)
@@ -181,13 +205,7 @@ let test_sandbox_success_resolves_nothing () =
   List.iter
     (fun c ->
       Alcotest.(check bool) (c ^ " not registered") false (List.mem ("sbx_quiet." ^ c) names))
-    [ "retries"; "failures"; "backoff_units" ]
-
-let test_backoff_schedule () =
-  Alcotest.(check (list int)) "exponential" [ 1; 2; 4; 8 ]
-    (List.map (fun a -> Sandbox.backoff_units ~attempt:a) [ 1; 2; 3; 4 ]);
-  Alcotest.(check int) "capped" (Sandbox.backoff_units ~attempt:100)
-    (Sandbox.backoff_units ~attempt:21)
+    [ "retries"; "failures" ]
 
 (* --- Guarded evolution --- *)
 
@@ -220,13 +238,14 @@ let test_guarded_run_isolates_failures () =
   Alcotest.(check int) "best genome survived the fault" 1 (r.Evolve.best.(0) mod 2)
 
 let test_quarantine_stops_reevaluation () =
-  (* A persistently failing genotype is attempted exactly (1 + max_retries)
-     times in total, however many generations revisit it. *)
+  (* A genotype whose every attempt hits an injected fault is attempted
+     exactly (1 + max_retries) times in total, however many generations
+     revisit it. *)
   let attempts : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let fitness g =
     let k = Genome.key g in
     Hashtbl.replace attempts k (1 + Option.value ~default:0 (Hashtbl.find_opt attempts k));
-    if g.(0) mod 2 = 0 then failwith "injected" else sphere g
+    if g.(0) mod 2 = 0 then raise (Faultinject.Injected "eval") else sphere g
   in
   let guard =
     { Evolve.default_guard with Evolve.max_retries = 2; failure_threshold = 1.1 }
@@ -254,7 +273,7 @@ let test_degradation_stops_search () =
 
 let test_default_guard_quarantines () =
   (* Without a ~guard the default one applies: a raising evaluation is
-     retried, then penalized and quarantined, and the search finishes. *)
+     penalized and quarantined, and the search finishes. *)
   let fitness g = if g.(0) mod 5 = 0 then failwith "injected" else sphere g in
   let r = Evolve.run ~spec:spec3 ~params:small_params ~fitness () in
   Alcotest.(check bool) "failures recorded" true (r.Evolve.failures > 0);
@@ -263,18 +282,11 @@ let test_default_guard_quarantines () =
     (r.Evolve.best.(0) mod 5 <> 0 && r.Evolve.best_fitness < 100.0)
 
 let test_classify_limits_retry () =
-  (* Exceptions the guard does not classify as transient are penalized
-     without retry: exactly one attempt per distinct genome. *)
+  (* An exception other than an injected fault is penalized without retry,
+     whatever the retry budget: exactly one attempt per distinct genome. *)
   let calls = ref 0 in
   let fitness _ = incr calls; raise Exit in
-  let guard =
-    {
-      Evolve.default_guard with
-      Evolve.max_retries = 5;
-      failure_threshold = 1.1;
-      classify = (function Exit -> false | _ -> true);
-    }
-  in
+  let guard = { Evolve.default_guard with Evolve.max_retries = 5; failure_threshold = 1.1 } in
   let r = Evolve.run ~guard ~spec:spec3 ~params:small_params ~fitness () in
   Alcotest.(check int) "one attempt per distinct genome" r.Evolve.evaluations !calls;
   Alcotest.(check int) "all quarantined" r.Evolve.evaluations r.Evolve.quarantined
@@ -363,6 +375,22 @@ let test_checkpoint_errors_precede_evaluation () =
   Alcotest.(check bool) "refused resume created no file" false (Sys.file_exists missing);
   Alcotest.(check int) "nothing evaluated" 0 !calls
 
+(* An injected raise through the fault gate is retried exactly max_retries
+   times, then its genome is quarantined and never evaluated again. *)
+let test_injected_raise_quarantined () =
+  arm_from_env "eval:raise@1,eval:raise@2,eval:raise@3";
+  Fun.protect ~finally:Faultinject.clear (fun () ->
+      let retries () = Inltune_obs.Metric.value (Inltune_obs.Metric.counter "eval.retries") in
+      let before = retries () in
+      let fitness g = hang_gate "eval" () +. sphere g in
+      let guard = { Evolve.default_guard with Evolve.max_retries = 2; failure_threshold = 1.1 } in
+      let r = Evolve.run ~guard ~spec:spec3 ~params:small_params ~fitness () in
+      Alcotest.(check int) "retried max_retries times" 2 (retries () - before);
+      Alcotest.(check int) "one failure" 1 r.Evolve.failures;
+      Alcotest.(check int) "quarantined" 1 r.Evolve.quarantined;
+      Alcotest.(check int) "one gate check per evaluation, plus the retries"
+        (r.Evolve.evaluations + 2) (Faultinject.calls "eval"))
+
 (* --- Checkpoint codec (int-array genomes) --- *)
 
 let codec_params = { Evolve.default_params with Evolve.pop_size = 2; seed = 42; domains = Some 1 }
@@ -409,10 +437,9 @@ let suite =
     ("sandbox exhaustion", `Quick, test_sandbox_exhaustion);
     ("sandbox corrupt output", `Quick, test_sandbox_corrupt_output);
     ("sandbox classify rejects", `Quick, test_sandbox_classify_rejects);
-    ("sandbox backoff schedule", `Quick, test_backoff_schedule);
     ("sandbox generic run corrupt", `Quick, test_sandbox_run_generic_corrupt);
     ("sandbox hang retries then succeeds", `Quick, test_sandbox_hang_retries_then_succeeds);
-    ("sandbox hang exhaustion backoff", `Quick, test_sandbox_hang_exhaustion_deterministic_backoff);
+    ("sandbox hang exhaustion backoff", `Quick, test_sandbox_injected_exhaustion);
     ("sandbox success resolves no counter", `Quick, test_sandbox_success_resolves_nothing);
     ("guarded run isolates failures", `Quick, test_guarded_run_isolates_failures);
     ("quarantine stops re-evaluation", `Quick, test_quarantine_stops_reevaluation);
@@ -425,3 +452,4 @@ let suite =
     ("checkpoint errors precede evaluation", `Quick, test_checkpoint_errors_precede_evaluation);
   ]
   @ Ckpt_cases.cases codec_fixture
+  @ [ ("injected raise retried then quarantined", `Quick, test_injected_raise_quarantined) ]

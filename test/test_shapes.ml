@@ -193,7 +193,9 @@ let test_x86_spills_more_than_ppc () =
   let p = program "jess" in
   let hot = Array.to_list p.Ir.methods |> List.find (fun m -> m.Ir.mname = "rule_match0") in
   let inlined, _ =
-    Inline.run ~program:p ~heuristic:(Heuristic.of_array [| 50; 20; 15; 4000; 400 |]) hot
+    Engine.run ~program:p
+      ~policy:(Policy.of_heuristic (Heuristic.of_array [| 50; 20; 15; 4000; 400 |]))
+      hot
   in
   let x86 = Regalloc.run ~phys_regs:Platform.x86.Platform.phys_regs inlined in
   let ppc = Regalloc.run ~phys_regs:Platform.ppc.Platform.phys_regs inlined in

@@ -433,7 +433,7 @@ let test_regalloc_inlining_increases_pressure () =
   let bm = Inltune_workloads.Suites.find "jess" in
   let p = Inltune_workloads.Suites.program bm in
   let hot = Array.to_list p.Ir.methods |> List.find (fun m -> m.Ir.mname = "rule_match0") in
-  let inlined, _ = Inline.run ~program:p ~heuristic:Heuristic.default hot in
+  let inlined, _ = Engine.run ~program:p ~policy:(Policy.of_heuristic Heuristic.default) hot in
   let before = Regalloc.run ~phys_regs:8 hot in
   let after = Regalloc.run ~phys_regs:8 inlined in
   Alcotest.(check bool) "pressure grows under inlining" true
