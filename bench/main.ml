@@ -22,8 +22,14 @@ module W = Inltune_workloads
 module Table = Inltune_support.Table
 module Stats = Inltune_support.Stats
 
+(* Usage, knob and path errors are one line on stderr and exit 2. *)
+let die fmt = Printf.ksprintf (fun s -> prerr_endline ("bench: " ^ s); exit 2) fmt
+
 let env_int name default =
-  match Sys.getenv_opt name with Some v -> int_of_string v | None -> default
+  match Sys.getenv_opt name with
+  | None -> default
+  | Some v -> (
+    match int_of_string_opt v with Some n -> n | None -> die "bad %s %S: not an integer" name v)
 
 (* Bench records are one JSON object per file, written through [Json.encode]
    so names and tree texts are escaped.  [fixed d v] is [v] at the [d]
@@ -35,18 +41,19 @@ let int n = Json.Num (Float.of_int n)
 let names bms = Json.List (List.map (fun bm -> Json.Str bm.W.Suites.bname) bms)
 
 let write_record path fields =
-  let oc = open_out path in
-  output_string oc (Json.encode (Json.Obj fields));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s\n\n" path
+  match Inltune_support.Textfile.write path (Json.encode (Json.Obj fields) ^ "\n") with
+  | Ok () -> Printf.printf "wrote %s\n\n" path
+  | Error m -> die "cannot write record: %s" m
 
 let budget () =
-  {
-    Tuner.pop = env_int "INLTUNE_POP" 16;
-    gens = env_int "INLTUNE_GENS" 12;
-    seed = env_int "INLTUNE_SEED" 42;
-  }
+  let b =
+    {
+      Tuner.pop = env_int "INLTUNE_POP" 16;
+      gens = env_int "INLTUNE_GENS" 12;
+      seed = env_int "INLTUNE_SEED" 42;
+    }
+  in
+  match Tuner.check_budget b with Ok () -> b | Error m -> die "bad INLTUNE_POP %d: %s" b.pop m
 
 (* ---- Ablation benches (DESIGN.md section 5) ----------------------------- *)
 
@@ -447,7 +454,7 @@ let policy_comparison () =
   let b = budget () in
   let o = Tuner.tune ~budget:b Tuner.Opt_tot_x86 in
   let cfg = { P.Dataset.default_config with P.Dataset.max_sites = 12 } in
-  let examples = P.Dataset.generate cfg W.Suites.spec in
+  let examples = Result.get_ok (P.Dataset.generate cfg W.Suites.spec) in
   let training = P.Dataset.to_training examples in
   let tree = P.Cart.train training in
   let gp_params =
@@ -739,17 +746,15 @@ let inliners_bench () =
 (* ---- main ----------------------------------------------------------------- *)
 
 let () =
-  Inltune_obs.Trace.init_from_env ();
+  Result.iter_error (die "cannot open INLTUNE_TRACE file: %s") (Inltune_obs.Trace.init_from_env ());
   (* INLTUNE_PROFILE=1 works for benches exactly as it does for the CLI. *)
   Inltune_obs.Prof.init_from_env ();
   let arg = if Array.length Sys.argv > 1 then Sys.argv.(1) else "everything" in
   let protocols =
     [ "everything"; "ablations"; "extensions"; "policy"; "inliners" ] @ Experiments.known
   in
-  if not (List.mem arg protocols) then begin
-    Printf.eprintf "bench: unknown protocol %s (one of %s)\n" arg (String.concat ", " protocols);
-    exit 2
-  end;
+  if not (List.mem arg protocols) then
+    die "unknown protocol %s (one of %s)" arg (String.concat ", " protocols);
   let ctx = Experiments.make_ctx ~budget:(budget ()) () in
   match arg with
   | "everything" ->

@@ -31,10 +31,19 @@ open Inltune_opt
 module W = Inltune_workloads
 module P = Inltune_policy
 module Gp = Inltune_gp
+module Textfile = Inltune_support.Textfile
 
 (* Bad flag values get one line on stderr and exit code 2 (usage error),
    never a raw OCaml backtrace. *)
 let die fmt = Printf.ksprintf (fun s -> Printf.eprintf "inltune: %s\n%!" s; exit 2) fmt
+
+(* So does a path error: every file goes through [Textfile], whose [Error]
+   names the path. *)
+let or_die what = function Ok v -> v | Error m -> die "%s: %s" what m
+
+(* A flag value outside a bound the library enforces, checked before any
+   simulation. *)
+let bound flag v = function Ok () -> () | Error m -> die "bad %s %d: %s" flag v m
 
 let platform_arg =
   let doc = "Platform model: x86 or ppc." in
@@ -78,21 +87,12 @@ let plan_arg =
   in
   Arg.(value & opt (some string) None & info [ "plan" ] ~docv:"FILE" ~doc)
 
-let read_text_file path =
-  try
-    let ic = open_in path in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
-    s
-  with Sys_error msg -> die "cannot read plan file: %s" msg
+let read_plan path =
+  match Plan.of_string (or_die "cannot read plan file" (Textfile.read path)) with
+  | Ok p -> p
+  | Error msg -> die "bad plan %s: %s" path msg
 
-let plan_of_flag = function
-  | None -> None
-  | Some path -> (
-    match Plan.of_string (read_text_file path) with
-    | Ok p -> Some p
-    | Error msg -> die "bad plan %s: %s" path msg)
+let plan_of_flag = Option.map read_plan
 
 let find_bench name =
   try W.Suites.find name
@@ -143,16 +143,13 @@ let fitness_cache_arg =
 
 let setup_fitness_cache = function
   | None -> ()
-  | Some path -> Fitcache.set_file (Some path)
+  | Some path -> (
+    try Fitcache.set_file (Some path) with Failure m -> die "cannot use fitness cache: %s" m)
 
 let setup_trace = function
   | Some "-" -> Inltune_obs.Trace.to_channel stderr
-  | Some path -> (
-    try Inltune_obs.Trace.to_file path
-    with Sys_error msg ->
-      Printf.eprintf "inltune: cannot open trace file: %s\n" msg;
-      exit 1)
-  | None -> Inltune_obs.Trace.init_from_env ()
+  | Some path -> or_die "cannot open trace file" (Inltune_obs.Trace.to_file path)
+  | None -> or_die "cannot open INLTUNE_TRACE file" (Inltune_obs.Trace.init_from_env ())
 
 let profile_arg =
   let doc =
@@ -225,6 +222,7 @@ let run_cmd =
     let scen = scenario_of_flag scenario in
     let heuristic = heuristic_of_flag hstring in
     let plan = plan_of_flag planfile in
+    bound "--iterations" iterations (Runner.check_iterations iterations);
     let t = Measure.run ?plan ~iterations ~scenario:scen ~platform:plat ~heuristic bm in
     let d = Measure.run_default ~iterations ~scenario:scen ~platform:plat bm in
     let raw = t.Measure.raw in
@@ -313,6 +311,14 @@ let tune_cmd =
     setup_fitness_cache fcache;
     let id = tuner_scenario_of_flag scenario in
     let budget = { Tuner.pop; gens; seed } in
+    let gp_params =
+      { Gp.Evolve.default_params with Gp.Evolve.pop_size = pop; generations = gens; seed; domains }
+    in
+    bound "--pop" pop
+      (if evolve_policy then Gp.Evolve.check_params gp_params else Tuner.check_budget budget);
+    (* Written after the search, so opened for append now: an unwritable
+       path fails before the first simulation. *)
+    Option.iter (fun p -> close_out (or_die "cannot write --gp-out" (Textfile.open_append p))) gp_out;
     let plan = plan_of_flag planfile in
     if tune_passes && Option.is_some plan then
       die "--tune-passes evolves the plan itself; it cannot be combined with --plan";
@@ -359,22 +365,13 @@ let tune_cmd =
               ~on_benchmark:(fun b n -> Printf.eprintf "[inltune] labeling %s: %d sites\n%!" b n)
               cfg W.Suites.spec
           in
-          Some (P.Dataset.to_training examples)
-      in
-      let params =
-        {
-          Gp.Evolve.default_params with
-          Gp.Evolve.pop_size = pop;
-          generations = gens;
-          seed;
-          domains;
-        }
+          Some (P.Dataset.to_training (or_die "cannot use --dataset" examples))
       in
       let r =
         checkpointed (fun () ->
             Gp.Evolve.run ?on_generation ?on_stats ?checkpoint ?resume ?dataset
               ~suite:W.Suites.spec ~scenario:spec.Tuner.scenario ~platform:spec.Tuner.platform
-              ~goal:spec.Tuner.goal ~params ())
+              ~goal:spec.Tuner.goal ~params:gp_params ())
       in
       Printf.printf "scenario: %s\n" spec.Tuner.label;
       (match r.Gp.Evolve.stopped with
@@ -397,7 +394,7 @@ let tune_cmd =
           r.Gp.Evolve.quarantined;
       match gp_out with
       | Some path ->
-        Gp.Tree.save path r.Gp.Evolve.best;
+        or_die "cannot write --gp-out" (Gp.Tree.save path r.Gp.Evolve.best);
         Printf.printf "wrote policy tree to %s\n" path
       | None -> ()
     end
@@ -498,9 +495,7 @@ let export_cmd =
     match file with
     | None -> print_string text
     | Some path ->
-      let oc = open_out path in
-      output_string oc text;
-      close_out oc;
+      or_die "cannot write JIR file" (Textfile.write path text);
       Printf.printf "wrote %s\n" path
   in
   let file =
@@ -512,11 +507,7 @@ let export_cmd =
 let run_file_cmd =
   let run path scenario platform hstring planfile trace =
     setup_trace trace;
-    let ic = open_in path in
-    let len = in_channel_length ic in
-    let src = really_input_string ic len in
-    close_in ic;
-    match Inltune_jir.Text.parse src with
+    match Inltune_jir.Text.parse (or_die "cannot read JIR file" (Textfile.read path)) with
     | Error e ->
       Printf.eprintf "%s: line %d: %s\n" path e.Inltune_jir.Text.line e.Inltune_jir.Text.msg;
       exit 1
@@ -544,10 +535,7 @@ let plan_cmd =
   let run file =
     match file with
     | None -> print_string (Plan.to_string Plan.default)
-    | Some path -> (
-      match Plan.of_string (read_text_file path) with
-      | Ok p -> print_string (Plan.to_string p)
-      | Error msg -> die "bad plan %s: %s" path msg)
+    | Some path -> print_string (Plan.to_string (read_plan path))
   in
   let file =
     Arg.(
@@ -592,6 +580,7 @@ let knapsack_cmd =
 
 let search_cmd =
   let run algo budget seed =
+    bound "--budget" budget (Inltune_ga.Localsearch.check_budget budget);
     let suite = W.Suites.spec in
     let fitness =
       Objective.genome_fitness ~suite ~scenario:Machine.Opt ~platform:Platform.x86
@@ -633,8 +622,7 @@ let trace_summary_cmd =
        CLI error convention (one stderr line, exit 2), not cmdliner's parse
        error and exit 124. *)
     let records, malformed =
-      try Inltune_obs.Summary.load_file path
-      with Sys_error msg -> die "cannot read trace file: %s" msg
+      or_die "cannot read trace file" (Inltune_obs.Summary.load_file path)
     in
     if malformed > 0 then
       Printf.eprintf "warning: skipped %d malformed line(s) in %s\n%!" malformed path;
@@ -693,7 +681,7 @@ let goal_of_flag s =
 let load_policy path =
   match P.Store.load path with
   | Ok store -> store
-  | Error msg -> die "bad policy file %s: %s" path msg
+  | Error msg -> die "bad policy file %s" msg
 
 let features_cmd =
   let run bench =
@@ -724,6 +712,7 @@ let dataset_cmd =
        process-wide pool default with every other subcommand — validate and
        apply the bound here too so the flag behaves uniformly. *)
     let (_ : int option) = domains_of_flag domains in
+    bound "--iterations" iterations (Runner.check_iterations iterations);
     let cfg =
       {
         P.Dataset.scenario = scenario_of_flag scenario;
@@ -736,9 +725,10 @@ let dataset_cmd =
     in
     let benches = benches_of_flags suite bench_csv in
     let examples =
-      P.Dataset.generate ~resume:out
-        ~on_benchmark:(fun b n -> Printf.eprintf "[inltune] labeling %s: %d sites\n%!" b n)
-        cfg benches
+      or_die "cannot use dataset"
+        (P.Dataset.generate ~resume:out
+           ~on_benchmark:(fun b n -> Printf.eprintf "[inltune] labeling %s: %d sites\n%!" b n)
+           cfg benches)
     in
     let flips = List.length (List.filter (fun e -> e.P.Dataset.x_label <> e.P.Dataset.x_base) examples) in
     Printf.printf "%s: %d examples (%d oracle flips) over %d benchmarks\n" out
@@ -780,7 +770,7 @@ let train_policy_cmd =
         match data with
         | None -> die "training a tree needs a dataset (give the JSONL file as DATASET)"
         | Some path ->
-          let examples, bad = P.Dataset.load path in
+          let examples, bad = or_die "cannot read dataset" (P.Dataset.load path) in
           if bad > 0 then
             Printf.eprintf "warning: skipped %d malformed line(s) in %s\n%!" bad path;
           if examples = [] then die "dataset %s holds no examples" path;
@@ -801,7 +791,7 @@ let train_policy_cmd =
           P.Store.Tree tree)
       | s -> die "unknown policy kind '%s' (valid: tree, threshold)" s
     in
-    P.Store.save out store;
+    or_die "cannot write policy" (P.Store.save out store);
     Printf.printf "wrote %s policy to %s\n" (P.Store.kind_name store) out
   in
   let data =
@@ -837,6 +827,9 @@ let eval_policy_cmd =
       pop gens seed domains trace =
     setup_trace trace;
     let domains = domains_of_flag domains in
+    bound "--iterations" iterations (Runner.check_iterations iterations);
+    let budget = { Tuner.pop; gens; seed } in
+    bound "--pop" pop (Tuner.check_budget budget);
     let store = load_policy path in
     if print_only then print_string (P.Store.to_string store)
     else begin
@@ -848,7 +841,6 @@ let eval_policy_cmd =
         else if tuned_params <> "" then Some (heuristic_of_flag tuned_params)
         else begin
           Printf.eprintf "[inltune] GA-tuning the comparison heuristic (use --no-tuned to skip)\n%!";
-          let budget = { Tuner.pop; gens; seed } in
           let o = Tuner.tune ~budget ?domains Tuner.Opt_tot_x86 in
           Some o.Tuner.heuristic
         end
@@ -897,7 +889,7 @@ let eval_policy_cmd =
 let load_gp_tree path =
   match Gp.Tree.load ~dim:P.Features.dim path with
   | Ok t -> t
-  | Error msg -> die "bad policy tree %s: %s" path msg
+  | Error msg -> die "bad policy tree %s" msg
 
 let gp_print_cmd =
   let run path pretty =
@@ -922,6 +914,7 @@ let gp_eval_cmd =
   let run path suite bench_csv scenario platform iterations fcache domains trace =
     setup_trace trace;
     let (_ : int option) = domains_of_flag domains in
+    bound "--iterations" iterations (Runner.check_iterations iterations);
     setup_fitness_cache fcache;
     let tree = load_gp_tree path in
     let scen = scenario_of_flag scenario in
@@ -976,9 +969,10 @@ let policy_experiment ~verbose ~budget ?domains () =
   say "[inltune] tuned heuristic: %s\n" (Heuristic.to_string o.Tuner.heuristic);
   let cfg = { P.Dataset.default_config with P.Dataset.max_sites = 12 } in
   let examples =
-    P.Dataset.generate
-      ~on_benchmark:(fun b n -> say "[inltune] labeling %s: %d sites\n" b n)
-      cfg W.Suites.spec
+    Result.get_ok
+      (P.Dataset.generate
+         ~on_benchmark:(fun b n -> say "[inltune] labeling %s: %d sites\n" b n)
+         cfg W.Suites.spec)
   in
   let tree = P.Cart.train (P.Dataset.to_training examples) in
   say "[inltune] trained tree: %d nodes, depth %d\n" (P.Dtree.size tree) (P.Dtree.depth tree);
@@ -993,8 +987,9 @@ let experiment_cmd =
   let run id pop gens seed quiet domains fcache checkpoint resume trace =
     setup_trace trace;
     let domains = domains_of_flag domains in
-    setup_fitness_cache fcache;
     let budget = { Tuner.pop; gens; seed } in
+    bound "--pop" pop (Tuner.check_budget budget);
+    setup_fitness_cache fcache;
     if id = "policy" then policy_experiment ~verbose:(not quiet) ~budget ?domains ()
     else begin
       (* One experiment tunes several scenarios, so the checkpoint/resume paths

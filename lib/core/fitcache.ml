@@ -3,6 +3,7 @@ open Inltune_opt
 open Inltune_vm
 module Metric = Inltune_obs.Metric
 module Json = Inltune_obs.Json
+module Textfile = Inltune_support.Textfile
 
 (* Decision-signature fitness cache.
 
@@ -54,13 +55,11 @@ module Json = Inltune_obs.Json
    keeps both arguments intact when a plan schedules them: a strategy's
    output is a deterministic function of its input, its plan knobs (inside
    the key's plan tag), and — for inline_hot — the profile trajectory, which
-   the induction already covers.  When a *static* strategy (one whose
-   decisions read only the program and the site record) is the plan's
-   leading inliner and the decider-driven inline item is off, the signature
-   is that strategy's own exact engine walk, so two strategies with
-   different verdict vectors can never share a measurement; every other
-   strategy shape falls back conservatively (the decider's exact parameters
-   or digest when it still runs, an opaque constant when it does not).
+   the induction already covers.  So when the decider-driven inline item is
+   off, every decider compiles alike under one plan tag, and the signature
+   is the constant "n:static" in every scenario; when a strategy leads and
+   the inline item still runs, the signature falls back to the decider's
+   exact parameters or digest.
 
    The cache is two-tier: a mutex-guarded in-memory table, plus an optional
    append-only JSONL file ([set_file], CLI [--fitness-cache]) that is loaded
@@ -69,8 +68,10 @@ module Json = Inltune_obs.Json
    checkpoint layer memoizes genome fitness above this layer; this layer
    dedups the simulations below it).  Keys are content-addressed — program
    digest × scenario × platform × iterations × signature — so files can be
-   shared across runs and machines; a corrupt or truncated line (killed
-   mid-append) is skipped with a warning, never an abort. *)
+   shared across runs and machines.  A process killed mid-append loses only
+   the line it was writing: the loader skips that fragment with a warning,
+   never an abort, and the next attach ends it with a newline
+   ([Textfile.open_append]), so the next record is not glued onto it. *)
 
 (* --- per-program derived data ------------------------------------------ *)
 
@@ -132,8 +133,6 @@ let walk_digest walks =
     walks;
   "w:" ^ Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let walk_signature facts policy_of = walk_digest (walks facts policy_of)
-
 (* --- deciders ------------------------------------------------------------- *)
 
 type decider =
@@ -169,8 +168,11 @@ let signature_and_walks ~scenario ~decider ~inline_enabled ~plan facts =
   match scenario with
   | Machine.Opt -> (
     if not (any_enabled_inliner ~skip:opt_skip plan) then inexact "off"
+    else if not (Plan.has_enabled "inline" plan) then
+      (* Only strategy inliners run.  Within one plan tag their walks read
+         nothing but the program, so every decider compiles alike. *)
+      inexact "n:static"
     else
-      let decider_used = Plan.has_enabled "inline" plan in
       match Plan.first_walkable_inliner ~skip:opt_skip plan with
       | Some it when it.Plan.pass = "inline" -> (
         (* Exact for a static decider: the walk replays its verdict
@@ -182,26 +184,13 @@ let signature_and_walks ~scenario ~decider ~inline_enabled ~plan facts =
           let w = walks facts (fun _ -> policy) in
           (walk_digest w, Some w)
         | None -> inexact (opaque decider))
-      | Some it when not decider_used -> inexact (
-        (* The leading inliner is a strategy and the decider-driven inline
-           item is off: decisions read nothing the decider controls, so
-           the strategy's own walk is exact — and distinct strategies with
-           different verdict vectors hash apart, which keeps their
-           measurements apart even before the key's plan tag does. *)
-        match Option.bind (Pass.find it.Plan.pass) (fun p -> p.Pass.static_policy) with
-        | Some mk -> walk_signature facts (mk (Plan.item_knob it) facts)
-        | None -> "n:static" (* non-static strategy: plan tag isolates *))
-      | Some _ ->
-        (* A strategy leads but the decider-driven inline item still runs
-           later, on code the walk cannot reconstruct: fall back to the
-           opaque form — still sound (no merging beyond identical deciders
-           under the same plan, which the key's plan tag already isolates),
-           just maximally conservative. *)
-        inexact (opaque decider)
-      | None ->
-        (* Pre-inline schedule diverges from the single constprop the
-           roots walk assumes: same fallbacks, by decider relevance. *)
-        inexact (if decider_used then opaque decider else "n:static"))
+      | Some _ | None ->
+        (* A strategy leads and the inline item runs later, on code the walk
+           cannot reconstruct, or the pre-inline schedule diverges from the
+           single constprop the roots walk assumes: fall back to the opaque
+           form — still sound (no merging beyond identical deciders under
+           the same plan tag), just maximally conservative. *)
+        inexact (opaque decider))
   | Machine.Adapt | Machine.Ladder ->
     inexact
       (if not (any_enabled_inliner ~skip:(fun _ -> false) plan) then "off"
@@ -295,12 +284,10 @@ let mu = Mutex.create ()
 let table : (string, Runner.measurement) Hashtbl.t = Hashtbl.create 256
 let on = ref true
 
-(* The attached file: its path and one append channel, opened at the first
-   store and closed by [set_file]. *)
-type sink = { path : string; mutable oc : out_channel option }
-
+(* The attached file's one append channel, opened and closed by
+   [set_file]. *)
 let writer_mu = Mutex.create ()
-let sink : sink option ref = ref None
+let sink : out_channel option ref = ref None
 
 (* Multi-tenant attribution (the serve daemon).  The hook names the tenant
    on whose behalf the *current thread* is working; [owners] remembers which
@@ -385,63 +372,53 @@ let entry_of_line line =
     | _ -> Error "missing or non-integer field")
 
 (* One line per stored key, flushed at once: a killed process loses at most
-   the line it was writing, which the loader skips. *)
+   the line it was writing, because the loader skips the fragment and the
+   next attach starts a fresh line after it. *)
 let append_entry k m =
   Mutex.protect writer_mu (fun () ->
-      match !sink with
-      | None -> ()
-      | Some s ->
-        let oc =
-          match s.oc with
-          | Some oc -> oc
-          | None ->
-            let oc = open_out_gen [ Open_append; Open_creat ] 0o644 s.path in
-            s.oc <- Some oc;
-            oc
-        in
-        output_string oc (entry_to_line k m);
-        output_char oc '\n';
-        flush oc)
+      Option.iter
+        (fun oc ->
+          output_string oc (entry_to_line k m);
+          output_char oc '\n';
+          flush oc)
+        !sink)
+
+(* Warn once per file, not once per line: a big cache truncated by a
+   crashed writer could otherwise spray thousands of identical lines on
+   stderr.  The first bad line's position and cause are kept for the
+   summary; the count also lands in the "fitness.cache_corrupt" counter so
+   the serve daemon's stats expose it without scraping. *)
+let load p =
+  Mutex.protect mu (fun () ->
+      Textfile.fold_lines p ~init:(0, (0, "")) (fun ((skipped, first_bad) as acc) lineno line ->
+          if String.trim line = "" then acc
+          else
+            match entry_of_line line with
+            | Ok (k, m) ->
+              if not (Hashtbl.mem table k) then Hashtbl.add table k m;
+              acc
+            | Error e -> (skipped + 1, if skipped = 0 then (lineno, e) else first_bad)))
+  |> Result.map (fun (skipped, (where, why)) ->
+         if skipped > 0 then begin
+           Metric.add (Metric.counter "fitness.cache_corrupt") skipped;
+           Printf.eprintf
+             "warning: fitness cache %s: %d corrupt line%s ignored (first at line %d: %s)\n%!" p
+             skipped
+             (if skipped = 1 then "" else "s")
+             where why
+         end)
 
 let set_file path =
   Mutex.protect writer_mu (fun () ->
-      (match !sink with Some { oc = Some oc; _ } -> close_out oc | Some _ | None -> ());
-      sink := Option.map (fun p -> { path = p; oc = None }) path);
-  Mutex.lock mu;
-  (match path with
-  | Some p when Sys.file_exists p ->
-    let ic = open_in p in
-    (* Warn once per file, not once per line: a big cache truncated by a
-       crashed writer could otherwise spray thousands of identical lines on
-       stderr.  The first bad line's position and cause are kept for the
-       summary; the count also lands in the "fitness.cache_corrupt"
-       counter so the serve daemon's stats expose it without scraping. *)
-    let lineno = ref 0 and skipped = ref 0 in
-    let first_bad : (int * string) option ref = ref None in
-    (try
-       while true do
-         let line = input_line ic in
-         incr lineno;
-         if String.trim line <> "" then
-           match entry_of_line line with
-           | Ok (k, m) -> if not (Hashtbl.mem table k) then Hashtbl.add table k m
-           | Error e ->
-             incr skipped;
-             if !first_bad = None then first_bad := Some (!lineno, e)
-       done
-     with End_of_file -> ());
-    close_in ic;
-    if !skipped > 0 then begin
-      Metric.add (Metric.counter "fitness.cache_corrupt") !skipped;
-      let where, why = match !first_bad with Some (l, e) -> (l, e) | None -> (0, "") in
-      Printf.eprintf
-        "warning: fitness cache %s: %d corrupt line%s ignored (first at line %d: %s)\n%!"
-        p !skipped
-        (if !skipped = 1 then "" else "s")
-        where why
-    end
-  | _ -> ());
-  Mutex.unlock mu
+      Option.iter close_out !sink;
+      sink := None);
+  Option.iter
+    (fun p ->
+      let ok = function Ok v -> v | Error m -> failwith m in
+      if Sys.file_exists p then ok (load p);
+      let oc = ok (Textfile.open_append p) in
+      Mutex.protect writer_mu (fun () -> sink := Some oc))
+    path
 
 (* --- lookup ------------------------------------------------------------- *)
 

@@ -55,11 +55,12 @@ val program_digest : Ir.program -> string
 
 (** The heuristic's decision signature alone (no program digest or
     platform).
-    ["off"] when [inline_enabled] is false or the plan's inline item is
-    disabled — every heuristic then compiles identically.  Under [Opt] with
-    a plan whose pre-inline schedule differs from the historical one
-    ({!Inltune_opt.Plan.walk_compatible} is false) the signature falls back
-    to the raw heuristic parameters: still sound, just no cross-genome
+    ["off"] when no inliner runs ([inline_enabled] false disables the
+    [inline] item), and ["n:static"] when only strategy inliners run —
+    every heuristic then compiles identically under one plan tag.  Under
+    [Opt] with a plan whose pre-inline schedule differs from the historical
+    one ({!Inltune_opt.Plan.walk_compatible} is false) the signature falls
+    back to the raw heuristic parameters: still sound, just no cross-genome
     merging. *)
 val signature :
   scenario:Machine.scenario ->
@@ -134,13 +135,14 @@ val set_tenant_hook : (unit -> string option) -> unit
 
 (** [set_file (Some path)] attaches the on-disk tier: existing entries are
     loaded, and every fresh measurement is appended as one JSONL line,
-    flushed at once, through one channel that the next [set_file] closes.
-    Lines are written outside the table's lock, and only by the store that
-    inserted the key, so the file holds each key once.  Corrupt or
-    truncated lines are skipped — never an abort — counted in
-    ["fitness.cache_corrupt"], with a single summary warning per file on
-    stderr carrying the first bad line's position and cause.  [set_file
-    None] detaches. *)
+    flushed at once, through one {!Inltune_support.Textfile.open_append}
+    channel that the next [set_file] closes.  Lines are written outside the
+    table's lock, and only by the store that inserted the key, so the file
+    holds each key once.  Corrupt or truncated lines are skipped — never an
+    abort — counted in ["fitness.cache_corrupt"], with a single summary
+    warning per file on stderr carrying the first bad line's position and
+    cause.  [set_file None] detaches.
+    @raise Failure ["<path>: <reason>"], detached, on a file error. *)
 val set_file : string option -> unit
 
 (** Is the query's measurement already cached?  No counters are bumped: the

@@ -55,6 +55,20 @@ type budget = { pop : int; gens : int; seed : int }
 
 let default_budget = { pop = 16; gens = 10; seed = 42 }
 
+(* The GA parameters every search below runs under. *)
+let ga_params ?domains budget =
+  {
+    Ga.Evolve.default_params with
+    Ga.Evolve.pop_size = budget.pop;
+    generations = budget.gens;
+    seed = budget.seed;
+    domains;
+  }
+
+(* [Evolve.check_params] of a budget: the CLI and the daemon ask it before
+   any simulation. *)
+let check_budget budget = Ga.Evolve.check_params (ga_params budget)
+
 type outcome = {
   spec : scenario_spec;
   heuristic : Heuristic.t;
@@ -97,15 +111,7 @@ let tune ?(budget = default_budget) ?on_generation ?on_stats ?(suite = Workloads
     Objective.genome_grid ?plan ~suite ~scenario:spec.scenario ~platform:spec.platform
       ~goal:spec.goal ()
   in
-  let params =
-    {
-      Ga.Evolve.default_params with
-      Ga.Evolve.pop_size = budget.pop;
-      generations = budget.gens;
-      seed = budget.seed;
-      domains;
-    }
-  in
+  let params = ga_params ?domains budget in
   let search =
     search_id id suite ("plan " ^ Plan.digest (Option.value plan ~default:Plan.default))
   in
@@ -150,15 +156,7 @@ let tune_plan ?(budget = default_budget) ?on_generation ?on_stats
     Objective.plan_genome_grid ~suite ~scenario:spec.scenario ~platform:spec.platform
       ~goal:spec.goal
   in
-  let params =
-    {
-      Ga.Evolve.default_params with
-      Ga.Evolve.pop_size = budget.pop;
-      generations = budget.gens;
-      seed = budget.seed;
-      domains;
-    }
-  in
+  let params = ga_params ?domains budget in
   let ga =
     Ga.Evolve.run ?on_generation ?on_stats ?checkpoint ?resume
       ~search:(search_id id suite "plan-genome") ~grid ~spec:Params.plan_genome_spec
@@ -181,14 +179,6 @@ let tune_per_program ?(budget = default_budget) ?domains ?plan bm =
     Objective.genome_grid ?plan ~suite ~scenario:Machine.Opt ~platform:Platform.x86
       ~goal:Objective.Running ()
   in
-  let params =
-    {
-      Ga.Evolve.default_params with
-      Ga.Evolve.pop_size = budget.pop;
-      generations = budget.gens;
-      seed = budget.seed;
-      domains;
-    }
-  in
+  let params = ga_params ?domains budget in
   let ga = Ga.Evolve.run ~grid ~spec:Params.genome_spec ~params () in
   (best_or_default ga, ga.Ga.Evolve.best_fitness)

@@ -6,6 +6,7 @@ module Event = Inltune_obs.Event
 module Metric = Inltune_obs.Metric
 module Json = Inltune_obs.Json
 module Sandbox = Inltune_resilience.Sandbox
+module Textfile = Inltune_support.Textfile
 
 (* Generational genetic algorithm, minimizing a fitness function — the role
    ECJ plays in the paper.
@@ -348,34 +349,35 @@ let snapshot_of_json ~repr ~params ?search j =
 let snapshot_of_line ~repr ~params ?search line =
   Result.bind (Json.parse line) (snapshot_of_json ~repr ~params ?search)
 
-(* The newest complete line wins.  A run killed mid-append leaves at most one
-   truncated final line, which does not parse and is skipped; a line that
-   parses but fails [snapshot_of_json] is refused, not skipped. *)
+(* The newest line that parses wins.  A run killed mid-append leaves one
+   truncated line, which does not parse and is skipped; the resumed run's
+   appender ends it with a newline ([Textfile.open_append]), so the lines
+   it writes parse too.  A line that parses but fails [snapshot_of_json] is
+   refused, not skipped. *)
 let load_snapshot ~repr ~params ?search path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error m -> Error m
-  | text ->
-    let rec newest = function
-      | [] -> Error (Printf.sprintf "%s: no complete checkpoint record" path)
-      | line :: older -> (
-        match Json.parse line with
-        | Error _ -> newest older
-        | Ok j ->
-          Result.map_error (Printf.sprintf "%s: %s" path) (snapshot_of_json ~repr ~params ?search j))
-    in
-    newest (List.rev (String.split_on_char '\n' text))
+  match
+    Textfile.fold_lines path ~init:None (fun newest _ line ->
+        match Json.parse line with Ok j -> Some j | Error _ -> newest)
+  with
+  | Error m -> Error m
+  | Ok None -> Error (Printf.sprintf "%s: no complete checkpoint record" path)
+  | Ok (Some j) ->
+    Result.map_error (Printf.sprintf "%s: %s" path) (snapshot_of_json ~repr ~params ?search j)
 
-let append_to path f =
-  try Out_channel.with_open_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path f
-  with Sys_error m -> ckpt_fail "cannot write checkpoint: %s" m
+let append_to path text =
+  match Textfile.open_append path with
+  | Error m -> ckpt_fail "cannot write checkpoint: %s" m
+  | Ok oc -> (
+    try
+      output_string oc text;
+      close_out oc
+    with Sys_error m -> ckpt_fail "cannot write checkpoint: %s" m)
 
 (* Append one snapshot line; bumps ["ckpt.writes"] and emits a ["ckpt.write"]
    event whose [kind] is the engine's label. *)
 let write_snapshot ~label ~repr ~params ?search path s =
   let line = snapshot_to_line ~repr ~params ?search s in
-  append_to path (fun oc ->
-      output_string oc line;
-      output_char oc '\n');
+  append_to path (line ^ "\n");
   Metric.incr (Metric.counter "ckpt.writes");
   if Trace.enabled () then
     Trace.emit "ckpt.write"
@@ -387,6 +389,15 @@ let write_snapshot ~label ~repr ~params ?search path s =
         ]
 
 (* --- the search loop ------------------------------------------------------ *)
+
+(* The bounds [run_repr] enforces, also asked by the CLI and the daemon
+   before any simulation. *)
+let check_params p =
+  if p.pop_size < 2 then Error "the population needs at least 2 individuals"
+  else if p.elites >= p.pop_size then
+    Error (Printf.sprintf "the population must exceed its %d elites" p.elites)
+  else if p.tournament < 1 then Error "the tournament size must be >= 1"
+  else Ok ()
 
 (* [prefilter], when given, is consulted for every fresh (uncached) genome
    before its simulations are submitted: [Some surrogate] records that value
@@ -410,9 +421,7 @@ let eval_site = Sandbox.site "eval"
 
 let run_repr ?on_generation ?on_stats ?(guard = default_guard) ?checkpoint ?resume ?search
     ?grid ?fitness ?prefilter ?best_view ~label ~repr ~params () =
-  if params.pop_size < 2 then invalid_arg "Evolve.run: population too small";
-  if params.elites >= params.pop_size then invalid_arg "Evolve.run: too many elites";
-  if params.tournament < 1 then invalid_arg "Evolve.run: tournament size must be >= 1";
+  Result.iter_error (fun m -> invalid_arg ("Evolve.run: " ^ m)) (check_params params);
   (* The axis type is erased to cell indices, so a grid and a scalar fitness
      (the one-column grid) share one evaluation path. *)
   let nb, cell, combine =
@@ -430,7 +439,7 @@ let run_repr ?on_generation ?on_stats ?(guard = default_guard) ?checkpoint ?resu
         | Error m -> ckpt_fail "cannot resume: %s" m)
       resume
   in
-  Option.iter (fun path -> append_to path ignore) checkpoint;
+  Option.iter (fun path -> append_to path "") checkpoint;
   let t_start = Trace.now () in
   let c_quarantined = Metric.counter "eval.quarantined" in
   let c_quarantine_hits = Metric.counter "eval.quarantine_hits" in
@@ -816,7 +825,8 @@ let run ?on_generation ?on_stats ?guard ?checkpoint ?resume ?search ?grid ?fitne
 (* Random search with the same evaluation budget — the ablation baseline the
    GA is compared against. *)
 let random_search ~spec ~budget ~seed ~fitness () =
-  if budget < 1 then invalid_arg "Evolve.random_search";
+  Result.iter_error (fun m -> invalid_arg ("Evolve.random_search: " ^ m))
+    (Localsearch.check_budget budget);
   let rng = Rng.create seed in
   let best = ref (Genome.random spec rng) in
   let best_fit = ref (fitness !best) in

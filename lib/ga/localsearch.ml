@@ -25,11 +25,15 @@ let neighbour spec rng g =
   end;
   g'
 
+(* The budget bound of every baseline search, [Evolve.random_search]
+   included. *)
+let check_budget budget = if budget < 1 then Error "need at least 1 evaluation" else Ok ()
+
 (* First-improvement hill climbing with random restarts: accept a neighbour
    as soon as it improves; restart from a random point after [patience]
    consecutive non-improving neighbours. *)
 let hill_climb ?(patience = 20) ~spec ~budget ~seed ~fitness () =
-  if budget < 1 then invalid_arg "Localsearch.hill_climb";
+  Result.iter_error (fun m -> invalid_arg ("Localsearch.hill_climb: " ^ m)) (check_budget budget);
   let rng = Rng.create seed in
   let evaluations = ref 0 in
   let eval g =
@@ -66,7 +70,7 @@ let hill_climb ?(patience = 20) ~spec ~budget ~seed ~fitness () =
 (* Simulated annealing with a geometric cooling schedule.  Worse neighbours
    are accepted with probability exp(-delta / temperature). *)
 let anneal ?(t0 = 0.05) ?(cooling = 0.98) ~spec ~budget ~seed ~fitness () =
-  if budget < 1 then invalid_arg "Localsearch.anneal";
+  Result.iter_error (fun m -> invalid_arg ("Localsearch.anneal: " ^ m)) (check_budget budget);
   if not (cooling > 0.0 && cooling < 1.0) then invalid_arg "Localsearch.anneal: cooling";
   let rng = Rng.create seed in
   let evaluations = ref 0 in

@@ -8,6 +8,10 @@ type result = {
   evaluations : int;
 }
 
+(** [Error] unless [budget >= 1], the bound {!hill_climb}, {!anneal} and
+    [Evolve.random_search] enforce. *)
+val check_budget : int -> (unit, string) Stdlib.result
+
 (** First-improvement hill climbing with random restarts after [patience]
     consecutive non-improving neighbours (default 20).  Minimizes. *)
 val hill_climb :

@@ -78,6 +78,8 @@ let engine_params (p : params) =
     domains = p.domains;
   }
 
+let check_params p = E.check_params (engine_params p)
+
 let repr (p : params) =
   {
     E.r_key = Tree.digest;

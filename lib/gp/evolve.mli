@@ -44,6 +44,9 @@ type result = {
   prefilter_candidates : int;  (** fresh trees the pre-filter examined *)
 }
 
+(** The bounds {!run} enforces ({!Inltune_ga.Evolve.check_params}). *)
+val check_params : params -> (unit, string) Stdlib.result
+
 (** The tree representation: {!Genetic}'s operators, {!Tree.digest} keys,
     and checkpoint genomes as {!Tree.to_text} strings (the empty string
     before a best tree exists). *)

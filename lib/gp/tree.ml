@@ -342,12 +342,12 @@ let of_string ~dim s =
             | Ok t -> Ok t
             | Error m -> Error ("line 2: " ^ m))))
 
+(* A file error already names the path; a parse error gets it here. *)
 let load ~dim path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error m -> Error m
-  | s -> of_string ~dim s
+  Result.bind (Inltune_support.Textfile.read path) (fun s ->
+      Result.map_error (fun e -> path ^ ": " ^ e) (of_string ~dim s))
 
-let save path t = Out_channel.with_open_bin path (fun oc -> output_string oc (to_string t))
+let save path t = Inltune_support.Textfile.write path (to_string t)
 
 (* --- human-readable rendering -------------------------------------------- *)
 

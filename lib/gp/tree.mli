@@ -88,8 +88,9 @@ val of_text : dim:int -> string -> (t, string) result
     number (["line 1: expected header ..."], ["line 2: token 4: ..."]). *)
 val of_string : dim:int -> string -> (t, string) result
 
+(** A file or parse [Error] starts with the path. *)
 val load : dim:int -> string -> (t, string) result
-val save : string -> t -> unit
+val save : string -> t -> (unit, string) result
 
 (** Infix rendering with feature names, for human eyes only
     (e.g. [(callee_size <= 23)]). *)

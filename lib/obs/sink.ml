@@ -3,6 +3,7 @@
    domains concurrently (GA fitness evaluation emits from worker domains). *)
 
 module Vec = Inltune_support.Vec
+module Textfile = Inltune_support.Textfile
 
 type t = {
   emit : Event.t -> unit;
@@ -29,9 +30,12 @@ let text oc =
 
 (* One JSON object per line, appended to [path].  Append mode lets several
    commands accumulate into one trace file (e.g. a run followed by a GA
-   tune, summarized together).  Buffered; flushed on close. *)
+   tune, summarized together).  Buffered; flushed on close.  A run killed
+   mid-flush leaves a torn last line; [Textfile.open_append] ends it, so
+   the next run's first event is a line of its own. *)
 let jsonl path =
-  let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path in
+  let ( let+ ) r f = Result.map f r in
+  let+ oc = Textfile.open_append path in
   let mu = Mutex.create () in
   let closed = ref false in
   {

@@ -14,8 +14,9 @@ val null : t
 val text : out_channel -> t
 
 (** One JSON object per line, appended to [path] (append mode lets several
-    commands accumulate into one trace file).  Buffered until close. *)
-val jsonl : string -> t
+    commands accumulate into one trace file) through
+    {!Inltune_support.Textfile.open_append}.  Buffered until close. *)
+val jsonl : string -> (t, string) result
 
 (** In-memory capture for tests: the sink and the vector it fills. *)
 val memory : unit -> t * Event.t Inltune_support.Vec.t

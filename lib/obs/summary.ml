@@ -6,6 +6,7 @@
    no dependency on the opt/vm/ga libraries. *)
 
 module Table = Inltune_support.Table
+module Textfile = Inltune_support.Textfile
 
 type record = { ts : float; ev : string; json : Json.t }
 
@@ -17,34 +18,17 @@ let of_line line =
     | Some (Json.Str ev), Some (Json.Num ts) -> Ok { ts; ev; json }
     | _ -> Error "missing \"ev\" or \"ts\"")
 
-(* Returns the parsed records plus the count of malformed lines (a trace cut
-   off mid-write must still summarize). *)
-let of_lines lines =
-  let bad = ref 0 in
-  let recs =
-    List.filter_map
-      (fun line ->
-        if String.trim line = "" then None
-        else
-          match of_line line with
-          | Ok r -> Some r
-          | Error _ ->
-            incr bad;
-            None)
-      lines
-  in
-  (recs, !bad)
+(* The parsed records plus the count of malformed lines (a trace cut off
+   mid-write must still summarize), accumulated newest first. *)
+let add_line ((recs, bad) as acc) line =
+  if String.trim line = "" then acc
+  else match of_line line with Ok r -> (r :: recs, bad) | Error _ -> (recs, bad + 1)
+
+let finish (recs, bad) = (List.rev recs, bad)
+let of_lines lines = finish (List.fold_left add_line ([], 0) lines)
 
 let load_file path =
-  let ic = open_in path in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> ());
-  close_in ic;
-  of_lines (List.rev !lines)
+  Result.map finish (Textfile.fold_lines path ~init:([], 0) (fun acc _ line -> add_line acc line))
 
 (* --- field helpers ------------------------------------------------------ *)
 

@@ -9,7 +9,8 @@ val of_line : string -> (record, string) result
 (** Records plus the count of malformed lines (skipped, not fatal). *)
 val of_lines : string list -> record list * int
 
-val load_file : string -> record list * int
+(** {!of_lines} of a trace file, streamed. *)
+val load_file : string -> (record list * int, string) result
 
 (** reason name, accepted?, count — sorted by count descending. *)
 val inline_reasons : record list -> (string * bool * int) list

@@ -81,15 +81,15 @@ let install s =
 
 let disable = shutdown
 
-let to_file path = install (Sink.jsonl path)
+let to_file path = Result.map install (Sink.jsonl path)
 let to_channel oc = install (Sink.text oc)
 
 (* INLTUNE_TRACE=path writes JSONL to path; INLTUNE_TRACE=- streams
    human-readable events to stderr. *)
 let init_from_env () =
   match Sys.getenv_opt "INLTUNE_TRACE" with
-  | None | Some "" -> ()
-  | Some "-" -> to_channel stderr
+  | None | Some "" -> Ok ()
+  | Some "-" -> Ok (to_channel stderr)
   | Some path -> to_file path
 
 let flush () = !sink.Sink.flush ()

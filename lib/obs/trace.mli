@@ -19,15 +19,15 @@ val install : Sink.t -> unit
 (** Flush metrics into the trace, close the sink, return to disabled. *)
 val disable : unit -> unit
 
-(** [install (Sink.jsonl path)]. *)
-val to_file : string -> unit
+(** [install (Sink.jsonl path)]; on [Error] the current sink stays. *)
+val to_file : string -> (unit, string) result
 
 (** [install (Sink.text oc)]. *)
 val to_channel : out_channel -> unit
 
 (** [INLTUNE_TRACE=path] writes JSONL to [path]; [INLTUNE_TRACE=-] streams
     text to stderr; unset/empty leaves tracing disabled. *)
-val init_from_env : unit -> unit
+val init_from_env : unit -> (unit, string) result
 
 val emit : ?fields:(string * Event.value) list -> string -> unit
 

@@ -18,8 +18,7 @@ open Inltune_jir
 
    The decision reads nothing but the program text and the site record, so
    the strategy is *static*: the call-site table walk ({!Engine.walk}) over
-   its policy reproduces the exact compile-time verdict sequence, which
-   Fitcache uses for exact decision signatures. *)
+   its policy reproduces the exact compile-time verdict sequence. *)
 
 (* Level assigned to methods that never become leaves (cycles, virtual
    calls): above any reachable round cap. *)
@@ -60,7 +59,7 @@ let compute_levels program =
   lv
 
 (* Built once per program value ({!Facts}): the pipeline constructs a
-   policy per method compile, and the fitness cache one per static walk. *)
+   policy per method compile. *)
 let levels_key = Facts.key ~name:"leaf_levels" (fun f -> compute_levels (Facts.program f))
 let levels facts = Facts.get facts levels_key
 

@@ -87,10 +87,6 @@ type t = {
          declared default); "iters" is interpreted by the pipeline, every
          other knob by the pass itself; [facts], the program's fact-table
          entry, saves the inliners a lookup *)
-  static_policy : ((string -> int) -> Facts.t -> Ir.methd -> Policy.t) option;
-      (* for inliner passes whose decisions read nothing but the program
-         and the site record: rebuild the exact per-method policy from a
-         knob lookup, so Fitcache can walk it (see fitcache.ml) *)
 }
 
 let always_applicable _ = true
@@ -107,7 +103,6 @@ let guarded_devirt =
         | Some oracle ->
           let m, s = Guarded_devirt.run ~program ~oracle m in
           (m, { zero_delta with d_sites_guarded = s.Guarded_devirt.sites_guarded }));
-    static_policy = None;
   }
 
 let iters_knob = { k_name = "iters"; k_lo = 1; k_hi = 3; k_default = 1 }
@@ -128,7 +123,6 @@ let constprop =
     knobs = [ iters_knob ];
     applicable = always_applicable;
     run = (fun ?facts:_ program _ ~knob:_ m -> run_constprop program m);
-    static_policy = None;
   }
 
 (* The constprop pass over each of the program's own methods, one slot per
@@ -174,7 +168,6 @@ let inline =
               ~policy:(Policy.of_heuristic heuristic) m
         in
         (m, inline_delta s));
-    static_policy = None;
   }
 
 (* --- alternative inlining strategies ------------------------------------ *)
@@ -184,9 +177,6 @@ let inline =
    property Fitcache's signature soundness arguments lean on. *)
 
 let inline_leaves =
-  let policy knob facts _m =
-    Leaves.policy ~leaf_size:(knob "leaf_size") ~rounds:(knob "rounds") facts
-  in
   {
     name = "inline_leaves";
     knobs =
@@ -198,9 +188,9 @@ let inline_leaves =
     run =
       (fun ?facts program _ ~knob m ->
         let facts = match facts with Some f -> f | None -> Facts.of_program program in
-        let m, s = Engine.run ~facts ~program ~policy:(policy knob facts m) m in
+        let policy = Leaves.policy ~leaf_size:(knob "leaf_size") ~rounds:(knob "rounds") facts in
+        let m, s = Engine.run ~facts ~program ~policy m in
         (m, inline_delta s));
-    static_policy = Some policy;
   }
 
 let inline_hot =
@@ -223,11 +213,9 @@ let inline_hot =
           in
           let m, s = Engine.run ?facts ~program ~policy m in
           (m, inline_delta s));
-    static_policy = None;
   }
 
 let inline_region =
-  let region knob m = Region.policy ~budget:(knob "budget") ~depth:(knob "depth") m in
   {
     name = "inline_region";
     knobs =
@@ -238,9 +226,9 @@ let inline_region =
     applicable = always_applicable;
     run =
       (fun ?facts program _ ~knob m ->
-        let m, s = Engine.run ?facts ~program ~policy:(region knob m) m in
+        let policy = Region.policy ~budget:(knob "budget") ~depth:(knob "depth") m in
+        let m, s = Engine.run ?facts ~program ~policy m in
         (m, inline_delta s));
-    static_policy = Some (fun knob _facts m -> region knob m);
   }
 
 let cse =
@@ -252,7 +240,6 @@ let cse =
       (fun ?facts:_ _ _ ~knob:_ m ->
         let m, n = Cse.run m in
         (m, { zero_delta with d_cse_replaced = n }));
-    static_policy = None;
   }
 
 let copyprop =
@@ -264,7 +251,6 @@ let copyprop =
       (fun ?facts:_ _ _ ~knob:_ m ->
         let m, n = Copyprop.run m in
         (m, { zero_delta with d_copies_propagated = n }));
-    static_policy = None;
   }
 
 let dce =
@@ -276,7 +262,6 @@ let dce =
       (fun ?facts:_ _ _ ~knob:_ m ->
         let m, n = Dce.run m in
         (m, { zero_delta with d_dce_removed = n }));
-    static_policy = None;
   }
 
 let cleanup =
@@ -285,7 +270,6 @@ let cleanup =
     knobs = [];
     applicable = always_applicable;
     run = (fun ?facts:_ _ _ ~knob:_ m -> (Cleanup.run m, zero_delta));
-    static_policy = None;
   }
 
 let all =

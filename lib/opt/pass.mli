@@ -61,11 +61,6 @@ type t = {
           by the pipeline, every other knob by the pass itself.  [facts] is
           the program's {!Inltune_jir.Facts} entry; the inliners look it up
           when it is not given. *)
-  static_policy : ((string -> int) -> Facts.t -> Ir.methd -> Policy.t) option;
-      (** for inliner passes whose decisions read nothing but the program
-          and the site record: rebuilds the exact per-method {!Policy.t}
-          from a knob lookup so {!Engine.walk} (and thus Fitcache) can
-          replay the pass's verdict sequence *)
 }
 
 val guarded_devirt : t

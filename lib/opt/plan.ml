@@ -274,8 +274,8 @@ let walk_compatible t =
    constprop and the final cleanup are pinned on — dropping either mostly
    degenerates the search, and pinning constprop keeps every genome's
    pre-inline schedule walkable, so plan-genome tuning still benefits from
-   the decision-signature cache (exact heuristic or strategy walks,
-   depending on which inliner leads). *)
+   the decision-signature cache (the exact heuristic walk when inline
+   leads, one signature per plan when only strategies run). *)
 let gene_names =
   [|
     "GUARDED_DEVIRT";    (* 0/1 *)

@@ -15,7 +15,7 @@ open Inltune_jir
    The decision reads nothing but the site record and the root's static
    size, so the strategy is *static*: the call-site table walk
    ({!Engine.walk}) over its policy reproduces the exact compile-time
-   verdict sequence (Fitcache exactness). *)
+   verdict sequence. *)
 
 (* [policy ~budget ~depth root] accepts a site iff the inline chain is
    within [depth] and expanding the callee keeps the region within

@@ -9,6 +9,7 @@ module Metric = Inltune_obs.Metric
 module Trace = Inltune_obs.Trace
 module Event = Inltune_obs.Event
 module Sandbox = Inltune_resilience.Sandbox
+module Textfile = Inltune_support.Textfile
 
 (* Flip-oracle dataset generation.
 
@@ -66,20 +67,10 @@ let of_line line =
     | _ -> Error "missing or ill-typed example field")
 
 let load path =
-  let ic = open_in path in
-  let bad = ref 0 in
-  let out = Vec.create () in
-  (try
-     while true do
-       let line = input_line ic in
-       if String.trim line <> "" then
-         match of_line line with
-         | Ok e -> Vec.push out e
-         | Error _ -> incr bad
-     done
-   with End_of_file -> ());
-  close_in ic;
-  (Array.to_list (Vec.to_array out), !bad)
+  Textfile.fold_lines path ~init:([], 0) (fun ((examples, bad) as acc) _ line ->
+      if String.trim line = "" then acc
+      else match of_line line with Ok e -> (e :: examples, bad) | Error _ -> (examples, bad + 1))
+  |> Result.map (fun (examples, bad) -> (List.rev examples, bad))
 
 let to_training examples =
   Array.of_list (List.map (fun e -> (e.x_features, e.x_label)) examples)
@@ -167,17 +158,17 @@ let sites_labeled = Metric.counter "policy.sites_labeled"
 let label_flips = Metric.counter "policy.label_flips"
 
 let generate ?resume ?on_benchmark cfg benches =
-  let done_tbl : (string * int, example) Hashtbl.t = Hashtbl.create 256 in
-  (match resume with
-  | Some path when Sys.file_exists path ->
-    let prior, _bad = load path in
-    List.iter (fun e -> Hashtbl.replace done_tbl (e.x_bench, e.x_ordinal) e) prior
-  | _ -> ());
-  let append_oc =
-    match resume with
-    | Some path -> Some (open_out_gen [ Open_append; Open_creat ] 0o644 path)
-    | None -> None
+  let ( let* ) = Result.bind in
+  let* prior, _bad =
+    match resume with Some path when Sys.file_exists path -> load path | _ -> Ok ([], 0)
   in
+  let* journal =
+    match resume with
+    | Some path -> Result.map Option.some (Textfile.open_append path)
+    | None -> Ok None
+  in
+  let done_tbl : (string * int, example) Hashtbl.t = Hashtbl.create 256 in
+  List.iter (fun e -> Hashtbl.replace done_tbl (e.x_bench, e.x_ordinal) e) prior;
   let out = Vec.create () in
   List.iter
     (fun bm ->
@@ -230,11 +221,11 @@ let generate ?resume ?on_benchmark cfg benches =
           in
           Metric.incr sites_labeled;
           if label <> base_accept then Metric.incr label_flips;
-          (match append_oc with
-          | Some oc ->
-            output_string oc (to_line e ^ "\n");
-            flush oc
-          | None -> ());
+          Option.iter
+            (fun oc ->
+              output_string oc (to_line e ^ "\n");
+              flush oc)
+            journal;
           Vec.push out e
       done;
       if Trace.enabled () then
@@ -246,8 +237,8 @@ let generate ?resume ?on_benchmark cfg benches =
               ("labeled", Event.Int limit);
             ])
     benches;
-  (match append_oc with Some oc -> close_out oc | None -> ());
-  Array.to_list (Vec.to_array out)
+  Option.iter close_out journal;
+  Ok (Array.to_list (Vec.to_array out))
 
 (* Labeling is by far the most expensive step of the CART/GP protocols (one
    flip measurement per site); when [file] already holds a usable dataset,
@@ -257,10 +248,11 @@ let load_or_generate ?file ?on_benchmark cfg benches =
   match file with
   | Some path when Sys.file_exists path -> (
     match load path with
-    | [], _ -> generate ?resume:file ?on_benchmark cfg benches
-    | examples, _ ->
+    | Error m -> Error m
+    | Ok ([], _) -> generate ?resume:file ?on_benchmark cfg benches
+    | Ok (examples, _) ->
       (* looked up at use, not module init: counters survive a registry
          reset (Metric.reset_all) between runs in one process *)
       Metric.incr (Metric.counter "policy.dataset_reused");
-      examples)
+      Ok examples)
   | _ -> generate ?resume:file ?on_benchmark cfg benches

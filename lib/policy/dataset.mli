@@ -26,8 +26,9 @@ val to_line : example -> string
 val of_line : string -> (example, string) result
 
 (** Parse a JSONL dataset file: examples in file order plus the count of
-    malformed lines skipped (a build killed mid-append must still load). *)
-val load : string -> example list * int
+    malformed lines skipped (a build killed mid-append must still load, and
+    the resumed build appends after its torn line, not onto it). *)
+val load : string -> (example list * int, string) result
 
 (** Training pairs [(features, oracle label)]. *)
 val to_training : example list -> (float array * bool) array
@@ -54,14 +55,15 @@ val enumerate : config -> Inltune_workloads.Suites.benchmark list
     names an append-only JSONL file: already-labeled (bench, ordinal) pairs
     are loaded instead of re-measured, and every fresh label is appended
     immediately, so an interrupted build continues where it stopped.
-    Progress counters: ["policy.sites_labeled"], ["policy.label_flips"],
+    A file error comes before any measurement.  Progress counters:
+    ["policy.sites_labeled"], ["policy.label_flips"],
     ["policy.label.failures"] (from the sandbox). *)
 val generate :
   ?resume:string ->
   ?on_benchmark:(string -> int -> unit) ->
   config ->
   Inltune_workloads.Suites.benchmark list ->
-  example list
+  (example list, string) result
 
 (** [load_or_generate ?file cfg benches] returns [file]'s examples when it
     exists and holds at least one (bumping ["policy.dataset_reused"]);
@@ -73,4 +75,4 @@ val load_or_generate :
   ?on_benchmark:(string -> int -> unit) ->
   config ->
   Inltune_workloads.Suites.benchmark list ->
-  example list
+  (example list, string) result

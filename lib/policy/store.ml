@@ -64,16 +64,9 @@ let of_string text =
       Error (Printf.sprintf "unsupported policy version '%s'" v)
     | _ -> Error (Printf.sprintf "bad policy header '%s'" first))
 
-let save path t =
-  let oc = open_out path in
-  output_string oc (to_string t);
-  close_out oc
+let save path t = Inltune_support.Textfile.write path (to_string t)
 
+(* A file error already names the path; a parse error gets it here. *)
 let load path =
-  match open_in path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    let len = in_channel_length ic in
-    let text = really_input_string ic len in
-    close_in ic;
-    of_string text
+  Result.bind (Inltune_support.Textfile.read path) (fun text ->
+      Result.map_error (fun e -> path ^ ": " ^ e) (of_string text))

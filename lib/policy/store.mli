@@ -21,7 +21,8 @@ val to_string : t -> string
 
 val of_string : string -> (t, string) result
 
-val save : string -> t -> unit
+val save : string -> t -> (unit, string) result
 
-(** [Error] on a missing or unreadable file as well as on corrupt content. *)
+(** [Error], starting with the path, on an unreadable file (a directory
+    included) as well as on corrupt content. *)
 val load : string -> (t, string) result

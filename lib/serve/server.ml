@@ -222,6 +222,11 @@ type jtune = {
 
 type job = Jmeasure of jmeasure | Jtune of jtune
 
+(* A request outside a bound the simulator enforces gets the [error] reply
+   of any invalid request: it never reaches the simulator, so it is neither
+   a failure nor quarantined nor a pressure event. *)
+let bound field = Result.iter_error (fun m -> invalid_arg (Printf.sprintf "bad %s: %s" field m))
+
 let validate = function
   | Proto.Ping | Proto.Stats -> assert false (* handled before validation *)
   | Proto.Measure m -> (
@@ -236,13 +241,14 @@ let validate = function
       let platform = Platform.by_name m.m_platform in
       let heuristic = Params.heuristic_of_string m.m_heuristic in
       let bench = find_bench m.m_bench in
+      bound "iterations" (Inltune_vm.Runner.check_iterations m.m_iterations);
       Jmeasure
         {
           jm_bench = bench;
           jm_scenario = scenario;
           jm_platform = platform;
           jm_heuristic = heuristic;
-          jm_iterations = max 1 m.m_iterations;
+          jm_iterations = m.m_iterations;
         }
     with
     | job -> Ok job
@@ -254,13 +260,9 @@ let validate = function
       let suite =
         match u.t_suite with [] -> Suites.spec | names -> List.map find_bench names
       in
-      Jtune
-        {
-          jt_id = id;
-          jt_budget =
-            { Tuner.pop = max 2 u.t_pop; gens = max 1 u.t_gens; seed = u.t_seed };
-          jt_suite = suite;
-        }
+      let budget = { Tuner.pop = u.t_pop; gens = max 1 u.t_gens; seed = u.t_seed } in
+      bound "pop" (Tuner.check_budget budget);
+      Jtune { jt_id = id; jt_budget = budget; jt_suite = suite }
     with
     | job -> Ok job
     | exception Invalid_argument msg -> Error msg)

@@ -34,8 +34,13 @@ let derives_later_iterations cfg =
 
 let iterations_derived = Inltune_obs.Metric.handle "vm.iterations_derived"
 
+(* Iteration 1 pays for compilation; the running time is the best of the
+   later ones, so a measurement needs at least one more. *)
+let check_iterations n =
+  if n < 2 then Error "need at least 2 iterations" else Ok ()
+
 let measure ?(iterations = 2) ?code_keys cfg plat prog =
-  if iterations < 2 then invalid_arg "Runner.measure: need at least 2 iterations";
+  Result.iter_error (fun m -> invalid_arg ("Runner.measure: " ^ m)) (check_iterations iterations);
   let module Prof = Inltune_obs.Prof in
   let module Trace = Inltune_obs.Trace in
   let module Event = Inltune_obs.Event in

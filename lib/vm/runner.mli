@@ -18,6 +18,9 @@ type measurement = {
   out_hash : int;            (** hash of everything printed *)
 }
 
+(** [Error] unless [n >= 2], the bound {!measure} enforces. *)
+val check_iterations : int -> (unit, string) result
+
 (** [measure cfg plat prog] measures [iterations] VM iterations (default 2,
     the paper's minimum; the library-wide default used by
     {!Inltune_core.Measure} is 3 so the adaptive system reaches steady

@@ -397,5 +397,82 @@ rc=0
 dune exec --no-build bin/main.exe -- tune -s opt:tot --pop 6 -g 2 --resume "$ckpt" \
   > /dev/null 2>&1 || rc=$?
 [ "$rc" -eq 2 ] || { echo "resume under another -s exited $rc, want 2"; exit 1; }
+# Search and measurement bounds, and paths that cannot be read or written
+# (a directory here), are reported before any simulation: exactly one
+# `inltune:` line on stderr, exit 2.
+one_line_error() {  # a description, then the CLI arguments
+  what=$1; shift
+  rc=0
+  err=$(./_build/default/bin/main.exe "$@" 2>&1 > /dev/null) || rc=$?
+  [ "$rc" -eq 2 ] || { echo "$what exited $rc, want 2"; exit 1; }
+  [ "$(echo "$err" | wc -l)" -eq 1 ] && echo "$err" | grep -q '^inltune: ' \
+    || { echo "$what printed other than one inltune: line: $err"; exit 1; }
+}
+bpol=$tmp/bound_policy.txt
+btree=$tmp/bound_tree.gp
+printf 'inltune-policy v1 threshold\n23 11 5 2048 135\n' > "$bpol"
+printf 'inltune-gp v1\n(le (feat 5) (const 41))\n' > "$btree"
+for pop in 0 1 2; do one_line_error "tune --pop $pop" tune --pop "$pop"; done
+one_line_error "tune --evolve-policy --pop 2" tune --evolve-policy --pop 2
+one_line_error "experiment fig7 --pop 2" experiment fig7 --pop 2
+one_line_error "eval-policy --pop 2" eval-policy "$bpol" --pop 2
+for n in 0 1; do one_line_error "run --iterations $n" run compress --iterations "$n"; done
+one_line_error "dataset --iterations 0" dataset "$tmp/bound_ds.jsonl" --iterations 0
+one_line_error "gp eval --iterations 1" gp eval "$btree" --iterations 1
+one_line_error "search --budget 0" search --budget 0
+dir=$tmp/a_directory
+mkdir "$dir"
+one_line_error "train-policy DIR" train-policy "$dir"
+one_line_error "train-policy -o DIR" train-policy --kind threshold -o "$dir"
+one_line_error "eval-policy DIR" eval-policy "$dir" --print
+one_line_error "run-file DIR" run-file "$dir"
+one_line_error "export to DIR" export compress "$dir"
+one_line_error "dataset DIR" dataset "$dir" --bench compress --max-sites 1
+one_line_error "tune --dataset DIR" tune --evolve-policy --dataset "$dir"
+one_line_error "tune --fitness-cache DIR" tune --fitness-cache "$dir"
+one_line_error "tune --gp-out DIR" tune --evolve-policy --gp-out "$dir"
+
+echo "== torn-tail smoke =="
+# A process killed mid-append leaves a journal's last line cut in half.
+# The next run must start its first record on a line of its own, so the
+# fragment is the only line lost.
+cut_last_line() {
+  python3 - "$1" <<'PY'
+import sys
+path = sys.argv[1]
+data = open(path, "rb").read()
+start = data.rstrip(b"\n").rfind(b"\n") + 1
+open(path, "wb").write(data[: start + (len(data) - start) // 2])
+PY
+}
+# Fitness cache: the first rerun re-stores the key it lost with the cut;
+# the second finds every key and appends no line.
+tfc=$tmp/torn_fcache.jsonl
+tfc_tune="tune -s opt:tot --pop 4 -g 2 --seed 7 --domains 1"
+# $tfc_tune is split on purpose: it is a list of flags.
+./_build/default/bin/main.exe $tfc_tune --fitness-cache "$tfc" > /dev/null 2>&1
+cut_last_line "$tfc"
+./_build/default/bin/main.exe $tfc_tune --fitness-cache "$tfc" > /dev/null 2>&1
+tfc_lines=$(wc -l < "$tfc")
+./_build/default/bin/main.exe $tfc_tune --fitness-cache "$tfc" > /dev/null 2>&1
+[ "$(wc -l < "$tfc")" -eq "$tfc_lines" ] \
+  || { echo "a second rerun over a torn fitness cache appended lines"; exit 1; }
+# Checkpoint: every line the resumed run appends parses.
+tck=$tmp/torn_ckpt.jsonl
+./_build/default/bin/main.exe tune -s opt:tot --pop 4 -g 1 --seed 7 --checkpoint "$tck" \
+  > /dev/null 2>&1
+cut_last_line "$tck"
+cp "$tck" "$tck.torn"
+./_build/default/bin/main.exe tune -s opt:tot --pop 4 -g 2 --seed 7 --resume "$tck" \
+  --checkpoint "$tck" > /dev/null 2>&1
+python3 - "$tck.torn" "$tck" <<'PY' || { echo "resumed run wrote unparseable checkpoint lines"; exit 1; }
+import json, sys
+torn, now = (open(p).read() for p in sys.argv[1:3])
+assert now.startswith(torn + "\n"), "the first resumed line is glued onto the torn one"
+appended = now[len(torn) + 1 :].splitlines()
+assert appended, "the resumed run appended nothing"
+for line in appended:
+    json.loads(line)
+PY
 
 echo "OK"

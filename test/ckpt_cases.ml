@@ -144,6 +144,39 @@ let golden fx () =
         Alcotest.(check bool) "restored history kept" true
           (List.filteri (fun i _ -> i <= gen) r.Evolve.s_progress = s.Evolve.s_history))
 
+(* A run killed mid-append leaves the checkpoint's last line cut in half.
+   The run resumed from that file and checkpointing to it starts its first
+   line after the fragment, so every line it writes loads and
+   [load_snapshot] returns the newest. *)
+let torn_tail fx () =
+  match Evolve.snapshot_of_line ~repr:fx.repr ~params:fx.golden_params fx.golden with
+  | Error m -> Alcotest.failf "golden line refused: %s" m
+  | Ok s ->
+    let gen = s.Evolve.s_gen in
+    let torn = String.sub fx.golden 0 (String.length fx.golden / 2) in
+    with_file (fx.golden ^ "\n" ^ torn) (fun path ->
+        let params = { fx.golden_params with Evolve.generations = gen + 2 } in
+        ignore
+          (Evolve.run_repr ~resume:path ~checkpoint:path ~fitness:fx.cheap ~label:"t"
+             ~repr:fx.repr ~params ());
+        let load line = Evolve.snapshot_of_line ~repr:fx.repr ~params line in
+        (match String.split_on_char '\n' (In_channel.with_open_bin path In_channel.input_all) with
+        | golden :: fragment :: written ->
+          Alcotest.(check string) "golden line kept" fx.golden golden;
+          Alcotest.(check string) "fragment kept as its own line" torn fragment;
+          let written = List.filter (fun l -> l <> "") written in
+          Alcotest.(check int) "one line per resumed generation" 2 (List.length written);
+          List.iter
+            (fun l ->
+              match load l with
+              | Ok _ -> ()
+              | Error m -> Alcotest.failf "a resumed line does not load (%s): %s" m l)
+            written
+        | _ -> Alcotest.fail "checkpoint lost its lines");
+        match Evolve.load_snapshot ~repr:fx.repr ~params path with
+        | Error m -> Alcotest.failf "load_snapshot: %s" m
+        | Ok s -> Alcotest.(check int) "newest snapshot wins" (gen + 2) s.Evolve.s_gen)
+
 let cases fx =
   [
     ("checkpoint roundtrip", `Quick, roundtrip fx);

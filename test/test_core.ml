@@ -556,6 +556,55 @@ let test_fig2_series_varies () =
     Alcotest.(check bool) "depth changes jess Opt total" true (t0 <> t5)
   | _ -> Alcotest.fail "series shape"
 
+(* A process killed mid-append leaves the cache file's last line cut in
+   half.  The next run's appender ends that fragment first, so every key it
+   stores reloads, and the fragment is the only line counted corrupt. *)
+let test_fitcache_torn_tail () =
+  let path = Filename.temp_file "fitcache" ".jsonl" in
+  let prog = W.Suites.program bm_db in
+  (* The Adapt signature carries CALLER_MAX_SIZE verbatim: one key each. *)
+  let heuristic i = { Heuristic.default with Heuristic.caller_max_size = 100 + i } in
+  let query f h =
+    f ~scenario:Machine.Adapt ~platform:Platform.x86 ~heuristic:h ~inline_enabled:true
+      ~plan:Plan.default ~iterations:3
+  in
+  let store h =
+    let fake =
+      {
+        Runner.total_cycles = h.Heuristic.caller_max_size; running_cycles = 1;
+        first_exec_cycles = 2; first_compile_cycles = 3; opt_compiles = 4; baseline_compiles = 5;
+        code_bytes = 6; icache_misses = 7; icache_accesses = 8; steps = 9; ret = 10; out_hash = 11;
+      }
+    in
+    ignore (query Fitcache.lookup_or_measure h ~program:prog (fun () -> fake))
+  in
+  let after = List.init 3 (fun i -> heuristic (10 + i)) in
+  with_clean_fitcache (fun () ->
+      Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
+          Fitcache.set_file (Some path);
+          List.iter store (List.init 3 heuristic);
+          Fitcache.set_file None;
+          (* Cut the last line in half, as a kill mid-append would. *)
+          let text = Result.get_ok (Inltune_support.Textfile.read path) in
+          let last = String.rindex_from text (String.length text - 2) '\n' + 1 in
+          let cut = last + ((String.length text - last) / 2) in
+          Result.get_ok (Inltune_support.Textfile.write path (String.sub text 0 cut));
+          Fitcache.clear ();
+          Fitcache.set_file (Some path);
+          List.iter store after;
+          Fitcache.set_file None;
+          Fitcache.clear ();
+          let c0 = metric "fitness.cache_corrupt" in
+          Fitcache.set_file (Some path);
+          Alcotest.(check int) "only the fragment is corrupt" (c0 + 1)
+            (metric "fitness.cache_corrupt");
+          List.iter
+            (fun h ->
+              Alcotest.(check bool)
+                (Printf.sprintf "key stored after the cut reloads: %s" (query Fitcache.key h prog))
+                true (query Fitcache.mem h prog))
+            after))
+
 let suite =
   [
     ("table1 matches heuristic ranges", `Quick, test_table1_matches_heuristic_ranges);
@@ -593,4 +642,5 @@ let suite =
     ("experiment unknown id rejected", `Quick, test_experiment_unknown_rejected);
     ("fig2 series varies with depth", `Slow, test_fig2_series_varies);
     ("simulation failures are final", `Quick, test_simulation_failures_final);
+    ("fitcache torn tail", `Quick, test_fitcache_torn_tail);
   ]

@@ -380,10 +380,10 @@ let test_dataset_reused_counter () =
   let file = Filename.temp_file "inltune_gp_ds" ".jsonl" in
   Sys.remove file;
   let cfg = { Dataset.default_config with Dataset.max_sites = 2; iterations = 2 } in
-  let first = Dataset.load_or_generate ~file cfg [ compress ] in
+  let first = Result.get_ok (Dataset.load_or_generate ~file cfg [ compress ]) in
   Alcotest.(check bool) "journal written" true (Sys.file_exists file);
   let before = Metric.value (Metric.counter "policy.dataset_reused") in
-  let second = Dataset.load_or_generate ~file cfg [ compress ] in
+  let second = Result.get_ok (Dataset.load_or_generate ~file cfg [ compress ]) in
   let after = Metric.value (Metric.counter "policy.dataset_reused") in
   Alcotest.(check int) "reuse counted" (before + 1) after;
   Alcotest.(check bool) "loaded examples match generated" true

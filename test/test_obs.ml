@@ -104,11 +104,11 @@ let test_memory_sink_round_trip () =
 
 let test_jsonl_sink_file_round_trip () =
   let path = Filename.temp_file "inltune_obs" ".jsonl" in
-  Trace.to_file path;
+  Result.get_ok (Trace.to_file path);
   Trace.emit "alpha" ~fields:[ ("s", Event.Str "a\"b\\c\nd") ];
   Trace.emit "beta" ~fields:[ ("n", Event.Int 3) ];
   Trace.disable ();
-  let records, malformed = Summary.load_file path in
+  let records, malformed = Result.get_ok (Summary.load_file path) in
   Sys.remove path;
   Alcotest.(check int) "no malformed lines" 0 malformed;
   (* Metric flush may append counter events; ours must be the first two. *)
@@ -121,13 +121,13 @@ let test_jsonl_sink_file_round_trip () =
 
 let test_jsonl_sink_appends () =
   let path = Filename.temp_file "inltune_obs" ".jsonl" in
-  Trace.to_file path;
+  Result.get_ok (Trace.to_file path);
   Trace.emit "first";
   Trace.disable ();
-  Trace.to_file path;
+  Result.get_ok (Trace.to_file path);
   Trace.emit "second";
   Trace.disable ();
-  let records, _ = Summary.load_file path in
+  let records, _ = Result.get_ok (Summary.load_file path) in
   Sys.remove path;
   let names = List.map (fun r -> r.Summary.ev) records in
   Alcotest.(check bool) "both runs present" true
@@ -356,6 +356,28 @@ let test_has_events () =
             {|{"ts":2.0,"ev":"inline.decision","reason":"always_inline","accept":true}|};
           ]))
 
+(* A traced run killed mid-flush leaves the trace's last line cut off.  The
+   next run's sink starts its first event on a line of its own, so the
+   summary counts one malformed line and reads every new event. *)
+let test_jsonl_sink_torn_tail () =
+  let path = Filename.temp_file "inltune_obs" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Result.get_ok
+        (Inltune_support.Textfile.write path
+           "{\"ts\":1.000000,\"ev\":\"before\"}\n{\"ts\":5.034091,\"ev\":\"in");
+      Result.get_ok (Trace.to_file path);
+      Trace.emit "after.first";
+      Trace.emit "after.second";
+      Trace.disable ();
+      let records, malformed = Result.get_ok (Summary.load_file path) in
+      let names = List.map (fun r -> r.Summary.ev) records in
+      Alcotest.(check int) "one malformed line" 1 malformed;
+      List.iter
+        (fun ev -> Alcotest.(check bool) (ev ^ " read") true (List.mem ev names))
+        [ "before"; "after.first"; "after.second" ])
+
 let suite =
   [
     Alcotest.test_case "event json round trip" `Quick test_event_json_round_trip;
@@ -384,4 +406,5 @@ let suite =
     Alcotest.test_case "histogram memory bounded" `Quick test_histogram_bounded;
     QCheck_alcotest.to_alcotest prop_histogram_accuracy;
     Alcotest.test_case "json names the unexpected byte" `Quick test_json_names_unexpected_byte;
+    Alcotest.test_case "jsonl sink torn tail" `Quick test_jsonl_sink_torn_tail;
   ]

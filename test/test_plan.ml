@@ -263,13 +263,13 @@ let test_pass_spans_feed_summary () =
   (* Each executed plan item emits one opt.pass.<name> span whose transforms
      and size fields the trace summary aggregates. *)
   let path = Filename.temp_file "inltune_plan" ".jsonl" in
-  Inltune_obs.Trace.to_file path;
+  Result.get_ok (Inltune_obs.Trace.to_file path);
   let p = W.Suites.program bm_compress in
   let _, stats, deltas =
     Pipeline.run_detailed p (Pipeline.opt_config Heuristic.default) p.Ir.methods.(p.Ir.main)
   in
   Inltune_obs.Trace.disable ();
-  let records, malformed = Inltune_obs.Summary.load_file path in
+  let records, malformed = Result.get_ok (Inltune_obs.Summary.load_file path) in
   Sys.remove path;
   Alcotest.(check int) "no malformed lines" 0 malformed;
   let totals = Inltune_obs.Summary.pass_totals records in
@@ -356,32 +356,29 @@ let test_signature_respects_plan () =
 
 let test_signature_separates_strategies () =
   let p = W.Suites.program bm_compress in
-  let s ?(heuristic = Heuristic.default) plan =
-    Fitcache.signature ~scenario:Machine.Opt ~heuristic ~inline_enabled:true ~plan p
+  let key ?(heuristic = Heuristic.default) plan =
+    Fitcache.key ~scenario:Machine.Opt ~platform:Platform.x86 ~heuristic ~inline_enabled:true
+      ~plan ~iterations:3 p
   in
   let leaves = strategy_plan "inline_leaves" in
   let region = strategy_plan "inline_region" in
-  (* Both plans lead with a static strategy (decider inline off), so the
-     cache takes the exact per-strategy decision walk... *)
-  Alcotest.(check bool) "leaves signature is an exact walk" true
-    (String.sub (s leaves) 0 2 = "w:");
-  Alcotest.(check bool) "region signature is an exact walk" true
-    (String.sub (s region) 0 2 = "w:");
-  (* ...so strategies with different verdict vectors can never share a
-     signature — the cross-strategy false-sharing bug this guards against. *)
-  Alcotest.(check bool) "different strategies, different signatures" true
-    (s leaves <> s region);
-  (* Knob values that flip verdicts change the signature too. *)
+  (* Both plans lead with a strategy and the decider-driven inline item is
+     off, so the signature is a constant: the key's plan tag, the digest of
+     the canonical plan text, spells out every enabled strategy's knobs... *)
+  Alcotest.(check string) "strategy-led signature is a constant" "n:static"
+    (Fitcache.signature ~scenario:Machine.Opt ~heuristic:Heuristic.default ~inline_enabled:true
+       ~plan:leaves p);
+  (* ...so strategies can never share a measurement — the cross-strategy
+     false-sharing bug this guards against. *)
+  Alcotest.(check bool) "different strategies, different keys" true (key leaves <> key region);
   let tight = strategy_plan ~knobs:[ ("leaf_size", 1); ("rounds", 1) ] "inline_leaves" in
-  Alcotest.(check bool) "verdict-changing knobs change the signature" true
-    (s leaves <> s tight);
-  (* Strategies never consult the heuristic, so a strategy-led plan's
-     signature merges across heuristics — that merge is what makes the
-     cache useful under --tune-passes, and it is sound precisely because
-     the walk replays the strategy's own verdicts. *)
-  Alcotest.(check string) "strategy walk is heuristic-independent"
-    (s ~heuristic:Heuristic.default leaves)
-    (s ~heuristic:Heuristic.never leaves)
+  Alcotest.(check bool) "different knobs, different keys" true (key leaves <> key tight);
+  (* Strategies never consult the heuristic, so a strategy-led plan's key
+     merges across heuristics — that merge is what makes the cache useful
+     under --tune-passes. *)
+  Alcotest.(check string) "key is heuristic-independent"
+    (key ~heuristic:Heuristic.default leaves)
+    (key ~heuristic:Heuristic.never leaves)
 
 (* --- plan-genome tuning -------------------------------------------------- *)
 

@@ -300,7 +300,7 @@ let test_dataset_load_skips_malformed () =
   output_string oc "{\"bench\":\"trunca\n";
   output_string oc (Dataset.to_line { example with Dataset.x_ordinal = 8 } ^ "\n");
   close_out oc;
-  let examples, bad = Dataset.load path in
+  let examples, bad = Result.get_ok (Dataset.load path) in
   Sys.remove path;
   Alcotest.(check int) "two examples" 2 (List.length examples);
   Alcotest.(check int) "one malformed line" 1 bad
@@ -312,7 +312,7 @@ let test_dataset_generate_and_resume () =
   let bench = [ W.Suites.find "compress" ] in
   let path = Filename.temp_file "inltune_ds_resume" ".jsonl" in
   Sys.remove path;
-  let first = Dataset.generate ~resume:path tiny_config bench in
+  let first = Result.get_ok (Dataset.generate ~resume:path tiny_config bench) in
   Alcotest.(check int) "labeled max_sites examples" 2 (List.length first);
   List.iter
     (fun e ->
@@ -323,7 +323,7 @@ let test_dataset_generate_and_resume () =
   (* Resuming re-measures nothing: the labeled-sites counter stands still and
      the examples come back identical (from the file). *)
   let before = Inltune_obs.Metric.value (Inltune_obs.Metric.counter "policy.sites_labeled") in
-  let second = Dataset.generate ~resume:path tiny_config bench in
+  let second = Result.get_ok (Dataset.generate ~resume:path tiny_config bench) in
   let after = Inltune_obs.Metric.value (Inltune_obs.Metric.counter "policy.sites_labeled") in
   Sys.remove path;
   Alcotest.(check int) "no new labels on resume" before after;
@@ -336,7 +336,7 @@ let test_dataset_labels_match_enumeration () =
     | [ (_, sites) ] -> sites
     | _ -> Alcotest.fail "expected one benchmark"
   in
-  let examples = Dataset.generate tiny_config bench in
+  let examples = Result.get_ok (Dataset.generate tiny_config bench) in
   List.iteri
     (fun i e ->
       let feats, accept = enum.(i) in
@@ -369,7 +369,7 @@ let test_tree_policy_preserves_semantics () =
     [ (0, 30.0); (8, 0.5) ]
 
 let test_trained_policy_end_to_end () =
-  let examples = Dataset.generate tiny_config [ W.Suites.find "compress" ] in
+  let examples = Result.get_ok (Dataset.generate tiny_config [ W.Suites.find "compress" ]) in
   let tree = Cart.train (Dataset.to_training examples) in
   let store = Store.Tree tree in
   (* Round-trip through serialization before running, as the CLI would. *)
@@ -392,6 +392,30 @@ let test_trained_policy_end_to_end () =
     Alcotest.(check bool) "finite geomean" true
       (Float.is_finite geo.Evaluate.g_running && Float.is_finite geo.Evaluate.g_total)
   | _ -> Alcotest.fail "expected exactly the learned column"
+
+(* A labelling run killed mid-append leaves the journal's last line cut in
+   half.  The resumed run relabels that site and appends after the
+   fragment, so every example labelled after the cut loads. *)
+let test_dataset_torn_tail () =
+  let bench = [ W.Suites.find "compress" ] in
+  let path = Filename.temp_file "inltune_ds_torn" ".jsonl" in
+  Sys.remove path;
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let first = Result.get_ok (Dataset.generate ~resume:path tiny_config bench) in
+      let text = Result.get_ok (Inltune_support.Textfile.read path) in
+      let last = String.rindex_from text (String.length text - 2) '\n' + 1 in
+      let cut = last + ((String.length text - last) / 2) in
+      Result.get_ok (Inltune_support.Textfile.write path (String.sub text 0 cut));
+      let more = { tiny_config with Dataset.max_sites = 3 } in
+      let resumed = Result.get_ok (Dataset.generate ~resume:path more bench) in
+      let examples, bad = Result.get_ok (Dataset.load path) in
+      Alcotest.(check int) "the fragment is the one malformed line" 1 bad;
+      Alcotest.(check (list int)) "every labelled ordinal loads" [ 0; 1; 2 ]
+        (List.sort_uniq compare (List.map (fun e -> e.Dataset.x_ordinal) examples));
+      Alcotest.(check bool) "the relabelled site matches the first run" true
+        (List.nth first 1 = List.nth resumed 1))
 
 let suite =
   [
@@ -426,4 +450,5 @@ let suite =
     Alcotest.test_case "tree policy preserves semantics" `Quick
       test_tree_policy_preserves_semantics;
     Alcotest.test_case "trained policy end to end" `Quick test_trained_policy_end_to_end;
+    Alcotest.test_case "dataset torn tail" `Quick test_dataset_torn_tail;
   ]

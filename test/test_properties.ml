@@ -454,3 +454,120 @@ let suite =
       QCheck_alcotest.to_alcotest prop_dataset_line_round_trip;
       Alcotest.test_case "json-line readers never raise on fuzz" `Quick test_line_readers_fuzz;
     ]
+
+(* --- parser fuzzing: every text format the system reads ------------------ *)
+
+module Store = Inltune_policy.Store
+module Evolve = Inltune_ga.Evolve
+
+(* A reader and the valid inputs its fuzz inputs start from.  [check] is
+   false only for an accepted artifact text that does not reprint to a
+   fixpoint; an exception fails the property. *)
+type format = { f_name : string; f_valid : string list; f_check : string -> bool }
+
+let reprints parse print s =
+  match parse s with
+  | Error _ -> true
+  | Ok x -> (
+    let t = print x in
+    match parse t with Ok y -> print y = t | Error _ -> false)
+
+let answers parse s = match parse s with Ok _ | Error _ -> true
+
+let formats =
+  let ckpt_params pop_size seed =
+    { Evolve.default_params with Evolve.pop_size; seed; domains = Some 1 }
+  in
+  let ga_params = ckpt_params 6 42 and gp_params = ckpt_params 6 7 in
+  let ga_repr = Evolve.int_repr ~spec:Inltune_core.Params.genome_spec ~params:ga_params in
+  let gp_repr = Inltune_gp.Evolve.repr Inltune_gp.Evolve.default_params in
+  let dim = Inltune_policy.Features.dim in
+  let strategies =
+    "inltune-plan v1\npass constprop on iters=1\npass inline_leaves on leaf_size=30 rounds=3\n\
+     pass inline_hot on hot_permille=200 budget=100\npass inline on\n\
+     pass inline_region on budget=64 depth=2\npass cleanup on\n"
+  in
+  [
+    {
+      f_name = "JIR text";
+      f_valid = [ Text.to_string (Gen_random.program 3) ];
+      f_check = reprints Text.parse Text.to_string;
+    };
+    {
+      f_name = "inltune-plan v1";
+      f_valid = [ Plan.to_string Plan.default; strategies ];
+      f_check = reprints Plan.of_string Plan.to_string;
+    };
+    {
+      f_name = "inltune-gp v1";
+      f_valid =
+        [
+          "inltune-gp v1\n(le (mul (sub (feat 10) (feat 5)) (min (const 32) (feat 2))) (sub \
+           (feat 0) (mul (const 34) (feat 8))))\n";
+        ];
+      f_check = reprints (Inltune_gp.Tree.of_string ~dim) Inltune_gp.Tree.to_string;
+    };
+    {
+      f_name = "inltune-policy v1";
+      f_valid =
+        [
+          "inltune-policy v1 threshold\n23 11 5 2048 135\n";
+          "inltune-policy v1 tree\nsplit 0 22.5\nsplit 8 0.5\nleaf inline\nleaf no-inline\n\
+           leaf no-inline\n";
+        ];
+      f_check = reprints Store.of_string Store.to_string;
+    };
+    {
+      f_name = "GA checkpoint line";
+      f_valid = [ Ckpt_cases.ga_golden ];
+      f_check = answers (Evolve.snapshot_of_line ~repr:ga_repr ~params:ga_params);
+    };
+    {
+      f_name = "GP checkpoint line";
+      f_valid = [ Ckpt_cases.gp_golden ];
+      f_check = answers (Evolve.snapshot_of_line ~repr:gp_repr ~params:gp_params);
+    };
+    {
+      f_name = "serve request";
+      f_valid =
+        [
+          {|{"id":"m1","tenant":"tt","op":"measure","bench":"compress","scenario":"adapt","platform":"x86","heuristic":"CALLEE_MAX_SIZE=10","iterations":3,"deadline_ms":500}|};
+          {|{"op":"tune","tenant":"tt","scenario":"opt:tot","pop":8,"gens":3,"seed":42,"suite":["compress","db"]}|};
+        ];
+      f_check = answers Inltune_serve.Proto.parse_request;
+    };
+    {
+      f_name = "INLTUNE_FAULTS";
+      f_valid = [ "eval:raise@3,eval:hang@4,serve:corrupt@1,policy.label:raise@2" ];
+      f_check = answers Inltune_resilience.Faultinject.parse;
+    };
+  ]
+
+(* Random bytes, truncations and single-byte mutations of the valid
+   inputs, spread evenly over the formats.  Half the mutations write a
+   digit, which keeps far more texts parseable and so exercises the
+   fixpoint check. *)
+let fuzz_case =
+  let open QCheck.Gen in
+  let* f = oneofl formats in
+  let* valid = oneofl f.f_valid in
+  let n = String.length valid in
+  let+ input =
+    oneof
+      [
+        string_size ~gen:char (int_range 0 200);
+        map (String.sub valid 0) (int_range 0 (n - 1));
+        map2
+          (fun i c -> String.mapi (fun j b -> if j = i then c else b) valid)
+          (int_range 0 (n - 1))
+          (oneof [ char; numeral ]);
+      ]
+  in
+  (f, input)
+
+let prop_parsers_never_raise =
+  QCheck.Test.make ~count:8000 ~name:"parsers answer fuzz with Error; artifacts reprint"
+    (QCheck.make ~print:(fun (f, s) -> Printf.sprintf "%s: %S" f.f_name s) fuzz_case)
+    (fun (f, s) -> f.f_check s)
+
+let suite = suite @ [ QCheck_alcotest.to_alcotest prop_parsers_never_raise ]

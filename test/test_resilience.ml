@@ -452,4 +452,7 @@ let suite =
     ("checkpoint errors precede evaluation", `Quick, test_checkpoint_errors_precede_evaluation);
   ]
   @ Ckpt_cases.cases codec_fixture
-  @ [ ("injected raise retried then quarantined", `Quick, test_injected_raise_quarantined) ]
+  @ [
+      ("injected raise retried then quarantined", `Quick, test_injected_raise_quarantined);
+      ("checkpoint torn tail", `Quick, Ckpt_cases.torn_tail codec_fixture);
+    ]

@@ -276,6 +276,42 @@ let test_e2e_stop_is_idempotent () =
   | Ok r -> Alcotest.failf "stopped daemon answered: %s" r
   | Error _ -> ())
 
+(* A measure with fewer than 2 iterations, or a tune whose population does
+   not exceed its elites, is outside a bound the simulator enforces: it gets
+   the error reply an unknown benchmark gets, before admission, so it is
+   neither a failure nor a quarantine nor a pressure event — with
+   degrade_after 1, a single pressure event would switch the daemon to
+   degraded mode. *)
+let test_e2e_out_of_bound_requests_rejected () =
+  let path = Filename.temp_file "inltune_serve_test" ".sock" in
+  Sys.remove path;
+  let ep = Proto.Unix_path path in
+  let config = { Server.default_config with Server.quiet = true; degrade_after = 1 } in
+  let srv = Server.start ~config ep in
+  Fun.protect
+    ~finally:(fun () -> Server.stop srv)
+    (fun () ->
+      let counter name = Inltune_obs.Metric.value (Inltune_obs.Metric.counter name) in
+      let failed = counter "serve.failed" and quarantined = counter "serve.genomes_quarantined" in
+      let sims = counter "measure.simulations" in
+      List.iter
+        (fun (what, req) ->
+          let reply = rpc ep req in
+          Alcotest.(check (option string)) (what ^ ": error reply") (Some "error")
+            (reply_field reply "status");
+          Alcotest.(check (option string)) (what ^ ": mode stays normal") (Some "normal")
+            (reply_field reply "mode"))
+        [
+          ("iterations 1", {|{"op":"measure","bench":"compress","iterations":1}|});
+          ("iterations 0", {|{"op":"measure","bench":"compress","iterations":0}|});
+          ("pop 2", {|{"op":"tune","scenario":"opt:tot","pop":2,"gens":1,"suite":["compress"]}|});
+        ];
+      Alcotest.(check int) "no failed request" failed (counter "serve.failed");
+      Alcotest.(check int) "no quarantined genome" quarantined
+        (counter "serve.genomes_quarantined");
+      Alcotest.(check int) "no simulation" sims (counter "measure.simulations");
+      Alcotest.(check bool) "not degraded" false (Server.degraded_mode srv))
+
 let suite =
   [
     ("proto parse full", `Quick, test_proto_parse_full);
@@ -295,4 +331,5 @@ let suite =
     ("e2e ping/measure/dedup", `Quick, test_e2e_ping_measure_dedup);
     ("e2e latency histogram bounded", `Quick, test_e2e_latency_histogram_bounded);
     ("e2e stop idempotent", `Quick, test_e2e_stop_is_idempotent);
+    ("e2e out-of-bound requests rejected", `Quick, test_e2e_out_of_bound_requests_rejected);
   ]

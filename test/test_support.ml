@@ -3,6 +3,7 @@ module Stats = Inltune_support.Stats
 module Vec = Inltune_support.Vec
 module Table = Inltune_support.Table
 module Pool = Inltune_support.Pool
+module Textfile = Inltune_support.Textfile
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -446,6 +447,67 @@ let test_pool_priority_batch_completes () =
     bout;
   Pool.shutdown pool
 
+(* --- Textfile --- *)
+
+(* Every operation answers a directory, or a path under a missing
+   directory, with an [Error] that names the path — never an exception. *)
+let test_textfile_path_errors () =
+  let dir = Filename.temp_dir "inltune_textfile" "" in
+  Fun.protect
+    ~finally:(fun () -> Sys.rmdir dir)
+    (fun () ->
+      List.iter
+        (fun path ->
+          let named what = function
+            | Ok _ -> Alcotest.failf "%s %s: expected an error" what path
+            | Error m ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s %s names the path (%s)" what path m)
+                true
+                (String.starts_with ~prefix:(path ^ ": ") m)
+          in
+          named "read" (Textfile.read path);
+          named "fold_lines" (Textfile.fold_lines path ~init:0 (fun n _ _ -> n + 1));
+          named "write" (Textfile.write path "x\n");
+          named "open_append" (Result.map close_out (Textfile.open_append path)))
+        [ dir; Filename.concat dir "missing/file.jsonl" ])
+
+(* A file a writer left mid-line gets a newline before the next record; an
+   absent, empty or newline-terminated one gets nothing extra. *)
+let test_textfile_append_ends_torn_line () =
+  let path = Filename.temp_file "inltune_textfile" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      let append_to before =
+        (match before with
+        | None -> Sys.remove path
+        | Some text -> Result.get_ok (Textfile.write path text));
+        let oc = Result.get_ok (Textfile.open_append path) in
+        output_string oc "{\"n\":2}\n";
+        close_out oc;
+        Result.get_ok (Textfile.read path)
+      in
+      Alcotest.(check string) "torn line ended first" "{\"n\":1}\n{\"n\n{\"n\":2}\n"
+        (append_to (Some "{\"n\":1}\n{\"n"));
+      Alcotest.(check string) "terminated file untouched" "{\"n\":1}\n{\"n\":2}\n"
+        (append_to (Some "{\"n\":1}\n"));
+      Alcotest.(check string) "empty file untouched" "{\"n\":2}\n" (append_to (Some ""));
+      Alcotest.(check string) "absent file created" "{\"n\":2}\n" (append_to None))
+
+(* Lines are numbered from 1, and a last line without its newline is still
+   a line. *)
+let test_textfile_fold_lines () =
+  let path = Filename.temp_file "inltune_textfile" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Result.get_ok (Textfile.write path "a\n\nb\nc");
+      Alcotest.(check (list (pair int string)))
+        "numbered lines" [ (1, "a"); (2, ""); (3, "b"); (4, "c") ]
+        (List.rev
+           (Result.get_ok (Textfile.fold_lines path ~init:[] (fun acc n l -> (n, l) :: acc)))))
+
 let suite =
   [
     ("rng deterministic", `Quick, test_rng_deterministic);
@@ -495,4 +557,7 @@ let suite =
     ("pool idle excludes parked gap", `Quick, test_pool_idle_excludes_parked_gap);
     ("pool idle charges in-batch wait", `Quick, test_pool_idle_charges_in_batch_wait);
     ("pool priority batch completes", `Quick, test_pool_priority_batch_completes);
+    ("textfile path errors name the path", `Quick, test_textfile_path_errors);
+    ("textfile append ends a torn line", `Quick, test_textfile_append_ends_torn_line);
+    ("textfile fold_lines numbers lines", `Quick, test_textfile_fold_lines);
   ]
