@@ -45,6 +45,11 @@ let or_die what = function Ok v -> v | Error m -> die "%s: %s" what m
    simulation. *)
 let bound flag v = function Ok () -> () | Error m -> die "bad %s %d: %s" flag v m
 
+(* A search budget's bounds ([Evolve.check_params] checks the generation
+   count first): the error names the flag it is about. *)
+let bound_budget ~pop ~gens r =
+  if gens < 0 then bound "--generations" gens r else bound "--pop" pop r
+
 let platform_arg =
   let doc = "Platform model: x86 or ppc." in
   Arg.(value & opt string "x86" & info [ "platform"; "p" ] ~docv:"PLATFORM" ~doc)
@@ -314,7 +319,7 @@ let tune_cmd =
     let gp_params =
       { Gp.Evolve.default_params with Gp.Evolve.pop_size = pop; generations = gens; seed; domains }
     in
-    bound "--pop" pop
+    bound_budget ~pop ~gens
       (if evolve_policy then Gp.Evolve.check_params gp_params else Tuner.check_budget budget);
     (* Written after the search, so opened for append now: an unwritable
        path fails before the first simulation. *)
@@ -713,6 +718,7 @@ let dataset_cmd =
        apply the bound here too so the flag behaves uniformly. *)
     let (_ : int option) = domains_of_flag domains in
     bound "--iterations" iterations (Runner.check_iterations iterations);
+    bound "--max-sites" max_sites (P.Dataset.check_max_sites max_sites);
     let cfg =
       {
         P.Dataset.scenario = scenario_of_flag scenario;
@@ -829,7 +835,7 @@ let eval_policy_cmd =
     let domains = domains_of_flag domains in
     bound "--iterations" iterations (Runner.check_iterations iterations);
     let budget = { Tuner.pop; gens; seed } in
-    bound "--pop" pop (Tuner.check_budget budget);
+    bound_budget ~pop ~gens (Tuner.check_budget budget);
     let store = load_policy path in
     if print_only then print_string (P.Store.to_string store)
     else begin
@@ -988,7 +994,7 @@ let experiment_cmd =
     setup_trace trace;
     let domains = domains_of_flag domains in
     let budget = { Tuner.pop; gens; seed } in
-    bound "--pop" pop (Tuner.check_budget budget);
+    bound_budget ~pop ~gens (Tuner.check_budget budget);
     setup_fitness_cache fcache;
     if id = "policy" then policy_experiment ~verbose:(not quiet) ~budget ?domains ()
     else begin

@@ -40,7 +40,9 @@ module Textfile = Inltune_support.Textfile
      equal projections return identical verdicts for *any* reachable query —
      by induction over the decision sequence the whole execution, profile
      included, stays identical.  Weaker merging than the walk, but sound
-     under profile feedback.
+     under profile feedback.  It stays as the cheap first tier: a miss
+     here walks the exact recompile-trajectory cache ([Trajcache], from
+     [Measure.run_decider]) before anything is simulated.
 
    The query's decider is the paper's heuristic or a first-class policy.  A
    *static* policy (a GP tree: its verdicts read only the program and the
@@ -299,13 +301,15 @@ let set_tenant_hook f = tenant_hook := f
 let owners : (string, string) Hashtbl.t = Hashtbl.create 64
 
 let set_enabled v = on := v
+let enabled () = !on
 
 let clear () =
   Mutex.lock mu;
   Hashtbl.reset table;
   Hashtbl.reset owners;
   Mutex.unlock mu;
-  Codecache.clear Codecache.global
+  Codecache.clear Codecache.global;
+  Trajcache.clear ()
 
 let size () =
   Mutex.lock mu;

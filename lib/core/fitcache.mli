@@ -20,7 +20,10 @@ open Inltune_vm
     where decisions depend on the runtime profile, it projects the
     heuristic's thresholds onto the program's distinct method sizes, which
     is sufficient for identical verdicts at every reachable query.  Policies
-    with no walk or projection are keyed by their content digest.
+    with no walk or projection are keyed by their content digest.  Behind
+    that projection, {!Measure.run_decider} answers an [Adapt]/[Ladder]
+    miss from the exact {!Trajcache} when it can, and stores the answer
+    here like a simulation's.
 
     Two tiers: a process-wide mutex-guarded table (on by default), plus an
     optional append-only JSONL file ({!set_file}; CLI [--fitness-cache])
@@ -113,13 +116,16 @@ val code_keys :
 
 (** Toggle the cache (default on).  Disabled, {!lookup_or_simulate} always
     simulates and the table is neither consulted nor extended, and
-    {!lookup_or_simulate} passes no compile-cache keys. *)
+    {!lookup_or_simulate} passes no compile-cache keys; {!Measure} then
+    bypasses {!Trajcache} too. *)
 val set_enabled : bool -> unit
 
+val enabled : unit -> bool
+
 (** Forget every in-memory measurement and tenant-ownership record, and
-    empty {!Inltune_vm.Codecache.global} (per-program signature data and
-    the attached file are kept).  Tests and the off/on benchmark use
-    this. *)
+    empty {!Inltune_vm.Codecache.global} and every {!Trajcache} trie
+    (per-program signature data and the attached file are kept).  Tests
+    and the off/on benchmark use this. *)
 val clear : unit -> unit
 
 (** Number of measurements currently in the in-memory table. *)

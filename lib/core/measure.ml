@@ -10,9 +10,11 @@ module Workloads = Inltune_workloads
    Every measurement flows through [Fitcache]: a query whose decision
    signature was measured before reuses that result instead of simulating
    again, and a simulation it does run gets the compile-cache keys that let
-   its optimizing compiles reuse earlier ones.  "measure.simulations" counts
-   the full VM simulations actually performed, the number caching savings
-   are measured against. *)
+   its optimizing compiles reuse earlier ones.  Under the adaptive
+   scenarios a miss first walks [Trajcache], which answers it when another
+   genome's recompiles already produced the same code.
+   "measure.simulations" counts the full VM simulations actually performed,
+   the number caching savings are measured against. *)
 
 type times = {
   running : float;  (* cycles, as float for the fitness arithmetic *)
@@ -37,16 +39,26 @@ let memo_misses = Metric.handle "measure.memo_misses"
 
 (* The VM configuration a decider runs under: a heuristic in its own field,
    a policy through the per-compile factory (built once per measurement for
-   a static one). *)
+   a static one).  Second, for a decider that reads no live profile, the
+   [Decider.t] every optimizing compile under that configuration builds. *)
 let config ~inline_enabled ~plan scenario decider prog =
   match decider with
-  | Fitcache.Heuristic h -> Machine.config ~inline_enabled ~plan scenario h
+  | Fitcache.Heuristic h ->
+    (Machine.config ~inline_enabled ~plan scenario h, Some (Decider.Heuristic h))
   | Fitcache.Static { policy; _ } ->
     let p = policy prog in
-    Machine.config ~inline_enabled ~plan ~policy_factory:(fun _ -> p) scenario Heuristic.default
+    ( Machine.config ~inline_enabled ~plan ~policy_factory:(fun _ -> p) scenario
+        Heuristic.default,
+      Some (Decider.Policy p) )
   | Fitcache.Profiled { factory; _ } ->
-    Machine.config ~inline_enabled ~plan ~policy_factory:(factory prog) scenario
-      Heuristic.default
+    ( Machine.config ~inline_enabled ~plan ~policy_factory:(factory prog) scenario
+        Heuristic.default,
+      None )
+
+(* The trajectory cache answers fitness-cache misses under the adaptive
+   scenarios on the flat interpreter; [Opt] keeps its exact "w:" walk. *)
+let trajectories_apply scenario =
+  scenario <> Machine.Opt && Fitcache.enabled () && not (Machine.reference_enabled ())
 
 (* One path for every decider, whether or not the profiler is on
    ([Prof.span]'s disabled path is one atomic load).  Profiled, the decision
@@ -64,12 +76,29 @@ let run_decider ?(iterations = 3) ?(inline_enabled = true) ?(plan = Plan.default
   let profiled = Prof.enabled () in
   let sim_wall = ref 0.0 and wall = ref 0.0 in
   let simulate ~code_keys =
-    Metric.bump simulations;
-    let t0 = if profiled then Trace.now () else 0.0 in
-    let cfg = config ~inline_enabled ~plan scenario decider prog in
-    let m = Runner.measure ~iterations ?code_keys cfg platform prog in
-    if profiled then sim_wall := Trace.now () -. t0;
-    m
+    let cfg, recompile_decider = config ~inline_enabled ~plan scenario decider prog in
+    let run ?precomputed ?record () =
+      Metric.bump simulations;
+      let t0 = if profiled then Trace.now () else 0.0 in
+      let m = Runner.measure ~iterations ?code_keys ?precomputed ?record cfg platform prog in
+      if profiled then sim_wall := Trace.now () -. t0;
+      m
+    in
+    match recompile_decider with
+    | Some decider when trajectories_apply scenario -> (
+      match
+        Prof.span "fitness.trajectory" (fun () ->
+            Trajcache.find cfg platform ~iterations ~decider prog)
+      with
+      | Trajcache.Hit m -> m
+      | Trajcache.Miss miss ->
+        let recorded = ref [] in
+        let m =
+          run ~precomputed:(Trajcache.outputs miss) ~record:(fun r -> recorded := r :: !recorded) ()
+        in
+        Trajcache.insert miss (List.rev !recorded) m;
+        m)
+    | Some _ | None -> run ()
   in
   let m =
     Prof.span "fitness.eval" ~on_time:(fun dt -> wall := dt) (fun () ->

@@ -23,9 +23,14 @@ val of_measurement : Runner.measurement -> times
     through {!Fitcache} — a query whose decision signature was already
     measured reuses that measurement instead of simulating, and a
     simulation reuses earlier optimizing compiles through
-    {!Fitcache.lookup_or_simulate}'s keys.  Profiled, each call is one
-    ["fitness.eval"] span (and one ["fitness.breakdown"] trace event); the
-    "measure.simulations" counter reports full simulations actually run. *)
+    {!Fitcache.lookup_or_simulate}'s keys.  Under [Adapt]/[Ladder] on the
+    flat interpreter, a fitness-cache miss of a heuristic or static policy
+    first walks {!Trajcache}: a hit is the measurement without a
+    simulation, and a miss simulates with recording and stores its
+    trajectory.  Profiled, each call is one ["fitness.eval"] span (the
+    walk a nested ["fitness.trajectory"] span, and one
+    ["fitness.breakdown"] trace event); the "measure.simulations" counter
+    reports full simulations actually run. *)
 val run_decider :
   ?iterations:int ->
   ?inline_enabled:bool ->

@@ -393,7 +393,8 @@ let write_snapshot ~label ~repr ~params ?search path s =
 (* The bounds [run_repr] enforces, also asked by the CLI and the daemon
    before any simulation. *)
 let check_params p =
-  if p.pop_size < 2 then Error "the population needs at least 2 individuals"
+  if p.generations < 0 then Error "the generation count must be >= 0"
+  else if p.pop_size < 2 then Error "the population needs at least 2 individuals"
   else if p.elites >= p.pop_size then
     Error (Printf.sprintf "the population must exceed its %d elites" p.elites)
   else if p.tournament < 1 then Error "the tournament size must be >= 1"

@@ -157,8 +157,11 @@ let simulation_failure = function
 let sites_labeled = Metric.counter "policy.sites_labeled"
 let label_flips = Metric.counter "policy.label_flips"
 
+let check_max_sites n = if n < 0 then Error "the site cap must be >= 0 (0 = every site)" else Ok ()
+
 let generate ?resume ?on_benchmark cfg benches =
   let ( let* ) = Result.bind in
+  let* () = check_max_sites cfg.max_sites in
   let* prior, _bad =
     match resume with Some path when Sys.file_exists path -> load path | _ -> Ok ([], 0)
   in

@@ -51,11 +51,15 @@ val default_config : config
 val enumerate : config -> Inltune_workloads.Suites.benchmark list
   -> (string * (float array * bool) array) list
 
+(** [Error] unless [n >= 0], the [max_sites] bound {!generate} enforces. *)
+val check_max_sites : int -> (unit, string) result
+
 (** Label every enumerated site of every benchmark.  [resume], when given,
     names an append-only JSONL file: already-labeled (bench, ordinal) pairs
     are loaded instead of re-measured, and every fresh label is appended
     immediately, so an interrupted build continues where it stopped.
-    A file error comes before any measurement.  Progress counters:
+    A file error, or a negative [max_sites], comes before any measurement.
+    Progress counters:
     ["policy.sites_labeled"], ["policy.label_flips"],
     ["policy.label.failures"] (from the sandbox). *)
 val generate :

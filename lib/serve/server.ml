@@ -260,8 +260,8 @@ let validate = function
       let suite =
         match u.t_suite with [] -> Suites.spec | names -> List.map find_bench names
       in
-      let budget = { Tuner.pop = u.t_pop; gens = max 1 u.t_gens; seed = u.t_seed } in
-      bound "pop" (Tuner.check_budget budget);
+      let budget = { Tuner.pop = u.t_pop; gens = u.t_gens; seed = u.t_seed } in
+      bound (if u.t_gens < 0 then "gens" else "pop") (Tuner.check_budget budget);
       Jtune { jt_id = id; jt_budget = budget; jt_suite = suite }
     with
     | job -> Ok job

@@ -146,8 +146,7 @@ type opt_front = {
   o_spills : int;
 }
 
-let optimizing_front (plat : Platform.t) program config m =
-  let code, stats = Pipeline.run program config m in
+let front_of_pipeline (plat : Platform.t) (code, stats) =
   let ra = Regalloc.run ~phys_regs:plat.Platform.phys_regs code in
   {
     o_code = code;
@@ -155,6 +154,8 @@ let optimizing_front (plat : Platform.t) program config m =
     o_block_spill_cost = Regalloc.block_spill_cost plat code ra;
     o_spills = ra.Regalloc.spilled;
   }
+
+let optimizing_front plat program config m = front_of_pipeline plat (Pipeline.run program config m)
 
 let optimizing_emit (plat : Platform.t) codespace ~profile ~owner f =
   let c, cycles =

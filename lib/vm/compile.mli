@@ -85,6 +85,11 @@ type opt_front = {
 (** Pipeline plus register allocation. *)
 val optimizing_front : Platform.t -> Ir.program -> Pipeline.config -> Ir.methd -> opt_front
 
+(** Register allocation of a {!Inltune_opt.Pipeline.run} result:
+    [optimizing_front plat program config m] is
+    [front_of_pipeline plat (Pipeline.run program config m)]. *)
+val front_of_pipeline : Platform.t -> Ir.methd * Pipeline.stats -> opt_front
+
 (** The emit tail: allocates the front's code in the code space and lowers
     it against [profile], attributing call sites to method [owner].
     Returns what {!optimizing} returns; the compile cycles derive from the

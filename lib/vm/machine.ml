@@ -119,11 +119,20 @@ type t = {
   mutable templates_reused : int;
       (* baseline compiles that built their template / found it in the
          table, flushed to vm.baseline_templates.* once per iteration *)
+  mutable precomputed : (Ir.methd * Pipeline.stats) list;
+      (* pipeline outputs handed over for the next optimizing compiles *)
+  record : (recompile -> unit) option;
 }
+
+(* One optimizing compile as the trajectory cache stores it: [node] is the
+   method id, the profile's total call count and the (edge key, count)
+   pairs of every nonzero edge whose owner is in the method's reach;
+   [output] is what the pipeline produced. *)
+and recompile = { node : int array; output : Ir.methd * Pipeline.stats }
 
 let max_call_depth = 8_000
 
-let create ?code_keys cfg (plat : Platform.t) prog =
+let create ?code_keys ?(precomputed = []) ?record cfg (plat : Platform.t) prog =
   let facts = Facts.of_program prog in
   Facts.validate facts;
   (match code_keys with
@@ -162,63 +171,141 @@ let create ?code_keys cfg (plat : Platform.t) prog =
       | Adapt | Ladder -> Compile.baseline_table plat facts);
     templates_built = 0;
     templates_reused = 0;
+    precomputed;
+    record;
   }
 
 (* --- compilation ------------------------------------------------------- *)
 
-let pipeline_config vm =
+(* Everything an optimizing compile reads of the profile goes through one
+   window: the hot-site test, the guarded-devirtualization oracle and the
+   hot-path strategy's view are all built from its [edge_count] and
+   [total_calls].  The VM passes a window onto its live profile; the
+   trajectory cache passes one rebuilt from a stored [recompile] node. *)
+let pipeline_config cfg (plat : Platform.t) facts decider (window : Hotpath.view) =
+  let adaptive = cfg.scenario <> Opt in
   let hot_site =
-    match vm.cfg.scenario with
-    | Opt -> None
-    | (Adapt | Ladder) when not vm.cfg.hot_path_enabled -> None
-    | Adapt | Ladder ->
-      let plat = vm.plat in
+    if not (adaptive && cfg.hot_path_enabled) then None
+    else
       Some
         (fun ~site_owner ~callee ->
-          Profile.hot_site vm.profile ~fraction:plat.Platform.hot_edge_fraction
-            ~floor:plat.Platform.hot_edge_min ~site_owner ~callee)
+          window.Hotpath.edge_count ~site_owner ~callee
+          >= Profile.hot_threshold ~fraction:plat.Platform.hot_edge_fraction
+               ~floor:plat.Platform.hot_edge_min ~total_calls:(window.Hotpath.total_calls ()))
   in
   let devirt_oracle =
-    match vm.cfg.scenario with
-    | Opt -> None
-    | (Adapt | Ladder) when not vm.cfg.guarded_devirt_enabled -> None
-    | Adapt | Ladder ->
+    if not (adaptive && cfg.guarded_devirt_enabled) then None
+    else
       Some
-        (Guarded_devirt.oracle_of_profile ~program:vm.prog
-           ~edge_count:(fun ~site_owner ~callee ->
-             Profile.edge_count vm.profile ~site_owner ~callee))
+        (Guarded_devirt.oracle_of_profile ~program:(Facts.program facts)
+           ~edge_count:window.Hotpath.edge_count)
   in
-  (* One decider per compile, same precedence the three legacy fields had:
-     custom closure over policy over heuristic.  A policy factory is applied
-     to the live profile here, so feature-driven policies see current
-     call-edge hotness at every (re)compile. *)
+  (* The hot-path strategy's window: same gating as [hot_site] — adaptive
+     scenarios only, honoring the hot-path ablation.  Without it the
+     inline_hot pass is structurally inapplicable. *)
+  let profile = if adaptive && cfg.hot_path_enabled then Some window else None in
+  (* The legacy ablation flags are plan edits: no inlining disables the
+     inline item, no optimization disables the dataflow items. *)
+  let plan = cfg.plan in
+  let plan = if cfg.inline_enabled then plan else Plan.disable "inline" plan in
+  let plan = if cfg.optimize then plan else Plan.without_dataflow plan in
+  Pipeline.make ~plan ?hot_site ?devirt_oracle ?profile ~facts decider
+
+(* One decider per compile, same precedence the three legacy fields had:
+   custom closure over policy over heuristic.  A policy factory is applied
+   to the live profile here, so feature-driven policies see current
+   call-edge hotness at every (re)compile. *)
+let live_pipeline_config vm =
   let decider =
     match (vm.cfg.custom_inliner, vm.cfg.policy_factory) with
     | Some decide, _ -> Decider.Custom decide
     | None, Some f -> Decider.Policy (f vm.profile)
     | None, None -> Decider.Heuristic vm.cfg.heuristic
   in
-  (* The hot-path strategy's window onto the live profile: same gating as
-     [hot_site] — adaptive scenarios only, honoring the hot-path ablation.
-     Without it the inline_hot pass is structurally inapplicable. *)
-  let profile =
-    match vm.cfg.scenario with
-    | Opt -> None
-    | (Adapt | Ladder) when not vm.cfg.hot_path_enabled -> None
-    | Adapt | Ladder ->
-      Some
-        {
-          Hotpath.edge_count =
-            (fun ~site_owner ~callee -> Profile.edge_count vm.profile ~site_owner ~callee);
-          total_calls = (fun () -> Profile.total_calls vm.profile);
-        }
+  pipeline_config vm.cfg vm.plat vm.facts decider
+    {
+      Hotpath.edge_count =
+        (fun ~site_owner ~callee -> Profile.edge_count vm.profile ~site_owner ~callee);
+      total_calls = (fun () -> Profile.total_calls vm.profile);
+    }
+
+(* --- trajectory recording ---------------------------------------------- *)
+
+(* reach(m): [m] and every method [m] reaches through static calls and
+   through every class's vtable entry at a virtual call's slot, over the
+   original bodies.  An optimizing compile of [m] only asks the profile
+   about edges whose owner is in reach(m): the inliners' sites belong to
+   [m] or to a body they inlined, guarded devirtualization asks about [m]'s
+   own sites, and every body that can be inlined — devirtualized targets
+   included — is in reach(m).  One byte per method, 1 when reached. *)
+let reach_key =
+  Facts.key ~name:"reach" (fun f ->
+      let prog = Facts.program f in
+      let n = Array.length prog.Ir.methods in
+      let succs =
+        Array.map
+          (fun m ->
+            let out = ref [] in
+            Array.iter
+              (fun blk ->
+                Array.iter
+                  (function
+                    | Ir.Call (_, callee, _) -> out := callee :: !out
+                    | Ir.CallVirt (_, slot, _, _) ->
+                      Array.iter
+                        (fun k ->
+                          if slot < Array.length k.Ir.vtable then out := k.Ir.vtable.(slot) :: !out)
+                        prog.Ir.classes
+                    | _ -> ())
+                  blk.Ir.instrs)
+              m.Ir.blocks;
+            !out)
+          prog.Ir.methods
+      in
+      Array.init n (fun root ->
+          let seen = Bytes.make n '\000' in
+          let rec visit m =
+            if Bytes.get seen m = '\000' then begin
+              Bytes.set seen m '\001';
+              List.iter visit succs.(m)
+            end
+          in
+          visit root;
+          seen))
+
+let reach facts mid = (Facts.get facts reach_key).(mid)
+let in_reach reach owner = Bytes.get reach owner <> '\000'
+
+(* The node of an optimizing compile of [mid] about to run now. *)
+let snapshot vm mid =
+  let reach = reach vm.facts mid in
+  let edges = Profile.owned_edges vm.profile ~owned:(in_reach reach) in
+  Array.append [| mid; Profile.total_calls vm.profile |] edges
+
+exception Outside_reach of { mid : Ir.mid; site_owner : Ir.mid }
+
+(* The window a stored node answers: exact for every edge whose owner is in
+   reach(mid), an [Outside_reach] raise for any other. *)
+let node_view facts node =
+  let mid = node.(0) and total = node.(1) in
+  let reach = reach facts mid in
+  let n = Array.length (Facts.program facts).Ir.methods in
+  let pairs = (Array.length node - 2) / 2 in
+  let edge_count ~site_owner ~callee =
+    if not (in_reach reach site_owner) then raise (Outside_reach { mid; site_owner });
+    let key = (site_owner * n) + callee in
+    let rec search lo hi =
+      if lo >= hi then 0
+      else
+        let i = (lo + hi) / 2 in
+        let k = node.(2 + (2 * i)) in
+        if k = key then node.(3 + (2 * i))
+        else if k < key then search (i + 1) hi
+        else search lo i
+    in
+    search 0 pairs
   in
-  (* The legacy ablation flags are plan edits: no inlining disables the
-     inline item, no optimization disables the dataflow items. *)
-  let plan = vm.cfg.plan in
-  let plan = if vm.cfg.inline_enabled then plan else Plan.disable "inline" plan in
-  let plan = if vm.cfg.optimize then plan else Plan.without_dataflow plan in
-  Pipeline.make ~plan ?hot_site ?devirt_oracle ?profile ~facts:vm.facts decider
+  { Hotpath.edge_count; total_calls = (fun () -> total) }
 
 let trace_compile vm mid ~tier ~cycles ~recompile extra (c : Compile.compiled) =
   Trace.emit "vm.compile"
@@ -244,11 +331,29 @@ let note_compile_wall vm dt = vm.compile_wall_s <- vm.compile_wall_s +. dt
    out exactly as from a fresh compile.  The reference interpreter always
    compiles fresh. *)
 let opt_front vm m =
-  let compile () = Compile.optimizing_front vm.plat vm.prog (pipeline_config vm) m in
+  let compile () = Compile.optimizing_front vm.plat vm.prog (live_pipeline_config vm) m in
   match vm.code_keys with
   | Some keys when vm.cfg.scenario = Opt && not !reference_mode ->
     Codecache.find_or_compile Codecache.global keys.(m.Ir.mid) compile
   | Some _ | None -> compile ()
+
+(* The next handed-over pipeline output, if any, stands in for the
+   pipeline; it must be for this method.  Otherwise a recording VM notes
+   the compile's node and output. *)
+let opt_front_recorded vm m =
+  match vm.precomputed with
+  | ((code, _) as out) :: rest ->
+    if code.Ir.mid <> m.Ir.mid then invalid_arg "Machine: precomputed output for another method";
+    vm.precomputed <- rest;
+    Compile.front_of_pipeline vm.plat out
+  | [] -> (
+    match vm.record with
+    | None -> opt_front vm m
+    | Some record ->
+      let node = snapshot vm m.Ir.mid in
+      let f = opt_front vm m in
+      record { node; output = (f.Compile.o_code, f.Compile.o_stats) };
+      f)
 
 let compile_opt vm mid =
   let m = vm.prog.Ir.methods.(mid) in
@@ -256,7 +361,7 @@ let compile_opt vm mid =
   let c, cycles, stats =
     Prof.span "vm.compile" ~on_time:(note_compile_wall vm) (fun () ->
         Compile.optimizing_emit vm.plat vm.codespace ~profile:vm.profile ~owner:m.Ir.mid
-          (opt_front vm m))
+          (opt_front_recorded vm m))
   in
   vm.compile_cycles <- vm.compile_cycles + cycles;
   vm.opt_compiles <- vm.opt_compiles + 1;

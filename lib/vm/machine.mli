@@ -103,7 +103,17 @@ type t = {
       (** baseline compiles that built their template, and that found it
           in the table; flushed to the [vm.baseline_templates.built] and
           [.reused] counters once per iteration *)
+  mutable precomputed : (Ir.methd * Pipeline.stats) list;
+      (** pipeline outputs still to hand to optimizing compiles, in order *)
+  record : (recompile -> unit) option;  (** called once per optimizing compile *)
 }
+
+(** One optimizing compile as the trajectory cache stores it.  [node] is
+    [[| mid; total_calls; key0; count0; key1; count1; ... |]]: the compiled
+    method, the profile's {!Profile.total_calls} and
+    {!Profile.owned_edges} restricted to {!reach}[ mid], at the moment of
+    the compile.  [output] is what the pipeline produced. *)
+and recompile = { node : int array; output : Ir.methd * Pipeline.stats }
 
 (** Simulated call-stack depth limit (exceeding it is a {!Trap}). *)
 val max_call_depth : int
@@ -116,8 +126,48 @@ val max_call_depth : int
     scenario's compiles reuse fronts from {!Codecache.global}: the caller
     vouches that each key determines its method's {!Compile.opt_front} under
     this config and platform.  Ignored by the other scenarios and by the
-    reference interpreter; raises [Invalid_argument] on a length mismatch. *)
-val create : ?code_keys:string array -> config -> Platform.t -> Ir.program -> t
+    reference interpreter; raises [Invalid_argument] on a length mismatch.
+
+    [precomputed] hands over {!Inltune_opt.Pipeline.run} outputs: the
+    first optimizing compiles consume them in order instead of running the
+    pipeline (register allocation and emission still run), and the caller
+    vouches that each equals what the pipeline would return at that
+    compile; a compile of another method than the next output's raises
+    [Invalid_argument].  [record] is called with the {!recompile} of every
+    later optimizing compile, the ones that run the pipeline, in order. *)
+val create :
+  ?code_keys:string array ->
+  ?precomputed:(Ir.methd * Pipeline.stats) list ->
+  ?record:(recompile -> unit) ->
+  config ->
+  Platform.t ->
+  Ir.program ->
+  t
+
+(** The optimizing tier's pipeline configuration under [config] on this
+    platform, with [decider] deciding and every profile read — the
+    hot-site test, the guarded-devirtualization oracle and the hot-path
+    strategy's view — answered by the one window.  A VM passes a window
+    onto its live profile; {!node_view} rebuilds one from a stored node.
+    [Opt] reads no profile. *)
+val pipeline_config :
+  config -> Platform.t -> Facts.t -> Decider.t -> Hotpath.view -> Pipeline.config
+
+(** [reach facts mid]: one byte per method id, nonzero for [mid] and every
+    method it reaches through static calls and through every class's
+    vtable entry at a virtual call's slot (over the original bodies).  An
+    optimizing compile of [mid] only queries edges whose owner is in it.
+    Built once per program ({!Inltune_jir.Facts} key ["reach"]). *)
+val reach : Facts.t -> Ir.mid -> Bytes.t
+
+(** Raised by a {!node_view} window asked about an edge whose owner is
+    outside the node's reach. *)
+exception Outside_reach of { mid : Ir.mid; site_owner : Ir.mid }
+
+(** The window a stored {!recompile} node answers: the recorded total and
+    edge counts (0 for an unrecorded edge of a reached owner), and
+    {!Outside_reach} for an edge whose owner the node does not cover. *)
+val node_view : Facts.t -> int array -> Hotpath.view
 
 type iteration = {
   ret : int;

@@ -112,9 +112,35 @@ let edge_count t ~site_owner ~callee =
 
 (* A call site is hot when it carries at least [hot_edge_fraction] of all
    dynamic calls seen so far (with an absolute floor for early promotion). *)
+let hot_threshold ~fraction ~floor ~total_calls =
+  max floor (Float.to_int (fraction *. Float.of_int total_calls))
+
 let hot_site t ~fraction ~floor ~site_owner ~callee =
-  let threshold = max floor (Float.to_int (fraction *. Float.of_int t.total_calls)) in
-  edge_count t ~site_owner ~callee >= threshold
+  edge_count t ~site_owner ~callee >= hot_threshold ~fraction ~floor ~total_calls:t.total_calls
+
+(* Both representations merged: every edge with a nonzero count whose owner
+   passes [owned], as (key, count) pairs in key order. *)
+let owned_edges t ~owned =
+  let acc = ref [] in
+  let add key n = if n > 0 && owned (key / t.nmethods) then acc := (key, n) :: !acc in
+  for sid = 0 to t.nsites - 1 do
+    add t.site_keys.(sid) t.site_counts.(sid)
+  done;
+  Hashtbl.iter add t.edges;
+  let merged =
+    List.fold_left
+      (fun out (k, n) ->
+        match out with (k', n') :: rest when k' = k -> (k, n + n') :: rest | _ -> (k, n) :: out)
+      []
+      (List.sort (fun (a, _) (b, _) -> compare b a) !acc)
+  in
+  let pairs = Array.make (2 * List.length merged) 0 in
+  List.iteri
+    (fun i (k, n) ->
+      pairs.(2 * i) <- k;
+      pairs.((2 * i) + 1) <- n)
+    merged;
+  pairs
 
 let hottest t n =
   let idx = Array.init (Array.length t.samples) (fun i -> i) in

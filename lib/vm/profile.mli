@@ -52,5 +52,14 @@ val edge_count : t -> site_owner:int -> callee:int -> int
     [floor] for early promotion decisions. *)
 val hot_site : t -> fraction:float -> floor:int -> site_owner:int -> callee:int -> bool
 
+(** The edge count {!hot_site} asks for when [total_calls] calls have been
+    recorded. *)
+val hot_threshold : fraction:float -> floor:int -> total_calls:int -> int
+
+(** [owned_edges t ~owned] is every edge with a nonzero {!edge_count} whose
+    owner passes [owned], flattened as [key; count] pairs in increasing key
+    order, where an edge's key is [site_owner * nmethods t + callee]. *)
+val owned_edges : t -> owned:(int -> bool) -> int array
+
 (** The [n] methods with the most samples, hottest first. *)
 val hottest : t -> int -> int list

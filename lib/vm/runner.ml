@@ -39,13 +39,13 @@ let iterations_derived = Inltune_obs.Metric.handle "vm.iterations_derived"
 let check_iterations n =
   if n < 2 then Error "need at least 2 iterations" else Ok ()
 
-let measure ?(iterations = 2) ?code_keys cfg plat prog =
+let measure ?(iterations = 2) ?code_keys ?precomputed ?record cfg plat prog =
   Result.iter_error (fun m -> invalid_arg ("Runner.measure: " ^ m)) (check_iterations iterations);
   let module Prof = Inltune_obs.Prof in
   let module Trace = Inltune_obs.Trace in
   let module Event = Inltune_obs.Event in
   let sim_start = if Prof.enabled () then Trace.now () else 0.0 in
-  let vm = Machine.create ?code_keys cfg plat prog in
+  let vm = Machine.create ?code_keys ?precomputed ?record cfg plat prog in
   (* Each executed iteration under a "vm.execute" span; lazy compiles inside
      it show up as nested "vm.compile" spans, so execute self-time is
      interpretation proper.  A derived iteration opens no span. *)

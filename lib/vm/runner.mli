@@ -25,7 +25,8 @@ val check_iterations : int -> (unit, string) result
     the paper's minimum; the library-wide default used by
     {!Inltune_core.Measure} is 3 so the adaptive system reaches steady
     state).  [code_keys] is passed to {!Machine.create}; without it every
-    compile is fresh.  Raises [Invalid_argument] if [iterations < 2].
+    compile is fresh.  [precomputed] and [record] are passed to
+    {!Machine.create} too.  Raises [Invalid_argument] if [iterations < 2].
 
     Under [Opt] on the flat interpreter only the first iteration is
     executed.  Iterations 2..n repeat its instruction trace exactly, so they
@@ -36,7 +37,13 @@ val check_iterations : int -> (unit, string) result
     ["derived": true], but opens no ["vm.execute"] span.  Adapt, Ladder and
     the reference interpreter execute every iteration. *)
 val measure :
-  ?iterations:int -> ?code_keys:string array -> Machine.config -> Platform.t -> Ir.program ->
+  ?iterations:int ->
+  ?code_keys:string array ->
+  ?precomputed:(Ir.methd * Pipeline.stats) list ->
+  ?record:(Machine.recompile -> unit) ->
+  Machine.config ->
+  Platform.t ->
+  Ir.program ->
   measurement
 
 (** [observe plat prog] interprets the program once (Opt scenario, the given

@@ -99,6 +99,20 @@ fc_again=$(./_build/default/bin/main.exe $fc_tune --fitness-cache "$fcache" 2> /
 cmp "$fcache" scripts/golden/fitness_cache_adapt_tune_passes.jsonl \
   || { echo "tune over a warm fitness-cache file appended lines"; exit 1; }
 
+echo "== trajectory-cache smoke =="
+# The recompile-trajectory cache answers Adapt fitness-cache misses whose
+# recompiles reproduce an earlier genome's.  A traced fixed-seed one-domain
+# plan-genome tune must hit it and print exactly the committed stdout,
+# which the commit before the cache printed.
+traj=$tmp/traj.jsonl
+./_build/default/bin/main.exe tune -s adapt --tune-passes --pop 8 -g 4 --domains 1 \
+  --trace "$traj" 2> /dev/null \
+  | cmp - scripts/golden/tune_adapt_tune_passes_stdout.txt \
+  || { echo "traced adapt tune stdout differs from scripts/golden"; exit 1; }
+traj_hits=$(./_build/default/bin/main.exe trace-summary "$traj" \
+  | awk -F'|' '$1 ~ /fitness\.traj_hits/ { gsub(/ /, "", $2); print $2 }')
+[ "${traj_hits:-0}" -gt 0 ] || { echo "adapt tune made no trajectory-cache hit"; exit 1; }
+
 echo "== policy smoke =="
 # Tiny dataset -> train -> eval round-trip: label a handful of compress call
 # sites with the flip oracle, induce a tree, run it end-to-end on one unseen
@@ -420,6 +434,9 @@ for n in 0 1; do one_line_error "run --iterations $n" run compress --iterations 
 one_line_error "dataset --iterations 0" dataset "$tmp/bound_ds.jsonl" --iterations 0
 one_line_error "gp eval --iterations 1" gp eval "$btree" --iterations 1
 one_line_error "search --budget 0" search --budget 0
+one_line_error "tune --generations=-1" tune --generations=-1
+one_line_error "experiment fig7 --generations=-1" experiment fig7 --generations=-1
+one_line_error "dataset --max-sites=-1" dataset "$tmp/bound_ds.jsonl" --bench compress --max-sites=-1
 dir=$tmp/a_directory
 mkdir "$dir"
 one_line_error "train-policy DIR" train-policy "$dir"

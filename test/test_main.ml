@@ -24,4 +24,5 @@ let () =
       ("serve", Test_serve.suite);
       ("extensions", Test_extensions.suite);
       ("properties", Test_properties.suite);
+      ("trajcache", Test_trajcache.suite);
     ]

@@ -312,6 +312,49 @@ let test_e2e_out_of_bound_requests_rejected () =
       Alcotest.(check int) "no simulation" sims (counter "measure.simulations");
       Alcotest.(check bool) "not degraded" false (Server.degraded_mode srv))
 
+(* The generation count follows the GA's own bound, as on the CLI: a
+   negative [gens] gets the error reply — no failure, no quarantine, no
+   pressure event, no simulation — and [gens: 0] runs generation 0 alone,
+   the search an offline [Tuner.tune] with that budget runs. *)
+let test_e2e_generation_bound () =
+  let path = Filename.temp_file "inltune_serve_test" ".sock" in
+  Sys.remove path;
+  let ep = Proto.Unix_path path in
+  let config = { Server.default_config with Server.quiet = true; degrade_after = 1 } in
+  let srv = Server.start ~config ep in
+  Fun.protect
+    ~finally:(fun () -> Server.stop srv)
+    (fun () ->
+      let counter name = Inltune_obs.Metric.value (Inltune_obs.Metric.counter name) in
+      let failed = counter "serve.failed" and quarantined = counter "serve.genomes_quarantined" in
+      let sims = counter "measure.simulations" in
+      let reply =
+        rpc ep {|{"op":"tune","scenario":"opt:tot","pop":4,"gens":-1,"suite":["compress"]}|}
+      in
+      Alcotest.(check (option string)) "gens -1: error reply" (Some "error")
+        (reply_field reply "status");
+      Alcotest.(check (option string)) "gens -1: mode stays normal" (Some "normal")
+        (reply_field reply "mode");
+      Alcotest.(check int) "no failed request" failed (counter "serve.failed");
+      Alcotest.(check int) "no quarantined genome" quarantined
+        (counter "serve.genomes_quarantined");
+      Alcotest.(check int) "no simulation" sims (counter "measure.simulations");
+      let reply =
+        rpc ep
+          {|{"op":"tune","scenario":"opt:tot","pop":4,"gens":0,"seed":3,"suite":["compress"]}|}
+      in
+      Alcotest.(check (option string)) "gens 0: ok reply" (Some "ok") (reply_field reply "status");
+      let offline =
+        Inltune_core.Tuner.tune
+          ~budget:{ Inltune_core.Tuner.pop = 4; gens = 0; seed = 3 }
+          ~suite:[ Inltune_workloads.Suites.find "compress" ]
+          Inltune_core.Tuner.Opt_tot_x86
+      in
+      Alcotest.(check (option string)) "gens 0: the offline search's heuristic"
+        (Some (Inltune_opt.Heuristic.to_string offline.Inltune_core.Tuner.heuristic))
+        (reply_field reply "heuristic");
+      Alcotest.(check bool) "not degraded" false (Server.degraded_mode srv))
+
 let suite =
   [
     ("proto parse full", `Quick, test_proto_parse_full);
@@ -332,4 +375,5 @@ let suite =
     ("e2e latency histogram bounded", `Quick, test_e2e_latency_histogram_bounded);
     ("e2e stop idempotent", `Quick, test_e2e_stop_is_idempotent);
     ("e2e out-of-bound requests rejected", `Quick, test_e2e_out_of_bound_requests_rejected);
+    ("e2e generation bound", `Quick, test_e2e_generation_bound);
   ]
