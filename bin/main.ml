@@ -44,6 +44,7 @@ let or_die what = function Ok v -> v | Error m -> die "%s: %s" what m
 (* A flag value outside a bound the library enforces, checked before any
    simulation. *)
 let bound flag v = function Ok () -> () | Error m -> die "bad %s %d: %s" flag v m
+let bound_float flag v = function Ok () -> () | Error m -> die "bad %s %g: %s" flag v m
 
 (* A search budget's bounds ([Evolve.check_params] checks the generation
    count first): the error names the flag it is about. *)
@@ -560,6 +561,7 @@ let plan_cmd =
 
 let knapsack_cmd =
   let run bench platform limit =
+    bound_float "--limit" limit (Knapsack.check_limit limit);
     let bm = find_bench bench in
     let plat = platform_of_flag platform in
     let plan, kn = Knapsack.measure ~expansion_limit:limit plat bm in

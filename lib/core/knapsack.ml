@@ -36,7 +36,19 @@ let edge_benefit (plat : Platform.t) (callee : Ir.methd) count =
   * (plat.Platform.call_overhead + plat.Platform.ret_overhead
     + (plat.Platform.arg_cost * callee.Ir.nargs))
 
+(* The growth budget's bound, checked before the profiling run. *)
+let check_limit limit =
+  if Float.is_finite limit && limit >= 0.0 then Ok () else Error "must be finite and >= 0"
+
+(* The budget in size units; a limit too large for an int saturates. *)
+let budget_of ~expansion_limit program_size =
+  let b = expansion_limit *. Float.of_int program_size in
+  if b >= Float.of_int max_int then max_int else Float.to_int b
+
 let build_plan ?(expansion_limit = 0.10) (plat : Platform.t) (prog : Ir.program) =
+  Result.iter_error
+    (fun m -> invalid_arg ("Knapsack.build_plan: expansion_limit " ^ m))
+    (check_limit expansion_limit);
   (* Oracle profiling run: whole program, no inlining, one iteration. *)
   let cfg = Machine.config ~inline_enabled:false Machine.Opt Heuristic.never in
   let vm = Machine.create cfg plat prog in
@@ -69,9 +81,7 @@ let build_plan ?(expansion_limit = 0.10) (plat : Platform.t) (prog : Ir.program)
       let r2 = Float.of_int b2 /. Float.of_int s2 in
       match compare r2 r1 with 0 -> compare (o1, c1) (o2, c2) | c -> c)
     items;
-  let budget =
-    Float.to_int (expansion_limit *. Float.of_int (Size.of_program prog))
-  in
+  let budget = budget_of ~expansion_limit (Size.of_program prog) in
   let selected = Hashtbl.create 64 in
   let spent = ref 0 in
   Array.iter

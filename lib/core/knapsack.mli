@@ -15,9 +15,14 @@ type plan = {
   chosen : int;      (** edges selected *)
 }
 
+(** The growth budget's bound: a finite fraction >= 0.  A limit whose
+    budget exceeds [max_int] size units saturates there. *)
+val check_limit : float -> (unit, string) result
+
 (** Profile the program (inlining off) and greedily select edges.
     [expansion_limit] is the growth budget as a fraction of total program
-    size (default 0.10, Arnold et al.'s "modest" limit). *)
+    size (default 0.10, Arnold et al.'s "modest" limit); raises
+    [Invalid_argument] outside {!check_limit}. *)
 val build_plan : ?expansion_limit:float -> Platform.t -> Ir.program -> plan
 
 (** The per-site decision procedure compiling the plan (direct sites only). *)

@@ -2,6 +2,7 @@ open Inltune_jir
 open Inltune_opt
 open Inltune_vm
 module Metric = Inltune_obs.Metric
+module Prof = Inltune_obs.Prof
 
 (* Recompile-trajectory cache: the exact fitness cache for [Adapt] and
    [Ladder], shared across plans and deciders.
@@ -17,11 +18,23 @@ module Metric = Inltune_obs.Metric
      ([output_digest]);
    - a leaf is the finished measurement.
 
-   A query walks the trie: at each node it runs only [Pipeline.run] for its
-   own plan and decider against the node's stored profile window, digests
-   the output and follows the matching edge.  A leaf answers the query
-   without a VM; a missing edge is a miss, and the caller simulates with
-   recording (reusing the outputs the walk computed) and inserts the path.
+   A query walks the trie: at each node it computes the edge its own plan
+   and decider produce against the node's stored profile window, and
+   follows it.  A leaf answers the query without a VM; a missing edge is a
+   miss, and the caller simulates with recording (reusing the outputs the
+   walk computed) and inserts the path.
+
+   Computing an edge runs the plan for real only through its last
+   inliner-kind item L (the front) and digests that method.  When every
+   enabled item after L is context-free ([Pipeline.context_free_suffix]),
+   a memo maps (program, input-method digest, canonical item text) to the
+   item's output digest and size; when it answers for every item, the edge
+   comes from the last digest, [size_peak] and [size_after] with no payoff
+   pass run.  At the first item it cannot answer, the walk runs the items
+   before it from the front without hashing, then that item and every
+   later one, adding an entry for each.  A walk that ends in a miss
+   completes each memo-served node by running only its items after L on
+   the kept front ([outputs]), so the simulation still runs no pass twice.
 
    Why the answer is exact — an induction over recompiles:
 
@@ -50,6 +63,17 @@ module Metric = Inltune_obs.Metric
      and [size_after] (code bytes, hence every later code address).  The
      digest covers exactly those, so equal (method, digest) sequences give
      identical runs, the measurement included.
+   - The memo computes that digest.  An edge is the digest of (method
+     digest, [size_peak], [size_after]) however it was computed.  The
+     front is a real run, and [size_peak] is its method's size, recorded
+     right after L.  After L only context-free items run: each reads the
+     program, its input method and its knobs and nothing else, so its
+     output is a function of the memo's key (the input enters as its
+     digest, and the program and knobs as the program digest and the
+     canonical item text).  By induction over the items, the last digest
+     the memo gives is the digest of the method a whole run returns, and
+     the last size its [size_after].  A plan with an item after L that
+     reads the decider or the profile never uses the memo.
 
    Hence a walk that reaches a leaf returns the measurement a fresh
    simulation of the query would.  The cache sits behind the fitness cache
@@ -57,13 +81,15 @@ module Metric = Inltune_obs.Metric
    for deciders that read no live profile — the heuristic and static
    policies — on the flat interpreter; [Fitcache.clear] empties it.
 
-   Concurrency: one mutex guards the tries; pipelines run outside it.  Two
-   domains racing on one fresh path both simulate, and the second insert
-   finds the path present.
+   Concurrency: one mutex guards the tries and the memo; pipelines and
+   digests run outside it.  Two domains racing on one fresh path both
+   simulate, and the second insert finds the path present; a memo entry
+   is a fact about its key, so whichever domain adds it first wins.
 
    Memory: a node is one int array plus its children, each child's digest
-   two ints.  The tries grow to [budget_bytes] at most and then stop
-   growing until the next [clear], so a long-lived process stays
+   two ints.  The tries grow to [budget_bytes] at most, the memo to
+   [memo_cap] entries of five ints, on a budget of its own; each then
+   stops growing until the next [clear], so a long-lived process stays
    bounded. *)
 
 type trie = Node of node | Leaf of Runner.measurement
@@ -82,97 +108,285 @@ let hits = Metric.handle "fitness.traj_hits"
 let misses = Metric.handle "fitness.traj_misses"
 let nodes_added = Metric.handle "fitness.traj_nodes"
 let bytes_added = Metric.handle "fitness.traj_bytes"
+let chain_hits = Metric.handle "fitness.traj_chain_hits"
+let chain_misses = Metric.handle "fitness.traj_chain_misses"
+let memo_added = Metric.handle "fitness.traj_memo_entries"
 
-(* [mu] guards [roots], every node's [kids], [generation] and the
-   totals. *)
+(* [mu] guards [roots], every node's [kids], [generation], the totals and
+   the memo. *)
 let mu = Mutex.create ()
 let roots : (string, trie) Hashtbl.t = Hashtbl.create 16
 let generation = ref 0
 let total_nodes = ref 0
 let total_bytes = ref 0
 
+(* --- the suffix memo ------------------------------------------------------
+
+   (memo key) -> (output digest, output size), flat: entry [e] is five ints
+   at [(e mod 256) * 5] of chunk [e / 256] — the key's two ints, the
+   output digest's two ints and the output's size — and a 16-bit index of
+   [index_slots] slots holds entry + 1 (0 = empty), probed linearly from
+   the key's low bits.  The cap keeps the index at most 3/4 full.  Chunks
+   are allocated as entries arrive; nothing is allocated before the first
+   entry. *)
+
+let memo_cap = 3072
+let chunk_entries = 256
+let entry_ints = 5
+let index_slots = 4096
+let memo_index = ref Bytes.empty
+let memo_chunks : int array array = Array.make (memo_cap / chunk_entries) [||]
+let memo_count = ref 0
+
+let memo_entries () = Mutex.protect mu (fun () -> !memo_count)
+
+let memo_bytes () =
+  Mutex.protect mu (fun () ->
+      Array.fold_left
+        (fun b c -> if Array.length c = 0 then b else b + (8 * (Array.length c + 1)))
+        ((8 * (Array.length memo_chunks + 1)) + Bytes.length !memo_index)
+        memo_chunks)
+
+(* Under [mu]: the entry under key [(k0, k1)], or -1. *)
+let memo_find k0 k1 =
+  if !memo_count = 0 then -1
+  else
+    let rec probe s =
+      match Bytes.get_uint16_le !memo_index (2 * s) with
+      | 0 -> -1
+      | e1 ->
+        let e = e1 - 1 in
+        let c = memo_chunks.(e / chunk_entries) and o = e mod chunk_entries * entry_ints in
+        if c.(o) = k0 && c.(o + 1) = k1 then e else probe ((s + 1) land (index_slots - 1))
+    in
+    probe (k0 land (index_slots - 1))
+
+let memo_field e i = memo_chunks.(e / chunk_entries).((e mod chunk_entries * entry_ints) + i)
+
+(* Under [mu]: add an entry unless its key is present or the memo is
+   full. *)
+let memo_add (k0, k1) (o0, o1) size =
+  if !memo_count < memo_cap && memo_find k0 k1 < 0 then begin
+    if Bytes.length !memo_index = 0 then memo_index := Bytes.make (2 * index_slots) '\000';
+    let e = !memo_count in
+    let ci = e / chunk_entries in
+    if Array.length memo_chunks.(ci) = 0 then
+      memo_chunks.(ci) <- Array.make (chunk_entries * entry_ints) 0;
+    let c = memo_chunks.(ci) and o = e mod chunk_entries * entry_ints in
+    c.(o) <- k0;
+    c.(o + 1) <- k1;
+    c.(o + 2) <- o0;
+    c.(o + 3) <- o1;
+    c.(o + 4) <- size;
+    let rec place s =
+      if Bytes.get_uint16_le !memo_index (2 * s) = 0 then
+        Bytes.set_uint16_le !memo_index (2 * s) (e + 1)
+      else place ((s + 1) land (index_slots - 1))
+    in
+    place (k0 land (index_slots - 1));
+    memo_count := e + 1;
+    Metric.bump memo_added
+  end
+
 let clear () =
   Mutex.protect mu (fun () ->
       Hashtbl.reset roots;
       incr generation;
       total_nodes := 0;
-      total_bytes := 0)
+      total_bytes := 0;
+      memo_index := Bytes.empty;
+      Array.fill memo_chunks 0 (Array.length memo_chunks) [||];
+      memo_count := 0)
 
 let nodes () = Mutex.protect mu (fun () -> !total_nodes)
 let bytes () = Mutex.protect mu (fun () -> !total_bytes)
 
+(* --- digests --------------------------------------------------------------- *)
+
+let ints_of_digest d =
+  (Int64.to_int (String.get_int64_le d 0), Int64.to_int (String.get_int64_le d 8))
+
+let digest_ints ints =
+  let b = Bytes.create (8 * List.length ints) in
+  List.iteri (fun i v -> Bytes.set_int64_le b (8 * i) (Int64.of_int v)) ints;
+  ints_of_digest (Digest.bytes b)
+
+(* Two ints of the MD5 of a method. *)
+let method_digest (m : Ir.methd) =
+  ints_of_digest (Digest.string (Marshal.to_string m [ Marshal.No_sharing ]))
+
 (* What a recompile produced, as far as the rest of the run can tell: the
    post-pipeline method (register allocation and lowering are functions of
    it and the platform), [size_peak] (compile cycles) and [size_after]
-   (code bytes).  Two ints of its MD5. *)
+   (code bytes). *)
+let edge (d0, d1) ~size_peak ~size_after = digest_ints [ d0; d1; size_peak; size_after ]
+
 let output_digest ((code : Ir.methd), (stats : Pipeline.stats)) =
-  let d =
-    Digest.string
-      (Marshal.to_string (code, stats.Pipeline.size_peak, stats.Pipeline.size_after)
-         [ Marshal.No_sharing ])
-  in
-  (Int64.to_int (String.get_int64_le d 0), Int64.to_int (String.get_int64_le d 8))
+  edge (method_digest code) ~size_peak:stats.Pipeline.size_peak
+    ~size_after:stats.Pipeline.size_after
+
+(* --- the walk -------------------------------------------------------------- *)
 
 let key (cfg : Machine.config) (platform : Platform.t) ~iterations facts =
   Printf.sprintf "%s/%s/%s/%d/%d/%b" (Facts.digest facts)
     (Machine.scenario_name cfg.Machine.scenario)
     platform.Platform.pname iterations cfg.Machine.fuel cfg.Machine.icache_enabled
 
-(* Where a walk fell off: the trie's key and generation, the outputs it
-   computed, and the last node it passed with the digest of that node's
+(* A query's memo chain: the plan's last inliner-kind item, and for each
+   enabled item after it its index and a key buffer — the MD5 of the
+   program digest and the item's canonical text, then room for an input
+   digest. *)
+type chain = { last : int; items : (int * Bytes.t) array }
+
+let chain_of facts (plan : Plan.t) =
+  Option.map
+    (fun last ->
+      let items = ref [] in
+      Array.iteri
+        (fun j (it : Plan.item) ->
+          if j > last && it.Plan.enabled then begin
+            let buf = Bytes.make 32 '\000' in
+            Bytes.blit_string
+              (Digest.string (Facts.digest facts ^ "\n" ^ Plan.item_to_string it))
+              0 buf 0 16;
+            items := (j, buf) :: !items
+          end)
+        plan.Plan.items;
+      { last; items = Array.of_list (List.rev !items) })
+    (Pipeline.context_free_suffix plan)
+
+(* The memo key of chain item [buf] on an input method of digest [d]. *)
+let memo_key buf (d0, d1) =
+  Bytes.set_int64_le buf 16 (Int64.of_int d0);
+  Bytes.set_int64_le buf 24 (Int64.of_int d1);
+  ints_of_digest (Digest.bytes buf)
+
+(* A node a walk passed: its full pipeline output, or — when the memo
+   served the chain — the run as it stood after the last inliner. *)
+type passed = Output of (Ir.methd * Pipeline.stats) | Front of Pipeline.partial
+
+let complete = function
+  | Output out -> out
+  | Front p ->
+    let m, stats, _ = Pipeline.finish p in
+    (m, stats)
+
+(* The memo's answers for chain items [i, ...) from input digest [d] and
+   size [size]: how far it got, the digest and the size there.  One lock
+   per item; the keys are hashed outside it. *)
+let rec follow ch i d size =
+  if i = Array.length ch.items then (i, d, size)
+  else
+    let k0, k1 = memo_key (snd ch.items.(i)) d in
+    match
+      Mutex.protect mu (fun () ->
+          match memo_find k0 k1 with
+          | -1 -> None
+          | e -> Some ((memo_field e 2, memo_field e 3), memo_field e 4))
+    with
+    | None -> (i, d, size)
+    | Some (d', size') -> follow ch (i + 1) d' size'
+
+(* Chain item [i] and on missed: run the items before it from the front
+   without hashing, then each from it to the end, digesting every output
+   and adding its entry ([memo_add] drops those past the cap). *)
+let run_chain_from ch front i d =
+  let p = ref (Pipeline.run_until front (fst ch.items.(i))) and d = ref d and added = ref [] in
+  for k = i to Array.length ch.items - 1 do
+    let j, buf = ch.items.(k) in
+    let key = memo_key buf !d in
+    p := Pipeline.run_until !p (j + 1);
+    let m = Pipeline.current !p in
+    d := method_digest m;
+    added := (key, !d, Size.of_method m) :: !added
+  done;
+  Mutex.protect mu (fun () -> List.iter (fun (k, d, size) -> memo_add k d size) (List.rev !added));
+  let m, stats, _ = Pipeline.finish !p in
+  ((m, stats), !d)
+
+(* One node's edge, and what the walk keeps of it.  Without a chain the
+   pipeline runs whole; with one it runs through the last inliner, and the
+   memo answers for the rest when it can. *)
+let walk_edge prog config chain mid =
+  let m = prog.Ir.methods.(mid) in
+  match chain with
+  | None ->
+    let out = Prof.span "fitness.traj_front" (fun () -> Pipeline.run prog config m) in
+    (Output out, output_digest out)
+  | Some ch ->
+    let front, d =
+      Prof.span "fitness.traj_front" (fun () ->
+          let front = Pipeline.run_until (Pipeline.start prog config m) (ch.last + 1) in
+          (front, method_digest (Pipeline.current front)))
+    in
+    let size_peak = Pipeline.peak front in
+    Prof.span "fitness.traj_chain" (fun () ->
+        match follow ch 0 d size_peak with
+        | i, d, size_after when i = Array.length ch.items ->
+          Metric.bump chain_hits;
+          (Front front, edge d ~size_peak ~size_after)
+        | i, d, _ ->
+          Metric.bump chain_misses;
+          let ((_, stats) as out), d = run_chain_from ch front i d in
+          (Output out, edge d ~size_peak ~size_after:stats.Pipeline.size_after))
+
+(* Where a walk fell off: the trie's key and generation, the nodes it
+   passed, and the last node it passed with the digest of that node's
    output ([None] when the trie had no root). *)
 type miss = {
   m_key : string;
   m_generation : int;
-  m_outputs : (Ir.methd * Pipeline.stats) list;
+  m_outputs : (Ir.methd * Pipeline.stats) list Lazy.t;
   m_at : (node * (int * int)) option;
 }
 
 type outcome = Hit of Runner.measurement | Miss of miss
 
-let outputs miss = miss.m_outputs
+let outputs miss = Lazy.force miss.m_outputs
 let find_kid n (d0, d1) = List.find_opt (fun k -> k.d0 = d0 && k.d1 = d1) n.kids
 
 let find (cfg : Machine.config) platform ~iterations ~decider prog =
   let facts = Facts.of_program prog in
   let k = key cfg platform ~iterations facts in
+  let chain = chain_of facts (Machine.optimizing_plan cfg) in
   let gen, root = Mutex.protect mu (fun () -> (!generation, Hashtbl.find_opt roots k)) in
-  let rec walk outputs = function
+  let miss passed at =
+    Metric.bump misses;
+    Miss
+      {
+        m_key = k;
+        m_generation = gen;
+        m_outputs = lazy (List.map complete (List.rev passed));
+        m_at = at;
+      }
+  in
+  let rec walk passed = function
     | Leaf m ->
       Metric.bump hits;
       Hit m
     | Node n -> (
-      let mid = n.packed.(0) in
       let config =
         Machine.pipeline_config cfg platform facts decider (Machine.node_view facts n.packed)
       in
-      let out = Pipeline.run prog config prog.Ir.methods.(mid) in
-      let digest = output_digest out in
+      let here, digest = walk_edge prog config chain n.packed.(0) in
       match Mutex.protect mu (fun () -> find_kid n digest) with
-      | Some kid -> walk (out :: outputs) kid.next
-      | None ->
-        Metric.bump misses;
-        Miss
-          {
-            m_key = k;
-            m_generation = gen;
-            m_outputs = List.rev (out :: outputs);
-            m_at = Some (n, digest);
-          })
+      | Some kid -> walk (here :: passed) kid.next
+      | None -> miss (here :: passed) (Some (n, digest)))
   in
-  match root with
-  | Some t -> walk [] t
-  | None ->
-    Metric.bump misses;
-    Miss { m_key = k; m_generation = gen; m_outputs = []; m_at = None }
+  match root with Some t -> walk [] t | None -> miss [] None
+
+let node_edge (cfg : Machine.config) platform ~decider prog packed =
+  let facts = Facts.of_program prog in
+  let config = Machine.pipeline_config cfg platform facts decider (Machine.node_view facts packed) in
+  snd (walk_edge prog config (chain_of facts (Machine.optimizing_plan cfg)) packed.(0))
 
 (* A path not yet stored, from (node, output digest) pairs and the leaf,
    with its size in bytes and nodes. *)
-let rec chain recorded m =
+let rec path recorded m =
   match recorded with
   | [] -> (Leaf m, leaf_bytes, 0)
   | (packed, (d0, d1)) :: rest ->
-    let next, b, n = chain rest m in
+    let next, b, n = path rest m in
     (Node { packed; kids = [ { d0; d1; next } ] }, b + node_bytes packed + kid_bytes, n + 1)
 
 (* Under [mu].  Grows the tries by [b] bytes and [n] nodes if the budget
@@ -194,7 +408,7 @@ let admit (b, n) add =
 let rec attach n digest recorded m =
   match find_kid n digest with
   | None ->
-    let next, b, c = chain recorded m in
+    let next, b, c = path recorded m in
     admit (b + kid_bytes, c) (fun () ->
         n.kids <- { d0 = fst digest; d1 = snd digest; next } :: n.kids)
   | Some { next = Node n'; _ } -> (
@@ -212,7 +426,7 @@ let insert miss (recorded : Machine.recompile list) m =
         match (miss.m_at, Hashtbl.find_opt roots miss.m_key, recorded) with
         | Some (n, digest), _, _ -> attach n digest recorded m
         | None, None, _ ->
-          let t, b, c = chain recorded m in
+          let t, b, c = path recorded m in
           admit (b, c) (fun () -> Hashtbl.replace roots miss.m_key t)
         | None, Some (Node n), (_, d) :: rest -> attach n d rest m
         | None, Some (Node _), [] | None, Some (Leaf _), _ -> ())

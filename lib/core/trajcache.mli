@@ -9,19 +9,30 @@ open Inltune_vm
     I-cache flag).  A node is one optimizing recompile — the method id and
     the profile window the optimizer reads ({!Inltune_vm.Machine.recompile});
     an edge is the digest of what that recompile produced
-    ({!output_digest}); a leaf is the finished
-    measurement.  A lookup runs only {!Inltune_opt.Pipeline.run} at each
-    node, for its own plan and decider against the stored window, and
-    follows the matching edge: a leaf is the measurement a fresh simulation
-    would return (the implementation header carries the induction).
+    ({!output_digest}); a leaf is the finished measurement.  A lookup
+    computes each node's edge for its own plan and decider against the
+    stored window and follows it: a leaf is the measurement a fresh
+    simulation would return (the implementation header carries the
+    induction).
+
+    Computing an edge runs the plan through its last inliner-kind item for
+    real.  When every enabled item after it is context-free
+    ({!Inltune_opt.Pipeline.context_free_suffix}), a memo keyed on
+    (program, input-method digest, canonical item text) gives each later
+    item's output digest and size, and a node whose every item the memo
+    answers runs no payoff pass.  A memo miss runs the rest of the plan
+    once, adding an entry per item.
 
     The caller ({!Measure.run_decider}) consults it after a fitness-cache
     miss, for deciders that read no live profile, under [Adapt]/[Ladder]
-    on the flat interpreter.  {!Fitcache.clear} empties it.  It grows to
-    {!budget_bytes} and then stops growing until the next {!clear}.
-    Counters: ["fitness.traj_hits"], ["fitness.traj_misses"], and the nodes
-    and bytes each insert adds, ["fitness.traj_nodes"] and
-    ["fitness.traj_bytes"]. *)
+    on the flat interpreter.  {!Fitcache.clear} empties it.  The trie
+    grows to {!budget_bytes} and the memo to {!memo_cap} entries; each
+    then stops growing until the next {!clear}.  Counters:
+    ["fitness.traj_hits"], ["fitness.traj_misses"], the nodes and bytes
+    each insert adds (["fitness.traj_nodes"], ["fitness.traj_bytes"]),
+    node visits the memo served whole or not (["fitness.traj_chain_hits"],
+    ["fitness.traj_chain_misses"]; a plan the memo cannot serve counts in
+    neither) and memo entries added (["fitness.traj_memo_entries"]). *)
 
 (** The fixed memory budget: 512 KiB. *)
 val budget_bytes : int
@@ -43,7 +54,10 @@ val find :
   Machine.config -> Platform.t -> iterations:int -> decider:Decider.t -> Ir.program -> outcome
 
 (** The outputs to hand to the miss's simulation
-    ([Runner.measure ~precomputed]). *)
+    ([Runner.measure ~precomputed]).  The first call completes each node
+    the memo served by running only the items after its last inliner on
+    the method the walk kept, so with the walk no pipeline item runs twice
+    for one node. *)
 val outputs : miss -> (Ir.methd * Pipeline.stats) list
 
 (** [insert miss recorded m] stores the simulated path: [recorded] is what
@@ -53,16 +67,35 @@ val outputs : miss -> (Ir.methd * Pipeline.stats) list
     {!clear} ran since the lookup. *)
 val insert : miss -> Machine.recompile list -> Runner.measurement -> unit
 
-(** The edge digest of a pipeline output, as two ints of an MD5: its
-    method, [size_peak] (which fixes the compile cycles) and [size_after]
-    (which fixes the code bytes) — everything of a recompile the rest of a
-    run depends on. *)
+(** The edge digest of a pipeline output, as two ints of an MD5 of: two
+    ints of an MD5 of its method, [size_peak] (which fixes the compile
+    cycles) and [size_after] (which fixes the code bytes) — everything of a
+    recompile the rest of a run depends on.  A walk computes the same
+    value from the memo without the method. *)
 val output_digest : Ir.methd * Pipeline.stats -> int * int
 
-(** Forget every trie. *)
+(** Forget every trie and the memo. *)
 val clear : unit -> unit
 
-(** Nodes and bytes currently held. *)
+(** Trie nodes and bytes currently held. *)
 val nodes : unit -> int
 
 val bytes : unit -> int
+
+(** The memo's fixed cap: 3,072 entries, 40 bytes each plus an 8 KiB
+    index. *)
+val memo_cap : int
+
+(** Memo entries and heap bytes currently held. *)
+val memo_entries : unit -> int
+
+val memo_bytes : unit -> int
+
+(** [node_edge config platform ~decider program node]: the edge a walk
+    computes at a stored [node] (a {!Inltune_vm.Machine.recompile} node of
+    [program]) for a query under [config] with [decider], through the
+    memo as a walk does (adding its entries on a memo miss).  It equals
+    {!output_digest} of a whole {!Inltune_opt.Pipeline.run} at that node;
+    the tests check this. *)
+val node_edge :
+  Machine.config -> Platform.t -> decider:Decider.t -> Ir.program -> int array -> int * int

@@ -20,7 +20,10 @@ open Inltune_jir
    are preserved (block i of the input is block i of the output); a call being
    inlined terminates the current output block with a jump to the copied
    callee entry, callee returns become a move to the call's destination plus a
-   jump to a fresh continuation block, and filling resumes there.
+   jump to a fresh continuation block, and filling resumes there.  Most runs
+   accept nothing at the root (an inliner put to an already-inlined method,
+   a strategy whose budget is spent), so the root's sites are decided
+   before any block is built, and such a run returns its input.
 
    [walk] is the decision-procedure-only twin of [run]: over per-program
    call-site tables it visits call sites in exactly the order [run] decides
@@ -30,6 +33,10 @@ open Inltune_jir
 module Vec = Inltune_support.Vec
 module Trace = Inltune_obs.Trace
 module Event = Inltune_obs.Event
+module Metric = Inltune_obs.Metric
+
+(* Runs that accepted no root site and returned their input. *)
+let zero_accept = Metric.handle "engine.zero_accept"
 
 type stats = {
   mutable sites_seen : int;
@@ -96,6 +103,9 @@ type ctx = {
   stats : stats;
   log : decision Vec.t option;  (* per-site decision records, when requested *)
   trace_on : bool;              (* Trace.enabled at run start *)
+  mutable decided : (reason * bool) list;
+      (* verdicts (and hotness) of the root's first call sites, decided
+         before the output was built; [emit_instr] replays them in order *)
 }
 
 (* Record/emit a per-site decision.  Only called when the caller verified
@@ -191,36 +201,48 @@ and fill_blocks ctx ~owner ~depth ~chain ~remap ~label_map ~on_ret blocks =
       | Ir.Ret r -> on_ret (remap r))
     blocks
 
+(* The verdict on one call site, recorded and traced when observing: the
+   recursion guard (not counted in [sites_seen] — the policy never sees the
+   site), else the policy under the [Space_cap] net.  With whether the site
+   is hot. *)
+and decide_site ctx ~owner ~depth ~chain callee =
+  let observing = ctx.trace_on || ctx.log <> None in
+  if List.mem callee chain then begin
+    if observing then
+      note_decision ctx ~site_owner:owner ~callee ~callee_size:(ctx.callee_size callee)
+        ~depth:(depth + 1) Recursive;
+    (Recursive, false)
+  end
+  else begin
+    let reason, callee_size, hot = decide ctx ~site_owner:owner ~callee ~depth:(depth + 1) in
+    if observing then
+      note_decision ctx ~site_owner:owner ~callee ~callee_size ~depth:(depth + 1) reason;
+    (reason, hot)
+  end
+
 and emit_instr ctx ~owner ~depth ~chain ~remap i =
   match i with
   | Ir.Call (dst, callee, args) ->
     let dst = remap dst and args = Array.map remap args in
-    let observing = ctx.trace_on || ctx.log <> None in
-    if List.mem callee chain then begin
-      (* Recursion guard.  Not counted in [sites_seen] (the policy never
-         saw the site), but still recorded when observing. *)
-      if observing then
-        note_decision ctx ~site_owner:owner ~callee ~callee_size:(ctx.callee_size callee)
-          ~depth:(depth + 1) Recursive;
-      push ctx (Ir.Call (dst, callee, args))
+    let reason, hot =
+      match ctx.decided with
+      | d :: rest ->
+        ctx.decided <- rest;
+        d
+      | [] -> decide_site ctx ~owner ~depth ~chain callee
+    in
+    if reason_accepts reason then begin
+      ctx.stats.sites_inlined <- ctx.stats.sites_inlined + 1;
+      if hot then ctx.stats.hot_sites_inlined <- ctx.stats.hot_sites_inlined + 1;
+      let body = ctx.prog.Ir.methods.(callee) in
+      (* Bind formal parameters: callee registers 0..nargs-1 live at
+         [base..base+nargs-1] after the shift performed by [splice]. *)
+      let base_preview = ctx.nregs in
+      Array.iteri (fun k a -> push ctx (Ir.Move (base_preview + k, a))) args;
+      let base = splice ctx ~owner:callee ~depth:(depth + 1) ~chain:(callee :: chain) ~dst body in
+      assert (base = base_preview)
     end
-    else begin
-      let reason, callee_size, hot = decide ctx ~site_owner:owner ~callee ~depth:(depth + 1) in
-      if observing then
-        note_decision ctx ~site_owner:owner ~callee ~callee_size ~depth:(depth + 1) reason;
-      if reason_accepts reason then begin
-        ctx.stats.sites_inlined <- ctx.stats.sites_inlined + 1;
-        if hot then ctx.stats.hot_sites_inlined <- ctx.stats.hot_sites_inlined + 1;
-        let body = ctx.prog.Ir.methods.(callee) in
-        (* Bind formal parameters: callee registers 0..nargs-1 live at
-           [base..base+nargs-1] after the shift performed by [splice]. *)
-        let base_preview = ctx.nregs in
-        Array.iteri (fun k a -> push ctx (Ir.Move (base_preview + k, a))) args;
-        let base = splice ctx ~owner:callee ~depth:(depth + 1) ~chain:(callee :: chain) ~dst body in
-        assert (base = base_preview)
-      end
-      else push ctx (Ir.Call (dst, callee, args))
-    end
+    else push ctx (Ir.Call (dst, callee, args))
   | Ir.CallVirt (dst, slot, recv, args) ->
     (* Virtual sites are never inlined directly; devirtualization (constant
        propagation proving the receiver class) turns them into static calls
@@ -237,6 +259,33 @@ and emit_instr ctx ~owner ~depth ~chain ~remap i =
   | Ir.ClassOf (d, o) -> push ctx (Ir.ClassOf (remap d, remap o))
   | Ir.Alloc (d, k, s) -> push ctx (Ir.Alloc (remap d, k, s))
   | Ir.Print r -> push ctx (Ir.Print (remap r))
+
+(* Decide the root's own call sites in order, up to and including the
+   first one accepted: until then nothing is spliced, so the caller size
+   each decision sees is the one [fill_blocks] would show it.  [None] when
+   no site is accepted.  Then [fill_blocks] would re-emit [m] block for
+   block under the identity remap, and every pass is copy-on-write, so [m]
+   itself is the output.  Otherwise the verdicts, in order, for
+   [emit_instr] to replay: every site is put to the policy once. *)
+let decide_root ctx m =
+  let owner = m.Ir.mid and chain = [ m.Ir.mid ] in
+  let decided = ref [] in
+  let exception Accepted in
+  match
+    Array.iter
+      (fun blk ->
+        Array.iter
+          (function
+            | Ir.Call (_, callee, _) ->
+              let ((reason, _) as d) = decide_site ctx ~owner ~depth:0 ~chain callee in
+              decided := d :: !decided;
+              if reason_accepts reason then raise Accepted
+            | _ -> ())
+          blk.Ir.instrs)
+      m.Ir.blocks
+  with
+  | () -> None
+  | exception Accepted -> Some (List.rev !decided)
 
 let run ?hot_site ?decisions ?facts ~program ~policy m =
   let facts = match facts with Some f -> f | None -> Facts.of_program program in
@@ -255,28 +304,35 @@ let run ?hot_site ?decisions ?facts ~program ~policy m =
       stats = fresh_stats ();
       log = decisions;
       trace_on = Trace.enabled ();
+      decided = [];
     }
   in
-  let nblocks = Array.length m.Ir.blocks in
-  let label_map = Array.init nblocks (fun _ -> new_block ctx) in
-  fill_blocks ctx ~owner:m.Ir.mid ~depth:0 ~chain:[ m.Ir.mid ] ~remap:(fun r -> r)
-    ~label_map
-    ~on_ret:(fun r -> terminate ctx (Ir.Ret r))
-    m.Ir.blocks;
-  let blocks =
-    Array.map
-      (fun ob ->
-        match ob.oterm with
-        | None ->
-          (* Unreached continuation of a block whose filling ended in returns
-             on all paths cannot happen: every output block is either a mapped
-             input block (always terminated) or a continuation that filling
-             resumed on.  Defensive: make it an empty self-loop-free return. *)
-          assert false
-        | Some t -> { Ir.instrs = Vec.to_array ob.oi; term = t })
-      (Vec.to_array ctx.out)
-  in
-  ({ m with Ir.nregs = ctx.nregs; blocks }, ctx.stats)
+  match decide_root ctx m with
+  | None ->
+    Metric.bump zero_accept;
+    (m, ctx.stats)
+  | Some decided ->
+    ctx.decided <- decided;
+    let nblocks = Array.length m.Ir.blocks in
+    let label_map = Array.init nblocks (fun _ -> new_block ctx) in
+    fill_blocks ctx ~owner:m.Ir.mid ~depth:0 ~chain:[ m.Ir.mid ] ~remap:(fun r -> r)
+      ~label_map
+      ~on_ret:(fun r -> terminate ctx (Ir.Ret r))
+      m.Ir.blocks;
+    let blocks =
+      Array.map
+        (fun ob ->
+          match ob.oterm with
+          | None ->
+            (* Unreached continuation of a block whose filling ended in
+               returns on all paths cannot happen: every output block is
+               either a mapped input block (always terminated) or a
+               continuation that filling resumed on. *)
+            assert false
+          | Some t -> { Ir.instrs = Vec.to_array ob.oi; term = t })
+        (Vec.to_array ctx.out)
+    in
+    ({ m with Ir.nregs = ctx.nregs; blocks }, ctx.stats)
 
 (* The call sites the decision walk visits, as flat per-method tables:
    [sizes.(mid)] is the method's static size estimate and [callees.(mid)]

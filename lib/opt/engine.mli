@@ -49,7 +49,16 @@ val max_expanded_size : int
     {!decision} record per examined call site; independently, every decision
     is emitted as an "inline.decision" trace event when tracing is
     enabled.  Callee sizes come from [facts], the program's
-    {!Inltune_jir.Facts} entry, looked up when not given. *)
+    {!Inltune_jir.Facts} entry, looked up when not given.
+
+    [m]'s own call sites are decided first, in order, until one is
+    accepted (the recursion guard and {!max_expanded_size} apply as
+    everywhere).  If none is, the result is [m] itself — the rebuild
+    would copy it block for block — with the same stats, and the
+    ["engine.zero_accept"] counter counts the run.  Otherwise the output
+    is built replaying those verdicts.  Either way every site is put to
+    the policy exactly once, and the records and events come in decision
+    order.  [run] never modifies [m] or the program. *)
 val run :
   ?hot_site:(site_owner:Ir.mid -> callee:Ir.mid -> bool) ->
   ?decisions:decision Inltune_support.Vec.t ->

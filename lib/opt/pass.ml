@@ -81,6 +81,11 @@ type t = {
   applicable : ctx -> bool;
       (* structurally skipped (no run, no span) when false — e.g. guarded
          devirtualization without a profile oracle *)
+  context_free : bool;
+      (* [applicable] and [run] read nothing of [ctx]: the output is a
+         function of the program, the input method and the knobs.  Read
+         only for passes after a plan's last inliner-kind item, so the
+         inliners' values are never consulted *)
   run :
     ?facts:Facts.t -> Ir.program -> ctx -> knob:(string -> int) -> Ir.methd -> Ir.methd * delta;
       (* [knob] resolves this instance's declared knobs (plan value or
@@ -96,6 +101,7 @@ let guarded_devirt =
     name = "guarded_devirt";
     knobs = [];
     applicable = (fun ctx -> ctx.devirt_oracle <> None);
+    context_free = false;
     run =
       (fun ?facts:_ program ctx ~knob:_ m ->
         match ctx.devirt_oracle with
@@ -122,6 +128,7 @@ let constprop =
     name = "constprop";
     knobs = [ iters_knob ];
     applicable = always_applicable;
+    context_free = true;
     run = (fun ?facts:_ program _ ~knob:_ m -> run_constprop program m);
   }
 
@@ -157,6 +164,7 @@ let inline =
     name = "inline";
     knobs = [];
     applicable = always_applicable;
+    context_free = false;
     run =
       (fun ?facts program ctx ~knob:_ m ->
         let m, s =
@@ -185,6 +193,7 @@ let inline_leaves =
         { k_name = "rounds"; k_lo = 1; k_hi = 5; k_default = 2 };
       ];
     applicable = always_applicable;
+    context_free = true;
     run =
       (fun ?facts program _ ~knob m ->
         let facts = match facts with Some f -> f | None -> Facts.of_program program in
@@ -203,6 +212,7 @@ let inline_hot =
       ];
     (* No profile, no hot paths: structurally skipped under [Opt]. *)
     applicable = (fun ctx -> ctx.profile <> None);
+    context_free = false;
     run =
       (fun ?facts program ctx ~knob m ->
         match ctx.profile with
@@ -224,6 +234,7 @@ let inline_region =
         { k_name = "depth"; k_lo = 1; k_hi = 12; k_default = 6 };
       ];
     applicable = always_applicable;
+    context_free = true;
     run =
       (fun ?facts program _ ~knob m ->
         let policy = Region.policy ~budget:(knob "budget") ~depth:(knob "depth") m in
@@ -236,6 +247,7 @@ let cse =
     name = "cse";
     knobs = [ iters_knob ];
     applicable = always_applicable;
+    context_free = true;
     run =
       (fun ?facts:_ _ _ ~knob:_ m ->
         let m, n = Cse.run m in
@@ -247,6 +259,7 @@ let copyprop =
     name = "copyprop";
     knobs = [ iters_knob ];
     applicable = always_applicable;
+    context_free = true;
     run =
       (fun ?facts:_ _ _ ~knob:_ m ->
         let m, n = Copyprop.run m in
@@ -258,6 +271,7 @@ let dce =
     name = "dce";
     knobs = [ iters_knob ];
     applicable = always_applicable;
+    context_free = true;
     run =
       (fun ?facts:_ _ _ ~knob:_ m ->
         let m, n = Dce.run m in
@@ -269,6 +283,7 @@ let cleanup =
     name = "cleanup";
     knobs = [];
     applicable = always_applicable;
+    context_free = true;
     run = (fun ?facts:_ _ _ ~knob:_ m -> (Cleanup.run m, zero_delta));
   }
 

@@ -54,6 +54,15 @@ type t = {
   applicable : ctx -> bool;
       (** structurally skipped (no run, no span) when false — e.g. guarded
           devirtualization without a profile oracle *)
+  context_free : bool;
+      (** [applicable] and [run] read nothing of the {!ctx} — neither the
+          decider nor any profile-derived input — so the output is a
+          function of the program, the input method and the knobs alone.
+          Consulted only for passes that can follow a plan's last
+          inliner-kind item ({!Pipeline.context_free_suffix}), so among
+          the built-ins only [guarded_devirt]'s [false] matters; the
+          inliners' values are never read.  The trajectory cache memoizes
+          only runs of such passes. *)
   run :
     ?facts:Facts.t -> Ir.program -> ctx -> knob:(string -> int) -> Ir.methd -> Ir.methd * delta;
       (** [knob] resolves this instance's declared knobs to their effective

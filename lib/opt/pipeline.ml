@@ -14,7 +14,12 @@ open Inltune_jir
    [size_after] (emitted code, which is what occupies the I-cache).  The
    aggregate counters are the field-wise sum of the per-item deltas — no ad
    hoc per-pass arithmetic — so [run_detailed]'s deltas always sum exactly
-   to the totals. *)
+   to the totals.
+
+   One loop serves every caller: [start], one [step] per plan item, and
+   [finish], the one stats builder.  [run_detailed] is all three in a row;
+   the trajectory cache stops after the last inliner-kind item and
+   finishes only the runs its memo cannot answer for. *)
 
 type site_decision = Decider.site_decision
 
@@ -118,83 +123,122 @@ let is_original program m =
   let ms = program.Ir.methods in
   m.Ir.mid >= 0 && m.Ir.mid < Array.length ms && ms.(m.Ir.mid) == m
 
-(* Interpret the plan.  Returns the per-item deltas alongside the method
-   and totals; [size_peak] is recorded right after the plan's *last*
-   inliner-kind item ({!Pass.inliner_names}) — enabled or not, matching the
-   historical trajectory for both the inlining and the no-inlining
-   configurations (in the default plan every strategy item is disabled, so
-   the size there equals the size right after the inline item).  Plans
-   without any inliner item fall back to the maximum size reached. *)
-let run_detailed program config m =
-  let ctx =
-    {
-      Pass.decider = config.decider;
-      hot_site = config.hot_site;
-      devirt_oracle = config.devirt_oracle;
-      profile = config.profile;
-    }
-  in
-  let facts = config.facts in
-  (match facts with
+(* A plan run between items: the method after items [0, next), the deltas
+   so far (newest first) and the size trajectory.  [size_peak] is recorded
+   right after the plan's *last* inliner-kind item ({!Pass.inliner_names})
+   — enabled or not, matching the historical trajectory for both the
+   inlining and the no-inlining configurations (in the default plan every
+   strategy item is disabled, so the size there equals the size right
+   after the inline item).  Plans without any inliner item fall back to the
+   maximum size reached.  Immutable: a walk keeps one and resumes it
+   later. *)
+type partial = {
+  program : Ir.program;
+  config : config;
+  ctx : Pass.ctx;
+  last_inliner : int;
+  size_before : int;
+  peak : int;  (* -1 until recorded *)
+  next : int;
+  cur : Ir.methd;
+  deltas : (string * Pass.delta) list;
+}
+
+let last_inliner (plan : Plan.t) =
+  let last = ref (-1) in
+  Array.iteri
+    (fun i (it : Plan.item) -> if Pass.is_inliner_name it.Plan.pass then last := i)
+    plan.Plan.items;
+  !last
+
+let start program config m =
+  (match config.facts with
   | Some f when Facts.program f != program -> invalid_arg "Pipeline.run: facts of another program"
   | Some _ | None -> ());
   let size_before =
-    match facts with
+    match config.facts with
     | Some f when is_original program m -> (Facts.sizes f).(m.Ir.mid)
     | Some _ | None -> Size.of_method m
   in
-  let last_inliner =
-    let last = ref (-1) in
-    Array.iteri
-      (fun i (it : Plan.item) -> if Pass.is_inliner_name it.Plan.pass then last := i)
-      config.plan.Plan.items;
-    !last
+  let last_inliner = last_inliner config.plan in
+  {
+    program;
+    config;
+    ctx =
+      {
+        Pass.decider = config.decider;
+        hot_site = config.hot_site;
+        devirt_oracle = config.devirt_oracle;
+        profile = config.profile;
+      };
+    last_inliner;
+    size_before;
+    peak = (if last_inliner < 0 then size_before else -1);
+    next = 0;
+    cur = m;
+    deltas = [];
+  }
+
+let current p = p.cur
+let peak p = p.peak
+
+(* Run item [p.next]: an enabled, applicable item runs its pass ("iters"
+   times) and contributes one delta; any other leaves the method as is. *)
+let step p =
+  let idx = p.next in
+  let it = p.config.plan.Plan.items.(idx) in
+  let facts = p.config.facts in
+  let cur, deltas =
+    if not it.Plan.enabled then (p.cur, p.deltas)
+    else
+      match List.assoc_opt it.Plan.pass registry with
+      | None -> (p.cur, p.deltas) (* unreachable for validated plans *)
+      | Some r ->
+        let pass = r.pass in
+        if not (pass.Pass.applicable p.ctx) then (p.cur, p.deltas)
+        else begin
+          let knob name = Plan.item_knob it name in
+          let iters = match Pass.find_knob pass "iters" with Some _ -> knob "iters" | None -> 1 in
+          let cur = ref p.cur and acc = ref Pass.zero_delta in
+          for _ = 1 to iters do
+            let before = !cur in
+            let m', d =
+              match facts with
+              | Some f when pass == Pass.constprop && is_original p.program before ->
+                (* A pure function of the original method: served from
+                   the table, with no span and no pass counts, which
+                   only real runs produce. *)
+                Metric.bump constprop_reused;
+                Pass.constprop_original f before.Ir.mid
+              | Some _ | None ->
+                exec_pass ?facts p.program p.ctx r ~knob (lazy (Size.of_method before)) before
+            in
+            cur := m';
+            acc := Pass.add_delta !acc d
+          done;
+          (!cur, (pass.Pass.name, !acc) :: p.deltas)
+        end
   in
-  let track_max = last_inliner < 0 in
-  let size_peak = ref (if track_max then size_before else -1) in
-  let deltas = ref [] in
-  let cur = ref m in
-  Array.iteri
-    (fun idx (it : Plan.item) ->
-      (if it.Plan.enabled then
-         match List.assoc_opt it.Plan.pass registry with
-         | None -> () (* unreachable for validated plans *)
-         | Some r ->
-           let p = r.pass in
-           if p.Pass.applicable ctx then begin
-             let knob name = Plan.item_knob it name in
-             let iters =
-               match Pass.find_knob p "iters" with Some _ -> knob "iters" | None -> 1
-             in
-             let acc = ref Pass.zero_delta in
-             for _ = 1 to iters do
-               let before = !cur in
-               let m', d =
-                 match facts with
-                 | Some f when p == Pass.constprop && is_original program before ->
-                   (* A pure function of the original method: served from
-                      the table, with no span and no pass counts, which
-                      only real runs produce. *)
-                   Metric.bump constprop_reused;
-                   Pass.constprop_original f before.Ir.mid
-                 | Some _ | None ->
-                   exec_pass ?facts program ctx r ~knob (lazy (Size.of_method before)) before
-               in
-               cur := m';
-               acc := Pass.add_delta !acc d
-             done;
-             deltas := (p.Pass.name, !acc) :: !deltas
-           end);
-      if idx = last_inliner && !size_peak < 0 then size_peak := Size.of_method !cur
-      else if track_max then size_peak := max !size_peak (Size.of_method !cur))
-    config.plan.Plan.items;
-  let m = !cur in
+  let peak =
+    if idx = p.last_inliner && p.peak < 0 then Size.of_method cur
+    else if p.last_inliner < 0 then max p.peak (Size.of_method cur)
+    else p.peak
+  in
+  { p with next = idx + 1; cur; deltas; peak }
+
+let rec run_until p stop = if p.next >= stop then p else run_until (step p) stop
+
+(* The one stats builder: the totals are the field-wise sum of the
+   per-item deltas. *)
+let finish p =
+  let p = run_until p (Array.length p.config.plan.Plan.items) in
+  let m = p.cur in
   let size_after = Size.of_method m in
-  let size_peak = if !size_peak < 0 then size_after else !size_peak in
-  let total = List.fold_left (fun acc (_, d) -> Pass.add_delta acc d) Pass.zero_delta !deltas in
+  let size_peak = if p.peak < 0 then size_after else p.peak in
+  let total = List.fold_left (fun acc (_, d) -> Pass.add_delta acc d) Pass.zero_delta p.deltas in
   let stats =
     {
-      size_before;
+      size_before = p.size_before;
       size_peak;
       size_after;
       sites_seen = total.Pass.d_sites_seen;
@@ -222,8 +266,23 @@ let run_detailed program config m =
           ("folded", Event.Int stats.folded);
           ("dce_removed", Event.Int stats.dce_removed);
         ];
-  (m, stats, List.rev !deltas)
+  (m, stats, List.rev p.deltas)
+
+let run_detailed program config m = finish (start program config m)
 
 let run program config m =
   let m, stats, _ = run_detailed program config m in
   (m, stats)
+
+(* The suffix a run's output depends on only through the method entering
+   it: after the last inliner-kind item, when every enabled item there is
+   context-free ({!Pass.t.context_free}). *)
+let context_free_suffix (plan : Plan.t) =
+  let l = last_inliner plan in
+  let context_free (it : Plan.item) =
+    (not it.Plan.enabled)
+    || match Pass.find it.Plan.pass with Some p -> p.Pass.context_free | None -> false
+  in
+  let items = plan.Plan.items in
+  let rec clean j = j >= Array.length items || (context_free items.(j) && clean (j + 1)) in
+  if l >= 0 && clean (l + 1) then Some l else None

@@ -64,7 +64,10 @@ type stats = {
 }
 
 (** Optimize one method of [program] under the config's plan.
-    Semantics-preserving. *)
+    Semantics-preserving and copy-on-write: neither the input method nor
+    the program is modified, and the result may share structure with the
+    input — it is the input itself when no item changed it (an inliner
+    that accepts no site returns its input, {!Engine.run}). *)
 val run : Ir.program -> config -> Ir.methd -> Ir.methd * stats
 
 (** Like {!run}, also returning one [(pass name, delta)] per executed plan
@@ -72,3 +75,41 @@ val run : Ir.program -> config -> Ir.methd -> Ir.methd * stats
     returned totals exactly (tests assert this). *)
 val run_detailed :
   Ir.program -> config -> Ir.methd -> Ir.methd * stats * (string * Pass.delta) list
+
+(** {2 Item by item}
+
+    {!run} is {!start}, then one step per plan item, then {!finish}, which
+    builds the stats.  A caller may stop after any item, keep the
+    {!partial} (it is immutable) and resume it later: the trajectory cache
+    runs a plan through its last inliner-kind item, digests that method,
+    and finishes only the runs its memo cannot answer for. *)
+
+(** A run between plan items: the method after the items run so far. *)
+type partial
+
+val start : Ir.program -> config -> Ir.methd -> partial
+
+(** [run_until p j]: run items up to, not including, item [j] (nothing
+    when [p] is there or past it).  An enabled, applicable item runs its
+    pass ("iters" times) and adds one delta; any other leaves the method
+    as it is. *)
+val run_until : partial -> int -> partial
+
+(** Run the remaining items and build the result {!run_detailed}
+    returns (and its ["opt.method"] trace event). *)
+val finish : partial -> Ir.methd * stats * (string * Pass.delta) list
+
+val current : partial -> Ir.methd
+
+(** The recorded [size_peak]: final once the plan's last inliner-kind
+    item has run (-1 before that in a plan with one). *)
+val peak : partial -> int
+
+(** [Some l] when the plan's last inliner-kind item is item [l] and every
+    enabled item after it is {!Pass.t.context_free}: then a run's output
+    is a function of the program, its method after item [l] and the items
+    after [l] alone, and its [size_peak] is that method's size.  [None]
+    for a plan without an inliner item, or with an item after the last
+    inliner that reads the decider or the profile (today: a hand-written
+    plan with [guarded_devirt] there). *)
+val context_free_suffix : Plan.t -> int option

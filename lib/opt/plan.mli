@@ -46,6 +46,10 @@ val validate : t -> (t, string) result
     item, every declared knob spelled out).  A fixpoint of {!of_string}. *)
 val to_string : t -> string
 
+(** One item's line of {!to_string}: pass, on/off and every declared knob
+    with its effective value. *)
+val item_to_string : item -> string
+
 (** Parse and validate the text form.  Blank lines and '#' comments are
     skipped; any malformed or invalid line is a one-line [Error] naming the
     line number. *)

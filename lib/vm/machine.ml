@@ -177,6 +177,13 @@ let create ?code_keys ?(precomputed = []) ?record cfg (plat : Platform.t) prog =
 
 (* --- compilation ------------------------------------------------------- *)
 
+(* The legacy ablation flags are plan edits: no inlining disables the
+   inline item, no optimization disables the dataflow items. *)
+let optimizing_plan cfg =
+  let plan = cfg.plan in
+  let plan = if cfg.inline_enabled then plan else Plan.disable "inline" plan in
+  if cfg.optimize then plan else Plan.without_dataflow plan
+
 (* Everything an optimizing compile reads of the profile goes through one
    window: the hot-site test, the guarded-devirtualization oracle and the
    hot-path strategy's view are all built from its [edge_count] and
@@ -204,12 +211,7 @@ let pipeline_config cfg (plat : Platform.t) facts decider (window : Hotpath.view
      scenarios only, honoring the hot-path ablation.  Without it the
      inline_hot pass is structurally inapplicable. *)
   let profile = if adaptive && cfg.hot_path_enabled then Some window else None in
-  (* The legacy ablation flags are plan edits: no inlining disables the
-     inline item, no optimization disables the dataflow items. *)
-  let plan = cfg.plan in
-  let plan = if cfg.inline_enabled then plan else Plan.disable "inline" plan in
-  let plan = if cfg.optimize then plan else Plan.without_dataflow plan in
-  Pipeline.make ~plan ?hot_site ?devirt_oracle ?profile ~facts decider
+  Pipeline.make ~plan:(optimizing_plan cfg) ?hot_site ?devirt_oracle ?profile ~facts decider
 
 (* One decider per compile, same precedence the three legacy fields had:
    custom closure over policy over heuristic.  A policy factory is applied

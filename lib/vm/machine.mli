@@ -144,6 +144,10 @@ val create :
   Ir.program ->
   t
 
+(** The plan every optimizing compile under [config] runs: [config]'s
+    plan with the [inline_enabled] and [optimize] ablations applied. *)
+val optimizing_plan : config -> Plan.t
+
 (** The optimizing tier's pipeline configuration under [config] on this
     platform, with [decider] deciding and every profile read — the
     hot-site test, the guarded-devirtualization oracle and the hot-path

@@ -101,17 +101,28 @@ cmp "$fcache" scripts/golden/fitness_cache_adapt_tune_passes.jsonl \
 
 echo "== trajectory-cache smoke =="
 # The recompile-trajectory cache answers Adapt fitness-cache misses whose
-# recompiles reproduce an earlier genome's.  A traced fixed-seed one-domain
-# plan-genome tune must hit it and print exactly the committed stdout,
-# which the commit before the cache printed.
-traj=$tmp/traj.jsonl
-./_build/default/bin/main.exe tune -s adapt --tune-passes --pop 8 -g 4 --domains 1 \
-  --trace "$traj" 2> /dev/null \
-  | cmp - scripts/golden/tune_adapt_tune_passes_stdout.txt \
-  || { echo "traced adapt tune stdout differs from scripts/golden"; exit 1; }
-traj_hits=$(./_build/default/bin/main.exe trace-summary "$traj" \
-  | awk -F'|' '$1 ~ /fitness\.traj_hits/ { gsub(/ /, "", $2); print $2 }')
-[ "${traj_hits:-0}" -gt 0 ] || { echo "adapt tune made no trajectory-cache hit"; exit 1; }
+# recompiles reproduce an earlier genome's, and its suffix memo answers
+# for the payoff passes of a node whose method after the last inliner it
+# has seen.  A traced fixed-seed plan-genome tune, on one domain and on
+# two (the memo is shared between domains), must hit both and print
+# exactly the committed stdout, which the commit before the cache printed.
+traj_counter() {  # a trace file, then a counter name
+  ./_build/default/bin/main.exe trace-summary "$1" \
+    | awk -F'|' -v name="$2" 'index($1, name) { gsub(/ /, "", $2); print $2 }'
+}
+for domains in 1 2; do
+  traj=$tmp/traj_$domains.jsonl
+  ./_build/default/bin/main.exe tune -s adapt --tune-passes --pop 8 -g 4 --domains "$domains" \
+    --trace "$traj" 2> /dev/null \
+    | cmp - scripts/golden/tune_adapt_tune_passes_stdout.txt \
+    || { echo "traced adapt tune (--domains $domains) stdout differs from scripts/golden"; exit 1; }
+  traj_hits=$(traj_counter "$traj" fitness.traj_hits)
+  [ "${traj_hits:-0}" -gt 0 ] \
+    || { echo "adapt tune (--domains $domains) made no trajectory-cache hit"; exit 1; }
+  chain_hits=$(traj_counter "$traj" fitness.traj_chain_hits)
+  [ "${chain_hits:-0}" -gt 0 ] \
+    || { echo "adapt tune (--domains $domains) made no suffix-memo hit"; exit 1; }
+done
 
 echo "== policy smoke =="
 # Tiny dataset -> train -> eval round-trip: label a handful of compress call
@@ -437,6 +448,8 @@ one_line_error "search --budget 0" search --budget 0
 one_line_error "tune --generations=-1" tune --generations=-1
 one_line_error "experiment fig7 --generations=-1" experiment fig7 --generations=-1
 one_line_error "dataset --max-sites=-1" dataset "$tmp/bound_ds.jsonl" --bench compress --max-sites=-1
+one_line_error "knapsack --limit=-1" knapsack compress --limit=-1
+one_line_error "knapsack --limit=nan" knapsack compress --limit=nan
 dir=$tmp/a_directory
 mkdir "$dir"
 one_line_error "train-policy DIR" train-policy "$dir"

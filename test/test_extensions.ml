@@ -96,6 +96,25 @@ let test_knapsack_monotone_in_budget () =
   Alcotest.(check bool) "more budget, at least as many edges" true
     (large.Knapsack.chosen >= small.Knapsack.chosen)
 
+(* The growth budget is a finite fraction >= 0; a limit too large for an
+   int budget saturates instead of wrapping to 0. *)
+let test_knapsack_limit_bound () =
+  List.iter
+    (fun l ->
+      Alcotest.(check bool) (Printf.sprintf "%g rejected" l) true
+        (Result.is_error (Knapsack.check_limit l));
+      match Knapsack.build_plan ~expansion_limit:l Platform.x86 (W.Suites.program (W.Suites.find "compress")) with
+      | _ -> Alcotest.failf "build_plan accepted %g" l
+      | exception Invalid_argument _ -> ())
+    [ -5.0; -1e-9; Float.nan; Float.infinity; Float.neg_infinity ];
+  List.iter
+    (fun l -> Alcotest.(check bool) (Printf.sprintf "%g accepted" l) true (Knapsack.check_limit l = Ok ()))
+    [ 0.0; 0.1; 1e16 ];
+  let p = W.Suites.program (W.Suites.find "compress") in
+  let huge = Knapsack.build_plan ~expansion_limit:1e16 Platform.x86 p in
+  Alcotest.(check int) "saturated budget" max_int huge.Knapsack.budget;
+  Alcotest.(check int) "every edge selected" huge.Knapsack.candidates huge.Knapsack.chosen
+
 let test_knapsack_preserves_semantics_and_improves () =
   let bm = W.Suites.find "raytrace" in
   let p = W.Suites.program bm in
@@ -193,4 +212,5 @@ let suite =
     ("local search deterministic", `Quick, test_local_search_deterministic);
     ("local search stays in ranges", `Quick, test_local_search_stays_in_ranges);
     ("local search rejects bad args", `Quick, test_local_search_rejects_bad_args);
+    ("knapsack limit bound", `Quick, test_knapsack_limit_bound);
   ]

@@ -770,3 +770,143 @@ let extra_suite =
   ]
 
 let suite = suite @ extra_suite
+
+(* --- the engine's zero-accept fast path ---------------------------------- *)
+
+(* SPEC, one corpus program per family and random programs. *)
+let engine_programs =
+  lazy
+    (let module W = Inltune_workloads in
+     List.map W.Suites.program W.Suites.spec
+     @ List.map
+         (fun n -> W.Suites.program (Option.get (W.Corpus.find_opt n)))
+         [ "corpus_chain16"; "corpus_dispatch19"; "corpus_recur22"; "corpus_sweep18";
+           "corpus_phase00" ]
+     @ List.map (fun seed -> Gen_random.program ~max_methods:8 seed) [ 1; 2; 3; 4; 5; 6 ])
+
+let every_method f =
+  List.iter (fun p -> Array.iter (fun m -> f p m) p.Ir.methods) (Lazy.force engine_programs)
+
+let hot_parity ~site_owner ~callee = ((site_owner * 7) + callee) mod 3 = 0
+
+(* A run that accepts no site returns its input, with the stats a full
+   rebuild counted: every non-recursive root site seen, the hot ones
+   among them, none inlined. *)
+let test_zero_accept_returns_input () =
+  let reject = Policy.of_custom (fun ~site_owner:_ ~callee:_ ~callee_size:_ ~inline_depth:_ ~caller_size:_ -> false) in
+  let zero_accept = Inltune_obs.Metric.counter "engine.zero_accept" in
+  every_method (fun p m ->
+      let z0 = Inltune_obs.Metric.value zero_accept in
+      let out, s = Engine.run ~hot_site:hot_parity ~program:p ~policy:reject m in
+      let sites =
+        List.concat_map
+          (fun blk ->
+            List.filter_map
+              (function Ir.Call (_, c, _) when c <> m.Ir.mid -> Some c | _ -> None)
+              (Array.to_list blk.Ir.instrs))
+          (Array.to_list m.Ir.blocks)
+      in
+      let hot = List.filter (fun c -> hot_parity ~site_owner:m.Ir.mid ~callee:c) sites in
+      Alcotest.(check bool) (m.Ir.mname ^ ": the input itself") true (out == m);
+      Alcotest.(check (list int)) (m.Ir.mname ^ ": stats")
+        [ List.length sites; 0; List.length hot; 0 ]
+        [ s.Engine.sites_seen; s.Engine.sites_inlined; s.Engine.hot_sites_seen;
+          s.Engine.hot_sites_inlined ];
+      Alcotest.(check int) (m.Ir.mname ^ ": counted") (z0 + 1) (Inltune_obs.Metric.value zero_accept))
+
+(* Every site the policy decides is put to it once: as many calls as
+   [sites_seen], and as many as the log's non-recursive records. *)
+let test_policy_asked_once_per_site () =
+  let calls = ref 0 in
+  let counting =
+    Policy.of_custom (fun ~site_owner ~callee ~callee_size ~inline_depth ~caller_size ->
+        incr calls;
+        (site_owner + callee + callee_size + inline_depth) mod 3 <> 0 && caller_size < 3000)
+  in
+  every_method (fun p m ->
+      calls := 0;
+      let log = Inltune_support.Vec.create () in
+      let _, s = Engine.run ~hot_site:hot_parity ~decisions:log ~program:p ~policy:counting m in
+      let decided =
+        Inltune_support.Vec.fold
+          (fun n d -> if d.Engine.d_reason = Engine.Recursive then n else n + 1)
+          0 log
+      in
+      Alcotest.(check int) (m.Ir.mname ^ ": calls = sites_seen") s.Engine.sites_seen !calls;
+      Alcotest.(check int) (m.Ir.mname ^ ": calls = decided records") decided !calls)
+
+(* Every decision record, the stats and the output of [Engine.run] over the
+   programs above under three policies, digested.  The golden is the
+   engine's before the zero-accept fast path. *)
+let engine_log_digest () =
+  let greedy = Heuristic.of_array (Array.map snd Heuristic.ranges) in
+  let parity ~site_owner ~callee ~callee_size ~inline_depth ~caller_size =
+    (site_owner + callee + callee_size + inline_depth) mod 3 <> 0 && caller_size < 3000
+  in
+  let runs =
+    [
+      (Policy.of_heuristic Heuristic.default, Some hot_parity);
+      (Policy.of_heuristic greedy, None);
+      (Policy.of_custom parity, Some hot_parity);
+    ]
+  in
+  let b = Buffer.create (1 lsl 16) in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun (policy, hot_site) ->
+          Array.iter
+            (fun m ->
+              let log = Inltune_support.Vec.create () in
+              let m', s = Engine.run ?hot_site ~decisions:log ~program:p ~policy m in
+              Inltune_support.Vec.iter
+                (fun d ->
+                  Printf.bprintf b "%d %d %d %d %d %s\n" d.Engine.d_site_owner d.Engine.d_callee
+                    d.Engine.d_callee_size d.Engine.d_depth d.Engine.d_caller_size
+                    (Engine.reason_name d.Engine.d_reason))
+                log;
+              Printf.bprintf b "= %d %d %d %d %s\n" s.Engine.sites_seen s.Engine.sites_inlined
+                s.Engine.hot_sites_seen s.Engine.hot_sites_inlined
+                (Digest.to_hex (Digest.string (Marshal.to_string m' [ Marshal.No_sharing ]))))
+            p.Ir.methods)
+        runs)
+    (Lazy.force engine_programs);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_decision_log_golden () =
+  Alcotest.(check string) "decision logs, stats and outputs" "6428ad7b92f2caa44759a2c5ee7a5e24"
+    (engine_log_digest ())
+
+(* A site the policy accepts but [max_expanded_size] blocks is no
+   acceptance: the run returns its input, and logs [Space_cap]. *)
+let test_space_cap_before_fast_path () =
+  let b = B.create "space_cap" in
+  let main = B.declare b ~name:"main" ~nargs:0 in
+  let leaf = B.declare b ~name:"leaf" ~nargs:1 in
+  B.define b leaf (fun mb -> B.ret mb (B.add mb 0 (B.const mb 1)));
+  B.define b main (fun mb ->
+      let r = ref (B.const mb 0) in
+      for _ = 1 to Engine.max_expanded_size / 2 do
+        r := B.add mb !r (B.const mb 1)
+      done;
+      B.ret mb (B.call mb leaf [ !r ]));
+  B.set_main b main;
+  let p = B.finish b in
+  let m = p.Ir.methods.(main) in
+  let accept = Policy.of_custom (fun ~site_owner:_ ~callee:_ ~callee_size:_ ~inline_depth:_ ~caller_size:_ -> true) in
+  let log = Inltune_support.Vec.create () in
+  let out, s = Engine.run ~decisions:log ~program:p ~policy:accept m in
+  Alcotest.(check bool) "over the cap" true (Size.of_method m + Size.of_method p.Ir.methods.(leaf) > Engine.max_expanded_size);
+  Alcotest.(check bool) "the input itself" true (out == m);
+  Alcotest.(check (pair int int)) "seen, inlined" (1, 0) (s.Engine.sites_seen, s.Engine.sites_inlined);
+  Alcotest.(check (list string)) "logged" [ "space_cap" ]
+    (List.map (fun d -> Engine.reason_name d.Engine.d_reason) (Array.to_list (Inltune_support.Vec.to_array log)))
+
+let suite =
+  suite
+  @ [
+      ("zero-accept run returns its input", `Quick, test_zero_accept_returns_input);
+      ("policy asked once per site", `Quick, test_policy_asked_once_per_site);
+      ("decision log = recorded order", `Quick, test_decision_log_golden);
+      ("space cap before the fast path", `Quick, test_space_cap_before_fast_path);
+    ]

@@ -571,3 +571,50 @@ let prop_parsers_never_raise =
     (fun (f, s) -> f.f_check s)
 
 let suite = suite @ [ QCheck_alcotest.to_alcotest prop_parsers_never_raise ]
+
+(* Every pass is copy-on-write: [Pipeline.run] under a random plan genome
+   and heuristic, with a synthetic profile window (so guarded
+   devirtualization and the hot-path strategy run too) and with or without
+   the fact table, leaves its input method and every method of the program
+   as they were.  The engine returns its input when it accepts no site, so
+   a pass that wrote into its input would corrupt the program. *)
+let pipeline_copy_on_write seed =
+  let rng = Rng.create seed in
+  let p =
+    if Rng.bool rng then Gen_random.program ~max_methods:8 seed
+    else
+      Inltune_workloads.Suites.program
+        (Rng.pick rng
+           [|
+             Inltune_workloads.Suites.find "compress";
+             Option.get (Inltune_workloads.Corpus.find_opt "corpus_dispatch19");
+             Option.get (Inltune_workloads.Corpus.find_opt "corpus_chain16");
+           |])
+  in
+  let plan = Plan.of_genes (Array.map (fun (lo, hi) -> Rng.range rng lo hi) Plan.tunable_ranges) in
+  let heat = Rng.int rng 5 in
+  let edge_count ~site_owner ~callee = ((site_owner * 31) + callee + heat) mod 5 * 40 in
+  let window = { Hotpath.edge_count; total_calls = (fun () -> 400) } in
+  let config =
+    Pipeline.make ~plan
+      ~hot_site:(fun ~site_owner ~callee -> edge_count ~site_owner ~callee >= 80)
+      ~devirt_oracle:(Guarded_devirt.oracle_of_profile ~program:p ~edge_count)
+      ~profile:window
+      ?facts:(if Rng.bool rng then Some (Facts.of_program p) else None)
+      (Decider.Heuristic (random_heuristic (seed + 1)))
+  in
+  let digest v = Digest.string (Marshal.to_string v [ Marshal.No_sharing ]) in
+  let program_before = digest p.Ir.methods in
+  Array.for_all
+    (fun m ->
+      let before = digest m in
+      ignore (Pipeline.run p config m : Ir.methd * Pipeline.stats);
+      digest m = before)
+    p.Ir.methods
+  && digest p.Ir.methods = program_before
+
+let prop_pipeline_copy_on_write =
+  QCheck.Test.make ~count:60 ~name:"pipeline leaves its input and the program unchanged" seed_gen
+    pipeline_copy_on_write
+
+let suite = suite @ [ QCheck_alcotest.to_alcotest prop_pipeline_copy_on_write ]

@@ -355,6 +355,223 @@ let test_reach_and_strict_view () =
   | _ -> Alcotest.fail "an edge outside the reach was answered"
   | exception Machine.Outside_reach _ -> ()
 
+(* --- the suffix memo ---------------------------------------------------- *)
+
+let chain_counts () = (metric "fitness.traj_chain_hits", metric "fitness.traj_chain_misses")
+
+(* Stored nodes: every optimizing recompile of two queries' simulations,
+   per program under Adapt on x86 and Ladder on ppc. *)
+let recorded_cells =
+  lazy
+    (let rng = Rng.create 5 in
+     let programs =
+       [ W.Suites.find "compress"; corpus "corpus_chain16"; corpus "corpus_dispatch19";
+         corpus "corpus_phase00"; bench_of_program (Gen_random.program ~max_methods:8 31);
+         bench_of_program dispatch_program ]
+     in
+     List.concat_map
+       (fun bm ->
+         let prog = W.Suites.program bm in
+         List.filter_map
+           (fun (scenario, platform) ->
+             let nodes = ref [] in
+             List.iter
+               (fun q ->
+                 ignore
+                   (Runner.measure ~iterations:3
+                      ~record:(fun r -> nodes := r.Machine.node :: !nodes)
+                      (q.fresh scenario prog) platform prog
+                     : Runner.measurement))
+               [ heuristic_query Heuristic.default; random_query rng ];
+             if !nodes = [] then None else Some (prog, scenario, platform, Array.of_list !nodes))
+           [ (Machine.Adapt, Platform.x86); (Machine.Ladder, Platform.ppc) ])
+       programs
+     |> Array.of_list)
+
+(* Two plans that differ only in genes before the last inliner: the
+   devirtualization and inline toggles and the strategies. *)
+let front_genes = [ 0; 1; 9; 10; 11; 12; 13; 14; 15; 16; 17 ]
+
+let random_plan_pair rng =
+  let g = Array.map (fun (lo, hi) -> Rng.range rng lo hi) Plan.tunable_ranges in
+  let g' = Array.copy g in
+  List.iter
+    (fun i ->
+      let lo, hi = Plan.tunable_ranges.(i) in
+      g'.(i) <- Rng.range rng lo hi)
+    front_genes;
+  (Plan.of_genes g, Plan.of_genes g')
+
+(* A hand-written plan that devirtualizes again after the last inliner:
+   that item reads the profile, so no edge of it may come from the
+   memo. *)
+let devirt_late_plan =
+  let late = { Plan.pass = "guarded_devirt"; enabled = true; knobs = [] } in
+  {
+    Plan.items =
+      Array.concat
+        (List.map
+           (fun (it : Plan.item) -> if it.Plan.pass = "inline_region" then [| it; late |] else [| it |])
+           (Array.to_list Plan.default.Plan.items));
+  }
+
+let random_decider rng prog =
+  if Rng.bool rng then
+    Decider.Heuristic (Params.heuristic_of_genome (Genome.random Params.genome_spec rng))
+  else Decider.Policy (Gp.Decode.policy ~ctx:(Features.make_ctx prog) (Gp.Genetic.random rng))
+
+(* At nodes recorded from real Adapt and Ladder runs, the edge a walk
+   computes through the memo equals the digest of a whole [Pipeline.run]
+   there, for random plan genomes, heuristics and GP trees.  The memo stays
+   warm across cases, and each case puts two plans that share every item
+   after the last inliner to the same node, so later edges come from
+   entries other plans and other fronts added.  A plan with
+   [guarded_devirt] after its last inliner must not touch the memo. *)
+let test_chained_edge_equals_fresh () =
+  with_clean_caches (fun () ->
+      let cells = Lazy.force recorded_cells in
+      let served = ref 0 in
+      let edge_matches rng (prog, scenario, platform, nodes) plan =
+        let facts = Facts.of_program prog in
+        let node = nodes.(Rng.int rng (Array.length nodes)) in
+        let decider = random_decider rng prog in
+        let cfg = Machine.config ~plan scenario Heuristic.default in
+        let fresh =
+          Trajcache.output_digest
+            (Pipeline.run prog
+               (Machine.pipeline_config cfg platform facts decider (Machine.node_view facts node))
+               prog.Ir.methods.(node.(0)))
+        in
+        let ((h0, m0) as c0) = chain_counts () in
+        let got = Trajcache.node_edge cfg platform ~decider prog node in
+        let h1, m1 = chain_counts () in
+        let chained = (h1, m1) <> c0 in
+        if h1 > h0 then incr served;
+        let bypass = Pipeline.context_free_suffix (Machine.optimizing_plan cfg) = None in
+        if bypass = chained then
+          QCheck.Test.fail_reportf "%s: chain %s" (Plan.digest plan)
+            (if bypass then "used by a plan it cannot serve" else "not used");
+        if m1 > m0 && h1 > h0 then QCheck.Test.fail_report "one node counted twice";
+        if got <> fresh then
+          QCheck.Test.fail_reportf "%s at method %d of %s: chained edge differs from a fresh pipeline"
+            (Plan.to_string plan) node.(0) prog.Ir.pname;
+        true
+      in
+      let prop =
+        QCheck.Test.make ~count:200 ~name:"chained edge = fresh pipeline"
+          (QCheck.make ~print:string_of_int (QCheck.Gen.int_bound 1_000_000))
+          (fun seed ->
+            let rng = Rng.create seed in
+            let cell = cells.(Rng.int rng (Array.length cells)) in
+            let a, b = random_plan_pair rng in
+            edge_matches rng cell a && edge_matches rng cell b
+            && (Rng.int rng 4 > 0 || edge_matches rng cell devirt_late_plan))
+      in
+      Alcotest.(check bool) "guarded_devirt after the last inliner bypasses the chain" true
+        (Pipeline.context_free_suffix devirt_late_plan = None);
+      QCheck.Test.check_exn ~rand:(Random.State.make [| 11 |]) prop;
+      Alcotest.(check bool) "the memo served whole nodes" true (!served > 0);
+      Alcotest.(check bool) "entries were added" true (Trajcache.memo_entries () > 0))
+
+(* Two programs whose main methods are equal, with one class whose slot 0
+   names a different method: constant propagation after the inliner
+   devirtualizes the one virtual call to a different target in each, so
+   the memo must key on the program. *)
+let virt_program ~second =
+  let b = Builder.create "trajcache_virt" in
+  let main = Builder.declare b ~name:"main" ~nargs:0 in
+  let f = Builder.declare b ~name:"f" ~nargs:1 in
+  let g = Builder.declare b ~name:"g" ~nargs:1 in
+  Builder.define b f (fun mb -> Builder.ret mb (Builder.const mb 1));
+  Builder.define b g (fun mb -> Builder.ret mb (Builder.const mb 2));
+  let k = Builder.new_class b ~name:"A" ~vtable:[| (if second then g else f) |] in
+  Builder.define b main (fun mb ->
+      let r = Builder.call_virt mb ~slot:0 (Builder.alloc mb k ~slots:0) [] in
+      Builder.print mb r;
+      Builder.ret mb r);
+  Builder.set_main b main;
+  Builder.finish b
+
+let test_memo_keys_on_program () =
+  let plan =
+    match Plan.of_string "inltune-plan v1\npass inline on\npass constprop on\npass cleanup on\n" with
+    | Ok p -> p
+    | Error e -> failwith e
+  in
+  let cfg = Machine.config ~plan Machine.Adapt Heuristic.default in
+  let decider = Decider.Heuristic Heuristic.default in
+  let a = virt_program ~second:false and b = virt_program ~second:true in
+  with_clean_caches (fun () ->
+      let edge prog = Trajcache.node_edge cfg Platform.x86 ~decider prog [| prog.Ir.main; 0 |] in
+      let fresh prog =
+        let facts = Facts.of_program prog in
+        Trajcache.output_digest
+          (Pipeline.run prog
+             (Machine.pipeline_config cfg Platform.x86 facts decider
+                (Machine.node_view facts [| prog.Ir.main; 0 |]))
+             prog.Ir.methods.(prog.Ir.main))
+      in
+      Alcotest.(check bool) "equal mains" true (a.Ir.methods.(a.Ir.main) = b.Ir.methods.(b.Ir.main));
+      Alcotest.(check bool) "different outputs" false (fresh a = fresh b);
+      Alcotest.(check bool) "first program" true (edge a = fresh a);
+      Alcotest.(check bool) "second program" true (edge b = fresh b))
+
+let test_clear_empties_memo () =
+  with_clean_caches (fun () ->
+      ignore
+        (Measure.run ~scenario:Machine.Adapt ~platform:Platform.x86
+           ~plan:(snd (random_plan_genome (Rng.create 3)))
+           ~heuristic:Heuristic.default (corpus "corpus_chain16")
+          : Measure.times);
+      ignore
+        (Measure.run ~scenario:Machine.Adapt ~platform:Platform.x86 ~heuristic:Heuristic.default
+           (corpus "corpus_chain16")
+          : Measure.times);
+      Alcotest.(check bool) "entries held" true (Trajcache.memo_entries () > 0);
+      Fitcache.clear ();
+      Alcotest.(check int) "no entries after clear" 0 (Trajcache.memo_entries ()))
+
+(* Past its cap the memo takes no entry: a node it cannot serve still
+   gets the edge of a fresh pipeline, and answers already held still
+   serve. *)
+let test_full_memo () =
+  with_clean_caches (fun () ->
+      let cells = Lazy.force recorded_cells in
+      let rng = Rng.create 17 in
+      let check () =
+        let prog, scenario, platform, nodes = cells.(Rng.int rng (Array.length cells)) in
+        let node = nodes.(Rng.int rng (Array.length nodes)) in
+        let decider = random_decider rng prog in
+        let plan = fst (random_plan_pair rng) in
+        let cfg = Machine.config ~plan scenario Heuristic.default in
+        let facts = Facts.of_program prog in
+        let fresh =
+          Trajcache.output_digest
+            (Pipeline.run prog
+               (Machine.pipeline_config cfg platform facts decider (Machine.node_view facts node))
+               prog.Ir.methods.(node.(0)))
+        in
+        if Trajcache.node_edge cfg platform ~decider prog node <> fresh then
+          Alcotest.failf "%s at method %d of %s: edge differs from a fresh pipeline"
+            (Plan.to_string plan) node.(0) prog.Ir.pname
+      in
+      let tries = ref 0 in
+      while Trajcache.memo_entries () < Trajcache.memo_cap && !tries < 20_000 do
+        incr tries;
+        check ()
+      done;
+      Alcotest.(check int) "the memo filled" Trajcache.memo_cap (Trajcache.memo_entries ());
+      Alcotest.(check bool) "at most 48 bytes an entry, index included" true
+        (Trajcache.memo_bytes () <= 48 * Trajcache.memo_cap);
+      let h0, m0 = chain_counts () in
+      for _ = 1 to 300 do
+        check ()
+      done;
+      let h1, m1 = chain_counts () in
+      Alcotest.(check int) "no entry past the cap" Trajcache.memo_cap (Trajcache.memo_entries ());
+      Alcotest.(check bool) "misses past the cap" true (m1 > m0);
+      Alcotest.(check bool) "hits past the cap" true (h1 > h0))
+
 let suite =
   [
     ("trie answer = fresh simulation", `Slow, test_trie_equals_fresh);
@@ -364,4 +581,8 @@ let suite =
     ("a miss runs no pipeline twice", `Quick, test_miss_runs_no_pipeline_twice);
     ("digest covers the output", `Quick, test_digest_covers_output);
     ("reach and strict view", `Quick, test_reach_and_strict_view);
+    ("chained edge = fresh pipeline", `Slow, test_chained_edge_equals_fresh);
+    ("memo keys on the program", `Quick, test_memo_keys_on_program);
+    ("fitcache clear empties the memo", `Quick, test_clear_empties_memo);
+    ("a full memo stops growing", `Slow, test_full_memo);
   ]
