@@ -84,39 +84,63 @@ module Prof = Inltune_obs.Prof
    Concurrency: one mutex guards the tries and the memo; pipelines and
    digests run outside it.  Two domains racing on one fresh path both
    simulate, and the second insert finds the path present; a memo entry
-   is a fact about its key, so whichever domain adds it first wins.
+   is a fact about its key, so whichever domain adds it first wins.  A
+   walk that loses its root to an eviction finishes on the detached trie,
+   whose contents are still facts; its miss carries the root's
+   generation, and an insert whose root has since been evicted or
+   replaced stores nothing, so no path hangs below a dead node.
 
-   Memory: a node is one int array plus its children, each child's digest
-   two ints.  The tries grow to [budget_bytes] at most, the memo to
-   [memo_cap] entries of five ints, on a budget of its own; each then
-   stops growing until the next [clear], so a long-lived process stays
-   bounded. *)
+   Memory: a node is one int array — the method id, [total_calls], then
+   one [Machine.Packed_edge] per recorded edge — plus its children, each
+   child's digest two ints.  The tries hold at most [budget_bytes]: an
+   insert that does not fit evicts the least recently walked whole roots
+   (never the one it grows) until it does, and is dropped if it would not
+   fit even then.  The memo holds at most [memo_cap] entries of five
+   ints, on a budget of its own, and starts over empty when full.  So a
+   long-lived process stays bounded, and a later search in it is served
+   as well as the first. *)
 
 type trie = Node of node | Leaf of Runner.measurement
 and node = { packed : int array; mutable kids : kid list }
 and kid = { d0 : int; d1 : int; next : trie }
 
+(* One trie and what it holds: resident bytes and nodes, the tick of its
+   last walk, and a generation no other root has had since the process
+   started. *)
+type root = {
+  trie : trie;
+  gen : int;
+  mutable r_bytes : int;
+  mutable r_nodes : int;
+  mutable stamp : int;
+}
+
 let budget_bytes = 512 * 1024
 
 (* Heap bytes per structure, headers included: a node record and its
-   array, a child record and its list cell, a leaf and its measurement. *)
+   array, a child record and its list cell, a leaf and its measurement,
+   and a root record with its table bucket and key. *)
 let node_bytes packed = 8 * (3 + Array.length packed + 1)
 let kid_bytes = 8 * (4 + 3)
 let leaf_bytes = 8 * (2 + 13)
+let root_bytes key = 8 * (6 + 4 + 2 + (String.length key / 8))
 
 let hits = Metric.handle "fitness.traj_hits"
 let misses = Metric.handle "fitness.traj_misses"
 let nodes_added = Metric.handle "fitness.traj_nodes"
 let bytes_added = Metric.handle "fitness.traj_bytes"
+let evictions = Metric.handle "fitness.traj_evictions"
 let chain_hits = Metric.handle "fitness.traj_chain_hits"
 let chain_misses = Metric.handle "fitness.traj_chain_misses"
 let memo_added = Metric.handle "fitness.traj_memo_entries"
 
-(* [mu] guards [roots], every node's [kids], [generation], the totals and
-   the memo. *)
+(* [mu] guards [roots], every root's counts and stamp, every node's
+   [kids], the counters below, the budget and the memo. *)
 let mu = Mutex.create ()
-let roots : (string, trie) Hashtbl.t = Hashtbl.create 16
-let generation = ref 0
+let roots : (string, root) Hashtbl.t = Hashtbl.create 16
+let budget = ref budget_bytes
+let generations = ref 0
+let tick = ref 0
 let total_nodes = ref 0
 let total_bytes = ref 0
 
@@ -163,11 +187,15 @@ let memo_find k0 k1 =
 
 let memo_field e i = memo_chunks.(e / chunk_entries).((e mod chunk_entries * entry_ints) + i)
 
-(* Under [mu]: add an entry unless its key is present or the memo is
-   full. *)
+(* Under [mu]: add an entry unless its key is present, emptying a full
+   memo first (its chunks stay allocated for the refill). *)
 let memo_add (k0, k1) (o0, o1) size =
-  if !memo_count < memo_cap && memo_find k0 k1 < 0 then begin
+  if memo_find k0 k1 < 0 then begin
     if Bytes.length !memo_index = 0 then memo_index := Bytes.make (2 * index_slots) '\000';
+    if !memo_count = memo_cap then begin
+      Bytes.fill !memo_index 0 (Bytes.length !memo_index) '\000';
+      memo_count := 0
+    end;
     let e = !memo_count in
     let ci = e / chunk_entries in
     if Array.length memo_chunks.(ci) = 0 then
@@ -191,7 +219,6 @@ let memo_add (k0, k1) (o0, o1) size =
 let clear () =
   Mutex.protect mu (fun () ->
       Hashtbl.reset roots;
-      incr generation;
       total_nodes := 0;
       total_bytes := 0;
       memo_index := Bytes.empty;
@@ -330,9 +357,9 @@ let walk_edge prog config chain mid =
           let ((_, stats) as out), d = run_chain_from ch front i d in
           (Output out, edge d ~size_peak ~size_after:stats.Pipeline.size_after))
 
-(* Where a walk fell off: the trie's key and generation, the nodes it
-   passed, and the last node it passed with the digest of that node's
-   output ([None] when the trie had no root). *)
+(* Where a walk fell off: the trie's key, its root's generation (-1 when
+   it had no root), the nodes it passed, and the last node it passed with
+   the digest of that node's output ([None] when it had no root). *)
 type miss = {
   m_key : string;
   m_generation : int;
@@ -345,17 +372,27 @@ type outcome = Hit of Runner.measurement | Miss of miss
 let outputs miss = Lazy.force miss.m_outputs
 let find_kid n (d0, d1) = List.find_opt (fun k -> k.d0 = d0 && k.d1 = d1) n.kids
 
+(* Under [mu]: the next tick of the walk clock. *)
+let next_tick () =
+  incr tick;
+  !tick
+
 let find (cfg : Machine.config) platform ~iterations ~decider prog =
   let facts = Facts.of_program prog in
   let k = key cfg platform ~iterations facts in
   let chain = chain_of facts (Machine.optimizing_plan cfg) in
-  let gen, root = Mutex.protect mu (fun () -> (!generation, Hashtbl.find_opt roots k)) in
+  let root =
+    Mutex.protect mu (fun () ->
+        let r = Hashtbl.find_opt roots k in
+        Option.iter (fun r -> r.stamp <- next_tick ()) r;
+        r)
+  in
   let miss passed at =
     Metric.bump misses;
     Miss
       {
         m_key = k;
-        m_generation = gen;
+        m_generation = (match root with Some r -> r.gen | None -> -1);
         m_outputs = lazy (List.map complete (List.rev passed));
         m_at = at;
       }
@@ -373,7 +410,7 @@ let find (cfg : Machine.config) platform ~iterations ~decider prog =
       | Some kid -> walk (here :: passed) kid.next
       | None -> miss (here :: passed) (Some (n, digest)))
   in
-  match root with Some t -> walk [] t | None -> miss [] None
+  match root with Some r -> walk [] r.trie | None -> miss [] None
 
 let node_edge (cfg : Machine.config) platform ~decider prog packed =
   let facts = Facts.of_program prog in
@@ -389,44 +426,102 @@ let rec path recorded m =
     let next, b, n = path rest m in
     (Node { packed; kids = [ { d0; d1; next } ] }, b + node_bytes packed + kid_bytes, n + 1)
 
-(* Under [mu].  Grows the tries by [b] bytes and [n] nodes if the budget
-   allows. *)
-let admit (b, n) add =
-  if !total_bytes + b <= budget_bytes then begin
-    add ();
-    total_bytes := !total_bytes + b;
-    total_nodes := !total_nodes + n;
-    Metric.bump_by bytes_added b;
-    Metric.bump_by nodes_added n
+(* Under [mu]: evict the least recently walked root other than [keep]. *)
+let evict_lru ~keep =
+  Prof.span "fitness.traj_evict" (fun () ->
+      let victim =
+        Hashtbl.fold
+          (fun k r best ->
+            match (keep, best) with
+            | Some kr, _ when kr == r -> best
+            | _, Some (_, b) when b.stamp <= r.stamp -> best
+            | _ -> Some (k, r))
+          roots None
+      in
+      Option.iter
+        (fun (k, r) ->
+          Hashtbl.remove roots k;
+          total_bytes := !total_bytes - r.r_bytes;
+          total_nodes := !total_nodes - r.r_nodes;
+          Metric.bump evictions)
+        victim)
+
+(* Under [mu]: whether [b] more bytes fit in root [keep] ([None]: a new
+   root), after evicting the least recently walked other roots as needed.
+   Nothing is evicted for bytes that would not fit beside [keep] alone. *)
+let make_room ~keep b =
+  let own = match keep with Some r -> r.r_bytes | None -> 0 in
+  if own + b > !budget then false
+  else begin
+    while !total_bytes + b > !budget do
+      evict_lru ~keep
+    done;
+    true
   end
 
-(* Under [mu]: hang [recorded] below node [n]'s edge [digest], following
-   whatever part of it another insert stored meanwhile (by the induction,
-   its nodes equal the recorded ones).  A recorded path that ends at a
-   stored node, or runs on past a stored leaf, would contradict the
-   induction; nothing of it is stored. *)
-let rec attach n digest recorded m =
+(* Under [mu]: count [b] bytes and [n] nodes added to root [r]. *)
+let account r (b, n) =
+  r.r_bytes <- r.r_bytes + b;
+  r.r_nodes <- r.r_nodes + n;
+  total_bytes := !total_bytes + b;
+  total_nodes := !total_nodes + n;
+  Metric.bump_by bytes_added b;
+  Metric.bump_by nodes_added n
+
+(* Under [mu]: hang [recorded] below node [n] of root [r] at edge
+   [digest], following whatever part of it another insert stored
+   meanwhile (by the induction, its nodes equal the recorded ones).  A
+   recorded path that ends at a stored node, or runs on past a stored
+   leaf, would contradict the induction; nothing of it is stored. *)
+let rec attach r n digest recorded m =
   match find_kid n digest with
   | None ->
     let next, b, c = path recorded m in
-    admit (b + kid_bytes, c) (fun () ->
-        n.kids <- { d0 = fst digest; d1 = snd digest; next } :: n.kids)
+    if make_room ~keep:(Some r) (b + kid_bytes) then begin
+      n.kids <- { d0 = fst digest; d1 = snd digest; next } :: n.kids;
+      account r (b + kid_bytes, c)
+    end
   | Some { next = Node n'; _ } -> (
-    match recorded with (_, d) :: rest -> attach n' d rest m | [] -> ())
+    match recorded with (_, d) :: rest -> attach r n' d rest m | [] -> ())
   | Some { next = Leaf _; _ } -> ()
 
+(* Under [mu]: a new root for key [k] holding [recorded]. *)
+let plant k recorded m =
+  let t, b, c = path recorded m in
+  let b = b + root_bytes k in
+  if make_room ~keep:None b then begin
+    incr generations;
+    let r = { trie = t; gen = !generations; r_bytes = 0; r_nodes = 0; stamp = next_tick () } in
+    Hashtbl.replace roots k r;
+    account r (b, c)
+  end
+
 let insert miss (recorded : Machine.recompile list) m =
-  let recorded =
-    List.map
-      (fun (r : Machine.recompile) -> (r.Machine.node, output_digest r.Machine.output))
-      recorded
+  if List.for_all (fun (r : Machine.recompile) -> Option.is_some r.Machine.node) recorded then begin
+    let recorded =
+      List.map
+        (fun (r : Machine.recompile) ->
+          (Option.get r.Machine.node, output_digest r.Machine.output))
+        recorded
+    in
+    Mutex.protect mu (fun () ->
+        match (miss.m_at, Hashtbl.find_opt roots miss.m_key) with
+        | Some (n, digest), Some r when r.gen = miss.m_generation -> attach r n digest recorded m
+        | Some _, _ -> ()
+        | None, None -> plant miss.m_key recorded m
+        | None, Some ({ trie = Node n; _ } as r) -> (
+          match recorded with (_, d) :: rest -> attach r n d rest m | [] -> ())
+        | None, Some { trie = Leaf _; _ } -> ())
+  end
+
+let with_budget n f =
+  let set n =
+    Mutex.protect mu (fun () ->
+        budget := n;
+        while !total_bytes > n do
+          evict_lru ~keep:None
+        done)
   in
-  Mutex.protect mu (fun () ->
-      if miss.m_generation = !generation then
-        match (miss.m_at, Hashtbl.find_opt roots miss.m_key, recorded) with
-        | Some (n, digest), _, _ -> attach n digest recorded m
-        | None, None, _ ->
-          let t, b, c = path recorded m in
-          admit (b, c) (fun () -> Hashtbl.replace roots miss.m_key t)
-        | None, Some (Node n), (_, d) :: rest -> attach n d rest m
-        | None, Some (Node _), [] | None, Some (Leaf _), _ -> ())
+  let old = Mutex.protect mu (fun () -> !budget) in
+  set n;
+  Fun.protect ~finally:(fun () -> set old) f

@@ -25,16 +25,26 @@ open Inltune_vm
 
     The caller ({!Measure.run_decider}) consults it after a fitness-cache
     miss, for deciders that read no live profile, under [Adapt]/[Ladder]
-    on the flat interpreter.  {!Fitcache.clear} empties it.  The trie
-    grows to {!budget_bytes} and the memo to {!memo_cap} entries; each
-    then stops growing until the next {!clear}.  Counters:
-    ["fitness.traj_hits"], ["fitness.traj_misses"], the nodes and bytes
-    each insert adds (["fitness.traj_nodes"], ["fitness.traj_bytes"]),
-    node visits the memo served whole or not (["fitness.traj_chain_hits"],
+    on the flat interpreter.  {!Fitcache.clear} empties it.
+
+    The tries hold at most {!budget_bytes}.  Each root — one trie — has a
+    last-walk stamp, which {!find} sets, and a generation drawn from a
+    counter that never resets.  An insert that does not fit evicts whole
+    roots, least recently walked first, never the root it grows; one that
+    would not fit even then is dropped.  The memo holds at most
+    {!memo_cap} entries and starts over empty when full.
+
+    Counters: ["fitness.traj_hits"], ["fitness.traj_misses"], the nodes
+    and bytes inserts admitted (["fitness.traj_nodes"],
+    ["fitness.traj_bytes"]: once roots are evicted these exceed what is
+    resident, which {!nodes} and {!bytes} report), roots evicted
+    (["fitness.traj_evictions"], also the calls of the
+    ["fitness.traj_evict"] profiler span), node visits the memo served
+    whole or not (["fitness.traj_chain_hits"],
     ["fitness.traj_chain_misses"]; a plan the memo cannot serve counts in
     neither) and memo entries added (["fitness.traj_memo_entries"]). *)
 
-(** The fixed memory budget: 512 KiB. *)
+(** The fixed memory budget of the tries: 512 KiB. *)
 val budget_bytes : int
 
 (** A lookup that fell off the trie: where, and the pipeline outputs the
@@ -63,8 +73,11 @@ val outputs : miss -> (Ir.methd * Pipeline.stats) list
 (** [insert miss recorded m] stores the simulated path: [recorded] is what
     [Runner.measure ~precomputed:(outputs miss) ~record] recorded — every
     {!Inltune_vm.Machine.recompile} past the walked prefix, in order — and
-    [m] its measurement.  Nothing is stored past the budget, or if
-    {!clear} ran since the lookup. *)
+    [m] its measurement, evicting least recently walked roots to make
+    room.  Nothing is stored when a recorded node is [None] (an edge out
+    of the packed range), when the path would not fit the budget beside
+    its own root, or when the miss's root was evicted, replaced or
+    cleared since the lookup. *)
 val insert : miss -> Machine.recompile list -> Runner.measurement -> unit
 
 (** The edge digest of a pipeline output, as two ints of an MD5 of: two
@@ -77,13 +90,17 @@ val output_digest : Ir.methd * Pipeline.stats -> int * int
 (** Forget every trie and the memo. *)
 val clear : unit -> unit
 
-(** Trie nodes and bytes currently held. *)
+(** Trie nodes and bytes resident now (at most {!budget_bytes}). *)
 val nodes : unit -> int
 
 val bytes : unit -> int
 
+(** Tests only: [with_budget n f] runs [f] with the trie budget set to
+    [n] bytes, evicting as needed, and restores the fixed budget after. *)
+val with_budget : int -> (unit -> 'a) -> 'a
+
 (** The memo's fixed cap: 3,072 entries, 40 bytes each plus an 8 KiB
-    index. *)
+    index.  A full memo empties itself before its next entry. *)
 val memo_cap : int
 
 (** Memo entries and heap bytes currently held. *)

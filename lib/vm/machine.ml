@@ -125,10 +125,11 @@ type t = {
 }
 
 (* One optimizing compile as the trajectory cache stores it: [node] is the
-   method id, the profile's total call count and the (edge key, count)
-   pairs of every nonzero edge whose owner is in the method's reach;
-   [output] is what the pipeline produced. *)
-and recompile = { node : int array; output : Ir.methd * Pipeline.stats }
+   method id, the profile's total call count and one [Packed_edge] per
+   nonzero edge whose owner is in the method's reach ([None] when an edge
+   does not fit the packed range); [output] is what the pipeline
+   produced. *)
+and recompile = { node : int array option; output : Ir.methd * Pipeline.stats }
 
 let max_call_depth = 8_000
 
@@ -278,11 +279,48 @@ let reach_key =
 let reach facts mid = (Facts.get facts reach_key).(mid)
 let in_reach reach owner = Bytes.get reach owner <> '\000'
 
-(* The node of an optimizing compile of [mid] about to run now. *)
+(* A recorded edge in one int: the key in the bits above 31, the count
+   in the 31 below.  Packing checks both ranges, so a key or count of
+   2^31 or more (or of [limit] or more, lowered by [with_limit] in tests)
+   is refused rather than folded into its neighbour's bits.  Keys stay in
+   the high bits, so packed edges sorted by key are sorted as ints. *)
+module Packed_edge = struct
+  let bits = 31
+  let limit = Atomic.make (1 lsl bits)
+
+  let pack ~key ~count =
+    let l = Atomic.get limit in
+    if key >= 0 && key < l && count >= 0 && count < l then Some ((key lsl bits) lor count)
+    else None
+
+  let key p = p lsr bits
+  let count p = p land ((1 lsl bits) - 1)
+
+  let with_limit n f =
+    if n < 0 || n > 1 lsl bits then invalid_arg "Machine.Packed_edge.with_limit";
+    let old = Atomic.exchange limit n in
+    Fun.protect ~finally:(fun () -> Atomic.set limit old) f
+end
+
+(* The node of an optimizing compile of [mid] about to run now, or [None]
+   when one of its edges cannot be packed. *)
 let snapshot vm mid =
   let reach = reach vm.facts mid in
   let edges = Profile.owned_edges vm.profile ~owned:(in_reach reach) in
-  Array.append [| mid; Profile.total_calls vm.profile |] edges
+  let pairs = Array.length edges / 2 in
+  let node = Array.make (2 + pairs) 0 in
+  node.(0) <- mid;
+  node.(1) <- Profile.total_calls vm.profile;
+  let rec fill i =
+    if i = pairs then Some node
+    else
+      match Packed_edge.pack ~key:edges.(2 * i) ~count:edges.((2 * i) + 1) with
+      | Some p ->
+        node.(2 + i) <- p;
+        fill (i + 1)
+      | None -> None
+  in
+  fill 0
 
 exception Outside_reach of { mid : Ir.mid; site_owner : Ir.mid }
 
@@ -292,7 +330,6 @@ let node_view facts node =
   let mid = node.(0) and total = node.(1) in
   let reach = reach facts mid in
   let n = Array.length (Facts.program facts).Ir.methods in
-  let pairs = (Array.length node - 2) / 2 in
   let edge_count ~site_owner ~callee =
     if not (in_reach reach site_owner) then raise (Outside_reach { mid; site_owner });
     let key = (site_owner * n) + callee in
@@ -300,12 +337,12 @@ let node_view facts node =
       if lo >= hi then 0
       else
         let i = (lo + hi) / 2 in
-        let k = node.(2 + (2 * i)) in
-        if k = key then node.(3 + (2 * i))
+        let k = Packed_edge.key node.(i) in
+        if k = key then Packed_edge.count node.(i)
         else if k < key then search (i + 1) hi
         else search lo i
     in
-    search 0 pairs
+    search 2 (Array.length node)
   in
   { Hotpath.edge_count; total_calls = (fun () -> total) }
 

@@ -109,11 +109,14 @@ type t = {
 }
 
 (** One optimizing compile as the trajectory cache stores it.  [node] is
-    [[| mid; total_calls; key0; count0; key1; count1; ... |]]: the compiled
-    method, the profile's {!Profile.total_calls} and
-    {!Profile.owned_edges} restricted to {!reach}[ mid], at the moment of
-    the compile.  [output] is what the pipeline produced. *)
-and recompile = { node : int array; output : Ir.methd * Pipeline.stats }
+    [[| mid; total_calls; e0; e1; ... |]]: the compiled method, the
+    profile's {!Profile.total_calls} (a full int) and the
+    {!Profile.owned_edges} restricted to {!reach}[ mid], one
+    {!Packed_edge} per pair in increasing key order, at the moment of the
+    compile.  [node] is [None] when a key or count is outside the
+    packed range: that compile cannot be stored, and neither can any path
+    through it.  [output] is what the pipeline produced. *)
+and recompile = { node : int array option; output : Ir.methd * Pipeline.stats }
 
 (** Simulated call-stack depth limit (exceeding it is a {!Trap}). *)
 val max_call_depth : int
@@ -157,6 +160,23 @@ val optimizing_plan : config -> Plan.t
 val pipeline_config :
   config -> Platform.t -> Facts.t -> Decider.t -> Hotpath.view -> Pipeline.config
 
+(** One recorded (edge key, count) pair in one int, [key lsl 31 lor
+    count]: the only code that knows the layout.  Packed edges sorted by
+    key are sorted as ints. *)
+module Packed_edge : sig
+  (** The packed pair, or [None] when [key] or [count] is outside
+      \[0, 2{^31}). *)
+  val pack : key:int -> count:int -> int option
+
+  val key : int -> int
+  val count : int -> int
+
+  (** Tests only: [with_limit n f] runs [f] with the range {!pack} accepts
+      lowered to \[0, n), so a simulation's edges can be made unpackable
+      without 2{^31} calls.  The layout does not change. *)
+  val with_limit : int -> (unit -> 'a) -> 'a
+end
+
 (** [reach facts mid]: one byte per method id, nonzero for [mid] and every
     method it reaches through static calls and through every class's
     vtable entry at a virtual call's slot (over the original bodies).  An
@@ -169,8 +189,9 @@ val reach : Facts.t -> Ir.mid -> Bytes.t
 exception Outside_reach of { mid : Ir.mid; site_owner : Ir.mid }
 
 (** The window a stored {!recompile} node answers: the recorded total and
-    edge counts (0 for an unrecorded edge of a reached owner), and
-    {!Outside_reach} for an edge whose owner the node does not cover. *)
+    edge counts (0 for an unrecorded edge of a reached owner, found by
+    binary search over the packed keys), and {!Outside_reach} for an edge
+    whose owner the node does not cover. *)
 val node_view : Facts.t -> int array -> Hotpath.view
 
 type iteration = {

@@ -124,6 +124,22 @@ for domains in 1 2; do
     || { echo "adapt tune (--domains $domains) made no suffix-memo hit"; exit 1; }
 done
 
+echo "== two-scenario trajectory smoke =="
+# experiment table5 tunes Adapt on x86 and then on PPC in one process, so
+# the second tune's paths only fit once the trie evicts whole roots of the
+# first.  Traced, on one domain and on two, it must evict and print
+# exactly the committed stdout, which the commit before eviction printed.
+for domains in 1 2; do
+  t5=$tmp/table5_$domains.jsonl
+  ./_build/default/bin/main.exe experiment table5 --pop 8 -g 3 --domains "$domains" \
+    --trace "$t5" 2> /dev/null \
+    | cmp - scripts/golden/experiment_table5_small_stdout.txt \
+    || { echo "traced table5 (--domains $domains) stdout differs from scripts/golden"; exit 1; }
+  evictions=$(traj_counter "$t5" fitness.traj_evictions)
+  [ "${evictions:-0}" -gt 0 ] \
+    || { echo "table5 (--domains $domains) evicted no trajectory-cache root"; exit 1; }
+done
+
 echo "== policy smoke =="
 # Tiny dataset -> train -> eval round-trip: label a handful of compress call
 # sites with the flip oracle, induce a tree, run it end-to-end on one unseen

@@ -127,48 +127,56 @@ let cells =
    hit is re-simulated.  The trie stays warm across cases, so later cases
    on a cell walk paths earlier ones stored; the windows the walks read
    raise on any edge outside their node's reach, so a walk that needed an
-   unrecorded edge fails the case.  The run must include hits by a plan no
+   unrecorded edge fails the case.  Resident bytes never exceed
+   [budget].  Returns the walks, the hits and the hits by a plan no
    earlier query on that trie used. *)
+let check_trie_answers ~count ~budget =
+  let plans_seen = Hashtbl.create 64 in
+  let hits = ref 0 and cross_plan = ref 0 and walks = ref 0 in
+  let answer_matches (bm, scenario, platform) q =
+    let prog = W.Suites.program bm in
+    let trie =
+      String.concat "/"
+        [ bm.W.Suites.bname; Machine.scenario_name scenario; platform.Platform.pname ]
+    in
+    let h0 = metric "fitness.traj_hits" and m0 = metric "fitness.traj_misses" in
+    let got =
+      (Measure.run_decider ~scenario ~platform ~plan:q.plan ~decider:q.decider bm).Measure.raw
+    in
+    let hit = metric "fitness.traj_hits" > h0 in
+    if hit || metric "fitness.traj_misses" > m0 then incr walks;
+    if hit then begin
+      incr hits;
+      if not (Hashtbl.mem plans_seen (trie, Plan.digest q.plan)) then incr cross_plan
+    end;
+    Hashtbl.replace plans_seen (trie, Plan.digest q.plan) ();
+    let want = Runner.measure ~iterations:3 (q.fresh scenario prog) platform prog in
+    if got <> want then
+      QCheck.Test.fail_reportf "%s on %s (%s): answer differs from a fresh simulation" q.label trie
+        (if hit then "hit" else "miss");
+    if Trajcache.bytes () > budget then
+      QCheck.Test.fail_reportf "%d bytes resident over a budget of %d" (Trajcache.bytes ()) budget;
+    true
+  in
+  let prop =
+    QCheck.Test.make ~count ~name:"trajectory cache answer = fresh simulation"
+      (QCheck.make ~print:string_of_int (QCheck.Gen.int_bound 1_000_000))
+      (fun seed ->
+        let rng = Rng.create seed in
+        let cell = cells.(Rng.int rng (Array.length cells)) in
+        List.for_all (fun _ -> answer_matches cell (random_query rng)) [ 1; 2; 3 ])
+  in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 7 |]) prop;
+  (!walks, !hits, !cross_plan)
+
 let test_trie_equals_fresh () =
   with_clean_caches (fun () ->
-      let plans_seen = Hashtbl.create 64 in
-      let hits = ref 0 and cross_plan = ref 0 and walks = ref 0 in
-      let answer_matches (bm, scenario, platform) q =
-        let prog = W.Suites.program bm in
-        let trie =
-          String.concat "/"
-            [ bm.W.Suites.bname; Machine.scenario_name scenario; platform.Platform.pname ]
-        in
-        let h0 = metric "fitness.traj_hits" and m0 = metric "fitness.traj_misses" in
-        let got =
-          (Measure.run_decider ~scenario ~platform ~plan:q.plan ~decider:q.decider bm).Measure.raw
-        in
-        let hit = metric "fitness.traj_hits" > h0 in
-        if hit || metric "fitness.traj_misses" > m0 then incr walks;
-        if hit then begin
-          incr hits;
-          if not (Hashtbl.mem plans_seen (trie, Plan.digest q.plan)) then incr cross_plan
-        end;
-        Hashtbl.replace plans_seen (trie, Plan.digest q.plan) ();
-        let want = Runner.measure ~iterations:3 (q.fresh scenario prog) platform prog in
-        if got <> want then
-          QCheck.Test.fail_reportf "%s on %s (%s): answer differs from a fresh simulation" q.label
-            trie
-            (if hit then "hit" else "miss");
-        true
+      let walks, hits, cross_plan =
+        check_trie_answers ~count:150 ~budget:Trajcache.budget_bytes
       in
-      let prop =
-        QCheck.Test.make ~count:150 ~name:"trajectory cache answer = fresh simulation"
-          (QCheck.make ~print:string_of_int (QCheck.Gen.int_bound 1_000_000))
-          (fun seed ->
-            let rng = Rng.create seed in
-            let cell = cells.(Rng.int rng (Array.length cells)) in
-            List.for_all (fun _ -> answer_matches cell (random_query rng)) [ 1; 2; 3 ])
-      in
-      QCheck.Test.check_exn ~rand:(Random.State.make [| 7 |]) prop;
-      Alcotest.(check bool) "queries walked the trie" true (!walks > 0);
-      Alcotest.(check bool) "some answers were trie hits" true (!hits > 0);
-      Alcotest.(check bool) "some hits came from another plan's simulation" true (!cross_plan > 0))
+      Alcotest.(check bool) "queries walked the trie" true (walks > 0);
+      Alcotest.(check bool) "some answers were trie hits" true (hits > 0);
+      Alcotest.(check bool) "some hits came from another plan's simulation" true (cross_plan > 0))
 
 (* The default plan with a knob of a disabled item changed: another plan
    digest, the same compiles. *)
@@ -305,7 +313,104 @@ let test_miss_runs_no_pipeline_twice () =
       done;
       Alcotest.(check bool) "misses below a stored root" true (!walked_misses > 0))
 
-(* The edge digest covers the output's method, size_peak and size_after. *)
+(* One method holding every instruction constructor and every
+   terminator, each operand distinct. *)
+let digest_subject =
+  {
+    Ir.mid = 3;
+    mname = "subject";
+    nargs = 2;
+    nregs = 9;
+    blocks =
+      [|
+        {
+          Ir.instrs =
+            [|
+              Ir.Const (2, -17);
+              Move (3, 0);
+              Binop (Ir.Sub, 4, 2, 3);
+              Cmp (Ir.Le, 5, 4, 1);
+              Load (6, 0, 2);
+              Store (0, 3, 6);
+              LoadIdx (7, 0, 1);
+              StoreIdx (0, 1, 7);
+              ClassOf (8, 0);
+              Alloc (8, 1, 4);
+              Call (6, 2, [| 0; 1 |]);
+              CallVirt (7, 1, 0, [| 1; 5 |]);
+              Print 4;
+            |];
+          term = Branch (5, 1, 2);
+        };
+        { Ir.instrs = [||]; term = Jump 2 };
+        { Ir.instrs = [| Ir.Print 6 |]; term = Ret 7 };
+      |];
+  }
+
+(* Every method differing from [m] in one field: each scalar, each
+   operand, each operator, each constructor swapped for one of the same
+   operands, each array one element longer, each terminator target. *)
+let single_field_variants (m : Ir.methd) =
+  let bump = succ in
+  let instr_variants : Ir.instr -> Ir.instr list = function
+    | Const (d, v) -> [ Const (bump d, v); Const (d, bump v); Move (d, v) ]
+    | Move (d, a) -> [ Move (bump d, a); Move (d, bump a); ClassOf (d, a) ]
+    | Binop (op, d, a, b) ->
+      [ Binop (Ir.Add, d, a, b); Binop (op, bump d, a, b); Binop (op, d, bump a, b);
+        Binop (op, d, a, bump b); Cmp (Ir.Lt, d, a, b) ]
+    | Cmp (op, d, a, b) ->
+      [ Cmp (Ir.Ge, d, a, b); Cmp (op, bump d, a, b); Cmp (op, d, bump a, b);
+        Cmp (op, d, a, bump b) ]
+    | Load (d, o, off) ->
+      [ Load (bump d, o, off); Load (d, bump o, off); Load (d, o, bump off); Alloc (d, o, off) ]
+    | Store (o, off, v) ->
+      [ Store (bump o, off, v); Store (o, bump off, v); Store (o, off, bump v) ]
+    | LoadIdx (d, o, i) ->
+      [ LoadIdx (bump d, o, i); LoadIdx (d, bump o, i); LoadIdx (d, o, bump i); StoreIdx (d, o, i) ]
+    | StoreIdx (o, i, v) ->
+      [ StoreIdx (bump o, i, v); StoreIdx (o, bump i, v); StoreIdx (o, i, bump v) ]
+    | ClassOf (d, o) -> [ ClassOf (bump d, o); ClassOf (d, bump o) ]
+    | Alloc (d, k, n) -> [ Alloc (bump d, k, n); Alloc (d, bump k, n); Alloc (d, k, bump n) ]
+    | Call (d, c, args) ->
+      [ Call (bump d, c, args); Call (d, bump c, args); Call (d, c, Array.map bump args);
+        Call (d, c, Array.append args [| 0 |]) ]
+    | CallVirt (d, slot, r, args) ->
+      [ CallVirt (bump d, slot, r, args); CallVirt (d, bump slot, r, args);
+        CallVirt (d, slot, bump r, args); CallVirt (d, slot, r, Array.map bump args);
+        CallVirt (d, slot, r, Array.append args [| 0 |]); Call (d, slot, args) ]
+    | Print r -> [ Print (bump r) ]
+  in
+  let term_variants : Ir.terminator -> Ir.terminator list = function
+    | Jump t -> [ Jump (bump t); Ret t ]
+    | Branch (r, t, e) -> [ Branch (bump r, t, e); Branch (r, bump t, e); Branch (r, t, bump e) ]
+    | Ret r -> [ Ret (bump r); Jump r ]
+  in
+  let with_block bi f =
+    { m with Ir.blocks = Array.mapi (fun j b -> if j = bi then f b else b) m.Ir.blocks }
+  in
+  let with_term bi t = with_block bi (fun b -> { b with Ir.term = t }) in
+  let with_instrs bi f = with_block bi (fun b -> { b with Ir.instrs = f b.Ir.instrs }) in
+  [ { m with Ir.mid = bump m.Ir.mid }; { m with Ir.mname = m.Ir.mname ^ "_" };
+    { m with Ir.nargs = bump m.Ir.nargs }; { m with Ir.nregs = bump m.Ir.nregs };
+    { m with Ir.blocks = Array.append m.Ir.blocks [| { Ir.instrs = [||]; term = Ret 0 } |] } ]
+  @ List.concat
+      (List.mapi
+         (fun bi (b : Ir.block) ->
+           List.map (with_term bi) (term_variants b.Ir.term)
+           @ [ with_instrs bi (fun is -> Array.append is [| Ir.Print 0 |]) ]
+           @ List.concat
+               (List.mapi
+                  (fun ii ins ->
+                    List.map
+                      (fun ins' ->
+                        with_instrs bi (Array.mapi (fun j x -> if j = ii then ins' else x)))
+                      (instr_variants ins))
+                  (Array.to_list b.Ir.instrs)))
+         (Array.to_list m.Ir.blocks))
+
+(* The edge digest covers the output's method, size_peak and size_after:
+   every field of the method, each operand, operator and constructor of
+   every instruction and terminator, and where the blocks split. *)
 let test_digest_covers_output () =
   let prog = W.Suites.program (W.Suites.find "compress") in
   let ((code, stats) as out) =
@@ -317,7 +422,26 @@ let test_digest_covers_output () =
     (d out = d (code, { stats with Pipeline.size_peak = stats.Pipeline.size_peak + 1 }));
   Alcotest.(check bool) "size_after" false
     (d out = d (code, { stats with Pipeline.size_after = stats.Pipeline.size_after + 1 }));
-  Alcotest.(check bool) "method" false (d out = d ({ code with Ir.nregs = code.Ir.nregs + 1 }, stats))
+  Alcotest.(check bool) "method" false (d out = d ({ code with Ir.nregs = code.Ir.nregs + 1 }, stats));
+  let dm m = d (m, stats) in
+  let d0 = dm digest_subject in
+  Alcotest.(check bool) "a structural copy digests equal" true
+    (d0 = dm (Marshal.from_string (Marshal.to_string digest_subject []) 0));
+  List.iteri
+    (fun i v ->
+      if v = digest_subject then Alcotest.failf "variant %d is the subject" i;
+      if dm v = d0 then Alcotest.failf "variant %d digests equal" i)
+    (single_field_variants digest_subject);
+  (* A byte encoding without instruction counts would confuse these two:
+     the constructor byte of [Const] can equal the one of [Jump]. *)
+  let two_blocks first second =
+    {
+      digest_subject with
+      Ir.blocks = [| { Ir.instrs = first; term = Jump 0 }; { Ir.instrs = second; term = Jump 1 } |];
+    }
+  in
+  Alcotest.(check bool) "an instruction moved across a block boundary" false
+    (dm (two_blocks [||] [| Ir.Const (0, 0) |]) = dm (two_blocks [| Ir.Const (0, 0) |] [||]))
 
 (* reach(m) follows static calls and every class's vtable entry at a
    virtual call's slot; a stored window answers inside it and raises
@@ -343,9 +467,8 @@ let test_reach_and_strict_view () =
     (reached (mid "main"));
   Alcotest.(check (list int)) "a leaf reaches itself" (mids [ "helper" ]) (reached (mid "helper"));
   let n = Array.length prog.Ir.methods in
-  let view =
-    Machine.node_view facts [| mid "caller"; 10; (mid "caller" * n) + mid "impl_a"; 7 |]
-  in
+  let edge = Machine.Packed_edge.pack ~key:((mid "caller" * n) + mid "impl_a") ~count:7 in
+  let view = Machine.node_view facts [| mid "caller"; 10; Option.get edge |] in
   Alcotest.(check int) "recorded edge" 7
     (view.Hotpath.edge_count ~site_owner:(mid "caller") ~callee:(mid "impl_a"));
   Alcotest.(check int) "unrecorded edge of a reached owner" 0
@@ -379,7 +502,7 @@ let recorded_cells =
                (fun q ->
                  ignore
                    (Runner.measure ~iterations:3
-                      ~record:(fun r -> nodes := r.Machine.node :: !nodes)
+                      ~record:(fun r -> nodes := Option.get r.Machine.node :: !nodes)
                       (q.fresh scenario prog) platform prog
                      : Runner.measurement))
                [ heuristic_query Heuristic.default; random_query rng ];
@@ -531,9 +654,10 @@ let test_clear_empties_memo () =
       Fitcache.clear ();
       Alcotest.(check int) "no entries after clear" 0 (Trajcache.memo_entries ()))
 
-(* Past its cap the memo takes no entry: a node it cannot serve still
-   gets the edge of a fresh pipeline, and answers already held still
-   serve. *)
+(* At its cap the memo empties itself and fills again: every edge, before
+   and after it starts over, is the edge of a fresh pipeline, it never
+   holds more than its cap, and entries added after the reset serve later
+   nodes. *)
 let test_full_memo () =
   with_clean_caches (fun () ->
       let cells = Lazy.force recorded_cells in
@@ -555,22 +679,222 @@ let test_full_memo () =
           Alcotest.failf "%s at method %d of %s: edge differs from a fresh pipeline"
             (Plan.to_string plan) node.(0) prog.Ir.pname
       in
-      let tries = ref 0 in
-      while Trajcache.memo_entries () < Trajcache.memo_cap && !tries < 20_000 do
+      let added0 = metric "fitness.traj_memo_entries" in
+      let at_reset = ref None and last = ref 0 and tries = ref 0 in
+      let step () =
+        check ();
+        let now = Trajcache.memo_entries () in
+        if now > Trajcache.memo_cap then Alcotest.failf "%d entries past the cap" now;
+        if now < !last && !at_reset = None then begin
+          Alcotest.(check bool) "it started over once full" true
+            (metric "fitness.traj_memo_entries" - added0 > Trajcache.memo_cap);
+          at_reset := Some (chain_counts ())
+        end;
+        last := now
+      in
+      while !at_reset = None && !tries < 20_000 do
         incr tries;
-        check ()
+        step ()
       done;
-      Alcotest.(check int) "the memo filled" Trajcache.memo_cap (Trajcache.memo_entries ());
+      for _ = 1 to 300 do
+        step ()
+      done;
       Alcotest.(check bool) "at most 48 bytes an entry, index included" true
         (Trajcache.memo_bytes () <= 48 * Trajcache.memo_cap);
-      let h0, m0 = chain_counts () in
-      for _ = 1 to 300 do
-        check ()
-      done;
-      let h1, m1 = chain_counts () in
-      Alcotest.(check int) "no entry past the cap" Trajcache.memo_cap (Trajcache.memo_entries ());
-      Alcotest.(check bool) "misses past the cap" true (m1 > m0);
-      Alcotest.(check bool) "hits past the cap" true (h1 > h0))
+      match !at_reset with
+      | None -> Alcotest.fail "the memo never started over"
+      | Some (h0, m0) ->
+        let h1, m1 = chain_counts () in
+        Alcotest.(check bool) "misses after the reset" true (m1 > m0);
+        Alcotest.(check bool) "hits from entries added after the reset" true (h1 > h0))
+
+(* --- eviction ----------------------------------------------------------- *)
+
+(* The property above, with a budget a few SPEC paths fill: roots are
+   evicted every few inserts, and every answer still equals a fresh
+   simulation. *)
+let test_trie_equals_fresh_evicting () =
+  with_clean_caches (fun () ->
+      let budget = 16 * 1024 in
+      let e0 = metric "fitness.traj_evictions" in
+      let walks, _, _ =
+        Trajcache.with_budget budget (fun () -> check_trie_answers ~count:60 ~budget)
+      in
+      Alcotest.(check bool) "queries walked the trie" true (walks > 0);
+      Alcotest.(check bool) "roots were evicted" true (metric "fitness.traj_evictions" > e0))
+
+(* Queries straight through [Trajcache], as [Measure.run_decider] makes
+   them, on Adapt x86 with the default heuristic. *)
+let adapt_cfg = Machine.config Machine.Adapt Heuristic.default
+let no_inline_cfg =
+  Machine.config ~plan:(Plan.disable "inline" Plan.default) Machine.Adapt Heuristic.default
+let default_decider = Decider.Heuristic Heuristic.default
+
+let traj_find ?(cfg = adapt_cfg) prog =
+  Trajcache.find cfg Platform.x86 ~iterations:3 ~decider:default_decider prog
+
+let simulate_miss ?(cfg = adapt_cfg) prog miss =
+  let recorded = ref [] in
+  let m =
+    Runner.measure ~iterations:3 ~precomputed:(Trajcache.outputs miss)
+      ~record:(fun r -> recorded := r :: !recorded)
+      cfg Platform.x86 prog
+  in
+  (m, List.rev !recorded)
+
+(* The answer to a query, inserting its path on a miss. *)
+let traj_answer ?cfg prog =
+  match traj_find ?cfg prog with
+  | Trajcache.Hit m -> m
+  | Trajcache.Miss miss ->
+    let m, recorded = simulate_miss ?cfg prog miss in
+    Trajcache.insert miss recorded m;
+    m
+
+let expect_hit what = function
+  | Trajcache.Hit _ -> ()
+  | Trajcache.Miss _ -> Alcotest.failf "%s: a miss" what
+
+(* A miss on a trie with no root: the walk passed no node. *)
+let expect_rootless what = function
+  | Trajcache.Miss miss when Trajcache.outputs miss = [] -> ()
+  | Trajcache.Miss _ -> Alcotest.failf "%s: a miss below a root" what
+  | Trajcache.Hit _ -> Alcotest.failf "%s: a hit" what
+
+(* A miss below a stored root. *)
+let walked_miss what = function
+  | Trajcache.Miss miss when Trajcache.outputs miss <> [] -> miss
+  | Trajcache.Miss _ -> Alcotest.failf "%s: no root" what
+  | Trajcache.Hit _ -> Alcotest.failf "%s: a hit" what
+
+(* Eviction takes the least recently walked root, never the one an insert
+   grows; a miss whose root was evicted stores nothing, even once its
+   program has a root again; resident bytes stay within the budget; and
+   [Fitcache.clear] still empties everything. *)
+let test_eviction_order () =
+  let pa = W.Suites.program (W.Suites.find "compress")
+  and pb = W.Suites.program (W.Suites.find "db")
+  and pc = W.Suites.program (W.Suites.find "jess") in
+  let evictions () = metric "fitness.traj_evictions" in
+  let within what budget =
+    if Trajcache.bytes () > budget then
+      Alcotest.failf "%s: %d bytes over a budget of %d" what (Trajcache.bytes ()) budget
+  in
+  with_clean_caches (fun () ->
+      (* Sizes at the fixed budget: each root alone, and the inline-free
+         path below compress's root. *)
+      let root_size prog =
+        Fitcache.clear ();
+        ignore (traj_answer prog : Runner.measurement);
+        Trajcache.bytes ()
+      in
+      let a = root_size pa and b = root_size pb and c = root_size pc in
+      let below_a =
+        Fitcache.clear ();
+        ignore (traj_answer pa : Runner.measurement);
+        ignore (traj_answer ~cfg:no_inline_cfg pa : Runner.measurement);
+        Trajcache.bytes () - a
+      in
+      Alcotest.(check bool) "the second path hangs below the root" true (below_a > 0);
+      (* Two roots, compress walked last: a third root evicts db alone. *)
+      Fitcache.clear ();
+      let budget = a + b + c - 1 in
+      Trajcache.with_budget budget (fun () ->
+          ignore (traj_answer pa : Runner.measurement);
+          ignore (traj_answer pb : Runner.measurement);
+          expect_hit "compress before the eviction" (traj_find pa);
+          let e0 = evictions () in
+          ignore (traj_answer pc : Runner.measurement);
+          within "after the third root" budget;
+          Alcotest.(check int) "one root evicted" (e0 + 1) (evictions ());
+          expect_hit "compress, walked last, is kept" (traj_find pa);
+          expect_hit "the new root is stored" (traj_find pc);
+          expect_rootless "db, walked first, is evicted" (traj_find pb));
+      (* A miss below compress's root, taken before every root is evicted
+         and compress planted again, stores nothing; the same query then
+         misses again and simulates to the fresh value. *)
+      let miss = walked_miss "the inline-free query" (traj_find ~cfg:no_inline_cfg pa) in
+      let m, recorded = simulate_miss ~cfg:no_inline_cfg pa miss in
+      let e0 = evictions () in
+      Trajcache.with_budget 0 ignore;
+      Alcotest.(check bool) "every root evicted" true (evictions () > e0);
+      Alcotest.(check int) "nothing resident" 0 (Trajcache.bytes ());
+      ignore (traj_answer pa : Runner.measurement);
+      let n0 = Trajcache.nodes () and b0 = Trajcache.bytes () in
+      Trajcache.insert miss recorded m;
+      Alcotest.(check int) "the stale miss added no node" n0 (Trajcache.nodes ());
+      Alcotest.(check int) "nor any byte" b0 (Trajcache.bytes ());
+      let again = walked_miss "the same query again" (traj_find ~cfg:no_inline_cfg pa) in
+      let m', _ = simulate_miss ~cfg:no_inline_cfg pa again in
+      Alcotest.(check bool) "= a fresh simulation" true
+        (m' = Runner.measure ~iterations:3 no_inline_cfg Platform.x86 pa);
+      (* The root an insert grows is not evicted even when it is the least
+         recently walked: db goes instead. *)
+      Fitcache.clear ();
+      let budget = a + b + below_a - 1 in
+      Trajcache.with_budget budget (fun () ->
+          ignore (traj_answer pa : Runner.measurement);
+          let miss = walked_miss "below compress" (traj_find ~cfg:no_inline_cfg pa) in
+          let m, recorded = simulate_miss ~cfg:no_inline_cfg pa miss in
+          ignore (traj_answer pb : Runner.measurement);
+          let e0 = evictions () in
+          Trajcache.insert miss recorded m;
+          within "after growing compress" budget;
+          Alcotest.(check int) "one root evicted" (e0 + 1) (evictions ());
+          expect_hit "the grown path is stored" (traj_find ~cfg:no_inline_cfg pa);
+          expect_rootless "db is evicted" (traj_find pb));
+      Fitcache.clear ();
+      Alcotest.(check int) "no nodes after clear" 0 (Trajcache.nodes ());
+      Alcotest.(check int) "no bytes after clear" 0 (Trajcache.bytes ());
+      Alcotest.(check int) "no memo entries after clear" 0 (Trajcache.memo_entries ()))
+
+(* --- packed edges --------------------------------------------------------- *)
+
+(* One int holds a key and a count each below 2^31, and nothing out of
+   that range packs.  A simulation whose edges cannot be packed still
+   answers with its measurement, and stores nothing. *)
+let test_packed_range () =
+  let pack = Machine.Packed_edge.pack in
+  let top = (1 lsl 31) - 1 in
+  List.iter
+    (fun (key, count) ->
+      match pack ~key ~count with
+      | None -> Alcotest.failf "(%d, %d) did not pack" key count
+      | Some p ->
+        Alcotest.(check (pair int int))
+          (Printf.sprintf "(%d, %d) round-trips" key count)
+          (key, count)
+          (Machine.Packed_edge.key p, Machine.Packed_edge.count p))
+    [ (0, 0); (0, top); (top, 0); (top, top); (152_098, 11_520); (1, 1 lsl 30) ];
+  List.iter
+    (fun (key, count) ->
+      if pack ~key ~count <> None then Alcotest.failf "(%d, %d) packed" key count)
+    [ (0, 1 lsl 31); (1 lsl 31, 0); (-1, 0); (0, -1); (max_int, 1) ];
+  let packed key = Option.get (pack ~key ~count:top) in
+  Alcotest.(check bool) "packed order is key order" true (packed 5 < packed 6);
+  let bm = bench_of_program dispatch_program in
+  let prog = W.Suites.program bm in
+  with_clean_caches (fun () ->
+      let unrecordable = ref 0 in
+      Machine.Packed_edge.with_limit 100 (fun () ->
+          ignore
+            (Runner.measure ~iterations:3
+               ~record:(fun r -> if r.Machine.node = None then incr unrecordable)
+               adapt_cfg Platform.x86 prog
+              : Runner.measurement);
+          Alcotest.(check bool) "a recompile was unrecordable" true (!unrecordable > 0);
+          let s0 = metric "measure.simulations" in
+          let got =
+            (Measure.run_decider ~scenario:Machine.Adapt ~platform:Platform.x86
+               ~decider:(Fitcache.Heuristic Heuristic.default) bm)
+              .Measure.raw
+          in
+          Alcotest.(check int) "it simulated" (s0 + 1) (metric "measure.simulations");
+          Alcotest.(check bool) "= a fresh simulation" true
+            (got = Runner.measure ~iterations:3 adapt_cfg Platform.x86 prog);
+          Alcotest.(check int) "the trie is unchanged" 0 (Trajcache.bytes ()));
+      ignore (traj_answer prog : Runner.measurement);
+      Alcotest.(check bool) "in range, the path is stored" true (Trajcache.nodes () > 0))
 
 let suite =
   [
@@ -584,5 +908,8 @@ let suite =
     ("chained edge = fresh pipeline", `Slow, test_chained_edge_equals_fresh);
     ("memo keys on the program", `Quick, test_memo_keys_on_program);
     ("fitcache clear empties the memo", `Quick, test_clear_empties_memo);
-    ("a full memo stops growing", `Slow, test_full_memo);
+    ("a full memo starts over", `Slow, test_full_memo);
+    ("trie answer = fresh, evicting", `Slow, test_trie_equals_fresh_evicting);
+    ("eviction order and in-flight misses", `Quick, test_eviction_order);
+    ("packed edges and the range check", `Quick, test_packed_range);
   ]
