@@ -24,17 +24,38 @@ module Prof = Inltune_obs.Prof
    miss, and the caller simulates with recording (reusing the outputs the
    walk computed) and inserts the path.
 
-   Computing an edge runs the plan for real only through its last
-   inliner-kind item L (the front) and digests that method.  When every
-   enabled item after L is context-free ([Pipeline.context_free_suffix]),
-   a memo maps (program, input-method digest, canonical item text) to the
-   item's output digest and size; when it answers for every item, the edge
-   comes from the last digest, [size_peak] and [size_after] with no payoff
-   pass run.  At the first item it cannot answer, the walk runs the items
-   before it from the front without hashing, then that item and every
-   later one, adding an entry for each.  A walk that ends in a miss
-   completes each memo-served node by running only its items after L on
-   the kept front ([outputs]), so the simulation still runs no pass twice.
+   Computing an edge needs the method after the plan's last inliner-kind
+   item L (the front) and its size, [size_peak].  When the plan's enabled
+   items from its first inliner-kind item F through L are all of inliner
+   kind ([Pipeline.inliner_span]: every plan genome and the default plan),
+   the walk derives the front without building any IR.  It runs the items
+   before F, which are cheap (guarded devirtualization returns its input
+   when it guards no site, and constprop of an original method comes from
+   the fact table), and takes the digest, size and root call-site table of
+   the method they produce from the fact table when it is the constprop'd
+   original ([constprop_inputs]), describing it once when it is not.  Then
+   for each enabled item of the block it walks the engine's decisions on
+   that input ([Engine.walk_from], under the policy the pass would build,
+   [Pipeline.engine_at]) and asks the inliner memo, keyed on (program,
+   input digest, effective accept bits), for the output's digest, size and
+   table; an item that accepts no site passes its input through.  At the
+   first item the memo cannot answer, the walk runs the block for real
+   from the prefix it kept, adding an entry for every engine run that
+   accepted a site; those outputs are the only ones it digests.  Any other
+   plan runs through L for real and digests that method.
+
+   When every enabled item after L is context-free
+   ([Pipeline.context_free_suffix]), the suffix memo maps (program,
+   input-method digest, canonical item text) to the item's output digest
+   and size; when it answers for every item, the edge comes from the last
+   digest, [size_peak] and [size_after] with no payoff pass run.  At the
+   first item it cannot answer, the walk runs the items before it from the
+   front without hashing (running a derived block for real first), then
+   that item and every later one, adding an entry for each.  A walk that
+   ends in a miss completes each memo-served node by running only the items
+   it did not run on the run it kept — after L, or after the items before
+   F for a derived front ([outputs]) — so the simulation still runs no
+   pass twice.
 
    Why the answer is exact — an induction over recompiles:
 
@@ -63,17 +84,33 @@ module Prof = Inltune_obs.Prof
      and [size_after] (code bytes, hence every later code address).  The
      digest covers exactly those, so equal (method, digest) sequences give
      identical runs, the measurement included.
-   - The memo computes that digest.  An edge is the digest of (method
-     digest, [size_peak], [size_after]) however it was computed.  The
-     front is a real run, and [size_peak] is its method's size, recorded
-     right after L.  After L only context-free items run: each reads the
-     program, its input method and its knobs and nothing else, so its
-     output is a function of the memo's key (the input enters as its
-     digest, and the program and knobs as the program digest and the
-     canonical item text).  By induction over the items, the last digest
-     the memo gives is the digest of the method a whole run returns, and
-     the last size its [size_after].  A plan with an item after L that
-     reads the decider or the profile never uses the memo.
+   - The inliner memo computes the front.  An engine run's output is a
+     function of the program, its input method and its effective accept
+     bits (the contract of [Engine.run] and [Engine.walk_from]): hotness
+     reaches the code only through the policy's verdicts, and [Space_cap]
+     and the recursion guard act as in [Engine.run].  The bits are a
+     function of what a node knows: the input's root call sites (callee
+     ids, in block-then-instruction order) and its size, the original
+     bodies' tables, and the policy the pass builds — [inline_leaves] and
+     [inline_region] from their knobs, [inline_hot] from its knobs and the
+     node's window, [inline] from the decider and the node's hot-site
+     predicate (the Fig. 4 path), the size-budgeted two from the input's
+     size.  The input's description is taken from a real method: the one
+     the items before F produced, or the output an earlier entry was built
+     from.  So every entry is a fact about its key, and by induction over
+     the block's items the last digest is the digest of the method a real
+     run has after L, and the last size its [size_peak].
+   - The suffix memo computes the edge.  An edge is the digest of (method
+     digest, [size_peak], [size_after]) however it was computed.
+     [size_peak] is the front's size, recorded right after L.  After L
+     only context-free items run: each reads the program, its input
+     method and its knobs and nothing else, so its output is a function of
+     the memo's key (the input enters as its digest, and the program and
+     knobs as the program digest and the canonical item text).  By
+     induction over the items, the last digest the memo gives is the
+     digest of the method a whole run returns, and the last size its
+     [size_after].  A plan with an item after L that reads the decider or
+     the profile uses neither memo.
 
    Hence a walk that reaches a leaf returns the measurement a fresh
    simulation of the query would.  The cache sits behind the fitness cache
@@ -81,8 +118,9 @@ module Prof = Inltune_obs.Prof
    for deciders that read no live profile — the heuristic and static
    policies — on the flat interpreter; [Fitcache.clear] empties it.
 
-   Concurrency: one mutex guards the tries and the memo; pipelines and
-   digests run outside it.  Two domains racing on one fresh path both
+   Concurrency: one mutex guards the tries and the memos; pipelines,
+   decision walks and digests run outside it, and each lookup builds its
+   keys in a buffer of its own.  Two domains racing on one fresh path both
    simulate, and the second insert finds the path present; a memo entry
    is a fact about its key, so whichever domain adds it first wins.  A
    walk that loses its root to an eviction finishes on the detached trie,
@@ -95,10 +133,11 @@ module Prof = Inltune_obs.Prof
    child's digest two ints.  The tries hold at most [budget_bytes]: an
    insert that does not fit evicts the least recently walked whole roots
    (never the one it grows) until it does, and is dropped if it would not
-   fit even then.  The memo holds at most [memo_cap] entries of five
-   ints, on a budget of its own, and starts over empty when full.  So a
-   long-lived process stays bounded, and a later search in it is served
-   as well as the first. *)
+   fit even then.  The suffix memo holds at most [memo_cap] entries of
+   five ints, and the inliner memo at most [engine_cap] entries of five
+   ints and a call-site table, each on a budget of its own; each starts
+   over empty when full.  So a long-lived process stays bounded, and a
+   later search in it is served as well as the first. *)
 
 type trie = Node of node | Leaf of Runner.measurement
 and node = { packed : int array; mutable kids : kid list }
@@ -132,7 +171,8 @@ let bytes_added = Metric.handle "fitness.traj_bytes"
 let evictions = Metric.handle "fitness.traj_evictions"
 let chain_hits = Metric.handle "fitness.traj_chain_hits"
 let chain_misses = Metric.handle "fitness.traj_chain_misses"
-let memo_added = Metric.handle "fitness.traj_memo_entries"
+let engine_hits = Metric.handle "fitness.traj_engine_hits"
+let engine_misses = Metric.handle "fitness.traj_engine_misses"
 
 (* [mu] guards [roots], every root's counts and stamp, every node's
    [kids], the counters below, the budget and the memo. *)
@@ -144,86 +184,132 @@ let tick = ref 0
 let total_nodes = ref 0
 let total_bytes = ref 0
 
-(* --- the suffix memo ------------------------------------------------------
+(* --- the memos ----------------------------------------------------------------
 
-   (memo key) -> (output digest, output size), flat: entry [e] is five ints
-   at [(e mod 256) * 5] of chunk [e / 256] — the key's two ints, the
-   output digest's two ints and the output's size — and a 16-bit index of
-   [index_slots] slots holds entry + 1 (0 = empty), probed linearly from
-   the key's low bits.  The cap keeps the index at most 3/4 full.  Chunks
-   are allocated as entries arrive; nothing is allocated before the first
-   entry. *)
+   A memo maps a key of two ints to an output digest and an output size,
+   flat: entry [e] is five ints at [(e mod 256) * 5] of chunk [e / 256] —
+   the key's two ints, the output digest's two ints and the output's size
+   — and a 16-bit index of [slots] slots holds entry + 1 (0 = empty),
+   probed linearly from the key's low bits.  The inliner memo also keeps
+   each entry's output call-site table, at [tables.(e)].  The cap keeps
+   the index at most 3/4 full.  Chunks are allocated as entries arrive;
+   nothing is allocated before the first entry.  A full memo empties
+   itself before its next entry (its chunks stay allocated for the
+   refill). *)
 
-let memo_cap = 3072
+type memo = {
+  cap : int;
+  slots : int;
+  mutable index : Bytes.t;
+  chunks : int array array;
+  mutable tables : int array array;  (* [||] until the first table *)
+  mutable count : int;
+  added : Metric.handle;
+}
+
 let chunk_entries = 256
 let entry_ints = 5
-let index_slots = 4096
-let memo_index = ref Bytes.empty
-let memo_chunks : int array array = Array.make (memo_cap / chunk_entries) [||]
-let memo_count = ref 0
 
-let memo_entries () = Mutex.protect mu (fun () -> !memo_count)
+let memo ~cap ~slots counter =
+  {
+    cap;
+    slots;
+    index = Bytes.empty;
+    chunks = Array.make (cap / chunk_entries) [||];
+    tables = [||];
+    count = 0;
+    added = Metric.handle counter;
+  }
 
-let memo_bytes () =
-  Mutex.protect mu (fun () ->
-      Array.fold_left
-        (fun b c -> if Array.length c = 0 then b else b + (8 * (Array.length c + 1)))
-        ((8 * (Array.length memo_chunks + 1)) + Bytes.length !memo_index)
-        memo_chunks)
+(* (program, input-method digest, item text) -> the item's output. *)
+let suffix = memo ~cap:3072 ~slots:4096 "fitness.traj_memo_entries"
+
+(* (program, input-method digest, effective accept bits) -> the engine
+   run's output, with its root call-site table. *)
+let inliners = memo ~cap:1024 ~slots:2048 "fitness.traj_engine_entries"
+
+let memo_cap = suffix.cap
+let engine_cap = inliners.cap
 
 (* Under [mu]: the entry under key [(k0, k1)], or -1. *)
-let memo_find k0 k1 =
-  if !memo_count = 0 then -1
+let memo_find t k0 k1 =
+  if t.count = 0 then -1
   else
     let rec probe s =
-      match Bytes.get_uint16_le !memo_index (2 * s) with
+      match Bytes.get_uint16_le t.index (2 * s) with
       | 0 -> -1
       | e1 ->
         let e = e1 - 1 in
-        let c = memo_chunks.(e / chunk_entries) and o = e mod chunk_entries * entry_ints in
-        if c.(o) = k0 && c.(o + 1) = k1 then e else probe ((s + 1) land (index_slots - 1))
+        let c = t.chunks.(e / chunk_entries) and o = e mod chunk_entries * entry_ints in
+        if c.(o) = k0 && c.(o + 1) = k1 then e else probe ((s + 1) land (t.slots - 1))
     in
-    probe (k0 land (index_slots - 1))
+    probe (k0 land (t.slots - 1))
 
-let memo_field e i = memo_chunks.(e / chunk_entries).((e mod chunk_entries * entry_ints) + i)
+let memo_field t e i = t.chunks.(e / chunk_entries).((e mod chunk_entries * entry_ints) + i)
 
 (* Under [mu]: add an entry unless its key is present, emptying a full
-   memo first (its chunks stay allocated for the refill). *)
-let memo_add (k0, k1) (o0, o1) size =
-  if memo_find k0 k1 < 0 then begin
-    if Bytes.length !memo_index = 0 then memo_index := Bytes.make (2 * index_slots) '\000';
-    if !memo_count = memo_cap then begin
-      Bytes.fill !memo_index 0 (Bytes.length !memo_index) '\000';
-      memo_count := 0
+   memo first. *)
+let memo_add t ?table (k0, k1) (o0, o1) size =
+  if memo_find t k0 k1 < 0 then begin
+    if Bytes.length t.index = 0 then t.index <- Bytes.make (2 * t.slots) '\000';
+    if t.count = t.cap then begin
+      Bytes.fill t.index 0 (Bytes.length t.index) '\000';
+      Array.fill t.tables 0 (Array.length t.tables) [||];
+      t.count <- 0
     end;
-    let e = !memo_count in
+    let e = t.count in
     let ci = e / chunk_entries in
-    if Array.length memo_chunks.(ci) = 0 then
-      memo_chunks.(ci) <- Array.make (chunk_entries * entry_ints) 0;
-    let c = memo_chunks.(ci) and o = e mod chunk_entries * entry_ints in
+    if Array.length t.chunks.(ci) = 0 then
+      t.chunks.(ci) <- Array.make (chunk_entries * entry_ints) 0;
+    let c = t.chunks.(ci) and o = e mod chunk_entries * entry_ints in
     c.(o) <- k0;
     c.(o + 1) <- k1;
     c.(o + 2) <- o0;
     c.(o + 3) <- o1;
     c.(o + 4) <- size;
+    Option.iter
+      (fun tb ->
+        if Array.length t.tables = 0 then t.tables <- Array.make t.cap [||];
+        t.tables.(e) <- tb)
+      table;
     let rec place s =
-      if Bytes.get_uint16_le !memo_index (2 * s) = 0 then
-        Bytes.set_uint16_le !memo_index (2 * s) (e + 1)
-      else place ((s + 1) land (index_slots - 1))
+      if Bytes.get_uint16_le t.index (2 * s) = 0 then Bytes.set_uint16_le t.index (2 * s) (e + 1)
+      else place ((s + 1) land (t.slots - 1))
     in
-    place (k0 land (index_slots - 1));
-    memo_count := e + 1;
-    Metric.bump memo_added
+    place (k0 land (t.slots - 1));
+    t.count <- e + 1;
+    Metric.bump t.added
   end
+
+(* Under [mu]. *)
+let memo_clear t =
+  t.index <- Bytes.empty;
+  Array.fill t.chunks 0 (Array.length t.chunks) [||];
+  t.tables <- [||];
+  t.count <- 0
+
+(* Under [mu]: heap bytes held, headers included. *)
+let memo_held t =
+  let words n = if n = 0 then 0 else 8 * (n + 1) in
+  let sum f a = Array.fold_left (fun b x -> b + f x) 0 a in
+  (8 * (Array.length t.chunks + 1))
+  + Bytes.length t.index
+  + sum (fun c -> words (Array.length c)) t.chunks
+  + words (Array.length t.tables)
+  + sum (fun tb -> words (Array.length tb)) t.tables
+
+let memo_entries () = Mutex.protect mu (fun () -> suffix.count)
+let engine_entries () = Mutex.protect mu (fun () -> inliners.count)
+let engine_bytes () = Mutex.protect mu (fun () -> memo_held inliners)
+let memo_bytes () = Mutex.protect mu (fun () -> memo_held suffix + memo_held inliners)
 
 let clear () =
   Mutex.protect mu (fun () ->
       Hashtbl.reset roots;
       total_nodes := 0;
       total_bytes := 0;
-      memo_index := Bytes.empty;
-      Array.fill memo_chunks 0 (Array.length memo_chunks) [||];
-      memo_count := 0)
+      memo_clear suffix;
+      memo_clear inliners)
 
 let nodes () = Mutex.protect mu (fun () -> !total_nodes)
 let bytes () = Mutex.protect mu (fun () -> !total_bytes)
@@ -262,8 +348,9 @@ let key (cfg : Machine.config) (platform : Platform.t) ~iterations facts =
 (* A query's memo chain: the plan's last inliner-kind item, and for each
    enabled item after it its index and a key buffer — the MD5 of the
    program digest and the item's canonical text, then room for an input
-   digest. *)
-type chain = { last : int; items : (int * Bytes.t) array }
+   digest — and, when the walk can derive the plan's inliner block
+   ([Pipeline.inliner_span]), the block's first item. *)
+type chain = { first : int option; last : int; items : (int * Bytes.t) array }
 
 let chain_of facts (plan : Plan.t) =
   Option.map
@@ -279,7 +366,11 @@ let chain_of facts (plan : Plan.t) =
             items := (j, buf) :: !items
           end)
         plan.Plan.items;
-      { last; items = Array.of_list (List.rev !items) })
+      {
+        first = Option.map fst (Pipeline.inliner_span plan);
+        last;
+        items = Array.of_list (List.rev !items);
+      })
     (Pipeline.context_free_suffix plan)
 
 (* The memo key of chain item [buf] on an input method of digest [d]. *)
@@ -288,8 +379,139 @@ let memo_key buf (d0, d1) =
   Bytes.set_int64_le buf 24 (Int64.of_int d1);
   ints_of_digest (Digest.bytes buf)
 
+(* A method entering an inliner, as a derived walk knows it: its digest,
+   its size and its root call-site table. *)
+type input = { d : int * int; size : int; table : int array }
+
+let describe m = { d = method_digest m; size = Size.of_method m; table = Engine.callees m }
+
+(* [describe] of each original method's constprop'd form
+   ([Pass.constprop_original]), filled on first use outside [mu]: domains
+   racing on a slot store equal descriptions. *)
+let constprop_inputs =
+  Facts.key ~name:"traj_inputs" (fun f -> Array.make (Array.length (Facts.sizes f)) None)
+
+(* What one lookup reads of its program, and the buffer its inliner-memo
+   keys are built in: the program digest, an input digest, then one
+   '1'/'0' per decided site. *)
+type query = {
+  prog : Ir.program;
+  facts : Facts.t;
+  chain : chain option;
+  bodies : Engine.call_sites;
+  inputs : input option array;
+  mutable buf : Bytes.t;
+  mutable len : int;
+  mutable ones : int;
+}
+
+let query cfg prog =
+  let facts = Facts.of_program prog in
+  let buf = Bytes.create 128 in
+  Bytes.blit_string (Digest.from_hex (Facts.digest facts)) 0 buf 0 16;
+  {
+    prog;
+    facts;
+    chain = chain_of facts (Machine.optimizing_plan cfg);
+    bodies = Engine.bodies facts;
+    inputs = Facts.get facts constprop_inputs;
+    buf;
+    len = 0;
+    ones = 0;
+  }
+
+(* The method the items before the first inliner made of [m0]'s original:
+   from the fact table when it is the constprop'd original, else
+   described here. *)
+let first_input q (m0 : Ir.methd) =
+  let mid = m0.Ir.mid in
+  if fst (Pass.constprop_original q.facts mid) != m0 then describe m0
+  else
+    match q.inputs.(mid) with
+    | Some i -> i
+    | None ->
+      let i = describe m0 in
+      q.inputs.(mid) <- Some i;
+      i
+
+let push_bit q accept =
+  if q.len = Bytes.length q.buf then q.buf <- Bytes.extend q.buf 0 q.len;
+  Bytes.unsafe_set q.buf q.len (if accept then '1' else '0');
+  q.len <- q.len + 1;
+  if accept then q.ones <- q.ones + 1
+
+(* Engine run [e] decided on input [inp] of method [mid]: its effective
+   accept bits behind [inp]'s digest in the query's buffer.  Whether it
+   accepts a site. *)
+let decide q (e : Pass.engine_run) mid inp =
+  Bytes.set_int64_le q.buf 16 (Int64.of_int (fst inp.d));
+  Bytes.set_int64_le q.buf 24 (Int64.of_int (snd inp.d));
+  q.len <- 32;
+  q.ones <- 0;
+  Engine.walk_from ~bodies:q.bodies ~callees:inp.table ~size:inp.size ?hot_site:e.Pass.hot_site
+    ~policy:e.Pass.policy mid (push_bit q);
+  q.ones > 0
+
+let engine_key q = ints_of_digest (Digest.subbytes q.buf 0 q.len)
+
+(* Items [j, ch.last] of the inliner block on input [inp], from the
+   inliner memo: the input after the block, or the item it could not
+   answer with that item's input and key.  One lock per lookup; the keys
+   are built outside it. *)
+let rec derive q ch p0 mid j inp =
+  if j > ch.last then Ok inp
+  else
+    match Pipeline.engine_at p0 j ~root_size:inp.size with
+    | None -> derive q ch p0 mid (j + 1) inp
+    | Some e when not (decide q e mid inp) -> derive q ch p0 mid (j + 1) inp
+    | Some _ -> (
+      let ((k0, k1) as k) = engine_key q in
+      match
+        Mutex.protect mu (fun () ->
+            match memo_find inliners k0 k1 with
+            | -1 -> None
+            | e ->
+              Some
+                {
+                  d = (memo_field inliners e 2, memo_field inliners e 3);
+                  size = memo_field inliners e 4;
+                  table = inliners.tables.(e);
+                })
+      with
+      | Some out -> derive q ch p0 mid (j + 1) out
+      | None -> Error (j, inp, k))
+
+(* Item [j], which [derive] could not answer on [inp] under key [k], and
+   every later item of the block, run for real from the prefix [p0]: the
+   items before [j] run without hashing, and each engine run that accepts
+   a site is digested and added to the memo.  The run after the block and
+   the digest of its method. *)
+let run_block q ch p0 mid j inp k =
+  let p = ref (Pipeline.run_until p0 j) and inp = ref inp and added = ref [] in
+  for i = j to ch.last do
+    let key =
+      if i = j then Some k
+      else
+        match Pipeline.engine_at !p i ~root_size:!inp.size with
+        | Some e when decide q e mid !inp -> Some (engine_key q)
+        | Some _ | None -> None
+    in
+    let before = Pipeline.current !p in
+    p := Pipeline.run_until !p (i + 1);
+    let m = Pipeline.current !p in
+    if m != before then begin
+      let out = describe m in
+      Option.iter (fun key -> added := (key, out) :: !added) key;
+      inp := out
+    end
+  done;
+  Mutex.protect mu (fun () ->
+      List.iter (fun (k, o) -> memo_add inliners ~table:o.table k o.d o.size) (List.rev !added));
+  (!p, !inp.d)
+
 (* A node a walk passed: its full pipeline output, or — when the memo
-   served the chain — the run as it stood after the last inliner. *)
+   served the chain — the run as the walk kept it (after the last
+   inliner, or before the first when the walk derived the block). *)
 type passed = Output of (Ir.methd * Pipeline.stats) | Front of Pipeline.partial
 
 let complete = function
@@ -307,9 +529,9 @@ let rec follow ch i d size =
     let k0, k1 = memo_key (snd ch.items.(i)) d in
     match
       Mutex.protect mu (fun () ->
-          match memo_find k0 k1 with
+          match memo_find suffix k0 k1 with
           | -1 -> None
-          | e -> Some ((memo_field e 2, memo_field e 3), memo_field e 4))
+          | e -> Some ((memo_field suffix e 2, memo_field suffix e 3), memo_field suffix e 4))
     with
     | None -> (i, d, size)
     | Some (d', size') -> follow ch (i + 1) d' size'
@@ -327,33 +549,72 @@ let run_chain_from ch front i d =
     d := method_digest m;
     added := (key, !d, Size.of_method m) :: !added
   done;
-  Mutex.protect mu (fun () -> List.iter (fun (k, d, size) -> memo_add k d size) (List.rev !added));
+  Mutex.protect mu (fun () ->
+      List.iter (fun (k, d, size) -> memo_add suffix k d size) (List.rev !added));
   let m, stats, _ = Pipeline.finish !p in
   ((m, stats), !d)
 
-(* One node's edge, and what the walk keeps of it.  Without a chain the
-   pipeline runs whole; with one it runs through the last inliner, and the
-   memo answers for the rest when it can. *)
-let walk_edge prog config chain mid =
-  let m = prog.Ir.methods.(mid) in
-  match chain with
+(* A front a walk holds: the run through the last inliner, or the run
+   before the first one, whose block the inliner memo answered. *)
+type front = Ran of Pipeline.partial | Derived of Pipeline.partial
+
+(* The run through the last inliner, the digest of its method and its
+   [size_peak].  A plan whose inliner block the walk can derive runs the
+   items before the block, then asks the inliner memo for each item of
+   the block, and runs the block only at the first item the memo cannot
+   answer. *)
+let walk_front q ch config mid =
+  let m = q.prog.Ir.methods.(mid) in
+  let start () = Pipeline.start q.prog config m in
+  match ch.first with
   | None ->
-    let out = Prof.span "fitness.traj_front" (fun () -> Pipeline.run prog config m) in
+    Prof.span "fitness.traj_front" (fun () ->
+        let front = Pipeline.run_until (start ()) (ch.last + 1) in
+        (Ran front, method_digest (Pipeline.current front), Pipeline.peak front))
+  | Some first -> (
+    let p0, derived =
+      Prof.span "fitness.traj_engine" (fun () ->
+          let p0 = Pipeline.run_until (start ()) first in
+          let inp = first_input q (Pipeline.current p0) in
+          (p0, derive q ch p0 mid first inp))
+    in
+    match derived with
+    | Ok out ->
+      Metric.bump engine_hits;
+      (Derived p0, out.d, out.size)
+    | Error (j, inp, k) ->
+      Metric.bump engine_misses;
+      Prof.span "fitness.traj_front" (fun () ->
+          let front, d = run_block q ch p0 mid j inp k in
+          (Ran front, d, Pipeline.peak front)))
+
+(* One node's edge, and what the walk keeps of it.  Without a chain the
+   pipeline runs whole; with one the walk takes the front through the
+   last inliner ([walk_front]), and the memo answers for the rest when it
+   can. *)
+let walk_edge q config mid =
+  match q.chain with
+  | None ->
+    let out =
+      Prof.span "fitness.traj_front" (fun () -> Pipeline.run q.prog config q.prog.Ir.methods.(mid))
+    in
     (Output out, output_digest out)
   | Some ch ->
-    let front, d =
-      Prof.span "fitness.traj_front" (fun () ->
-          let front = Pipeline.run_until (Pipeline.start prog config m) (ch.last + 1) in
-          (front, method_digest (Pipeline.current front)))
-    in
-    let size_peak = Pipeline.peak front in
+    let front, d, size_peak = walk_front q ch config mid in
     Prof.span "fitness.traj_chain" (fun () ->
         match follow ch 0 d size_peak with
         | i, d, size_after when i = Array.length ch.items ->
           Metric.bump chain_hits;
-          (Front front, edge d ~size_peak ~size_after)
+          let (Ran p | Derived p) = front in
+          (Front p, edge d ~size_peak ~size_after)
         | i, d, _ ->
           Metric.bump chain_misses;
+          let front =
+            match front with
+            | Ran p -> p
+            | Derived p0 ->
+              Prof.span "fitness.traj_front" (fun () -> Pipeline.run_until p0 (ch.last + 1))
+          in
           let ((_, stats) as out), d = run_chain_from ch front i d in
           (Output out, edge d ~size_peak ~size_after:stats.Pipeline.size_after))
 
@@ -378,9 +639,9 @@ let next_tick () =
   !tick
 
 let find (cfg : Machine.config) platform ~iterations ~decider prog =
-  let facts = Facts.of_program prog in
+  let q = query cfg prog in
+  let facts = q.facts in
   let k = key cfg platform ~iterations facts in
-  let chain = chain_of facts (Machine.optimizing_plan cfg) in
   let root =
     Mutex.protect mu (fun () ->
         let r = Hashtbl.find_opt roots k in
@@ -405,7 +666,7 @@ let find (cfg : Machine.config) platform ~iterations ~decider prog =
       let config =
         Machine.pipeline_config cfg platform facts decider (Machine.node_view facts n.packed)
       in
-      let here, digest = walk_edge prog config chain n.packed.(0) in
+      let here, digest = walk_edge q config n.packed.(0) in
       match Mutex.protect mu (fun () -> find_kid n digest) with
       | Some kid -> walk (here :: passed) kid.next
       | None -> miss (here :: passed) (Some (n, digest)))
@@ -413,9 +674,11 @@ let find (cfg : Machine.config) platform ~iterations ~decider prog =
   match root with Some r -> walk [] r.trie | None -> miss [] None
 
 let node_edge (cfg : Machine.config) platform ~decider prog packed =
-  let facts = Facts.of_program prog in
-  let config = Machine.pipeline_config cfg platform facts decider (Machine.node_view facts packed) in
-  snd (walk_edge prog config (chain_of facts (Machine.optimizing_plan cfg)) packed.(0))
+  let q = query cfg prog in
+  let config =
+    Machine.pipeline_config cfg platform q.facts decider (Machine.node_view q.facts packed)
+  in
+  snd (walk_edge q config packed.(0))
 
 (* A path not yet stored, from (node, output digest) pairs and the leaf,
    with its size in bytes and nodes. *)

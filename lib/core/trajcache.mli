@@ -15,13 +15,22 @@ open Inltune_vm
     simulation would return (the implementation header carries the
     induction).
 
-    Computing an edge runs the plan through its last inliner-kind item for
-    real.  When every enabled item after it is context-free
-    ({!Inltune_opt.Pipeline.context_free_suffix}), a memo keyed on
+    Computing an edge needs the method after the plan's last inliner-kind
+    item.  When the plan's inliner items form one block
+    ({!Inltune_opt.Pipeline.inliner_span}), a walk runs only the items
+    before the block, and an inliner memo keyed on (program, input-method
+    digest, effective accept bits) gives each engine run's output digest,
+    size and root call-site table from a decision walk
+    ({!Inltune_opt.Engine.walk_from}), so a node whose every inliner the
+    memo answers builds no IR past the prefix.  A miss runs the block for
+    real once, adding an entry per engine run that accepted a site.  Other
+    plans run through the last inliner for real.  When every enabled item
+    after it is context-free
+    ({!Inltune_opt.Pipeline.context_free_suffix}), a suffix memo keyed on
     (program, input-method digest, canonical item text) gives each later
     item's output digest and size, and a node whose every item the memo
-    answers runs no payoff pass.  A memo miss runs the rest of the plan
-    once, adding an entry per item.
+    answers runs no payoff pass.  A suffix-memo miss runs the rest of the
+    plan once, adding an entry per item.
 
     The caller ({!Measure.run_decider}) consults it after a fitness-cache
     miss, for deciders that read no live profile, under [Adapt]/[Ladder]
@@ -31,18 +40,28 @@ open Inltune_vm
     last-walk stamp, which {!find} sets, and a generation drawn from a
     counter that never resets.  An insert that does not fit evicts whole
     roots, least recently walked first, never the root it grows; one that
-    would not fit even then is dropped.  The memo holds at most
-    {!memo_cap} entries and starts over empty when full.
+    would not fit even then is dropped.  The suffix memo holds at most
+    {!memo_cap} entries and the inliner memo at most {!engine_cap}; each
+    starts over empty when full.
 
     Counters: ["fitness.traj_hits"], ["fitness.traj_misses"], the nodes
     and bytes inserts admitted (["fitness.traj_nodes"],
     ["fitness.traj_bytes"]: once roots are evicted these exceed what is
     resident, which {!nodes} and {!bytes} report), roots evicted
     (["fitness.traj_evictions"], also the calls of the
-    ["fitness.traj_evict"] profiler span), node visits the memo served
-    whole or not (["fitness.traj_chain_hits"],
+    ["fitness.traj_evict"] profiler span), node visits the suffix memo
+    served whole or not (["fitness.traj_chain_hits"],
     ["fitness.traj_chain_misses"]; a plan the memo cannot serve counts in
-    neither) and memo entries added (["fitness.traj_memo_entries"]). *)
+    neither) and its entries added (["fitness.traj_memo_entries"]), and
+    the same three for the inliner memo: fronts derived whole
+    (["fitness.traj_engine_hits"]), fronts whose block a miss ran for real
+    (["fitness.traj_engine_misses"]) and entries added
+    (["fitness.traj_engine_entries"]).  Profiler spans under
+    ["fitness.trajectory"]: ["fitness.traj_engine"] (the items before the
+    block, decision walks and inliner-memo lookups),
+    ["fitness.traj_front"] (fronts that ran for real, only) and
+    ["fitness.traj_chain"] (suffix-memo lookups and the items a miss
+    runs). *)
 
 (** The fixed memory budget of the tries: 512 KiB. *)
 val budget_bytes : int
@@ -65,9 +84,10 @@ val find :
 
 (** The outputs to hand to the miss's simulation
     ([Runner.measure ~precomputed]).  The first call completes each node
-    the memo served by running only the items after its last inliner on
-    the method the walk kept, so with the walk no pipeline item runs twice
-    for one node. *)
+    a memo served by running only the items the walk did not run on the
+    run it kept — those after the last inliner, or, for a derived front,
+    those after the items before the inliner block — so with the walk no
+    pipeline item runs twice for one node. *)
 val outputs : miss -> (Ir.methd * Pipeline.stats) list
 
 (** [insert miss recorded m] stores the simulated path: [recorded] is what
@@ -103,15 +123,26 @@ val with_budget : int -> (unit -> 'a) -> 'a
     index.  A full memo empties itself before its next entry. *)
 val memo_cap : int
 
-(** Memo entries and heap bytes currently held. *)
+(** Suffix-memo entries currently held. *)
 val memo_entries : unit -> int
 
+(** Heap bytes both memos hold now: the suffix memo and the inliner memo. *)
 val memo_bytes : unit -> int
+
+(** The inliner memo's fixed cap: 1,024 entries of five ints and a
+    call-site table each, plus a 4 KiB index.  A full memo empties itself
+    before its next entry. *)
+val engine_cap : int
+
+(** Inliner-memo entries and heap bytes (tables included) held now. *)
+val engine_entries : unit -> int
+
+val engine_bytes : unit -> int
 
 (** [node_edge config platform ~decider program node]: the edge a walk
     computes at a stored [node] (a {!Inltune_vm.Machine.recompile} node of
     [program]) for a query under [config] with [decider], through the
-    memo as a walk does (adding its entries on a memo miss).  It equals
+    memos as a walk does (adding their entries on a miss).  It equals
     {!output_digest} of a whole {!Inltune_opt.Pipeline.run} at that node;
     the tests check this. *)
 val node_edge :

@@ -25,10 +25,12 @@ open Inltune_jir
    a strategy whose budget is spent), so the root's sites are decided
    before any block is built, and such a run returns its input.
 
-   [walk] is the decision-procedure-only twin of [run]: over per-program
+   [walk_from] is the decision-procedure-only twin of [run]: over
    call-site tables it visits call sites in exactly the order [run] decides
-   them and records the effective accept bits without building any IR — the
-   semantic cache key Fitcache relies on. *)
+   them, hot flags included, and reports the effective accept bits without
+   building any IR.  [run]'s output is a function of its input method and
+   those bits, which makes them a cache key: Fitcache's [w:] signatures
+   ([walk]) and the trajectory cache's inliner memo both key on them. *)
 
 module Vec = Inltune_support.Vec
 module Trace = Inltune_obs.Trace
@@ -287,7 +289,7 @@ let decide_root ctx m =
   | () -> None
   | exception Accepted -> Some (List.rev !decided)
 
-let run ?hot_site ?decisions ?facts ~program ~policy m =
+let run ?hot_site ?decisions ?facts ?size ~program ~policy m =
   let facts = match facts with Some f -> f | None -> Facts.of_program program in
   if Facts.program facts != program then invalid_arg "Engine.run: facts of another program";
   let sizes = Facts.sizes facts in
@@ -299,7 +301,7 @@ let run ?hot_site ?decisions ?facts ~program ~policy m =
       callee_size = Array.get sizes;
       out = Vec.create ();
       nregs = m.Ir.nregs;
-      size = Size.of_method m;
+      size = (match size with Some s -> s | None -> Size.of_method m);
       cur = 0;
       stats = fresh_stats ();
       log = decisions;
@@ -362,32 +364,32 @@ let bodies_key =
 
 let bodies facts = Facts.get facts bodies_key
 
-(* Decision-procedure-only walk over call-site tables: visit call sites in
-   exactly the order [run] would and record each policy-decided site's
-   effective accept bit ('1'/'0'), without building any output IR.  The
-   traversal mirrors the transformation precisely — the root's sites come
-   from [roots], accepted callees are descended into depth-first with their
-   original bodies' sites from [bodies], the expanded-size accumulator
-   starts at the root's size and grows by the callee's [bodies] size on
-   acceptance, the recursion guard skips chained callees (their outcome is
-   policy-independent, so they contribute no bit), and [max_expanded_size]
-   turns policy acceptances into rejections the same way [decide] does.
-   Sites are never hot: no walk models a profile.
+(* Decision-procedure-only walk: visit call sites in exactly the order
+   [run] would and report each policy-decided site's effective accept bit
+   to [emit], without building any output IR.  The traversal mirrors the
+   transformation precisely — the root's sites are [callees] (owned by
+   [mid], as every root site of [run]'s input is, whatever earlier engine
+   runs inlined into it), accepted callees are descended into depth-first
+   with their original bodies' sites from [bodies], the expanded-size
+   accumulator starts at the root's [size] and grows by the callee's
+   [bodies] size on acceptance, the recursion guard skips chained callees
+   (their outcome is policy-independent, so they contribute no bit),
+   [hot_site] sets each decided site's hot flag as [decide] does, and
+   [max_expanded_size] turns policy acceptances into rejections the same
+   way.
 
-   The resulting bit string fully determines the transformed method: the
-   emitted code depends only on which sites are expanded, so two policies
-   with equal plans over a program compile it identically.  That makes the
-   plan a sound semantic key for fitness caching (Fitcache).  The tables
-   are built once per program, so a walk costs one policy query per
-   visited site and nothing per instruction. *)
-let walk ~bodies ~roots ~policy mid =
-  let buf = Buffer.create 16 in
-  let size = ref roots.sizes.(mid) in
+   The bits fully determine the transformed method: the emitted code
+   depends only on which sites are expanded.  The tables are built once
+   per program, so a walk costs one policy query per visited site and
+   nothing per instruction. *)
+let walk_from ~bodies ~callees ~size ?hot_site ~policy mid emit =
+  let size = ref size in
   let rec visit ~owner ~depth ~chain calls =
     Array.iter
       (fun callee ->
         if not (List.mem callee chain) then begin
           let cs = bodies.sizes.(callee) in
+          let hot = match hot_site with Some f -> f ~site_owner:owner ~callee | None -> false in
           let verdict =
             policy.Policy.decide
               {
@@ -396,11 +398,11 @@ let walk ~bodies ~roots ~policy mid =
                 callee_size = cs;
                 inline_depth = depth + 1;
                 caller_size = !size;
-                hot = false;
+                hot;
               }
           in
           let accept = verdict.Policy.accept && !size + cs <= max_expanded_size in
-          Buffer.add_char buf (if accept then '1' else '0');
+          emit accept;
           if accept then begin
             size := !size + cs;
             visit ~owner:callee ~depth:(depth + 1) ~chain:(callee :: chain)
@@ -409,5 +411,12 @@ let walk ~bodies ~roots ~policy mid =
         end)
       calls
   in
-  visit ~owner:mid ~depth:0 ~chain:[ mid ] roots.callees.(mid);
+  visit ~owner:mid ~depth:0 ~chain:[ mid ] callees
+
+(* The walk behind Fitcache's [w:] signatures: no site is hot, the bits as
+   '1'/'0'. *)
+let walk ~bodies ~roots ~policy mid =
+  let buf = Buffer.create 16 in
+  walk_from ~bodies ~callees:roots.callees.(mid) ~size:roots.sizes.(mid) ~policy mid (fun a ->
+      Buffer.add_char buf (if a then '1' else '0'));
   Buffer.contents buf

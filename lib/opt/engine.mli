@@ -49,7 +49,9 @@ val max_expanded_size : int
     {!decision} record per examined call site; independently, every decision
     is emitted as an "inline.decision" trace event when tracing is
     enabled.  Callee sizes come from [facts], the program's
-    {!Inltune_jir.Facts} entry, looked up when not given.
+    {!Inltune_jir.Facts} entry, looked up when not given; [size], when
+    given, must be [Size.of_method m] (a caller that has it saves the
+    engine computing it).
 
     [m]'s own call sites are decided first, in order, until one is
     accepted (the recursion guard and {!max_expanded_size} apply as
@@ -58,11 +60,17 @@ val max_expanded_size : int
     ["engine.zero_accept"] counter counts the run.  Otherwise the output
     is built replaying those verdicts.  Either way every site is put to
     the policy exactly once, and the records and events come in decision
-    order.  [run] never modifies [m] or the program. *)
+    order.  [run] never modifies [m] or the program.
+
+    The output is a function of the program, [m] and the effective accept
+    bits {!walk_from} reports for [m] under the same policy and [hot_site]:
+    the policy and the profile reach the code only through those verdicts,
+    and the recursion guard and {!max_expanded_size} act alike in both. *)
 val run :
   ?hot_site:(site_owner:Ir.mid -> callee:Ir.mid -> bool) ->
   ?decisions:decision Inltune_support.Vec.t ->
   ?facts:Facts.t ->
+  ?size:int ->
   program:Ir.program ->
   policy:Policy.t ->
   Ir.methd ->
@@ -80,19 +88,41 @@ type call_sites = {
 (** [call_sites methods] tabulates [methods] (indexed by method id). *)
 val call_sites : Ir.methd array -> call_sites
 
+(** The callee ids of one method's [Call] instructions, in block, then
+    instruction, order: its entry in {!call_sites}. *)
+val callees : Ir.methd -> int array
+
 (** The call-site tables of the program's own methods, built once per
     program ({!Inltune_jir.Facts}); [sizes] is {!Inltune_jir.Facts.sizes}. *)
 val bodies : Facts.t -> call_sites
 
-(** [walk ~bodies ~roots ~policy mid] runs only the decision procedure for
-    method [mid] — no code is built, nothing is executed — and returns its
-    inlining plan: one '1'/'0' per policy-decided call site, in the exact
-    order {!run} decides them when it transforms the method [roots]
-    describes against a program whose original methods [bodies] describes
-    (the root's sites and starting size come from [roots]; accepted callees
-    are descended into depth-first through [bodies]; recursion-guarded sites
-    are policy-independent and contribute no bit; {!max_expanded_size}
-    overrides acceptances the same way).  No site is hot.  The plan fully
-    determines the transformed code, so equal plans imply identical
-    compilation — the semantic cache key fitness caching relies on. *)
+(** [walk_from ~bodies ~callees ~size ?hot_site ~policy mid emit] runs only
+    the decision procedure of {!run} on a method [mid] whose root call
+    sites are [callees] (its {!callees} table) and whose size is [size]
+    ({!Size.of_method}) — no code is built, nothing is executed — against a
+    program whose original methods [bodies] describes.  It calls [emit]
+    once per policy-decided call site with the effective verdict, in the
+    exact order {!run} decides them: accepted callees are descended into
+    depth-first through [bodies]; recursion-guarded sites are
+    policy-independent and contribute no bit; [hot_site] sets the
+    {!Policy.site.hot} flag as in {!run} (no site is hot without it);
+    {!max_expanded_size} overrides acceptances the same way.  The method
+    may be an original one or the output of earlier engine runs and
+    passes: every root site is owned by [mid] either way.  The bits fully
+    determine {!run}'s output.  Exceptions from [hot_site] and the policy
+    propagate. *)
+val walk_from :
+  bodies:call_sites ->
+  callees:int array ->
+  size:int ->
+  ?hot_site:(site_owner:Ir.mid -> callee:Ir.mid -> bool) ->
+  policy:Policy.t ->
+  Ir.mid ->
+  (bool -> unit) ->
+  unit
+
+(** [walk ~bodies ~roots ~policy mid] is {!walk_from} over [roots]' entry for
+    [mid], no site hot, with the bits as a '1'/'0' string: the inlining plan
+    behind the fitness cache's [w:] signatures.  Equal plans imply
+    identical compilation. *)
 val walk : bodies:call_sites -> roots:call_sites -> policy:Policy.t -> Ir.mid -> string

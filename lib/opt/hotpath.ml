@@ -15,7 +15,10 @@ open Inltune_jir
    Decisions read the live profile, so the strategy is *not* static:
    Fitcache cannot walk it and falls back to plan-digest isolation (the
    knobs are part of the plan text, and the profile trajectory is
-   deterministic given the plan and heuristic — see fitcache.ml). *)
+   deterministic given the plan and heuristic — see fitcache.ml).  Given a
+   fixed window (a trajectory-cache node's), though, its verdicts read
+   only the site record, the window and the root's size, so a decision
+   walk under that window ({!Engine.walk_from}) is exact. *)
 
 (* What the strategy is allowed to see of the live profile. *)
 type view = {
@@ -23,11 +26,11 @@ type view = {
   total_calls : unit -> int;
 }
 
-(* [policy ~hot_permille ~budget view root] accepts a site iff its call
-   edge carries at least [hot_permille] per-mille of all recorded calls and
-   the expansion over [root] stays within [budget]. *)
-let policy ~hot_permille ~budget view root =
-  let root_size = Size.of_method root in
+(* [policy ~hot_permille ~budget view ~root_size] accepts a site iff its
+   call edge carries at least [hot_permille] per-mille of all recorded
+   calls and the expansion over a root of [root_size] stays within
+   [budget]. *)
+let policy ~hot_permille ~budget view ~root_size =
   Policy.of_predicate
     ~name:"hotpath" ~accept_rule:"hot_path" ~reject_rule:"cold_path" (fun s ->
       let total = view.total_calls () in

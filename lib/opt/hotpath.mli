@@ -12,8 +12,11 @@ type view = {
   total_calls : unit -> int;
 }
 
-(** [policy ~hot_permille ~budget view root] accepts a call site iff its
-    edge carries at least [hot_permille] ‰ of all recorded calls and the
-    expansion over [root]'s own size stays within [budget].  Not static —
-    decisions read the live profile. *)
-val policy : hot_permille:int -> budget:int -> view -> Ir.methd -> Policy.t
+(** [policy ~hot_permille ~budget view ~root_size] accepts a call site iff
+    its edge carries at least [hot_permille] ‰ of all recorded calls and
+    the expansion over a root of [root_size] ({!Inltune_jir.Size.of_method}
+    of the method the engine runs on — the pass's input) stays within
+    [budget].  Not static — decisions read the live profile through
+    [view]; under a fixed [view] they read nothing else but the site
+    record and [root_size], so {!Engine.walk_from} over it is exact. *)
+val policy : hot_permille:int -> budget:int -> view -> root_size:int -> Policy.t

@@ -75,6 +75,13 @@ type ctx = {
       (* adaptive scenario: live call-edge counts for the hot-path strategy *)
 }
 
+(* The engine run an inliner-kind pass makes: its policy and the hot-site
+   predicate it hands {!Engine.run}. *)
+type engine_run = {
+  policy : Policy.t;
+  hot_site : (site_owner:Ir.mid -> callee:Ir.mid -> bool) option;
+}
+
 type t = {
   name : string;
   knobs : knob list;
@@ -86,6 +93,9 @@ type t = {
          function of the program, the input method and the knobs.  Read
          only for passes after a plan's last inliner-kind item, so the
          inliners' values are never consulted *)
+  engine : (Facts.t -> ctx -> knob:(string -> int) -> root_size:int -> engine_run option) option;
+      (* an inliner-kind pass: the engine run it makes on a method of
+         [root_size], [None] when it makes none; [run] is that run *)
   run :
     ?facts:Facts.t -> Ir.program -> ctx -> knob:(string -> int) -> Ir.methd -> Ir.methd * delta;
       (* [knob] resolves this instance's declared knobs (plan value or
@@ -102,6 +112,7 @@ let guarded_devirt =
     knobs = [];
     applicable = (fun ctx -> ctx.devirt_oracle <> None);
     context_free = false;
+    engine = None;
     run =
       (fun ?facts:_ program ctx ~knob:_ m ->
         match ctx.devirt_oracle with
@@ -129,6 +140,7 @@ let constprop =
     knobs = [ iters_knob ];
     applicable = always_applicable;
     context_free = true;
+    engine = None;
     run = (fun ?facts:_ program _ ~knob:_ m -> run_constprop program m);
   }
 
@@ -159,24 +171,36 @@ let inline_delta (s : Engine.stats) =
     d_hot_sites_inlined = s.Engine.hot_sites_inlined;
   }
 
-let inline =
+(* An inliner-kind pass: [build] gives the engine run and [run] makes it,
+   so a decision walk asking [engine] for the policy gets the very one the
+   pass runs with. *)
+let inliner ~name ~knobs ~applicable ~context_free build =
   {
-    name = "inline";
-    knobs = [];
-    applicable = always_applicable;
-    context_free = false;
+    name;
+    knobs;
+    applicable;
+    context_free;
+    engine = Some build;
     run =
-      (fun ?facts program ctx ~knob:_ m ->
-        let m, s =
-          match ctx.decider with
-          | Decider.Custom decide -> Engine.run ?facts ~program ~policy:(Policy.of_custom decide) m
-          | Decider.Policy policy -> Engine.run ?hot_site:ctx.hot_site ?facts ~program ~policy m
-          | Decider.Heuristic heuristic ->
-            Engine.run ?hot_site:ctx.hot_site ?facts ~program
-              ~policy:(Policy.of_heuristic heuristic) m
-        in
-        (m, inline_delta s));
+      (fun ?facts program ctx ~knob m ->
+        let facts = match facts with Some f -> f | None -> Facts.of_program program in
+        let size = Size.of_method m in
+        match build facts ctx ~knob ~root_size:size with
+        | None -> (m, zero_delta)
+        | Some e ->
+          let m, s = Engine.run ?hot_site:e.hot_site ~facts ~size ~program ~policy:e.policy m in
+          (m, inline_delta s));
   }
+
+let inline =
+  inliner ~name:"inline" ~knobs:[] ~applicable:always_applicable ~context_free:false
+    (fun _ ctx ~knob:_ ~root_size:_ ->
+      Some
+        (match ctx.decider with
+        | Decider.Custom decide -> { policy = Policy.of_custom decide; hot_site = None }
+        | Decider.Policy policy -> { policy; hot_site = ctx.hot_site }
+        | Decider.Heuristic heuristic ->
+          { policy = Policy.of_heuristic heuristic; hot_site = ctx.hot_site }))
 
 (* --- alternative inlining strategies ------------------------------------ *)
 
@@ -185,62 +209,55 @@ let inline =
    property Fitcache's signature soundness arguments lean on. *)
 
 let inline_leaves =
-  {
-    name = "inline_leaves";
-    knobs =
+  inliner ~name:"inline_leaves"
+    ~knobs:
       [
         { k_name = "leaf_size"; k_lo = 1; k_hi = 60; k_default = 12 };
         { k_name = "rounds"; k_lo = 1; k_hi = 5; k_default = 2 };
-      ];
-    applicable = always_applicable;
-    context_free = true;
-    run =
-      (fun ?facts program _ ~knob m ->
-        let facts = match facts with Some f -> f | None -> Facts.of_program program in
-        let policy = Leaves.policy ~leaf_size:(knob "leaf_size") ~rounds:(knob "rounds") facts in
-        let m, s = Engine.run ~facts ~program ~policy m in
-        (m, inline_delta s));
-  }
+      ]
+    ~applicable:always_applicable ~context_free:true
+    (fun facts _ ~knob ~root_size:_ ->
+      Some
+        {
+          policy = Leaves.policy ~leaf_size:(knob "leaf_size") ~rounds:(knob "rounds") facts;
+          hot_site = None;
+        })
 
 let inline_hot =
-  {
-    name = "inline_hot";
-    knobs =
+  inliner ~name:"inline_hot"
+    ~knobs:
       [
         { k_name = "hot_permille"; k_lo = 1; k_hi = 500; k_default = 50 };
         { k_name = "budget"; k_lo = 16; k_hi = 4096; k_default = 512 };
-      ];
+      ]
     (* No profile, no hot paths: structurally skipped under [Opt]. *)
-    applicable = (fun ctx -> ctx.profile <> None);
-    context_free = false;
-    run =
-      (fun ?facts program ctx ~knob m ->
-        match ctx.profile with
-        | None -> (m, zero_delta)
-        | Some view ->
-          let policy =
-            Hotpath.policy ~hot_permille:(knob "hot_permille") ~budget:(knob "budget") view m
-          in
-          let m, s = Engine.run ?facts ~program ~policy m in
-          (m, inline_delta s));
-  }
+    ~applicable:(fun ctx -> ctx.profile <> None)
+    ~context_free:false
+    (fun _ ctx ~knob ~root_size ->
+      Option.map
+        (fun view ->
+          {
+            policy =
+              Hotpath.policy ~hot_permille:(knob "hot_permille") ~budget:(knob "budget") view
+                ~root_size;
+            hot_site = None;
+          })
+        ctx.profile)
 
 let inline_region =
-  {
-    name = "inline_region";
-    knobs =
+  inliner ~name:"inline_region"
+    ~knobs:
       [
         { k_name = "budget"; k_lo = 16; k_hi = 4096; k_default = 512 };
         { k_name = "depth"; k_lo = 1; k_hi = 12; k_default = 6 };
-      ];
-    applicable = always_applicable;
-    context_free = true;
-    run =
-      (fun ?facts program _ ~knob m ->
-        let policy = Region.policy ~budget:(knob "budget") ~depth:(knob "depth") m in
-        let m, s = Engine.run ?facts ~program ~policy m in
-        (m, inline_delta s));
-  }
+      ]
+    ~applicable:always_applicable ~context_free:true
+    (fun _ _ ~knob ~root_size ->
+      Some
+        {
+          policy = Region.policy ~budget:(knob "budget") ~depth:(knob "depth") ~root_size;
+          hot_site = None;
+        })
 
 let cse =
   {
@@ -248,6 +265,7 @@ let cse =
     knobs = [ iters_knob ];
     applicable = always_applicable;
     context_free = true;
+    engine = None;
     run =
       (fun ?facts:_ _ _ ~knob:_ m ->
         let m, n = Cse.run m in
@@ -260,6 +278,7 @@ let copyprop =
     knobs = [ iters_knob ];
     applicable = always_applicable;
     context_free = true;
+    engine = None;
     run =
       (fun ?facts:_ _ _ ~knob:_ m ->
         let m, n = Copyprop.run m in
@@ -272,6 +291,7 @@ let dce =
     knobs = [ iters_knob ];
     applicable = always_applicable;
     context_free = true;
+    engine = None;
     run =
       (fun ?facts:_ _ _ ~knob:_ m ->
         let m, n = Dce.run m in
@@ -284,6 +304,7 @@ let cleanup =
     knobs = [];
     applicable = always_applicable;
     context_free = true;
+    engine = None;
     run = (fun ?facts:_ _ _ ~knob:_ m -> (Cleanup.run m, zero_delta));
   }
 

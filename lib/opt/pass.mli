@@ -48,6 +48,14 @@ type ctx = {
           strategy; [None] under [Opt] *)
 }
 
+(** The engine run an inliner-kind pass makes: the policy it decides with
+    and the hot-site predicate it hands {!Engine.run} (the decider-driven
+    [inline] item passes the context's; the strategies none). *)
+type engine_run = {
+  policy : Policy.t;
+  hot_site : (site_owner:Ir.mid -> callee:Ir.mid -> bool) option;
+}
+
 type t = {
   name : string;
   knobs : knob list;
@@ -63,6 +71,14 @@ type t = {
           the built-ins only [guarded_devirt]'s [false] matters; the
           inliners' values are never read.  The trajectory cache memoizes
           only runs of such passes. *)
+  engine : (Facts.t -> ctx -> knob:(string -> int) -> root_size:int -> engine_run option) option;
+      (** [Some build] for the inliner-kind passes ({!inliner_names}):
+          [build facts ctx ~knob ~root_size] is the engine run the pass
+          makes on a method of size [root_size] — [None] when it makes
+          none ([inline_hot] without a profile) — and [run] is exactly that
+          {!Engine.run}.  A decision walk ({!Engine.walk_from}) that takes
+          its policy from here therefore reports the verdicts [run] acts
+          on.  [None] for every other pass. *)
   run :
     ?facts:Facts.t -> Ir.program -> ctx -> knob:(string -> int) -> Ir.methd -> Ir.methd * delta;
       (** [knob] resolves this instance's declared knobs to their effective

@@ -286,3 +286,34 @@ let context_free_suffix (plan : Plan.t) =
   let items = plan.Plan.items in
   let rec clean j = j >= Array.length items || (context_free items.(j) && clean (j + 1)) in
   if l >= 0 && clean (l + 1) then Some l else None
+
+(* The plan's inliner block: its first and last inliner-kind items, when
+   every enabled item between them is of inliner kind too. *)
+let inliner_span (plan : Plan.t) =
+  let l = last_inliner plan in
+  let items = plan.Plan.items in
+  let rec first j = if Pass.is_inliner_name items.(j).Plan.pass then j else first (j + 1) in
+  if l < 0 then None
+  else
+    let f = first 0 in
+    let inliner_or_off (it : Plan.item) =
+      (not it.Plan.enabled) || Pass.is_inliner_name it.Plan.pass
+    in
+    let rec clean j = j > l || (inliner_or_off items.(j) && clean (j + 1)) in
+    if clean f then Some (f, l) else None
+
+(* What [step] would run for inliner-kind item [j] on a method of
+   [root_size], from the same plan knobs, context and facts. *)
+let engine_at p j ~root_size =
+  let it = p.config.plan.Plan.items.(j) in
+  if not it.Plan.enabled then None
+  else
+    match List.assoc_opt it.Plan.pass registry with
+    | None -> None (* unreachable for validated plans *)
+    | Some { pass = { Pass.engine = None; _ }; _ } ->
+      invalid_arg "Pipeline.engine_at: not an inliner"
+    | Some { pass = { Pass.engine = Some build; _ } as pass; _ } ->
+      if not (pass.Pass.applicable p.ctx) then None
+      else
+        let facts = match p.config.facts with Some f -> f | None -> Facts.of_program p.program in
+        build facts p.ctx ~knob:(Plan.item_knob it) ~root_size

@@ -113,3 +113,18 @@ val peak : partial -> int
     inliner that reads the decider or the profile (today: a hand-written
     plan with [guarded_devirt] there). *)
 val context_free_suffix : Plan.t -> int option
+
+(** [Some (first, last)] when the plan's inliner-kind items run from item
+    [first] to item [last] (enabled or not) and every enabled item between
+    them is of inliner kind too: then the method after [last] is the
+    method before [first] put through one {!Engine.run} per enabled,
+    applicable item of the block, in order.  [None] for a plan without an
+    inliner item or with another enabled pass inside the block. *)
+val inliner_span : Plan.t -> (int * int) option
+
+(** [engine_at p j ~root_size]: the engine run inliner-kind item [j] of
+    [p]'s plan makes on a method of size [root_size] under [p]'s context,
+    knobs and facts ({!Pass.t.engine}) — what {!run_until} would run —
+    or [None] when the item is disabled, inapplicable or makes none.
+    Raises [Invalid_argument] for an enabled item of another kind. *)
+val engine_at : partial -> int -> root_size:int -> Pass.engine_run option

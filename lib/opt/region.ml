@@ -1,4 +1,3 @@
-open Inltune_jir
 (* Region/depth-budget inliner strategy (after Way & Pollock's demand-driven
    region-based inlining).
 
@@ -12,16 +11,17 @@ open Inltune_jir
    one, unlike the Fig. 3 CALLER_MAX_SIZE test which charges the root's own
    size against the limit.
 
-   The decision reads nothing but the site record and the root's static
-   size, so the strategy is *static*: the call-site table walk
-   ({!Engine.walk}) over its policy reproduces the exact compile-time
-   verdict sequence. *)
+   The decision reads nothing but the site record and the root's size, so
+   the strategy is *static*: the call-site table walk ({!Engine.walk_from})
+   over its policy reproduces the exact compile-time verdict sequence.  The
+   policy is built from the size alone, so a walk that knows its input only
+   by digest, size and call-site table builds the one the pass would. *)
 
-(* [policy ~budget ~depth root] accepts a site iff the inline chain is
-   within [depth] and expanding the callee keeps the region within
-   [budget] size-estimate units of growth over the root method [root]. *)
-let policy ~budget ~depth root =
-  let root_size = Size.of_method root in
+(* [policy ~budget ~depth ~root_size] accepts a site iff the inline chain
+   is within [depth] and expanding the callee keeps the region within
+   [budget] size-estimate units of growth over a root method of
+   [root_size]. *)
+let policy ~budget ~depth ~root_size =
   Policy.of_predicate
     ~name:"region" ~accept_rule:"in_region" ~reject_rule:"region_full" (fun s ->
       s.Policy.inline_depth <= depth

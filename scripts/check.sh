@@ -101,11 +101,13 @@ cmp "$fcache" scripts/golden/fitness_cache_adapt_tune_passes.jsonl \
 
 echo "== trajectory-cache smoke =="
 # The recompile-trajectory cache answers Adapt fitness-cache misses whose
-# recompiles reproduce an earlier genome's, and its suffix memo answers
-# for the payoff passes of a node whose method after the last inliner it
-# has seen.  A traced fixed-seed plan-genome tune, on one domain and on
-# two (the memo is shared between domains), must hit both and print
-# exactly the committed stdout, which the commit before the cache printed.
+# recompiles reproduce an earlier genome's, its inliner memo derives a
+# node's inliners from their inputs' digests and decision bits, and its
+# suffix memo answers for the payoff passes of a node whose method after
+# the last inliner it has seen.  A traced fixed-seed plan-genome tune, on
+# one domain and on two (the memos are shared between domains), must hit
+# all three and print exactly the committed stdout, which the commit
+# before the cache printed.
 traj_counter() {  # a trace file, then a counter name
   ./_build/default/bin/main.exe trace-summary "$1" \
     | awk -F'|' -v name="$2" 'index($1, name) { gsub(/ /, "", $2); print $2 }'
@@ -122,6 +124,26 @@ for domains in 1 2; do
   chain_hits=$(traj_counter "$traj" fitness.traj_chain_hits)
   [ "${chain_hits:-0}" -gt 0 ] \
     || { echo "adapt tune (--domains $domains) made no suffix-memo hit"; exit 1; }
+  engine_hits=$(traj_counter "$traj" fitness.traj_engine_hits)
+  [ "${engine_hits:-0}" -gt 0 ] \
+    || { echo "adapt tune (--domains $domains) derived no inliner front"; exit 1; }
+done
+
+echo "== default-plan trajectory smoke =="
+# The same for heuristic genomes under the default plan over SPECjvm98,
+# whose front is guarded devirtualization, constprop and the decider-driven
+# inline item alone.  Traced, on one domain and on two, it must derive
+# inliner fronts and print exactly the committed stdout, which the commit
+# before the inliner memo printed.
+for domains in 1 2; do
+  tad=$tmp/tune_adapt_$domains.jsonl
+  ./_build/default/bin/main.exe tune -s adapt --pop 8 -g 3 --domains "$domains" \
+    --trace "$tad" 2> /dev/null \
+    | cmp - scripts/golden/tune_adapt_default_stdout.txt \
+    || { echo "traced default-plan adapt tune (--domains $domains) stdout differs from scripts/golden"; exit 1; }
+  engine_hits=$(traj_counter "$tad" fitness.traj_engine_hits)
+  [ "${engine_hits:-0}" -gt 0 ] \
+    || { echo "default-plan adapt tune (--domains $domains) derived no inliner front"; exit 1; }
 done
 
 echo "== two-scenario trajectory smoke =="

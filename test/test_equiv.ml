@@ -9,8 +9,10 @@ module Gp = Inltune_gp
 module Features = Inltune_policy.Features
 
 (* Equivalence of the optimizer's fast paths with what they stand for:
-   - the decision walk over call-site tables ({!Engine.walk}) against the
-     accept bits of the transformation's own decision log ({!Engine.run});
+   - the decision walk over call-site tables ({!Engine.walk_from}) against
+     the accept bits of the transformation's own decision log
+     ({!Engine.run}), hot sites and derived roots included, and the
+     transformation against a replay of those bits;
    - fitness-cache and compile-cache keys against constants recorded before
      the walk moved onto tables, so on-disk [--fitness-cache] files stay
      valid, and policy keys against constants recorded before every decider
@@ -36,9 +38,9 @@ let random_heuristic rng =
 
 (* The transformation's verdicts on [m]: accept bits of its decision log,
    recursion-guarded entries (decided by no policy) skipped. *)
-let run_bits ~program ~policy m =
+let run_bits ?hot_site ~program ~policy m =
   let log = Vec.create () in
-  ignore (Engine.run ~decisions:log ~program ~policy m);
+  ignore (Engine.run ?hot_site ~decisions:log ~program ~policy m);
   let buf = Buffer.create 16 in
   Array.iter
     (fun d ->
@@ -64,7 +66,7 @@ let random_policy rng program =
     fun _ -> p
   | 2 ->
     let budget = Rng.range rng 0 1024 and depth = Rng.range rng 1 8 in
-    fun root -> Region.policy ~budget ~depth root
+    fun root -> Region.policy ~budget ~depth ~root_size:(Size.of_method root)
   | 3 ->
     let p = Gp.Decode.policy ~ctx:(Features.make_ctx program) (Gp.Genetic.random rng) in
     fun _ -> p
@@ -81,16 +83,62 @@ let random_policy rng program =
     in
     fun _ -> p
 
+(* A hot-site predicate: a salted hash of the site's owner and callee,
+   true for about one site in [k]. *)
+let random_hot rng =
+  let k = Rng.range rng 2 5 and salt = Rng.int rng 1000 in
+  fun ~site_owner ~callee -> ((31 * site_owner) + (7 * callee) + salt) mod k = 0
+
+(* The strategies whose policy is built from the root's size: region, and
+   hot-path over a window of hashed edge counts. *)
+let random_sized_policy rng =
+  let budget = Rng.range rng 0 1024 in
+  if Rng.bool rng then
+    let depth = Rng.range rng 1 8 in
+    fun root -> Region.policy ~budget ~depth ~root_size:(Size.of_method root)
+  else
+    let total = Rng.range rng 1 10_000 and salt = Rng.int rng 1000 in
+    let hot_permille = Rng.range rng 1 500 in
+    let view =
+      {
+        Hotpath.edge_count =
+          (fun ~site_owner ~callee ->
+            ((131 * site_owner) + (17 * callee) + salt) mod 97 * total / 96);
+        total_calls = (fun () -> total);
+      }
+    in
+    fun root -> Hotpath.policy ~hot_permille ~budget view ~root_size:(Size.of_method root)
+
+(* [Engine.walk_from]'s bits for root [m], from [m]'s own call-site table
+   and size. *)
+let walk_bits ~bodies ?hot_site ~policy m =
+  let buf = Buffer.create 16 in
+  Engine.walk_from ~bodies ~callees:(Engine.callees m) ~size:(Size.of_method m) ?hot_site ~policy
+    m.Ir.mid (fun a -> Buffer.add_char buf (if a then '1' else '0'));
+  Buffer.contents buf
+
 (* Two root tables: the constprop'd methods (the fitness cache's roots)
-   and the original methods. *)
+   and the original methods.  Then over the constprop'd methods: hot sites
+   under a random predicate, with the heuristic taking its Fig. 4 path and
+   with the random policy; roots that are outputs of an earlier engine run
+   (every root site owned by the root, the sizes the input's); and the
+   region and hot-path policies built from such a root's size. *)
 let prop_walk_matches_run =
   QCheck.Test.make ~count:100 ~name:"table walk = Engine.run decisions"
     QCheck.(pair (int_bound (nprograms - 1)) (int_bound 100_000))
     (fun (pi, seed) ->
       let program = program_at pi in
-      let policy_of = random_policy (Rng.create seed) program in
+      let rng = Rng.create seed in
+      let policy_of = random_policy rng program in
       let bodies = Engine.call_sites program.Ir.methods in
       let cp = Array.map (fun m -> fst (Constprop.run program m)) program.Ir.methods in
+      let hot_site = random_hot rng in
+      let heuristic = Policy.of_heuristic (random_heuristic rng) in
+      let earlier = random_policy rng program in
+      let sized = random_sized_policy rng in
+      let same ?hot_site policy m =
+        walk_bits ~bodies ?hot_site ~policy m = run_bits ?hot_site ~program ~policy m
+      in
       List.for_all
         (fun roots_methods ->
           let roots = Engine.call_sites roots_methods in
@@ -99,7 +147,17 @@ let prop_walk_matches_run =
               let policy = policy_of m in
               Engine.walk ~bodies ~roots ~policy m.Ir.mid = run_bits ~program ~policy m)
             roots_methods)
-        [ cp; program.Ir.methods ])
+        [ cp; program.Ir.methods ]
+      && Array.for_all
+           (fun m ->
+             let derived = fst (Engine.run ~program ~policy:(earlier m) m) in
+             same ~hot_site heuristic m
+             && same ~hot_site (policy_of m) m
+             && same (policy_of derived) derived
+             && same ~hot_site heuristic derived
+             && same (sized derived) derived
+             && same (sized m) m)
+           cp)
 
 (* --- golden keys ----------------------------------------------------------- *)
 
@@ -666,6 +724,46 @@ let test_constprop_entry_state () =
     && m'.Ir.blocks.(0).Ir.instrs.(1) = Ir.Const (3, 0));
   same_constprop ~what:"entry state" program m
 
+(* --- replaying the bits ---------------------------------------------------- *)
+
+(* A policy that answers every site it is asked about with the next bit of
+   [bits], and how many it has read. *)
+let replay bits =
+  let read = ref 0 in
+  ( Policy.of_predicate ~name:"replay" ~accept_rule:"replay_accept" ~reject_rule:"replay_reject"
+      (fun _ ->
+        let i = !read in
+        incr read;
+        i < String.length bits && bits.[i] = '1'),
+    fun () -> !read )
+
+(* [Engine.run]'s output is a function of its input and the walk's bits:
+   replaying the bits of a walk under any policy and hot predicate, on
+   constprop'd roots and on outputs of an earlier engine run, builds the
+   method the policy itself builds, reading each bit once. *)
+let prop_replay_matches_run =
+  QCheck.Test.make ~count:60 ~name:"replayed walk bits = Engine.run output"
+    QCheck.(pair (int_bound (nprograms - 1)) (int_bound 100_000))
+    (fun (pi, seed) ->
+      let program = program_at pi in
+      let rng = Rng.create seed in
+      let policy_of = random_policy rng program and earlier = random_policy rng program in
+      let hot_site = if Rng.bool rng then Some (random_hot rng) else None in
+      let bodies = Engine.call_sites program.Ir.methods in
+      Array.for_all
+        (fun m ->
+          let m = fst (Constprop.run program m) in
+          let derived = fst (Engine.run ~program ~policy:(earlier m) m) in
+          List.for_all
+            (fun m ->
+              let policy = policy_of m in
+              let bits = walk_bits ~bodies ?hot_site ~policy m in
+              let replayed, read = replay bits in
+              let out = fst (Engine.run ?hot_site ~program ~policy m) in
+              fst (Engine.run ~program ~policy:replayed m) = out && read () = String.length bits)
+            [ m; derived ])
+        program.Ir.methods)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_walk_matches_run;
@@ -680,4 +778,5 @@ let suite =
       test_constprop_dense_spec;
     Alcotest.test_case "constprop entry state" `Quick test_constprop_entry_state;
     Alcotest.test_case "constprop over budget untouched" `Quick test_constprop_over_budget;
+    QCheck_alcotest.to_alcotest prop_replay_matches_run;
   ]

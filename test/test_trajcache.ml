@@ -700,7 +700,7 @@ let test_full_memo () =
         step ()
       done;
       Alcotest.(check bool) "at most 48 bytes an entry, index included" true
-        (Trajcache.memo_bytes () <= 48 * Trajcache.memo_cap);
+        (Trajcache.memo_bytes () - Trajcache.engine_bytes () <= 48 * Trajcache.memo_cap);
       match !at_reset with
       | None -> Alcotest.fail "the memo never started over"
       | Some (h0, m0) ->
@@ -896,6 +896,231 @@ let test_packed_range () =
       ignore (traj_answer prog : Runner.measurement);
       Alcotest.(check bool) "in range, the path is stored" true (Trajcache.nodes () > 0))
 
+(* --- the inliner memo --------------------------------------------------------- *)
+
+let engine_counts () = (metric "fitness.traj_engine_hits", metric "fitness.traj_engine_misses")
+
+(* The edge of a whole [Pipeline.run] at a recorded [node]. *)
+let fresh_edge cfg platform decider prog node =
+  let facts = Facts.of_program prog in
+  Trajcache.output_digest
+    (Pipeline.run prog
+       (Machine.pipeline_config cfg platform facts decider (Machine.node_view facts node))
+       prog.Ir.methods.(node.(0)))
+
+(* A heuristic with another HOT_CALLEE_MAX_SIZE: the same Fig. 3 verdicts,
+   other Fig. 4 ones.  Other deciders are kept. *)
+let other_hot rng = function
+  | Decider.Heuristic h ->
+    let lo, hi = Heuristic.ranges.(4) in
+    Decider.Heuristic { h with Heuristic.hot_callee_max_size = Rng.range rng lo hi }
+  | d -> d
+
+(* [node_edge] twice for one query at a recorded node: both edges equal a
+   fresh pipeline's, and the second derives the whole front from the
+   inliner memo (the first added what it missed), unless the memo started
+   over in between.  [what] names the query in failures. *)
+let check_derives ~what (prog, scenario, platform, _) node plan decider =
+  let cfg = Machine.config ~plan scenario Heuristic.default in
+  let fresh = fresh_edge cfg platform decider prog node in
+  let a0 = metric "fitness.traj_engine_entries" and c0 = Trajcache.engine_entries () in
+  let first = Trajcache.node_edge cfg platform ~decider prog node in
+  let started_over =
+    Trajcache.engine_entries () - c0 <> metric "fitness.traj_engine_entries" - a0
+  in
+  let h0, m0 = engine_counts () in
+  let second = Trajcache.node_edge cfg platform ~decider prog node in
+  let h1, m1 = engine_counts () in
+  let where =
+    Printf.sprintf "%s at method %d of %s under\n%s" what node.(0) prog.Ir.pname
+      (Plan.to_string plan)
+  in
+  if first <> fresh then
+    QCheck.Test.fail_reportf "%s: the filling walk's edge differs from a fresh pipeline" where;
+  if second <> fresh then
+    QCheck.Test.fail_reportf "%s: the derived edge differs from a fresh pipeline" where;
+  if (not started_over) && (h1 <> h0 + 1 || m1 <> m0) then
+    QCheck.Test.fail_reportf "%s: the second walk did not derive its front" where;
+  true
+
+(* Two plan genomes with the inline and region items on that differ only
+   in a small region budget, by at most 64: where the inline item grew the
+   method, a region policy built from the wrong root size would decide
+   both alike. *)
+let region_pair rng =
+  let g = Array.map (fun (lo, hi) -> Rng.range rng lo hi) Plan.tunable_ranges in
+  g.(1) <- 1;
+  g.(15) <- 1;
+  g.(16) <- Rng.range rng 16 512;
+  let g' = Array.copy g in
+  g'.(16) <- g.(16) + Rng.range rng 1 64;
+  (Plan.of_genes g, Plan.of_genes g')
+
+(* At nodes recorded from real Adapt and Ladder runs, for random plan
+   genomes, heuristics and GP trees, a derived edge equals a fresh
+   pipeline's.  The memo stays warm across cases, and each case puts five
+   queries to one node — two plans that differ only before the last
+   inliner, the first plan again under a heuristic whose Fig. 4 verdicts
+   differ, and a [region_pair] — so one query's entries are there for the
+   others to misuse. *)
+let test_derived_edge_equals_fresh () =
+  with_clean_caches (fun () ->
+      let cells = Lazy.force recorded_cells in
+      let prop =
+        QCheck.Test.make ~count:150 ~name:"derived edge = fresh pipeline"
+          (QCheck.make ~print:string_of_int (QCheck.Gen.int_bound 1_000_000))
+          (fun seed ->
+            let rng = Rng.create seed in
+            let ((prog, _, _, nodes) as cell) = cells.(Rng.int rng (Array.length cells)) in
+            let node = nodes.(Rng.int rng (Array.length nodes)) in
+            let decider = random_decider rng prog in
+            let a, b = random_plan_pair rng in
+            let region, region' = region_pair rng in
+            check_derives ~what:"plan a" cell node a decider
+            && check_derives ~what:"plan b" cell node b decider
+            && check_derives ~what:"plan a, other Fig. 4 verdicts" cell node a
+                 (other_hot rng decider)
+            && check_derives ~what:"region" cell node region decider
+            && check_derives ~what:"region, nearby budget" cell node region' decider)
+      in
+      let h0, _ = engine_counts () in
+      QCheck.Test.check_exn ~rand:(Random.State.make [| 13 |]) prop;
+      Alcotest.(check bool) "fronts were derived" true (fst (engine_counts ()) > h0);
+      Alcotest.(check bool) "entries were added" true (Trajcache.engine_entries () > 0))
+
+(* Every method of the SPECjvm98 programs at an empty window under Adapt
+   on x86: more distinct inliner inputs than the recorded cells hold. *)
+let window_free_cells =
+  lazy
+    (Array.of_list
+       (List.map
+          (fun bm ->
+            let prog = W.Suites.program bm in
+            ( prog,
+              Machine.Adapt,
+              Platform.x86,
+              Array.map (fun m -> [| m.Ir.mid; 0 |]) prog.Ir.methods ))
+          W.Suites.spec))
+
+(* At its cap the inliner memo empties itself and fills again: every edge,
+   before and after it starts over, is a fresh pipeline's, it never holds
+   more than its cap, and entries added after the reset derive later
+   fronts. *)
+let test_full_inliner_memo () =
+  with_clean_caches (fun () ->
+      let cells = Array.append (Lazy.force recorded_cells) (Lazy.force window_free_cells) in
+      let rng = Rng.create 23 in
+      let check () =
+        let prog, scenario, platform, nodes = cells.(Rng.int rng (Array.length cells)) in
+        let node = nodes.(Rng.int rng (Array.length nodes)) in
+        let decider = random_decider rng prog in
+        let plan = fst (random_plan_pair rng) in
+        let cfg = Machine.config ~plan scenario Heuristic.default in
+        let fresh = fresh_edge cfg platform decider prog node in
+        if Trajcache.node_edge cfg platform ~decider prog node <> fresh then
+          Alcotest.failf "%s at method %d of %s: edge differs from a fresh pipeline"
+            (Plan.to_string plan) node.(0) prog.Ir.pname
+      in
+      let added0 = metric "fitness.traj_engine_entries" in
+      let at_reset = ref None and last = ref 0 and tries = ref 0 in
+      let step () =
+        check ();
+        let now = Trajcache.engine_entries () in
+        if now > Trajcache.engine_cap then Alcotest.failf "%d entries past the cap" now;
+        if now < !last && !at_reset = None then begin
+          Alcotest.(check bool) "it started over once full" true
+            (metric "fitness.traj_engine_entries" - added0 > Trajcache.engine_cap);
+          at_reset := Some (engine_counts ())
+        end;
+        last := now
+      in
+      while !at_reset = None && !tries < 20_000 do
+        incr tries;
+        step ()
+      done;
+      for _ = 1 to 300 do
+        step ()
+      done;
+      match !at_reset with
+      | None -> Alcotest.fail "the inliner memo never started over"
+      | Some (h0, m0) ->
+        let h1, m1 = engine_counts () in
+        Alcotest.(check bool) "misses after the reset" true (m1 > m0);
+        Alcotest.(check bool) "derived fronts from entries added after the reset" true (h1 > h0))
+
+let test_clear_empties_inliner_memo () =
+  with_clean_caches (fun () ->
+      let empty = Trajcache.engine_bytes () in
+      List.iter
+        (fun plan ->
+          ignore
+            (Measure.run ~scenario:Machine.Adapt ~platform:Platform.x86 ~plan
+               ~heuristic:Heuristic.default (corpus "corpus_chain16")
+              : Measure.times))
+        [ snd (random_plan_genome (Rng.create 3)); Plan.default ];
+      Alcotest.(check bool) "entries held" true (Trajcache.engine_entries () > 0);
+      Alcotest.(check bool) "bytes held" true (Trajcache.engine_bytes () > empty);
+      Fitcache.clear ();
+      Alcotest.(check int) "no entries after clear" 0 (Trajcache.engine_entries ());
+      Alcotest.(check int) "no bytes after clear" empty (Trajcache.engine_bytes ()))
+
+(* The recorded nodes of a default Adapt run of [bm] on x86 at which
+   guarded devirtualization rewrites the method: there the method
+   entering the inliners is not the constprop'd original. *)
+let devirt_nodes bm =
+  let prog = W.Suites.program bm in
+  let facts = Facts.of_program prog in
+  let nodes = ref [] in
+  ignore
+    (Runner.measure ~iterations:3
+       ~record:(fun r -> nodes := Option.get r.Machine.node :: !nodes)
+       adapt_cfg Platform.x86 prog
+      : Runner.measurement);
+  let first = fst (Option.get (Pipeline.inliner_span Plan.default)) in
+  List.filter
+    (fun node ->
+      let config =
+        Machine.pipeline_config adapt_cfg Platform.x86 facts default_decider
+          (Machine.node_view facts node)
+      in
+      let p0 = Pipeline.run_until (Pipeline.start prog config prog.Ir.methods.(node.(0))) first in
+      Pipeline.current p0 != fst (Pass.constprop_original facts node.(0)))
+    (List.rev !nodes)
+
+(* Where guarded devirtualization rewrote a suite method (under Adapt on
+   x86 with the default heuristic it rewrites one recompile's method in
+   each of these two DaCapo programs, and none in SPECjvm98), a walk
+   describes the method entering the inliners itself and still derives the
+   front on its next visit.  The node is first walked without
+   devirtualization, so the memo holds an entry for the constprop'd
+   original under the same decider: a walk that took the original's
+   description there would find that entry and answer with the unguarded
+   output. *)
+let test_derived_after_devirt () =
+  with_clean_caches (fun () ->
+      let no_devirt = Plan.disable "guarded_devirt" Plan.default in
+      let rewritten =
+        List.concat_map
+          (fun name ->
+            let bm = W.Suites.find name in
+            let prog = W.Suites.program bm in
+            List.map
+              (fun node ->
+                let cell = (prog, Machine.Adapt, Platform.x86, [| node |]) in
+                ignore
+                  (check_derives ~what:"without devirtualization" cell node no_devirt
+                     default_decider
+                    : bool);
+                ignore
+                  (check_derives ~what:"with devirtualization" cell node Plan.default
+                     default_decider
+                    : bool))
+              (devirt_nodes bm))
+          [ "ipsixql"; "pseudojbb" ]
+      in
+      Alcotest.(check bool) "devirtualization rewrote some recompile's method" true
+        (rewritten <> []))
+
 let suite =
   [
     ("trie answer = fresh simulation", `Slow, test_trie_equals_fresh);
@@ -912,4 +1137,8 @@ let suite =
     ("trie answer = fresh, evicting", `Slow, test_trie_equals_fresh_evicting);
     ("eviction order and in-flight misses", `Quick, test_eviction_order);
     ("packed edges and the range check", `Quick, test_packed_range);
+    ("derived edge = fresh pipeline", `Slow, test_derived_edge_equals_fresh);
+    ("a full inliner memo starts over", `Slow, test_full_inliner_memo);
+    ("fitcache clear empties the inliner memo", `Quick, test_clear_empties_inliner_memo);
+    ("derived front after guarded devirtualization", `Quick, test_derived_after_devirt);
   ]
